@@ -2,262 +2,143 @@
 
 Subcommands: synth, encode, pool, graph, train, infer, eval, run.
 Exit codes: 0 ok, 1 runtime failure, 2 config/validation error.
-Set CT_GRAPH_THREADS (or pass --threads) before heavy runs to cap BLAS
-worker threads; the package's own kernels are single-threaded.
+BLAS worker threads are fixed when numpy loads, so cap them with
+OMP_NUM_THREADS / OPENBLAS_NUM_THREADS in the environment before launch;
+the package's own kernels are single-threaded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .container import ensure_dir
-from .encoder import get_preset, load_pyramid, synth_encode
+from .encoder import get_preset, load_pyramid
 from .errors import ConfigError, CtGraphError, FormatError, ValidationError
-from .gat import GatConfig, forward as gat_forward
-from .graph import build_graph, default_hierarchy, load_graph, load_hierarchy, save_graph
-from .heads import (
-    TrainConfig,
-    export_tokens,
-    read_manifest,
-    save_token_export,
-    train_gat_classifier,
-    train_probe,
+from .gat import GatModel
+from .graph import load_graph
+from .heads import TrainConfig, read_manifest
+from .pipeline import (
+    PipelineConfig,
+    encode_stage,
+    eval_stage,
+    graph_stage,
+    hierarchy_from,
+    infer_stage,
+    pool_stage,
+    require_file,
+    run_pipeline,
+    stage,
+    synth_stage,
+    train_gat_stage,
+    train_probe_stage,
 )
-from .metrics import bleu_n, macro_prf1, rouge_l, tokenize
-from .pipeline import PipelineConfig, log_event, run_pipeline
-from .pooling import load_pooled, pool_all, save_pooled
-from .volume import (
-    generate_phantom,
-    load_mask,
-    load_phantom_spec,
-    load_volume,
-    save_mask,
-    save_volume,
-)
+from .pooling import load_pooled
+from .volume import load_mask, load_phantom_spec, load_volume
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-def _require(path, what: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} not found: {p}")
-    return p
+def _read_json(path, what: str) -> dict:
+    """The JSON document at path, or {} when no path was given."""
+    if path is None:
+        return {}
+    with open(require_file(path, what), "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
-def cmd_synth(args) -> int:
-    spec = load_phantom_spec(_require(args.spec, "phantom spec"))
-    out = ensure_dir(args.out)
-    records = []
-    for i in range(args.count):
-        volume, mask, target = generate_phantom(spec.with_seed(args.seed + i))
-        save_volume(out / f"vol_{i:03d}.bin", volume)
-        save_mask(out / f"mask_{i:03d}.bin", mask)
-        records.append(
-            {
-                "id": i,
-                "volume": f"vol_{i:03d}.bin",
-                "mask": f"mask_{i:03d}.bin",
-                "labels": target.tolist(),
-            }
-        )
-    with open(out / "samples.jsonl", "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
-    log_event("synth", "done", count=args.count, out=str(out))
-    return EXIT_OK
+def cmd_synth(args) -> None:
+    spec = load_phantom_spec(require_file(args.spec, "phantom spec"))
+    with stage("synth", count=args.count, out=args.out):
+        synth_stage(spec, args.count, args.seed, args.out)
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> None:
     preset = get_preset(args.preset, registry_path=args.presets)
-    volume = load_volume(_require(args.infile, "volume"))
-    pyramid = synth_encode(volume, preset, seed=args.seed)
-    from .encoder import export_pyramid
-
-    export_pyramid(pyramid, args.out)
-    log_event("encode", "done", preset=preset.name, layers=pyramid.num_layers, out=args.out)
-    return EXIT_OK
+    volume = load_volume(require_file(args.infile, "volume"))
+    with stage("encode", preset=preset.name, out=args.out) as done:
+        (pyramid,) = encode_stage([volume], preset, args.seed, args.out)
+        done["layers"] = pyramid.num_layers
 
 
-def cmd_pool(args) -> int:
-    pyramid = load_pyramid(_require(args.pyramid, "pyramid directory"))
-    mask = load_mask(_require(args.mask, "mask"))
-    hierarchy = (
-        load_hierarchy(_require(args.hierarchy, "hierarchy"))
-        if args.hierarchy
-        else default_hierarchy()
-    )
-    fine_set, coarse_set, grid = pool_all(pyramid, mask, hierarchy)
-    save_pooled(args.out, fine_set, coarse_set, grid)
-    log_event(
-        "pool",
-        "done",
-        fine=fine_set.num_regions,
-        coarse=coarse_set.num_regions,
-        out=args.out,
-    )
-    return EXIT_OK
+def cmd_pool(args) -> None:
+    pyramid = load_pyramid(require_file(args.pyramid, "pyramid directory"))
+    mask = load_mask(require_file(args.mask, "mask"))
+    hierarchy = hierarchy_from(args.hierarchy)
+    with stage("pool", out=args.out) as done:
+        ((fine_set, coarse_set, _),) = pool_stage([pyramid], [mask], hierarchy, [args.out])
+        done.update(fine=fine_set.num_regions, coarse=coarse_set.num_regions)
 
 
-def cmd_graph(args) -> int:
-    hierarchy = (
-        load_hierarchy(_require(args.hierarchy, "hierarchy"))
-        if args.hierarchy
-        else default_hierarchy()
-    )
-    graph = build_graph(hierarchy, args.topology, seed=args.seed)
-    save_graph(args.out, graph)
-    log_event(
-        "graph", "done", topology=graph.topology, nodes=len(graph.nodes), edges=len(graph.edges)
-    )
-    return EXIT_OK
+def cmd_graph(args) -> None:
+    hierarchy = hierarchy_from(args.hierarchy)
+    with stage("graph", topology=args.topology) as done:
+        graph = graph_stage(hierarchy, args.topology, args.seed, args.out)
+        done.update(nodes=len(graph.nodes), edges=len(graph.edges))
 
 
-def _load_train_config(path, mode: str, fallback_lr: float | None = None) -> TrainConfig:
-    doc = {}
-    if path:
-        with open(_require(path, "train config"), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    doc.setdefault("mode", mode)
-    if fallback_lr is not None:
-        doc.setdefault("lr", fallback_lr)
-    return TrainConfig.from_json(doc)
-
-
-def cmd_train(args) -> int:
-    manifest = read_manifest(_require(args.manifest, "manifest"))
+def cmd_train(args) -> None:
+    if args.mode == "gat" and args.graph is None:
+        raise ConfigError("train --mode gat needs --graph")
+    manifest = read_manifest(require_file(args.manifest, "manifest"))
     base = Path(args.manifest).parent
     targets = np.array([record["labels"] for record in manifest], dtype=np.float64)
-    out = ensure_dir(args.out)
-    if args.mode == "probe":
-        cfg = _load_train_config(args.config, "probe")
-        features = np.stack(
-            [
-                _probe_features_from_container(base / record["feature_file"], args.granularity)
-                for record in manifest
-            ]
-        )
-        model, trace, info = train_probe(features, targets, cfg)
-        model.save(out)
-        _write_trace(out, trace, info)
-        log_event("train", "done", mode="probe", f1=trace[-1]["f1"] if trace else None)
-        return EXIT_OK
-    cfg = _load_train_config(args.config, "gat", fallback_lr=5e-5)
-    graph = load_graph(_require(args.graph, "graph"))
-    samples = [load_pooled(base / record["feature_file"]) for record in manifest]
-    fine_set, coarse_set, _ = samples[0]
-    c_total = fine_set.fused.shape[1]
-    c_last = samples[0][2].channels
-    gat_doc = {}
-    if args.gat_config:
-        with open(_require(args.gat_config, "gat config"), "r", encoding="utf-8") as fh:
-            gat_doc = json.load(fh)
-    gat_config = GatConfig(
-        c_total=c_total,
-        c_last=c_last,
-        **{k: tuple(v) if k == "mlp_hidden" else v for k, v in gat_doc.items()},
-    )
-    clf, trace, info = train_gat_classifier(samples, targets, graph, gat_config, cfg)
-    clf.save(out)
-    _write_trace(out, trace, info)
-    log_event("train", "done", mode="gat", f1=trace[-1]["f1"] if trace else None)
-    return EXIT_OK
+    doc = _read_json(args.config, "train config")
+    with stage("train", mode=args.mode) as done:
+        pooled = [load_pooled(base / record["feature_file"]) for record in manifest]
+        if args.mode == "probe":
+            cfg = TrainConfig.from_json({"mode": "probe", **doc})
+            trace, _ = train_probe_stage(pooled, targets, args.granularity, cfg, args.out)
+        else:
+            graph = load_graph(require_file(args.graph, "graph"))
+            gat_doc = _read_json(args.gat_config, "gat config")
+            _, trace, _ = train_gat_stage(
+                pooled, targets, graph, gat_doc, TrainConfig.for_gat(**doc), args.out
+            )
+        done["f1"] = trace[-1]["f1"] if trace else None
 
 
-def _probe_features_from_container(path, granularity: str) -> np.ndarray:
-    from .heads import build_probe_features
-
-    fine_set, coarse_set, grid = load_pooled(path)
-    return build_probe_features(fine_set, coarse_set, grid, granularity=granularity)
-
-
-def _write_trace(out: Path, trace: list[dict], info: dict) -> None:
-    with open(out / "trace.json", "w", encoding="utf-8") as fh:
-        json.dump({"trace": trace, "info": info}, fh, indent=2)
+def cmd_infer(args) -> None:
+    graph = load_graph(require_file(args.graph, "graph"))
+    sample = load_pooled(require_file(args.feats, "pooled features"))
+    model = GatModel.load(require_file(args.model, "model checkpoint"))
+    with stage("infer", out=args.out) as done:
+        fwd = infer_stage(graph, sample, model, args.out)
+        done["tokens"] = len(fwd.token_ids)
 
 
-def cmd_infer(args) -> int:
-    from .gat import GatModel
-
-    graph = load_graph(_require(args.graph, "graph"))
-    fine_set, coarse_set, grid = load_pooled(_require(args.feats, "pooled features"))
-    model = GatModel.load(_require(args.model, "model checkpoint"))
-    fwd = gat_forward(graph, fine_set, coarse_set, grid, model)
-    save_token_export(args.out, export_tokens(fwd))
-    log_event("infer", "done", tokens=len(fwd.token_ids), out=args.out)
-    return EXIT_OK
+def _records_by_id(path, what: str) -> dict[str, dict]:
+    return {
+        str(record["id"]): record
+        for record in read_manifest(require_file(path, what), required=("id",))
+    }
 
 
-def _read_jsonl(path) -> dict[str, dict]:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            out[str(record["id"])] = record
-    return out
-
-
-def cmd_eval(args) -> int:
-    preds = _read_jsonl(_require(args.pred, "predictions"))
-    refs = _read_jsonl(_require(args.ref, "references"))
+def cmd_eval(args) -> None:
+    preds = _records_by_id(args.pred, "predictions")
+    refs = _records_by_id(args.ref, "references")
     shared = sorted(set(preds) & set(refs))
     if not shared:
         raise ValidationError("predictions and references share no ids")
     which = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    report: dict = {}
-    if "ce" in which:
-        pred_rows = [preds[i]["labels"] for i in shared if "labels" in preds[i]]
-        ref_rows = [refs[i]["labels"] for i in shared if "labels" in refs[i]]
-        if pred_rows and len(pred_rows) == len(ref_rows):
-            scores = macro_prf1(np.array(pred_rows), np.array(ref_rows))
-            report["ce"] = {
-                "precision": scores.precision,
-                "recall": scores.recall,
-                "f1": scores.f1,
-            }
-        else:
-            raise ValidationError("ce metrics need 'labels' in every shared record")
-    if "nlg" in which:
-        cands = [tokenize(preds[i].get("text", "")) for i in shared]
-        golds = [tokenize(refs[i].get("text", "")) for i in shared]
-        bleu = bleu_n(cands, golds)
-        report["nlg"] = {
-            **{f"bleu_{k}": b for k, b in zip(range(1, 5), bleu)},
-            "rouge_l": rouge_l(cands, golds),
-        }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-    log_event("eval", "done", metrics=which, samples=len(shared))
-    return EXIT_OK
+    with stage("eval", metrics=which, samples=len(shared)):
+        eval_stage([preds[i] for i in shared], [refs[i] for i in shared], which, args.out)
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> None:
     cfg = PipelineConfig.load(args.config)
     run_pipeline(cfg, out_dir=args.out)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ct-graph",
         description="Mask-pooled feature pyramids and hierarchical graph attention, desk scale.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cap worker threads (also honors CT_GRAPH_THREADS)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -327,19 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = args.threads or os.environ.get("CT_GRAPH_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(threads))
     try:
-        code = args.func(args)
+        args.func(args)
     except (ConfigError, ValidationError, FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CtGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

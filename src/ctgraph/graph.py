@@ -23,7 +23,7 @@ LEVEL_GLOBAL = "global"
 TOPOLOGY_HIERARCHICAL = "hierarchical"
 TOPOLOGY_RANDOM = "random"
 TOPOLOGY_SINGLE = "single-level"
-TOPOLOGIES = (TOPOLOGY_HIERARCHICAL, TOPOLOGY_RANDOM, TOPOLOGY_SINGLE, "none")
+TOPOLOGIES = (TOPOLOGY_HIERARCHICAL, TOPOLOGY_RANDOM, TOPOLOGY_SINGLE)
 
 
 @dataclass(frozen=True)

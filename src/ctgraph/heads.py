@@ -10,7 +10,7 @@ generation prompt for a downstream language model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,10 +43,8 @@ class TrainConfig:
 
     @classmethod
     def for_gat(cls, **overrides) -> "TrainConfig":
-        cfg = cls(mode="gat", lr=5e-5, **{k: v for k, v in overrides.items() if k != "lr"})
-        if "lr" in overrides:
-            cfg = replace(cfg, lr=overrides["lr"])
-        return cfg
+        """Graph classifier defaults (lr 5e-5) under the given overrides."""
+        return cls.from_json({"mode": "gat", "lr": 5e-5, **overrides})
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrainConfig":
@@ -81,23 +79,32 @@ class ProbeModel:
 
     def save(self, directory) -> Path:
         out = ensure_dir(directory)
-        save_tensors(
-            out / "probe.bin",
-            {"weight": self.weight.data, "bias": self.bias.data},
-            meta={"weight": {"threshold": self.threshold}},
-        )
+        _save_head(out / "probe.bin", self.weight, self.bias, self.threshold)
         return out
 
     @classmethod
     def load(cls, directory) -> "ProbeModel":
-        records = load_records(Path(directory) / "probe.bin")
-        arrays = {name: arr for name, arr, _ in records}
-        threshold = records[0][2].get("meta", {}).get("threshold", 0.5)
-        return cls(
-            weight=Tensor(arrays["weight"], requires_grad=True),
-            bias=Tensor(arrays["bias"], requires_grad=True),
-            threshold=float(threshold),
-        )
+        return cls(*_load_head(Path(directory) / "probe.bin"))
+
+
+def _save_head(path, weight: Tensor, bias: Tensor, threshold: float) -> None:
+    save_tensors(
+        path,
+        {"weight": weight.data, "bias": bias.data},
+        meta={"weight": {"threshold": threshold}},
+    )
+
+
+def _load_head(path) -> tuple[Tensor, Tensor, float]:
+    """(weight, bias, threshold) of an affine head written by _save_head."""
+    records = load_records(path)
+    arrays = {name: arr for name, arr, _ in records}
+    threshold = records[0][2].get("meta", {}).get("threshold", 0.5)
+    return (
+        Tensor(arrays["weight"], requires_grad=True),
+        Tensor(arrays["bias"], requires_grad=True),
+        float(threshold),
+    )
 
 
 def build_probe_features(
@@ -137,15 +144,6 @@ def build_probe_features(
     return np.concatenate(parts)
 
 
-def split_train_val(n: int, val_fraction: float, rng: np.random.Generator):
-    """Deterministic shuffled split; validation takes the trailing fraction."""
-    perm = rng.permutation(n)
-    n_val = 0
-    if val_fraction > 0 and n > 1:
-        n_val = min(n - 1, max(1, int(round(n * val_fraction))))
-    return perm[: n - n_val], perm[n - n_val :]
-
-
 def train_probe(features: np.ndarray, targets: np.ndarray, cfg: TrainConfig):
     """Train a linear probe; returns (model, per-epoch metric trace, info).
 
@@ -158,28 +156,55 @@ def train_probe(features: np.ndarray, targets: np.ndarray, cfg: TrainConfig):
         raise ShapeError(
             f"expected aligned 2-d features/targets, got {features.shape} and {targets.shape}"
         )
-    rng = np.random.default_rng(cfg.seed)
-    train_idx, val_idx = split_train_val(len(features), cfg.val_fraction, rng)
     model = ProbeModel.zeros(features.shape[1], targets.shape[1], cfg.threshold)
-    optimizer = AdamW(
-        [model.weight, model.bias], lr=cfg.lr, weight_decay=cfg.weight_decay
-    )
+
+    def batch_logits(batch):
+        return add(matmul(Tensor(features[batch]), model.weight), model.bias)
+
+    def predict(indices):
+        return model.predict(features[indices])
+
+    trace, info = fit([model.weight, model.bias], batch_logits, predict, targets, cfg)
+    return model, trace, info
+
+
+def fit(parameters: list[Tensor], batch_logits, predict, targets: np.ndarray, cfg: TrainConfig):
+    """The training loop shared by both heads; returns (per-epoch trace, info).
+
+    batch_logits(indices) gives the logits Tensor of those samples, trained
+    with per-label binary cross-entropy; predict(indices) gives their 0/1
+    predictions. The shuffled split (validation takes the trailing fraction)
+    and every epoch's batch order come from one generator seeded with
+    cfg.seed, so a fixed config gives the same trace.
+    """
+    n = len(targets)
+    rng = np.random.default_rng(cfg.seed)
+    perm = rng.permutation(n)
+    n_val = 0
+    if cfg.val_fraction > 0 and n > 1:
+        n_val = min(n - 1, max(1, int(round(n * cfg.val_fraction))))
+    train_idx, val_idx = perm[: n - n_val], perm[n - n_val :]
+    scored_idx = val_idx if len(val_idx) else np.arange(n)
+    optimizer = AdamW(parameters, lr=cfg.lr, weight_decay=cfg.weight_decay)
+
+    def val_scores() -> MacroScores:
+        return macro_prf1(predict(scored_idx), targets[scored_idx].astype(np.int32))
+
     trace: list[dict] = []
+    scores = None
     for epoch in range(cfg.epochs):
         order = rng.permutation(train_idx) if len(train_idx) else train_idx
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            x = Tensor(features[batch])
-            logits = add(matmul(x, model.weight), model.bias)
-            loss = bce_with_logits(logits, targets[batch])
+            loss = bce_with_logits(batch_logits(batch), targets[batch])
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
             epoch_loss += loss.item()
             n_batches += 1
-        scores = _probe_val_scores(model, features, targets, val_idx)
+        scores = val_scores()
         trace.append(
             {
                 "epoch": epoch,
@@ -189,20 +214,13 @@ def train_probe(features: np.ndarray, targets: np.ndarray, cfg: TrainConfig):
                 "f1": scores.f1,
             }
         )
-    final = _probe_val_scores(model, features, targets, val_idx)
+    final = val_scores() if scores is None else scores
     info = {
         "degenerate_classes": final.degenerate_classes,
         "train_size": int(len(train_idx)),
         "val_size": int(len(val_idx)),
     }
-    return model, trace, info
-
-
-def _probe_val_scores(model: ProbeModel, features, targets, val_idx) -> MacroScores:
-    if len(val_idx) == 0:
-        val_idx = np.arange(len(features))
-    pred = model.predict(features[val_idx])
-    return macro_prf1(pred, targets[val_idx].astype(np.int32))
+    return trace, info
 
 
 @dataclass
@@ -230,25 +248,12 @@ class GatClassifier:
 
     def save(self, directory) -> Path:
         out = self.gat.save(directory)
-        save_tensors(
-            out / "head.bin",
-            {"weight": self.head_weight.data, "bias": self.head_bias.data},
-            meta={"weight": {"threshold": self.threshold}},
-        )
+        _save_head(out / "head.bin", self.head_weight, self.head_bias, self.threshold)
         return out
 
     @classmethod
     def load(cls, directory) -> "GatClassifier":
-        gat = GatModel.load(directory)
-        records = load_records(Path(directory) / "head.bin")
-        arrays = {name: arr for name, arr, _ in records}
-        threshold = records[0][2].get("meta", {}).get("threshold", 0.5)
-        return cls(
-            gat=gat,
-            head_weight=Tensor(arrays["weight"], requires_grad=True),
-            head_bias=Tensor(arrays["bias"], requires_grad=True),
-            threshold=float(threshold),
-        )
+        return cls(GatModel.load(directory), *_load_head(Path(directory) / "head.bin"))
 
 
 def init_gat_classifier(
@@ -282,50 +287,18 @@ def train_gat_classifier(
     targets = np.asarray(targets, dtype=np.float64)
     if len(samples) != len(targets):
         raise ShapeError(f"{len(samples)} samples but {len(targets)} target rows")
-    rng = np.random.default_rng(cfg.seed)
-    train_idx, val_idx = split_train_val(len(samples), cfg.val_fraction, rng)
     clf = init_gat_classifier(
         gat_config, targets.shape[1], seed=cfg.seed, threshold=cfg.threshold
     )
-    optimizer = AdamW(clf.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    trace: list[dict] = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(train_idx) if len(train_idx) else train_idx
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            logits = concat([clf.logits(graph, samples[i]) for i in batch], axis=0)
-            loss = bce_with_logits(logits, targets[batch])
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            epoch_loss += loss.item()
-            n_batches += 1
-        scores = _gat_val_scores(clf, graph, samples, targets, val_idx)
-        trace.append(
-            {
-                "epoch": epoch,
-                "loss": epoch_loss / max(n_batches, 1),
-                "precision": scores.precision,
-                "recall": scores.recall,
-                "f1": scores.f1,
-            }
-        )
-    final = _gat_val_scores(clf, graph, samples, targets, val_idx)
-    info = {
-        "degenerate_classes": final.degenerate_classes,
-        "train_size": int(len(train_idx)),
-        "val_size": int(len(val_idx)),
-    }
+
+    def batch_logits(batch):
+        return concat([clf.logits(graph, samples[i]) for i in batch], axis=0)
+
+    def predict(indices):
+        return np.stack([clf.predict(graph, samples[i]) for i in indices])
+
+    trace, info = fit(clf.parameters(), batch_logits, predict, targets, cfg)
     return clf, trace, info
-
-
-def _gat_val_scores(clf, graph, samples, targets, val_idx) -> MacroScores:
-    if len(val_idx) == 0:
-        val_idx = np.arange(len(samples))
-    pred = np.stack([clf.predict(graph, samples[i]) for i in val_idx])
-    return macro_prf1(pred, targets[val_idx].astype(np.int32))
 
 
 # token export ----------------------------------------------------------------
@@ -374,7 +347,12 @@ def write_manifest(path, records: list[dict]) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def read_manifest(path) -> list[dict]:
+def read_manifest(path, required=("feature_file", "labels")) -> list[dict]:
+    """Non-empty JSONL file of objects, each holding the required keys.
+
+    Dataset manifests need feature_file and labels; evaluation records
+    need id. Any defect raises ConfigError naming path:line.
+    """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -385,7 +363,9 @@ def read_manifest(path) -> list[dict]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}:{line_no}: invalid JSONL record: {exc}") from exc
-            for key in ("feature_file", "labels"):
+            if not isinstance(record, dict):
+                raise ConfigError(f"{path}:{line_no}: JSONL record is not an object")
+            for key in required:
                 if key not in record:
                     raise ConfigError(f"{path}:{line_no}: record misses '{key}'")
             records.append(record)

@@ -1,13 +1,17 @@
 """End-to-end pipeline: synth -> encode -> pool -> graph -> train -> infer -> eval.
 
-Every stage is timed, logged as one JSON line, and written under the output
-directory. A failure aborts with the stage name and cause, leaving a STALE
-marker listing the stages whose outputs may be partial. Reruns with the same
-config and seed reproduce the same summary metrics.
+Each stage is one function here, called both by `run_pipeline` and by the
+matching `ct-graph` subcommand. `stage()` times a stage and logs its `start`
+and `done` events as JSON lines. A run failure aborts with the stage name
+and cause, leaving a STALE marker listing the stages whose outputs may be
+partial. Reruns with the same config and seed reproduce the same summary
+metrics.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import sys
 import time
@@ -19,9 +23,10 @@ import numpy as np
 from . import demo as demo_mod
 from .container import ensure_dir
 from .encoder import export_pyramid, get_preset, synth_encode
-from .errors import ConfigError, CtGraphError
+from .errors import ConfigError, CtGraphError, ValidationError
 from .gat import GatConfig, forward as gat_forward
 from .graph import (
+    AnatomyHierarchy,
     build_graph,
     default_hierarchy,
     load_hierarchy,
@@ -35,15 +40,175 @@ from .heads import (
     save_token_export,
     train_gat_classifier,
     train_probe,
+    write_manifest,
 )
-from .metrics import macro_prf1
+from .metrics import bleu_n, macro_prf1, rouge_l, tokenize
 from .pooling import pool_all, save_pooled
 from .volume import generate_phantom, load_phantom_spec, save_mask, save_volume
+
 
 def log_event(stage: str, event: str, **extra) -> None:
     record = {"ts": round(time.time(), 3), "stage": stage, "event": event}
     record.update(extra)
     print(json.dumps(record), file=sys.stderr)
+
+
+@contextlib.contextmanager
+def stage(name: str, seconds: dict | None = None, **fields):
+    """Log `start` with fields, run the body, then log `done` with its seconds.
+
+    The body may add `done` fields to the yielded dict. A `seconds` dict gets
+    the stage's name when it starts and its rounded duration when it ends.
+    """
+    log_event(name, "start", **fields)
+    done: dict = {}
+    if seconds is not None:
+        seconds[name] = None
+    t0 = time.perf_counter()
+    yield done
+    elapsed = round(time.perf_counter() - t0, 3)
+    if seconds is not None:
+        seconds[name] = elapsed
+    log_event(name, "done", seconds=elapsed, **done)
+
+
+def require_file(path, what: str) -> Path:
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"{what} not found: {p}")
+    return p
+
+
+def hierarchy_from(path) -> AnatomyHierarchy:
+    """The hierarchy stored at path, or the built-in table when path is None."""
+    return load_hierarchy(require_file(path, "hierarchy")) if path else default_hierarchy()
+
+
+# stages ----------------------------------------------------------------------
+
+
+def synth_stage(spec, count: int, seed: int, out):
+    """Phantoms for seeds seed..seed+count-1, written with samples.jsonl under out.
+
+    Returns (volumes, masks, target matrix).
+    """
+    if count < 1:
+        raise ConfigError(f"sample count must be positive, got {count}")
+    out = ensure_dir(out)
+    volumes, masks, targets = [], [], []
+    for i in range(count):
+        volume, mask, target = generate_phantom(spec.with_seed(seed + i))
+        save_volume(out / f"vol_{i:03d}.bin", volume)
+        save_mask(out / f"mask_{i:03d}.bin", mask)
+        volumes.append(volume)
+        masks.append(mask)
+        targets.append(target)
+    write_manifest(
+        out / "samples.jsonl",
+        [
+            {
+                "id": i,
+                "volume": f"vol_{i:03d}.bin",
+                "mask": f"mask_{i:03d}.bin",
+                "labels": target.tolist(),
+            }
+            for i, target in enumerate(targets)
+        ],
+    )
+    return volumes, masks, np.stack(targets)
+
+
+def encode_stage(volumes, preset, seed: int, out) -> list:
+    """Encode every volume; the first pyramid is exported to out."""
+    pyramids = [synth_encode(volume, preset, seed=seed) for volume in volumes]
+    export_pyramid(pyramids[0], out)
+    return pyramids
+
+
+def pool_stage(pyramids, masks, hierarchy: AnatomyHierarchy, paths) -> list[tuple]:
+    """Pool each pyramid over its mask and write one container per sample."""
+    pooled = []
+    for pyramid, mask, path in zip(pyramids, masks, paths):
+        sample = pool_all(pyramid, mask, hierarchy)
+        save_pooled(path, *sample)
+        pooled.append(sample)
+    return pooled
+
+
+def graph_stage(hierarchy: AnatomyHierarchy, topology: str, seed: int, path):
+    graph = build_graph(hierarchy, topology, seed=seed)
+    save_graph(path, graph)
+    return graph
+
+
+def train_probe_stage(pooled, targets, granularity: str, cfg: TrainConfig, out):
+    """Fit the linear probe on pooled samples; writes probe.bin and trace.json."""
+    features = np.stack([build_probe_features(*s, granularity=granularity) for s in pooled])
+    model, trace, info = train_probe(features, targets, cfg)
+    _write_trace(model.save(out), trace, info)
+    return trace, info
+
+
+def train_gat_stage(pooled, targets, graph, gat_doc: dict, cfg: TrainConfig, out):
+    """Fit the graph classifier; writes its checkpoint and trace.json to out.
+
+    gat_doc holds GatConfig fields as JSON; input widths come from the data.
+    """
+    fine_set, _, grid = pooled[0]
+    gat_config = GatConfig(
+        c_total=fine_set.fused.shape[1],
+        c_last=grid.channels,
+        **{k: tuple(v) if k == "mlp_hidden" else v for k, v in gat_doc.items()},
+    )
+    clf, trace, info = train_gat_classifier(pooled, targets, graph, gat_config, cfg)
+    _write_trace(clf.save(out), trace, info)
+    return clf, trace, info
+
+
+def _write_trace(out: Path, trace: list[dict], info: dict) -> None:
+    with open(out / "trace.json", "w", encoding="utf-8") as fh:
+        json.dump({"trace": trace, "info": info}, fh, indent=2)
+
+
+def infer_stage(graph, sample, model, path):
+    """Forward one pooled sample and write its node tokens."""
+    fwd = gat_forward(graph, *sample, model)
+    save_token_export(path, export_tokens(fwd))
+    return fwd
+
+
+def eval_stage(preds: list[dict], refs: list[dict], metrics, path) -> dict:
+    """Score aligned prediction/reference records; writes the report to path.
+
+    "ce" compares the records' label vectors (macro P/R/F1); "nlg" compares
+    their texts (BLEU-1..4, ROUGE-L).
+    """
+    report: dict = {}
+    if "ce" in metrics:
+        if not all("labels" in record for record in preds + refs):
+            raise ValidationError("ce metrics need 'labels' in every shared record")
+        scores = macro_prf1(
+            np.array([p["labels"] for p in preds]), np.array([r["labels"] for r in refs])
+        )
+        report["ce"] = {
+            "precision": scores.precision,
+            "recall": scores.recall,
+            "f1": scores.f1,
+        }
+    if "nlg" in metrics:
+        cands = [tokenize(p.get("text", "")) for p in preds]
+        golds = [tokenize(r.get("text", "")) for r in refs]
+        bleu = bleu_n(cands, golds)
+        report["nlg"] = {
+            **{f"bleu_{k}": b for k, b in zip(range(1, 5), bleu)},
+            "rouge_l": rouge_l(cands, golds),
+        }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+    return report
+
+
+# full run --------------------------------------------------------------------
 
 
 @dataclass
@@ -70,162 +235,71 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"pipeline config not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(require_file(path, "pipeline config"), "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
-
-    def resolved(self) -> dict:
-        return {
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "preset": self.preset,
-            "hierarchy": self.hierarchy,
-            "topology": self.topology,
-            "phantom_spec": self.phantom_spec,
-            "num_samples": self.num_samples,
-            "probe": self.probe,
-            "gat_train": self.gat_train,
-            "gat": self.gat,
-            "probe_granularity": self.probe_granularity,
-        }
-
-
-def _check_inputs_exist(cfg: PipelineConfig) -> None:
-    for label, path in (("hierarchy", cfg.hierarchy), ("phantom_spec", cfg.phantom_spec)):
-        if path is not None and not Path(path).exists():
-            raise ConfigError(f"{label} file not found: {path}")
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
     """Run every stage; returns the summary dict (also written as summary.json)."""
     out = ensure_dir(out_dir or cfg.out_dir)
-    _check_inputs_exist(cfg)
-    summary: dict = {"config": cfg.resolved(), "stages": {}, "metrics": {}}
+    summary: dict = {"config": dataclasses.asdict(cfg), "stages": {}, "metrics": {}}
+    seconds = summary["stages"]
+    metrics = summary["metrics"]
     stale_path = out / "STALE"
-    started: list[str] = []
     t_total = time.perf_counter()
     try:
-        hierarchy = (
-            load_hierarchy(cfg.hierarchy) if cfg.hierarchy else default_hierarchy()
-        )
+        hierarchy = hierarchy_from(cfg.hierarchy)
         spec = (
-            load_phantom_spec(cfg.phantom_spec)
+            load_phantom_spec(require_file(cfg.phantom_spec, "phantom spec"))
             if cfg.phantom_spec
             else demo_mod.demo_phantom_spec(hierarchy)
         )
         preset = get_preset(cfg.preset)
 
-        # synth ------------------------------------------------------------
-        stage_t = time.perf_counter()
-        started.append("synth")
-        log_event("synth", "start", samples=cfg.num_samples)
-        synth_dir = ensure_dir(out / "synth")
-        volumes, masks, targets = [], [], []
-        for i in range(cfg.num_samples):
-            volume, mask, target = generate_phantom(spec.with_seed(cfg.seed + i))
-            save_volume(synth_dir / f"vol_{i:03d}.bin", volume)
-            save_mask(synth_dir / f"mask_{i:03d}.bin", mask)
-            volumes.append(volume)
-            masks.append(mask)
-            targets.append(target)
-        targets = np.stack(targets)
-        summary["stages"]["synth"] = round(time.perf_counter() - stage_t, 3)
-
-        # encode -----------------------------------------------------------
-        stage_t = time.perf_counter()
-        started.append("encode")
-        log_event("encode", "start", preset=preset.name)
-        pyramids = [synth_encode(v, preset, seed=cfg.seed) for v in volumes]
-        export_pyramid(pyramids[0], out / "encode" / "sample_000")
-        summary["stages"]["encode"] = round(time.perf_counter() - stage_t, 3)
-
-        # pool ---------------------------------------------------------------
-        stage_t = time.perf_counter()
-        started.append("pool")
-        log_event("pool", "start")
-        pool_dir = ensure_dir(out / "pool")
-        pooled = []
-        for i, (pyramid, mask) in enumerate(zip(pyramids, masks)):
-            sample = pool_all(pyramid, mask, hierarchy)
-            save_pooled(pool_dir / f"feats_{i:03d}.bin", *sample)
-            pooled.append(sample)
-        summary["stages"]["pool"] = round(time.perf_counter() - stage_t, 3)
-
-        # graph --------------------------------------------------------------
-        stage_t = time.perf_counter()
-        started.append("graph")
-        log_event("graph", "start", topology=cfg.topology)
-        graph = build_graph(hierarchy, cfg.topology, seed=cfg.seed)
-        save_hierarchy(out / "anatomy.json", hierarchy)
-        save_graph(out / "graph.json", graph)
-        summary["stages"]["graph"] = round(time.perf_counter() - stage_t, 3)
-
-        # train --------------------------------------------------------------
-        stage_t = time.perf_counter()
-        started.append("train")
-        probe_cfg = TrainConfig.from_json({"seed": cfg.seed, **cfg.probe})
-        gat_cfg_train = TrainConfig.from_json(
-            {"mode": "gat", "lr": 5e-5, "seed": cfg.seed, **cfg.gat_train}
-        )
-        log_event("train", "start", probe_epochs=probe_cfg.epochs, gat_epochs=gat_cfg_train.epochs)
-        features = np.stack(
-            [
-                build_probe_features(*sample, granularity=cfg.probe_granularity)
-                for sample in pooled
-            ]
-        )
-        probe, probe_trace, probe_info = train_probe(features, targets, probe_cfg)
-        gat_config = GatConfig(
-            c_total=preset.c_total,
-            c_last=preset.channels[-1],
-            **{k: tuple(v) if k == "mlp_hidden" else v for k, v in cfg.gat.items()},
-        )
-        clf, gat_trace, gat_info = train_gat_classifier(
-            pooled, targets, graph, gat_config, gat_cfg_train
-        )
-        clf.save(out / "ckpt")
-        summary["stages"]["train"] = round(time.perf_counter() - stage_t, 3)
-        summary["metrics"]["probe_f1"] = probe_trace[-1]["f1"] if probe_trace else None
-        summary["metrics"]["gat_f1"] = gat_trace[-1]["f1"] if gat_trace else None
-        summary["metrics"]["probe_info"] = probe_info
-        summary["metrics"]["gat_info"] = gat_info
-
-        # infer ---------------------------------------------------------------
-        stage_t = time.perf_counter()
-        started.append("infer")
-        log_event("infer", "start")
-        fwd = gat_forward(graph, *pooled[0], clf.gat)
-        save_token_export(out / "tokens.bin", export_tokens(fwd))
-        summary["stages"]["infer"] = round(time.perf_counter() - stage_t, 3)
-
-        # eval ----------------------------------------------------------------
-        stage_t = time.perf_counter()
-        started.append("eval")
-        log_event("eval", "start")
-        predictions = np.stack([clf.predict(graph, s) for s in pooled])
-        scores = macro_prf1(predictions, targets)
-        report = {
-            "ce": {
-                "precision": scores.precision,
-                "recall": scores.recall,
-                "f1": scores.f1,
-            }
-        }
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-        summary["metrics"]["eval_ce_f1"] = scores.f1
-        summary["stages"]["eval"] = round(time.perf_counter() - stage_t, 3)
+        with stage("synth", seconds, samples=cfg.num_samples):
+            volumes, masks, targets = synth_stage(spec, cfg.num_samples, cfg.seed, out / "synth")
+        with stage("encode", seconds, preset=preset.name):
+            pyramids = encode_stage(volumes, preset, cfg.seed, out / "encode" / "sample_000")
+        with stage("pool", seconds):
+            pool_dir = ensure_dir(out / "pool")
+            paths = [pool_dir / f"feats_{i:03d}.bin" for i in range(len(pyramids))]
+            pooled = pool_stage(pyramids, masks, hierarchy, paths)
+        with stage("graph", seconds, topology=cfg.topology):
+            graph = graph_stage(hierarchy, cfg.topology, cfg.seed, out / "graph.json")
+            save_hierarchy(out / "anatomy.json", hierarchy)
+        with stage("train", seconds):
+            probe_cfg = TrainConfig.from_json({"seed": cfg.seed, **cfg.probe})
+            gat_cfg = TrainConfig.for_gat(**{"seed": cfg.seed, **cfg.gat_train})
+            probe_trace, probe_info = train_probe_stage(
+                pooled, targets, cfg.probe_granularity, probe_cfg, out / "probe"
+            )
+            clf, gat_trace, gat_info = train_gat_stage(
+                pooled, targets, graph, cfg.gat, gat_cfg, out / "ckpt"
+            )
+        metrics["probe_f1"] = probe_trace[-1]["f1"] if probe_trace else None
+        metrics["gat_f1"] = gat_trace[-1]["f1"] if gat_trace else None
+        metrics["probe_info"] = probe_info
+        metrics["gat_info"] = gat_info
+        with stage("infer", seconds):
+            infer_stage(graph, pooled[0], clf.gat, out / "tokens.bin")
+        with stage("eval", seconds):
+            report = eval_stage(
+                [{"labels": clf.predict(graph, s)} for s in pooled],
+                [{"labels": t} for t in targets],
+                ["ce"],
+                out / "report.json",
+            )
+        metrics["eval_ce_f1"] = report["ce"]["f1"]
     except Exception as exc:
-        stage = started[-1] if started else "setup"
+        started = list(seconds)
+        failed = started[-1] if started else "setup"
         stale_path.write_text(
-            json.dumps({"failed_stage": stage, "cause": str(exc), "stages_started": started})
+            json.dumps({"failed_stage": failed, "cause": str(exc), "stages_started": started})
         )
-        log_event(stage, "failed", cause=str(exc))
+        log_event(failed, "failed", cause=str(exc))
         if isinstance(exc, CtGraphError):
             raise
-        raise CtGraphError(f"stage '{stage}' failed: {exc}") from exc
+        raise CtGraphError(f"stage '{failed}' failed: {exc}") from exc
 
     if stale_path.exists():
         stale_path.unlink()

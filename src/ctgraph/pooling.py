@@ -16,7 +16,7 @@ import numpy as np
 from .container import load_records, save_tensors
 from .errors import ShapeError, ValidationError
 from .graph import AnatomyHierarchy
-from .tensor import Tensor, concat, from_op, gather_rows, reshape
+from .tensor import Tensor, concat, from_op, gather_rows, matmul, reshape
 from .volume import LabelMask3D, resize_mask_nearest
 
 
@@ -152,66 +152,52 @@ def adaptive_avg_pool_global(layer: Tensor, target=(4, 4, 2)) -> GlobalFeatureGr
     return GlobalFeatureGrid(from_op(out, (layer,), backward))
 
 
-def _pool_level(pyramid, mask, labels) -> tuple[list[Tensor], np.ndarray]:
-    per_layer, counts = [], []
-    for layer in pyramid.layers:
-        resized = resize_mask_nearest(mask, layer.extents)
-        feats, cnt = mask_pool_layer(layer.data, resized, labels)
-        per_layer.append(feats)
-        counts.append(cnt)
-    return per_layer, np.stack(counts, axis=1)
-
-
 def pool_all(pyramid, mask: LabelMask3D, hierarchy: AnatomyHierarchy):
     """Pool fine regions, coarse union regions, and the global grid.
 
-    Coarse features are pooled over the union of their member masks at every
-    layer, not assembled from fine means. Regions whose label is absent from
-    the mask (including labels outside its vocabulary) come back flagged
-    invalid with zero features, never as an error. Returns
+    Each layer takes one mask resize and one mask_pool_layer call over the
+    fine labels plus the coarse nodes' own labels. Member label sets do not
+    overlap, so a coarse row is the voxel-count-weighted mean of its member
+    label rows: a constant (coarse x labels) weight matrix times the pooled
+    rows, differentiable like the rows themselves. Regions whose label is
+    absent from the mask (including labels outside its vocabulary) come back
+    flagged invalid with zero features, never as an error. Returns
     (fine RegionFeatureSet, coarse RegionFeatureSet, GlobalFeatureGrid).
     """
     fine_nodes = sorted(hierarchy.fine, key=lambda n: n.id)
-    fine_labels = [n.label for n in fine_nodes]
-    fine_layers, fine_counts = _pool_level(pyramid, mask, fine_labels)
-
     coarse_nodes = sorted(hierarchy.coarse, key=lambda n: n.id)
-    member_labels = {c.id: hierarchy.member_labels(c.id) for c in coarse_nodes}
-    coarse_lut = np.zeros(mask.num_labels + 1, dtype=np.int32)
-    # 0 stays background; coarse slot k uses temporary label k+1 in a remapped mask
-    for slot, cnode in enumerate(coarse_nodes):
-        for label in member_labels[cnode.id]:
-            if label <= mask.num_labels:
-                coarse_lut[label] = slot + 1
-    union_mask = LabelMask3D(coarse_lut[mask.labels], max(len(coarse_nodes), 1))
-    union_labels = [slot + 1 for slot in range(len(coarse_nodes))]
-    coarse_layers, coarse_counts = _pool_level(pyramid, union_mask, union_labels)
+    labels = [n.label for n in fine_nodes] + [c.label for c in coarse_nodes if c.label is not None]
+    slot_of = {label: slot for slot, label in enumerate(labels)}
+    members = np.zeros((len(coarse_nodes), len(labels)), dtype=np.int64)
+    for row, cnode in enumerate(coarse_nodes):
+        members[row, [slot_of[label] for label in hierarchy.member_labels(cnode.id)]] = 1
+    fine_slots = np.arange(len(fine_nodes))
+
+    fine_layers, coarse_layers, label_counts = [], [], []
+    for layer in pyramid.layers:
+        resized = resize_mask_nearest(mask, layer.extents)
+        rows, counts = mask_pool_layer(layer.data, resized, labels)
+        weights = members * counts / np.maximum(members @ counts, 1)[:, None]
+        fine_layers.append(gather_rows(rows, fine_slots))
+        coarse_layers.append(matmul(Tensor(weights), rows))
+        label_counts.append(counts)
+    label_counts = np.stack(label_counts, axis=1)
 
     full_counts = np.bincount(mask.labels.ravel(), minlength=mask.num_labels + 1)
-    fine_valid = np.array(
-        [l <= mask.num_labels and full_counts[l] > 0 for l in fine_labels], dtype=bool
-    )
-    coarse_valid = np.array(
-        [
-            sum(full_counts[l] for l in member_labels[c.id] if l <= mask.num_labels) > 0
-            for c in coarse_nodes
-        ],
-        dtype=bool,
-    )
-
+    present = np.array([l <= mask.num_labels and full_counts[l] > 0 for l in labels], dtype=bool)
     fine_set = RegionFeatureSet(
         region_ids=[n.id for n in fine_nodes],
         per_layer=fine_layers,
         fused=fuse_layers(fine_layers),
-        counts=fine_counts,
-        valid=fine_valid,
+        counts=label_counts[fine_slots],
+        valid=present[fine_slots],
     )
     coarse_set = RegionFeatureSet(
         region_ids=[n.id for n in coarse_nodes],
         per_layer=coarse_layers,
         fused=fuse_layers(coarse_layers),
-        counts=coarse_counts,
-        valid=coarse_valid,
+        counts=members @ label_counts,
+        valid=members @ present > 0,
     )
     grid = adaptive_avg_pool_global(pyramid.layers[-1].data)
     return fine_set, coarse_set, grid

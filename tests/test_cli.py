@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ctgraph.cli import main
+from ctgraph.demo import demo_phantom_spec
 from ctgraph.graph import AnatomyHierarchy, CoarseNode, FineNode, save_hierarchy
 from ctgraph.heads import load_token_export, write_manifest
 from ctgraph.pooling import load_pooled
@@ -201,6 +202,28 @@ class TestExitCodes:
         assert code == 2
         assert "missing_anatomy.json" in capsys.readouterr().err
 
+    def test_train_gat_without_graph_exits_2_naming_flag(self, workspace, capsys):
+        ws = workspace
+        write_manifest(ws / "data.jsonl", [{"feature_file": "f.bin", "labels": [0, 1]}])
+        code = run_cli(
+            "train", "--mode", "gat", "--manifest", ws / "data.jsonl", "--out", ws / "ckpt"
+        )
+        assert code == 2
+        assert "--graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad_line", ['{"labels": [1, 0]}', "not json", "[1, 0]"], ids=["no-id", "not-json", "list"]
+    )
+    def test_eval_bad_record_exits_2_naming_line(self, workspace, capsys, bad_line):
+        ws = workspace
+        (ws / "ref.jsonl").write_text('{"id": 0, "labels": [1, 0]}\n')
+        (ws / "pred.jsonl").write_text('{"id": 0, "labels": [1, 0]}\n' + bad_line + "\n")
+        code = run_cli(
+            "eval", "--pred", ws / "pred.jsonl", "--ref", ws / "ref.jsonl", "--out", ws / "r.json"
+        )
+        assert code == 2
+        assert "pred.jsonl:2" in capsys.readouterr().err
+
     def test_unknown_preset_exits_2(self, workspace):
         ws = workspace
         run_cli("synth", "--spec", ws / "phantom.json", "--count", 1, "--out", ws / "d")
@@ -237,6 +260,29 @@ class TestRunPipeline:
         assert (out / "report.json").exists()
         assert (out / "graph.json").exists()
         assert not (out / "STALE").exists()
+
+    def test_stage_chain_writes_the_same_pooled_containers_as_run(self, workspace):
+        ws = workspace
+        save_phantom_spec(ws / "demo_phantom.json", demo_phantom_spec())
+        config = {**self._config(ws, n=2), "phantom_spec": str(ws / "demo_phantom.json")}
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 0
+        seed = config["seed"]
+        assert run_cli(
+            "synth", "--spec", ws / "demo_phantom.json", "--count", 2, "--seed", seed,
+            "--out", ws / "data",
+        ) == 0
+        for i in range(2):
+            assert run_cli(
+                "encode", "--preset", "demo", "--seed", seed,
+                "--in", ws / "data" / f"vol_{i:03d}.bin", "--out", ws / f"pyr{i}",
+            ) == 0
+            assert run_cli(
+                "pool", "--pyramid", ws / f"pyr{i}", "--mask", ws / "data" / f"mask_{i:03d}.bin",
+                "--out", ws / f"feats_{i:03d}.bin",
+            ) == 0
+            chained = (ws / f"feats_{i:03d}.bin").read_bytes()
+            assert chained == (ws / "run_out" / "pool" / f"feats_{i:03d}.bin").read_bytes()
 
     def test_rerun_reproduces_metrics(self, workspace):
         ws = workspace

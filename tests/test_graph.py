@@ -183,6 +183,12 @@ class TestSerialization:
             again = graph_from_json(graph_to_json(graph))
             assert again == graph
 
+    def test_graph_json_rejects_none_topology(self):
+        doc = graph_to_json(build_hierarchical(tiny_hierarchy()))
+        doc["topology"] = "none"
+        with pytest.raises(ValidationError, match="none"):
+            graph_from_json(doc)
+
     def test_levels_present(self):
         graph = build_hierarchical(default_hierarchy())
         assert len(graph.ids_at(LEVEL_FINE)) == 34

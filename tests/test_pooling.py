@@ -304,17 +304,50 @@ class TestPoolAll:
         assert coarse_set.valid.tolist() == [True, True]
 
     def test_childless_coarse_with_own_label_pools_its_mask(self):
-        fine = (FineNode(1, "a", 1, 10),)
-        coarse = (CoarseNode(10, "sys"), CoarseNode(11, "standalone", label=2))
+        # coarse 12 owns a label outside the mask vocabulary, and coarse 13's
+        # only child carries one too: both stay empty and invalid
+        fine = (FineNode(1, "a", 1, 10), FineNode(3, "c", 98, 13))
+        coarse = (
+            CoarseNode(10, "sys"),
+            CoarseNode(11, "standalone", label=2),
+            CoarseNode(12, "beyond", label=99),
+            CoarseNode(13, "oov_child"),
+        )
         h = AnatomyHierarchy(fine=fine, coarse=coarse, global_id=20)
         labels = np.zeros((6, 6, 4), dtype=np.int32)
         labels[:2] = 1
         labels[3:5] = 2
         value = np.array([4.0, -4.0])
         pyr = make_pyramid_from_labels(labels, {1: np.ones(2), 2: value}, 2)
-        _, coarse_set, _ = pool_all(pyr, LabelMask3D(labels, 2), h)
+        fine_set, coarse_set, _ = pool_all(pyr, LabelMask3D(labels, 2), h)
         assert np.allclose(coarse_set.fused.data[1], value, atol=1e-12)
-        assert coarse_set.valid.tolist() == [True, True]
+        assert coarse_set.valid.tolist() == [True, True, False, False]
+        assert coarse_set.counts[:, 0].tolist() == [48, 48, 0, 0]
+        assert np.all(coarse_set.fused.data[2:] == 0.0)
+        assert fine_set.valid.tolist() == [True, False]
+
+    def test_one_resize_and_one_pool_call_per_layer(self, monkeypatch):
+        import ctgraph.pooling as pooling
+
+        calls = {"resize": 0, "pool": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            pooling, "resize_mask_nearest", counted("resize", pooling.resize_mask_nearest)
+        )
+        monkeypatch.setattr(pooling, "mask_pool_layer", counted("pool", pooling.mask_pool_layer))
+        rng = np.random.default_rng(15)
+        vol = Volume3D(rng.standard_normal((16, 16, 8)))
+        pyr = synth_encode(vol, EncoderPreset("three", (2, 3, 2), (1, 2, 2)), seed=0)
+        labels = rng.integers(0, 4, (16, 16, 8)).astype(np.int32)
+        pool_all(pyr, LabelMask3D(labels, 3), two_level_hierarchy())
+        assert calls == {"resize": 3, "pool": 3}
 
     def test_multi_layer_fusion_order(self):
         h = two_level_hierarchy()
