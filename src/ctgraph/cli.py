@@ -10,7 +10,6 @@ the package's own kernels are single-threaded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -23,12 +22,14 @@ from .graph import load_graph
 from .heads import TrainConfig, read_manifest
 from .pipeline import (
     PipelineConfig,
+    check_gat_doc,
     encode_stage,
     eval_stage,
     graph_stage,
     hierarchy_from,
     infer_stage,
     pool_stage,
+    read_json,
     require_file,
     run_pipeline,
     stage,
@@ -42,14 +43,6 @@ from .volume import load_mask, load_phantom_spec, load_volume
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
-
-
-def _read_json(path, what: str) -> dict:
-    """The JSON document at path, or {} when no path was given."""
-    if path is None:
-        return {}
-    with open(require_file(path, what), "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def cmd_synth(args) -> None:
@@ -88,18 +81,15 @@ def cmd_train(args) -> None:
     manifest = read_manifest(require_file(args.manifest, "manifest"))
     base = Path(args.manifest).parent
     targets = np.array([record["labels"] for record in manifest], dtype=np.float64)
-    doc = _read_json(args.config, "train config")
+    cfg = TrainConfig.from_json(read_json(args.config, "train config"), head=args.mode)
+    gat_doc = check_gat_doc(read_json(args.gat_config, "gat config"))
     with stage("train", mode=args.mode) as done:
         pooled = [load_pooled(base / record["feature_file"]) for record in manifest]
         if args.mode == "probe":
-            cfg = TrainConfig.from_json({"mode": "probe", **doc})
             trace, _ = train_probe_stage(pooled, targets, args.granularity, cfg, args.out)
         else:
             graph = load_graph(require_file(args.graph, "graph"))
-            gat_doc = _read_json(args.gat_config, "gat config")
-            _, trace, _ = train_gat_stage(
-                pooled, targets, graph, gat_doc, TrainConfig.for_gat(**doc), args.out
-            )
+            _, trace, _ = train_gat_stage(pooled, targets, graph, gat_doc, cfg, args.out)
         done["f1"] = trace[-1]["f1"] if trace else None
 
 

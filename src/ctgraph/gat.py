@@ -1,15 +1,20 @@
 """Hierarchical graph attention over the anatomy graph.
 
 Stage 1 updates each coarse node from its fine children plus a self-loop;
-stage 2 updates the global node from the coarse nodes (again with a
-self-loop) and adds a skip connection back to the original global
-embedding. Node features are layer-normalized before each attention stage,
-per-head attention scores are LeakyReLU of a shared attention vector
-applied to concatenated projections, and head outputs are concatenated.
+stage 2 updates the global node from its children (the coarse nodes, or the
+fine nodes of a single-level graph) plus a self-loop, and adds a skip
+connection back to the original global embedding. Both run `_attend`, one
+masked dense attention stage over a batch axis: layer-normalized rows are
+projected for all heads by one matmul; each head's attention vector splits
+as a = [a_src; a_dst], so member j scores LeakyReLU(a_src.Wh_j + a_dst.Wh_i)
+for center i (the GAT rule on [Wh_j || Wh_i]); a softmax over the member
+axis, masked by the graph edges, the samples' `valid` flags and the
+self-loop, weights the projected members. Head outputs are concatenated.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,12 +23,8 @@ import numpy as np
 
 from .container import ensure_dir, load_tensor, save_tensor
 from .errors import ShapeError, ValidationError
-from .graph import (
-    LEVEL_COARSE,
-    LEVEL_FINE,
-    TOPOLOGY_SINGLE,
-    RegionGraph,
-)
+from .graph import LEVEL_COARSE, LEVEL_FINE, TOPOLOGY_SINGLE, RegionGraph
+from .pooling import RegionFeatureSet
 from .tensor import (
     Tensor,
     add,
@@ -35,6 +36,7 @@ from .tensor import (
     mlp_forward,
     reshape,
     softmax,
+    transpose,
 )
 
 
@@ -66,41 +68,9 @@ class GatConfig:
     def global_in(self) -> int:
         return 32 * self.c_last
 
-    def to_json(self) -> dict:
-        return {
-            "c_total": self.c_total,
-            "c_last": self.c_last,
-            "d_h": self.d_h,
-            "n_heads": self.n_heads,
-            "slope": self.slope,
-            "mlp_hidden": list(self.mlp_hidden),
-            "export_dim": self.export_dim,
-            "ln_eps": self.ln_eps,
-        }
-
     @classmethod
     def from_json(cls, doc: dict) -> "GatConfig":
-        return cls(
-            c_total=int(doc["c_total"]),
-            c_last=int(doc["c_last"]),
-            d_h=int(doc["d_h"]),
-            n_heads=int(doc["n_heads"]),
-            slope=float(doc["slope"]),
-            mlp_hidden=tuple(int(x) for x in doc.get("mlp_hidden", ())),
-            export_dim=int(doc["export_dim"]),
-            ln_eps=float(doc.get("ln_eps", 1e-6)),
-        )
-
-
-def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return std * rng.standard_normal((fan_in, fan_out))
-
-
-def _mlp_param_names(prefix: str, dims: list[int]):
-    for i in range(len(dims) - 1):
-        yield f"{prefix}.{i}.w", (dims[i], dims[i + 1])
-        yield f"{prefix}.{i}.b", (dims[i + 1],)
+        return cls(**{**doc, "mlp_hidden": tuple(doc.get("mlp_hidden", ()))})
 
 
 class GatModel:
@@ -120,7 +90,9 @@ class GatModel:
             ("global_mlp", config.global_in),
         ):
             dims = [in_dim] + hidden + [config.d_h]
-            shapes.update(dict(_mlp_param_names(prefix, dims)))
+            for i in range(len(dims) - 1):
+                shapes[f"{prefix}.{i}.w"] = (dims[i], dims[i + 1])
+                shapes[f"{prefix}.{i}.b"] = (dims[i + 1],)
         for stage in ("stage1", "stage2"):
             for h in range(config.n_heads):
                 shapes[f"{stage}.head{h}.w"] = (config.d_h, config.d_head)
@@ -140,8 +112,8 @@ class GatModel:
                 data = np.zeros(shape)
             elif name.endswith(".gamma"):
                 data = np.ones(shape)
-            elif len(shape) == 2:
-                data = _glorot(rng, shape[0], shape[1])
+            elif len(shape) == 2:  # Glorot normal
+                data = np.sqrt(2.0 / sum(shape)) * rng.standard_normal(shape)
             else:
                 data = rng.standard_normal(shape) * 0.1
             params[name] = Tensor(data, requires_grad=True)
@@ -151,12 +123,10 @@ class GatModel:
         return [self.params[name] for name in sorted(self.params)]
 
     def mlp_layers(self, prefix: str) -> list[tuple[Tensor, Tensor]]:
-        layers = []
-        i = 0
-        while f"{prefix}.{i}.w" in self.params:
-            layers.append((self.params[f"{prefix}.{i}.w"], self.params[f"{prefix}.{i}.b"]))
-            i += 1
-        return layers
+        return [
+            (self.params[f"{prefix}.{i}.w"], self.params[f"{prefix}.{i}.b"])
+            for i in range(len(self.config.mlp_hidden) + 1)
+        ]
 
     def heads(self, stage: str) -> list[tuple[Tensor, Tensor]]:
         return [
@@ -167,7 +137,7 @@ class GatModel:
     def save(self, directory) -> Path:
         out = ensure_dir(directory)
         with open(out / "config.json", "w", encoding="utf-8") as fh:
-            json.dump(self.config.to_json(), fh, indent=2)
+            json.dump(dataclasses.asdict(self.config), fh, indent=2)
         for name, tensor in self.params.items():
             save_tensor(out / (name + ".bin"), tensor.data, name=name)
         return out
@@ -202,7 +172,7 @@ class GraphActivation:
 
 @dataclass
 class GatForward:
-    tokens: Tensor  # (n_tokens, export_dim)
+    tokens: Tensor  # (n_tokens, export_dim); (B, n_tokens, export_dim) for a batch
     token_ids: list[int]
     activation: GraphActivation
 
@@ -210,13 +180,13 @@ class GatForward:
 def embed_nodes(model: GatModel, fine_fused: Tensor, coarse_fused: Tensor | None, grid_flat: Tensor):
     """MLP embeddings for every node; all rows come out with width d_h."""
     cfg = model.config
-    if fine_fused.shape[1] != cfg.c_total:
+    if fine_fused.shape[-1] != cfg.c_total:
         raise ShapeError(
-            f"fine features have width {fine_fused.shape[1]}, config expects {cfg.c_total}"
+            f"fine features have width {fine_fused.shape[-1]}, config expects {cfg.c_total}"
         )
-    if grid_flat.shape[1] != cfg.global_in:
+    if grid_flat.shape[-1] != cfg.global_in:
         raise ShapeError(
-            f"global grid flattens to {grid_flat.shape[1]}, config expects {cfg.global_in}"
+            f"global grid flattens to {grid_flat.shape[-1]}, config expects {cfg.global_in}"
         )
     h_f = mlp_forward(fine_fused, model.mlp_layers("fine_mlp"), cfg.slope)
     h_c = None
@@ -226,146 +196,128 @@ def embed_nodes(model: GatModel, fine_fused: Tensor, coarse_fused: Tensor | None
     return h_f, h_c, h_g
 
 
-def _attend_group(members_h: Tensor, center_row: Tensor, heads, slope: float):
-    """Multi-head attention of one center over its group (center included last).
+def _attend(graph, center_ids, member_ids, h_members, h_centers, member_valid, model, stage):
+    """One masked dense attention stage over the graph's center <- member edges.
 
-    members_h: (g, d_h) normalized member features, the self-loop row last.
-    center_row: (1, d_h) normalized center features.
-    Returns (updated (1, d_h), alpha (n_heads, g)).
+    h_members (B, members, d_h) and h_centers (B, centers, d_h), or both
+    without the batch axis, hold rows in member_ids / center_ids order;
+    member_valid (B, members) flags present members (None: all). Returns the
+    updated centers shaped like h_centers and, for B = 1, the table
+    {center: {"members": ids, "alpha": (n_heads, group)}}, self-loop last.
     """
-    g = members_h.shape[0]
-    ones_col = Tensor(np.ones((g, 1)))
-    outputs = []
-    alphas = np.empty((len(heads), g))
-    for hi, (w, a) in enumerate(heads):
-        proj_members = matmul(members_h, w)  # (g, d_head)
-        proj_center = matmul(center_row, w)  # (1, d_head)
-        tiled_center = matmul(ones_col, proj_center)  # (g, d_head)
-        scores = matmul(concat([proj_members, tiled_center], axis=1), a)  # (g, 1)
-        alpha = softmax(leaky_relu(scores, slope), axis=0)
-        alphas[hi] = alpha.data.ravel()
-        outputs.append(matmul(reshape(alpha, (1, g)), proj_members))  # (1, d_head)
-    return concat(outputs, axis=1), alphas
-
-
-def _stage(
-    center_ids,
-    members_lookup,
-    center_h: Tensor,
-    member_h: Tensor,
-    member_ids: list[int],
-    model: GatModel,
-    stage: str,
-):
-    """Run one attention stage for every center; rows follow center_ids order."""
     cfg = model.config
-    gamma = model.params[f"{stage}.ln.gamma"]
-    beta = model.params[f"{stage}.ln.beta"]
-    heads = model.heads(stage)
-    norm_members = layer_norm(member_h, gamma, beta, cfg.ln_eps)
-    norm_centers = layer_norm(center_h, gamma, beta, cfg.ln_eps)
-    slot_of = {node_id: i for i, node_id in enumerate(member_ids)}
-    rows, alphas = [], {}
-    for ci, center_id in enumerate(center_ids):
-        group_ids = members_lookup(center_id)
-        slots = [slot_of[g] for g in group_ids]
-        center_row = gather_rows(norm_centers, [ci])
-        if slots:
-            group_rows = concat([gather_rows(norm_members, slots), center_row], axis=0)
-        else:
-            group_rows = center_row
-        updated, alpha = _attend_group(group_rows, center_row, heads, cfg.slope)
-        rows.append(updated)
-        alphas[center_id] = {"members": list(group_ids) + [center_id], "alpha": alpha}
-    return concat(rows, axis=0), alphas
+    unbatched = h_centers.ndim == 2
+    if unbatched:
+        h_members, h_centers = (reshape(t, (1,) + t.shape) for t in (h_members, h_centers))
+    b, n_centers, n_members = h_centers.shape[0], len(center_ids), len(member_ids)
+    slot = {m: j for j, m in enumerate(member_ids)}
+    children = np.zeros((n_centers, n_members), dtype=bool)
+    for i, center in enumerate(center_ids):
+        children[i, [slot[m] for m in graph.children_of(center) if m in slot]] = True
+    valid = np.ones((b, n_members), dtype=bool) if member_valid is None else member_valid
+    self_loop = np.broadcast_to(np.eye(n_centers, dtype=bool), (b, n_centers, n_centers))
+    mask = np.concatenate([children & np.reshape(valid, (b, 1, n_members)), self_loop], axis=2)
+
+    heads, d_head = model.heads(stage), cfg.d_head
+    gamma, beta = model.params[f"{stage}.ln.gamma"], model.params[f"{stage}.ln.beta"]
+    w = concat([w for w, _ in heads], axis=1)
+    a = concat([reshape(a, (2, d_head)) for _, a in heads], axis=1)  # rows a_src, a_dst
+    a_src, a_dst = (reshape(gather_rows(a, [r]), (len(heads), d_head, 1)) for r in (0, 1))
+
+    def per_head(rows):  # (B, n, d_h) -> (B, n_heads, n, d_head)
+        return transpose(reshape(rows, (b, rows.shape[1], len(heads), d_head)), (0, 2, 1, 3))
+
+    proj_centers = matmul(layer_norm(h_centers, gamma, beta, cfg.ln_eps), w)
+    proj_members = matmul(layer_norm(h_members, gamma, beta, cfg.ln_eps), w)
+    values = per_head(concat([proj_members, proj_centers], axis=1))
+    scores = add(
+        transpose(matmul(values, a_src), (0, 1, 3, 2)), matmul(per_head(proj_centers), a_dst)
+    )
+    alpha = softmax(leaky_relu(scores, cfg.slope), axis=-1, mask=mask[:, None])
+    updated = reshape(transpose(matmul(alpha, values), (0, 2, 1, 3)), (b, n_centers, cfg.d_h))
+    alphas = {}
+    for i, center in enumerate(center_ids if b == 1 else ()):  # tables for one sample only
+        members = [m for m, keep in zip(member_ids, mask[0, i]) if keep] + [center]
+        alphas[center] = {"members": members, "alpha": alpha.data[0, :, i][:, mask[0, i]]}
+    return (reshape(updated, updated.shape[1:]) if unbatched else updated), alphas
 
 
 def attend_fine_to_coarse(
     graph: RegionGraph, h_fine: Tensor, h_coarse: Tensor, model: GatModel, fine_valid=None
 ):
     """Stage-1 update of every coarse node; childless nodes keep only the self-loop."""
-    fine_ids = graph.ids_at(LEVEL_FINE)
-    coarse_ids = graph.ids_at(LEVEL_COARSE)
-    if fine_valid is None:
-        fine_valid = np.ones(len(fine_ids), dtype=bool)
-    valid_of = dict(zip(fine_ids, fine_valid))
-
-    def members(coarse_id):
-        return [f for f in graph.children_of(coarse_id) if valid_of.get(f, False)]
-
-    return _stage(coarse_ids, members, h_coarse, h_fine, fine_ids, model, "stage1")
+    return _attend(
+        graph, graph.ids_at(LEVEL_COARSE), graph.ids_at(LEVEL_FINE), h_fine, h_coarse,
+        fine_valid, model, "stage1",
+    )
 
 
 def attend_coarse_to_global(
     graph: RegionGraph, h_coarse_updated: Tensor, h_global: Tensor, model: GatModel, coarse_valid=None
 ):
-    """Stage-2 update of the global node plus the identity skip connection."""
-    coarse_ids = graph.ids_at(LEVEL_COARSE)
-    if coarse_valid is None:
-        coarse_valid = np.ones(len(coarse_ids), dtype=bool)
-    valid_of = dict(zip(coarse_ids, coarse_valid))
+    """Stage-2 update of the global node from its children, plus the identity skip.
 
-    def members(_):
-        return [c for c in coarse_ids if valid_of.get(c, False)]
-
-    updated, alphas = _stage(
-        [graph.global_id], members, h_global, h_coarse_updated, coarse_ids, model, "stage2"
+    The children are the coarse nodes, or the fine nodes of a single-level graph.
+    """
+    level = LEVEL_FINE if graph.topology == TOPOLOGY_SINGLE else LEVEL_COARSE
+    updated, alphas = _attend(
+        graph, [graph.global_id], graph.ids_at(level), h_coarse_updated, h_global,
+        coarse_valid, model, "stage2",
     )
     return add(updated, h_global), alphas
 
 
-def _attend_fine_to_global(graph: RegionGraph, h_fine: Tensor, h_global: Tensor, model: GatModel, fine_valid=None):
-    # single-level ablation: the global update attends the fine nodes directly,
-    # reusing the stage-2 parameters (it is the global-update stage)
-    fine_ids = graph.ids_at(LEVEL_FINE)
-    if fine_valid is None:
-        fine_valid = np.ones(len(fine_ids), dtype=bool)
-    valid_of = dict(zip(fine_ids, fine_valid))
-
-    def members(_):
-        return [f for f in fine_ids if valid_of.get(f, False)]
-
-    updated, alphas = _stage(
-        [graph.global_id], members, h_global, h_fine, fine_ids, model, "stage2"
-    )
-    return add(updated, h_global), alphas
+def _stack(tensors: list[Tensor]) -> Tensor:
+    """The tensors along a new leading batch axis; gradients reach each one."""
+    return reshape(concat(tensors, axis=0), (len(tensors),) + tuple(tensors[0].shape))
 
 
 def forward(graph: RegionGraph, fine_set, coarse_set, grid, model: GatModel) -> GatForward:
     """Full pass: embed, attend per topology, project export tokens.
 
-    Tokens are ordered global, then coarse by id, then fine by id. Fine
-    tokens carry the pre-normalization embeddings.
+    Takes one sample's pooled sets, or equal-length sequences of B samples'
+    sets; a batch's tokens and activations carry a leading batch axis and
+    its alphas tables are empty. Tokens are ordered global, then coarse by
+    id, then fine by id; fine tokens carry the pre-normalization embeddings.
     """
+    single = isinstance(fine_set, RegionFeatureSet)
+    if single:
+        fine_set, coarse_set, grid = [fine_set], [coarse_set], [grid]
     single_level = graph.topology == TOPOLOGY_SINGLE
-    coarse_fused = None if single_level else coarse_set.fused
-    h_f, h_c, h_g = embed_nodes(model, fine_set.fused, coarse_fused, grid.flat())
+    levels = {LEVEL_FINE: fine_set} if single_level else {LEVEL_FINE: fine_set, LEVEL_COARSE: coarse_set}
+    for level, sets in levels.items():
+        ids = graph.ids_at(level)
+        for feature_set in sets:
+            found = list(feature_set.region_ids)
+            if found != ids:
+                raise ValidationError(
+                    f"pooled {level} region ids {found} do not match the graph's {level} "
+                    f"nodes {ids} (missing: {sorted(set(ids) - set(found))})"
+                )
+    h_f, h_c, h_g = embed_nodes(
+        model,
+        _stack([s.fused for s in fine_set]),
+        None if single_level else _stack([s.fused for s in coarse_set]),
+        _stack([g.flat() for g in grid]),
+    )
+    fine_valid = np.stack([s.valid for s in fine_set])
 
     alphas: dict[str, dict] = {}
     if single_level:
-        h_g_prime, a2 = _attend_fine_to_global(graph, h_f, h_g, model, fine_set.valid)
         h_c_prime = None
-        alphas["global"] = a2
+        h_g_prime, alphas["global"] = attend_coarse_to_global(graph, h_f, h_g, model, fine_valid)
         rows = [h_g_prime, h_f]
-        token_ids = [graph.global_id] + fine_set.region_ids
     else:
-        h_c_prime, a1 = attend_fine_to_coarse(graph, h_f, h_c, model, fine_set.valid)
-        h_g_prime, a2 = attend_coarse_to_global(
-            graph, h_c_prime, h_g, model, coarse_set.valid
+        h_c_prime, alphas["coarse"] = attend_fine_to_coarse(graph, h_f, h_c, model, fine_valid)
+        h_g_prime, alphas["global"] = attend_coarse_to_global(
+            graph, h_c_prime, h_g, model, np.stack([s.valid for s in coarse_set])
         )
-        alphas["coarse"] = a1
-        alphas["global"] = a2
         rows = [h_g_prime, h_c_prime, h_f]
-        token_ids = [graph.global_id] + coarse_set.region_ids + fine_set.region_ids
+    token_ids = [graph.global_id] + [i for level in reversed(levels) for i in graph.ids_at(level)]
 
-    stacked = concat(rows, axis=0)
-    tokens = add(matmul(stacked, model.params["out.w"]), model.params["out.b"])
-    activation = GraphActivation(
-        h_fine=h_f,
-        h_coarse=h_c,
-        h_global=h_g,
-        h_coarse_updated=h_c_prime,
-        h_global_updated=h_g_prime,
-        alphas=alphas,
-    )
-    return GatForward(tokens=tokens, token_ids=token_ids, activation=activation)
+    tokens = add(matmul(concat(rows, axis=1), model.params["out.w"]), model.params["out.b"])
+    outputs = [tokens, h_f, h_c, h_g, h_c_prime, h_g_prime]
+    if single:
+        outputs = [None if t is None else reshape(t, t.shape[1:]) for t in outputs]
+    tokens, *hidden = outputs
+    return GatForward(tokens, token_ids, GraphActivation(*hidden, alphas=alphas))

@@ -98,7 +98,7 @@ class GraphNode:
 
 @dataclass(frozen=True)
 class RegionGraph:
-    """Directed two-level in-tree (or its ablation variants)."""
+    """Directed two-level in-tree or ablation variant: one parent per non-global node."""
 
     nodes: tuple[GraphNode, ...]
     edges: tuple[tuple[int, int], ...]
@@ -107,6 +107,22 @@ class RegionGraph:
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
             raise ValidationError(f"unknown topology tag '{self.topology}'")
+        level_of = {n.id: n.level for n in self.nodes}
+        if len(level_of) != len(self.nodes) or list(level_of.values()).count(LEVEL_GLOBAL) != 1:
+            raise ValidationError("a region graph needs unique node ids and one global node")
+        parents: dict[int, list[int]] = {node_id: [] for node_id in level_of}
+        for src, dst in self.edges:
+            if src not in level_of or dst not in level_of:
+                raise ValidationError(f"edge ({src}, {dst}) names an unknown node")
+            parents[src].append(dst)
+        fine_parent = LEVEL_GLOBAL if self.topology == TOPOLOGY_SINGLE else LEVEL_COARSE
+        want = {LEVEL_FINE: [fine_parent], LEVEL_COARSE: [LEVEL_GLOBAL], LEVEL_GLOBAL: []}
+        for node_id, level in level_of.items():
+            if [level_of[p] for p in parents[node_id]] != want.get(level):
+                raise ValidationError(
+                    f"{level} node {node_id}: expected parents at levels {want.get(level)}, "
+                    f"found parents {parents[node_id]}"
+                )
 
     def ids_at(self, level: str) -> list[int]:
         return [n.id for n in self.nodes if n.level == level]

@@ -21,7 +21,7 @@ from .gat import GatConfig, GatForward, GatModel, forward as gat_forward
 from .graph import RegionGraph
 from .metrics import MacroScores, macro_prf1
 from .pooling import GlobalFeatureGrid, RegionFeatureSet
-from .tensor import AdamW, Tensor, add, bce_with_logits, concat, matmul, _sigmoid_np
+from .tensor import AdamW, Tensor, add, bce_with_logits, matmul, reshape, _sigmoid_np
 
 DEFAULT_PROMPT = (
     "Generate a medical report based on the visual information of the given CT image."
@@ -44,15 +44,18 @@ class TrainConfig:
     @classmethod
     def for_gat(cls, **overrides) -> "TrainConfig":
         """Graph classifier defaults (lr 5e-5) under the given overrides."""
-        return cls.from_json({"mode": "gat", "lr": 5e-5, **overrides})
+        return cls.from_json(overrides, head="gat")
 
     @classmethod
-    def from_json(cls, doc: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+    def from_json(cls, doc: dict, head: str = "probe") -> "TrainConfig":
+        """Config to train the "probe" or "gat" head (lr 5e-5); rejects unknown keys and modes."""
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**doc)
+        if doc.get("mode", head) != head:
+            raise ConfigError(f"train config mode '{doc['mode']}' does not match the {head} head")
+        defaults = {"lr": 5e-5} if head == "gat" else {}
+        return cls(**{**defaults, **doc, "mode": head})
 
 
 @dataclass
@@ -236,15 +239,16 @@ class GatClassifier:
         return self.gat.parameters() + [self.head_weight, self.head_bias]
 
     def logits(self, graph: RegionGraph, sample) -> Tensor:
-        fine_set, coarse_set, grid = sample
-        fwd = gat_forward(graph, fine_set, coarse_set, grid, self.gat)
-        return add(
-            matmul(fwd.activation.h_global_updated, self.head_weight), self.head_bias
-        )
+        """(B, n_classes) logits of one pooled sample (B = 1) or a list of B, in one forward."""
+        batch = [sample] if isinstance(sample[0], RegionFeatureSet) else sample
+        fwd = gat_forward(graph, *zip(*batch), self.gat)
+        h = reshape(fwd.activation.h_global_updated, (len(batch), self.gat.config.d_h))
+        return add(matmul(h, self.head_weight), self.head_bias)
 
     def predict(self, graph: RegionGraph, sample) -> np.ndarray:
-        probs = _sigmoid_np(self.logits(graph, sample).data)
-        return (probs >= self.threshold).astype(np.int32).ravel()
+        """0/1 labels: (n_classes,) for one sample, (B, n_classes) for a list of B."""
+        labels = (_sigmoid_np(self.logits(graph, sample).data) >= self.threshold).astype(np.int32)
+        return labels[0] if isinstance(sample[0], RegionFeatureSet) else labels
 
     def save(self, directory) -> Path:
         out = self.gat.save(directory)
@@ -292,10 +296,10 @@ def train_gat_classifier(
     )
 
     def batch_logits(batch):
-        return concat([clf.logits(graph, samples[i]) for i in batch], axis=0)
+        return clf.logits(graph, [samples[i] for i in batch])
 
     def predict(indices):
-        return np.stack([clf.predict(graph, samples[i]) for i in indices])
+        return clf.predict(graph, [samples[i] for i in indices])
 
     trace, info = fit(clf.parameters(), batch_logits, predict, targets, cfg)
     return clf, trace, info

@@ -79,6 +79,25 @@ def require_file(path, what: str) -> Path:
     return p
 
 
+def read_json(path, what: str):
+    """The JSON document at path, {} for no path; a missing or malformed file fails."""
+    if path is None:
+        return {}
+    with open(require_file(path, what), "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def check_gat_doc(doc: dict) -> dict:
+    """doc, whose keys must name GatConfig fields other than the input widths."""
+    unknown = set(doc) - (set(GatConfig.__dataclass_fields__) - {"c_total", "c_last"})
+    if unknown:
+        raise ConfigError(f"unknown gat config keys: {sorted(unknown)} (widths come from the data)")
+    return doc
+
+
 def hierarchy_from(path) -> AnatomyHierarchy:
     """The hierarchy stored at path, or the built-in table when path is None."""
     return load_hierarchy(require_file(path, "hierarchy")) if path else default_hierarchy()
@@ -155,10 +174,8 @@ def train_gat_stage(pooled, targets, graph, gat_doc: dict, cfg: TrainConfig, out
     gat_doc holds GatConfig fields as JSON; input widths come from the data.
     """
     fine_set, _, grid = pooled[0]
-    gat_config = GatConfig(
-        c_total=fine_set.fused.shape[1],
-        c_last=grid.channels,
-        **{k: tuple(v) if k == "mlp_hidden" else v for k, v in gat_doc.items()},
+    gat_config = GatConfig.from_json(
+        {**gat_doc, "c_total": fine_set.fused.shape[1], "c_last": grid.channels}
     )
     clf, trace, info = train_gat_classifier(pooled, targets, graph, gat_config, cfg)
     _write_trace(clf.save(out), trace, info)
@@ -231,12 +248,12 @@ class PipelineConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown pipeline config keys: {sorted(unknown)}")
+        check_gat_doc(doc.get("gat", {}))
         return cls(**doc)
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        with open(require_file(path, "pipeline config"), "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path, "pipeline config"))
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
@@ -284,7 +301,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
             infer_stage(graph, pooled[0], clf.gat, out / "tokens.bin")
         with stage("eval", seconds):
             report = eval_stage(
-                [{"labels": clf.predict(graph, s)} for s in pooled],
+                [{"labels": labels} for labels in clf.predict(graph, pooled)],
                 [{"labels": t} for t in targets],
                 ["ce"],
                 out / "report.json",

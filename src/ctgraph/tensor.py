@@ -384,24 +384,35 @@ def softplus(a) -> Tensor:
     return from_op(out, (a,), backward)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Max-shifted softmax; group sums stay within SOFTMAX_SUM_ATOL of 1."""
+def softmax(a, axis: int = -1, mask=None) -> Tensor:
+    """Max-shifted softmax (sums within SOFTMAX_SUM_ATOL of 1); mask=False entries are 0."""
     a = as_tensor(a)
     if a.data.size == 0 or a.data.shape[axis] == 0:
         raise ShapeError("softmax over an empty group")
-    shifted = sub(a, Tensor(np.max(a.data, axis=axis, keepdims=True)))
-    e = exp(shifted)
-    return div(e, tensor_sum(e, axis=axis, keepdims=True))
+    x = a.data if mask is None else np.where(mask, a.data, -np.inf)
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
+
+    return from_op(out, (a,), backward)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    mu = tensor_mean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tensor_mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gamma), beta)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = (np.mean(centered * centered, axis=-1, keepdims=True) + eps) ** -0.5
+    normed = centered * inv
+
+    def backward(g):
+        gn = g * gamma.data
+        gn_mean = gn.mean(axis=-1, keepdims=True)
+        gx = inv * (gn - gn_mean - normed * (gn * normed).mean(axis=-1, keepdims=True))
+        return gx, _unbroadcast(g * normed, gamma.data.shape), _unbroadcast(g, beta.data.shape)
+
+    return from_op(normed * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
 def mlp_forward(x, layers: Sequence[tuple[Tensor, Tensor]], slope: float = 0.2) -> Tensor:
@@ -420,21 +431,31 @@ def mlp_forward(x, layers: Sequence[tuple[Tensor, Tensor]], slope: float = 0.2) 
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product of the last two axes; leading axes broadcast as in numpy."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(
-            f"matmul expects 2-d operands, got shapes {a.data.shape} and {b.data.shape}"
+            f"matmul expects 2 or more dimensions, got shapes {a.data.shape} and {b.data.shape}"
         )
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(
             f"matmul: inner dimensions disagree for {a.data.shape} x {b.data.shape}"
         )
     out = a.data @ b.data
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        return (
+            _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
+            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape),
+        )
 
     return from_op(out, (a, b), backward)
+
+
+def transpose(a, axes: Sequence[int]) -> Tensor:
+    """Permute the axes of a as np.transpose does."""
+    a = as_tensor(a)
+    return from_op(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, np.argsort(axes)),))
 
 
 def bce_with_logits(logits, targets) -> Tensor:

@@ -224,6 +224,51 @@ class TestExitCodes:
         assert code == 2
         assert "pred.jsonl:2" in capsys.readouterr().err
 
+    def test_run_unknown_gat_key_exits_2_before_synth(self, workspace, capsys):
+        ws = workspace
+        config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2, "gat": {"heads": 2}}
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        assert "heads" in capsys.readouterr().err
+        assert not (ws / "out" / "synth").exists()
+
+    def test_train_unknown_gat_key_exits_2(self, workspace, capsys):
+        ws = workspace
+        write_manifest(ws / "data.jsonl", [{"feature_file": "f.bin", "labels": [0, 1]}])
+        (ws / "gat.json").write_text(json.dumps({"d_h": 8, "heads": 2}))
+        code = run_cli(
+            "train", "--mode", "gat", "--manifest", ws / "data.jsonl", "--graph", ws / "g.json",
+            "--gat-config", ws / "gat.json", "--out", ws / "ckpt",
+        )
+        assert code == 2
+        assert "heads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_malformed_json_config_exits_2_naming_path(self, workspace, capsys, command):
+        ws = workspace
+        (ws / "bad.json").write_text("{not json")
+        write_manifest(ws / "data.jsonl", [{"feature_file": "f.bin", "labels": [0, 1]}])
+        argv = {
+            "run": ["run", "--config", ws / "bad.json"],
+            "train": [
+                "train", "--mode", "probe", "--manifest", ws / "data.jsonl",
+                "--config", ws / "bad.json", "--out", ws / "probe",
+            ],
+        }[command]
+        assert run_cli(*argv) == 2
+        assert "bad.json" in capsys.readouterr().err
+
+    def test_train_config_naming_the_other_head_exits_2(self, workspace, capsys):
+        ws = workspace
+        write_manifest(ws / "data.jsonl", [{"feature_file": "f.bin", "labels": [0, 1]}])
+        (ws / "train.json").write_text(json.dumps({"mode": "gat", "epochs": 1}))
+        code = run_cli(
+            "train", "--mode", "probe", "--manifest", ws / "data.jsonl",
+            "--config", ws / "train.json", "--out", ws / "probe",
+        )
+        assert code == 2
+        assert "mode 'gat'" in capsys.readouterr().err
+
     def test_unknown_preset_exits_2(self, workspace):
         ws = workspace
         run_cli("synth", "--spec", ws / "phantom.json", "--count", 1, "--out", ws / "d")

@@ -5,22 +5,28 @@ unshifted exponentials, independent of the vectorized implementation path.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+import ctgraph.tensor as tensor_module
+from ctgraph.container import save_tensor
+from ctgraph.errors import ValidationError
 from ctgraph.gat import GatConfig, GatModel, embed_nodes, forward
-from ctgraph.gradcheck import check_gradients
+from ctgraph.gradcheck import check_gradients, max_relative_error
 from ctgraph.graph import (
     AnatomyHierarchy,
     CoarseNode,
     FineNode,
+    build_graph,
     build_hierarchical,
     build_single_level,
     default_hierarchy,
 )
+from ctgraph.heads import init_gat_classifier
 from ctgraph.pooling import GlobalFeatureGrid, RegionFeatureSet
-from ctgraph.tensor import Tensor
+from ctgraph.tensor import Tensor, bce_with_logits, concat
 
 
 def loop_layer_norm(v, gamma, beta, eps):
@@ -421,7 +427,130 @@ class TestForward:
         assert check_gradients(loss, tensors) < 1e-4
 
 
+    def test_single_level_global_update_matches_loop_transcription(self):
+        h = small_hierarchy(n_fine=4, n_coarse=2)
+        cfg = tiny_config()
+        model = GatModel.init(cfg, seed=18)
+        fine_set, coarse_set, grid = synth_inputs(h, cfg, seed=18)
+        fine_set.valid[:] = [True, False, True, True]
+        out = forward(build_single_level(h), fine_set, coarse_set, grid, model)
+
+        updated, alphas = loop_attention_stage(
+            [out.activation.h_fine.data[i] for i in (0, 2, 3)],
+            out.activation.h_global.data[0],
+            [(w.data, a.data) for w, a in model.heads("stage2")],
+            cfg.slope,
+            model.params["stage2.ln.gamma"].data,
+            model.params["stage2.ln.beta"].data,
+            cfg.ln_eps,
+        )
+        rec = out.activation.alphas["global"][h.global_id]
+        assert rec["members"] == [1, 3, 4, h.global_id]
+        assert np.max(np.abs(rec["alpha"] - alphas)) < 1e-10
+        expected = updated + out.activation.h_global.data[0]
+        assert np.max(np.abs(out.activation.h_global_updated.data[0] - expected)) < 1e-10
+
+    def test_pooled_ids_must_match_the_graph(self):
+        cfg = tiny_config()
+        model = GatModel.init(cfg, seed=0)
+        graph = build_hierarchical(small_hierarchy(n_fine=4, n_coarse=2))
+        fine_set, coarse_set, grid = synth_inputs(small_hierarchy(n_fine=3, n_coarse=2), cfg)
+        with pytest.raises(ValidationError, match=r"missing: \[4\]"):
+            forward(graph, fine_set, coarse_set, grid, model)
+
+
+def childless_hierarchy():
+    """Five fine nodes under coarse 10 and 11; coarse 12 has no children."""
+    fine = tuple(FineNode(i, f"f{i}", i, 10 + i % 2) for i in range(1, 6))
+    coarse = tuple(CoarseNode(c, f"c{c}") for c in (10, 11, 12))
+    return AnatomyHierarchy(fine=fine, coarse=coarse, global_id=30)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("topology", ["hierarchical", "random", "single-level"])
+    def test_batched_logits_and_gradients_match_single_samples(self, topology):
+        h = childless_hierarchy()
+        graph = build_graph(h, topology, seed=3)
+        cfg = tiny_config()
+        clf = init_gat_classifier(cfg, 3, seed=2)
+        samples = [synth_inputs(h, cfg, seed=s) for s in range(5)]
+        for k, (fine_set, _, _) in enumerate(samples):
+            fine_set.valid[k] = False
+        samples[0][1].valid[1] = False
+        weights = Tensor(np.random.default_rng(4).standard_normal((5, 3)))
+
+        def gradients(logits):
+            for p in clf.parameters():
+                p.grad = None
+            (logits * weights).sum().backward()
+            return [np.zeros_like(p.data) if p.grad is None else p.grad for p in clf.parameters()]
+
+        batched = clf.logits(graph, samples)
+        stacked = concat([clf.logits(graph, s) for s in samples], axis=0)
+        assert batched.shape == (5, 3)
+        assert np.max(np.abs(batched.data - stacked.data)) <= 1e-12
+        for a, b in zip(gradients(batched), gradients(stacked)):
+            assert max_relative_error(a, b) <= 1e-10
+        assert np.array_equal(
+            clf.predict(graph, samples), np.stack([clf.predict(graph, s) for s in samples])
+        )
+
+    def test_training_step_tape_does_not_grow_with_batch(self, monkeypatch):
+        h = default_hierarchy()
+        graph = build_hierarchical(h)
+        cfg = tiny_config(c_total=6, c_last=4)
+        clf = init_gat_classifier(cfg, 2, seed=0)
+        samples = [synth_inputs(h, cfg, seed=s) for s in range(16)]
+        recorded = []
+        from_op = tensor_module.from_op
+
+        def counting_from_op(data, parents, backward):
+            out = from_op(data, parents, backward)
+            recorded.append(out._backward is not None)
+            return out
+
+        monkeypatch.setattr(tensor_module, "from_op", counting_from_op)
+        nodes = []
+        for batch in (samples[:1], samples):
+            recorded.clear()
+            loss = bce_with_logits(clf.logits(graph, batch), np.zeros((len(batch), 2)))
+            loss.backward()
+            nodes.append(sum(recorded))
+        assert nodes[0] == nodes[1] <= 100
+
+
 class TestCheckpoint:
+    def test_parent_layout_checkpoint_loads(self, tmp_path):
+        # per-head files and config.json exactly as earlier releases wrote them
+        cfg = tiny_config()
+        shapes = {}
+        for prefix, fan_in in (("fine_mlp", 5), ("coarse_mlp", 5), ("global_mlp", 96)):
+            shapes.update({f"{prefix}.0.w": (fan_in, 8), f"{prefix}.0.b": (8,)})
+        for stage in ("stage1", "stage2"):
+            for head in range(2):
+                shapes.update({f"{stage}.head{head}.w": (8, 4), f"{stage}.head{head}.a": (8, 1)})
+            shapes.update({f"{stage}.ln.gamma": (8,), f"{stage}.ln.beta": (8,)})
+        shapes.update({"out.w": (8, 4), "out.b": (4,)})
+        rng = np.random.default_rng(19)
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        arrays = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        for name, array in arrays.items():
+            save_tensor(ckpt / (name + ".bin"), array, name=name)
+        (ckpt / "config.json").write_text(json.dumps({
+            "c_total": 5, "c_last": 3, "d_h": 8, "n_heads": 2, "slope": 0.2,
+            "mlp_hidden": [], "export_dim": 4, "ln_eps": 1e-6,
+        }))
+        model = GatModel.load(ckpt)
+        assert model.config == cfg
+        assert sorted(model.params) == sorted(arrays)
+        for name, array in arrays.items():
+            assert np.array_equal(model.params[name].data, array)
+        h = small_hierarchy()
+        out = forward(build_hierarchical(h), *synth_inputs(h, cfg), model)
+        assert out.tokens.shape == (7, 4) and np.all(np.isfinite(out.tokens.data))
+
+
     def test_save_load_round_trip(self, tmp_path):
         cfg = tiny_config()
         model = GatModel.init(cfg, seed=17)

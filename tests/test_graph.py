@@ -171,6 +171,32 @@ class TestValidation:
             )
 
 
+    @pytest.mark.parametrize(
+        "removed, added, message",
+        [
+            ([], [[1, 35]], "fine node 1:"),
+            ([[1, 36]], [], "fine node 1:"),
+            ([[1, 36]], [[1, 43]], "fine node 1:"),
+            ([[35, 43]], [], "coarse node 35:"),
+            ([], [[43, 35]], "global node 43:"),
+            ([], [[99, 43]], "unknown node"),
+        ],
+        ids=["two-parents", "orphan", "fine-to-global", "no-global-edge", "global-parent", "unknown"],
+    )
+    def test_region_graph_validates_structure(self, removed, added, message):
+        doc = graph_to_json(build_hierarchical(default_hierarchy()))
+        doc["edges"] = [e for e in doc["edges"] if e not in removed] + added
+        with pytest.raises(ValidationError, match=message):
+            graph_from_json(doc)
+
+    def test_single_level_fine_nodes_point_at_global(self):
+        doc = graph_to_json(build_single_level(tiny_hierarchy()))
+        doc["nodes"].insert(1, {"id": 10, "level": LEVEL_COARSE})
+        doc["edges"] = [[1, 10], [10, 11]]
+        with pytest.raises(ValidationError, match="fine node 1:"):
+            graph_from_json(doc)
+
+
 class TestSerialization:
     def test_hierarchy_round_trip_loss_free(self):
         h = default_hierarchy()

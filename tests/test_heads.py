@@ -100,6 +100,14 @@ class TestTrainConfig:
         assert TrainConfig.for_gat().lr == 5e-5
         assert TrainConfig.for_gat(lr=1e-3).lr == 1e-3
 
+    def test_mode_must_name_the_trained_head(self):
+        assert TrainConfig.from_json({"mode": "probe"}).mode == "probe"
+        assert TrainConfig.for_gat(mode="gat", epochs=3).mode == "gat"
+        with pytest.raises(ConfigError, match="gat"):
+            TrainConfig.from_json({"mode": "gat"})
+        with pytest.raises(ConfigError, match="probe"):
+            TrainConfig.for_gat(mode="probe")
+
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             TrainConfig.from_json({"learning_rate": 0.1})

@@ -22,6 +22,7 @@ from ctgraph.tensor import (
     sigmoid,
     softmax,
     softplus,
+    transpose,
 )
 
 
@@ -57,6 +58,21 @@ class TestMatmul:
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
         err = check_gradients(lambda: matmul(a, b).sum(), [a, b])
+        assert err < 1e-4
+
+
+    def test_batched_operands_broadcast_with_gradients(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        y = Tensor(rng.standard_normal((2, 5, 3, 4)), requires_grad=True)
+        v = Tensor(rng.standard_normal((5, 4, 2)), requires_grad=True)
+        assert np.allclose(matmul(x, w).data[1], x.data[1] @ w.data, atol=1e-15)
+        assert matmul(y, v).shape == (2, 5, 3, 2)
+        err = check_gradients(
+            lambda: (matmul(x, w) ** 2).sum() + (transpose(matmul(y, v), (0, 3, 2, 1)) ** 2).sum(),
+            [x, w, y, v],
+        )
         assert err < 1e-4
 
 
@@ -119,6 +135,26 @@ class TestSoftmax:
         assert err < 1e-4
 
 
+    def test_masked_4d_rows_down_to_self_loop(self):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+        mask = rng.random((2, 1, 4, 5)) < 0.5
+        mask[..., 4] = True  # the self-loop column is never masked
+        mask[0, 0, 1, :4] = False  # one row keeps only its self-loop
+        out = softmax(x, axis=-1, mask=mask).data
+        assert np.all(out[np.broadcast_to(~mask, out.shape)] == 0.0)
+        assert np.all(out[0, :, 1, 4] == 1.0)
+        assert np.max(np.abs(out.sum(axis=-1) - 1.0)) < 1e-12
+        weights = Tensor(rng.standard_normal((2, 3, 4, 5)))
+        err = check_gradients(lambda: (softmax(x, axis=-1, mask=mask) * weights).sum(), [x])
+        assert err < 1e-4
+
+    def test_mask_shift_ignores_masked_entries(self):
+        out = softmax(Tensor([1e4, 0.0, 1.0]), mask=np.array([False, True, True])).data
+        assert out[0] == 0.0
+        assert np.allclose(out[1:], softmax(Tensor([0.0, 1.0])).data, atol=1e-15)
+
+
 class TestLayerNorm:
     def _ones_zeros(self, d):
         return Tensor(np.ones(d)), Tensor(np.zeros(d))
@@ -147,6 +183,18 @@ class TestLayerNorm:
         gamma = Tensor(rng.standard_normal(6), requires_grad=True)
         beta = Tensor(rng.standard_normal(6), requires_grad=True)
         weights = Tensor(rng.standard_normal((3, 6)))
+        err = check_gradients(
+            lambda: (layer_norm(x, gamma, beta) * weights).sum(), [x, gamma, beta]
+        )
+        assert err < 1e-4
+
+
+    def test_gradients_on_3d_input(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=True)
+        gamma = Tensor(rng.standard_normal(6), requires_grad=True)
+        beta = Tensor(rng.standard_normal(6), requires_grad=True)
+        weights = Tensor(rng.standard_normal((2, 3, 6)))
         err = check_gradients(
             lambda: (layer_norm(x, gamma, beta) * weights).sum(), [x, gamma, beta]
         )
