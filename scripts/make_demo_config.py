@@ -6,8 +6,8 @@ Then:  ct-graph run --config demo.json
 """
 
 import argparse
-import json
 
+from ctgraph.container import write_json
 from ctgraph.demo import demo_pipeline_config
 
 
@@ -17,8 +17,7 @@ def main() -> None:
     parser.add_argument("--out-dir", default="demo_out", help="pipeline output directory")
     args = parser.parse_args()
     config = demo_pipeline_config(out_dir=args.out_dir)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2)
+    write_json(args.out, config)
     print(f"wrote {args.out} (pipeline output goes to {args.out_dir}/)")
 
 

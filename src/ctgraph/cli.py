@@ -10,11 +10,13 @@ the package's own kernels are single-threaded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from .container import read_json
 from .encoder import get_preset, load_pyramid
 from .errors import ConfigError, CtGraphError, FormatError, ValidationError
 from .gat import GatModel
@@ -29,8 +31,6 @@ from .pipeline import (
     hierarchy_from,
     infer_stage,
     pool_stage,
-    read_json,
-    require_file,
     run_pipeline,
     stage,
     synth_stage,
@@ -46,22 +46,22 @@ EXIT_CONFIG = 2
 
 
 def cmd_synth(args) -> None:
-    spec = load_phantom_spec(require_file(args.spec, "phantom spec"))
+    spec = load_phantom_spec(args.spec)
     with stage("synth", count=args.count, out=args.out):
         synth_stage(spec, args.count, args.seed, args.out)
 
 
 def cmd_encode(args) -> None:
     preset = get_preset(args.preset, registry_path=args.presets)
-    volume = load_volume(require_file(args.infile, "volume"))
+    volume = load_volume(args.infile)
     with stage("encode", preset=preset.name, out=args.out) as done:
         (pyramid,) = encode_stage([volume], preset, args.seed, args.out)
         done["layers"] = pyramid.num_layers
 
 
 def cmd_pool(args) -> None:
-    pyramid = load_pyramid(require_file(args.pyramid, "pyramid directory"))
-    mask = load_mask(require_file(args.mask, "mask"))
+    pyramid = load_pyramid(args.pyramid)
+    mask = load_mask(args.mask)
     hierarchy = hierarchy_from(args.hierarchy)
     with stage("pool", out=args.out) as done:
         ((fine_set, coarse_set, _),) = pool_stage([pyramid], [mask], hierarchy, [args.out])
@@ -78,40 +78,38 @@ def cmd_graph(args) -> None:
 def cmd_train(args) -> None:
     if args.mode == "gat" and args.graph is None:
         raise ConfigError("train --mode gat needs --graph")
-    manifest = read_manifest(require_file(args.manifest, "manifest"))
+    manifest = read_manifest(args.manifest)
     base = Path(args.manifest).parent
     targets = np.array([record["labels"] for record in manifest], dtype=np.float64)
-    cfg = TrainConfig.from_json(read_json(args.config, "train config"), head=args.mode)
-    gat_doc = check_gat_doc(read_json(args.gat_config, "gat config"))
+    parse_train = functools.partial(TrainConfig.from_json, head=args.mode)
+    cfg = read_json(args.config, "train config", parse_train) if args.config else parse_train({})
+    gat_doc = read_json(args.gat_config, "gat config", check_gat_doc) if args.gat_config else {}
     with stage("train", mode=args.mode) as done:
         pooled = [load_pooled(base / record["feature_file"]) for record in manifest]
         if args.mode == "probe":
             trace, _ = train_probe_stage(pooled, targets, args.granularity, cfg, args.out)
         else:
-            graph = load_graph(require_file(args.graph, "graph"))
+            graph = load_graph(args.graph)
             _, trace, _ = train_gat_stage(pooled, targets, graph, gat_doc, cfg, args.out)
         done["f1"] = trace[-1]["f1"] if trace else None
 
 
 def cmd_infer(args) -> None:
-    graph = load_graph(require_file(args.graph, "graph"))
-    sample = load_pooled(require_file(args.feats, "pooled features"))
-    model = GatModel.load(require_file(args.model, "model checkpoint"))
+    graph = load_graph(args.graph)
+    sample = load_pooled(args.feats)
+    model = GatModel.load(args.model)
     with stage("infer", out=args.out) as done:
         fwd = infer_stage(graph, sample, model, args.out)
         done["tokens"] = len(fwd.token_ids)
 
 
-def _records_by_id(path, what: str) -> dict[str, dict]:
-    return {
-        str(record["id"]): record
-        for record in read_manifest(require_file(path, what), required=("id",))
-    }
+def _records_by_id(path) -> dict[str, dict]:
+    return {str(record["id"]): record for record in read_manifest(path, required=("id",))}
 
 
 def cmd_eval(args) -> None:
-    preds = _records_by_id(args.pred, "predictions")
-    refs = _records_by_id(args.ref, "references")
+    preds = _records_by_id(args.pred)
+    refs = _records_by_id(args.ref)
     shared = sorted(set(preds) & set(refs))
     if not shared:
         raise ValidationError("predictions and references share no ids")

@@ -1,7 +1,7 @@
-"""Tensor container files.
+"""File I/O: tensor containers, and every JSON document via read_json/write_json.
 
-A record is one JSON header line (name, dtype, shape, byte_order) followed
-by the raw contiguous little-endian payload. A file may hold several
+A container record is one JSON header line (name, dtype, shape, byte_order)
+followed by the raw contiguous little-endian payload. A file may hold several
 records back to back; readers consume records until EOF. Round trips are
 bit-exact.
 """
@@ -9,12 +9,13 @@ bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, CtGraphError, FormatError
 
 _TO_NUMPY = {"float64": "<f8", "float32": "<f4", "int64": "<i8", "int32": "<i4"}
 _FROM_KIND = {("f", 8): "float64", ("f", 4): "float32", ("i", 8): "int64", ("i", 4): "int32"}
@@ -54,24 +55,27 @@ def read_record(fh: BinaryIO):
         raise FormatError("container header line is unterminated or oversized")
     try:
         header = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also undecodable bytes
         raise FormatError(f"container header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"container header must be a JSON object, got {type(header).__name__}")
     for key in ("name", "dtype", "shape", "byte_order"):
         if key not in header:
             raise FormatError(f"container header misses required key '{key}'")
     if header["byte_order"] != "little":
         raise FormatError(f"unsupported byte order: {header['byte_order']}")
-    dtype_name = header["dtype"]
+    dtype_name = str(header["dtype"])
     if dtype_name not in _TO_NUMPY:
         raise FormatError(f"unknown container dtype: {dtype_name}")
     shape = header["shape"]
-    if not isinstance(shape, list) or any(
-        not isinstance(d, int) or d <= 0 for d in shape
-    ):
+    if not isinstance(shape, list) or any(type(d) is not int or d <= 0 for d in shape):
         raise FormatError(f"container shape must be a list of positive extents, got {shape}")
     np_dtype = np.dtype(_TO_NUMPY[dtype_name])
-    nbytes = int(np.prod(shape, dtype=np.int64)) * np_dtype.itemsize
-    payload = fh.read(nbytes)
+    nbytes = math.prod(shape) * np_dtype.itemsize
+    try:
+        payload = fh.read(nbytes)
+    except (OverflowError, MemoryError):  # more bytes than any file holds
+        payload = b""
     if len(payload) != nbytes:
         raise FormatError(
             f"truncated payload for record '{header['name']}': "
@@ -88,7 +92,7 @@ def save_tensor(path, array: np.ndarray, name: str = "tensor", meta: dict | None
 
 def load_tensor(path):
     """Load a single-record container; returns (array, header)."""
-    with open(path, "rb") as fh:
+    with open_input(path, "container", "rb") as fh:
         rec = read_record(fh)
         if rec is None:
             raise FormatError(f"{path}: empty container")
@@ -108,11 +112,8 @@ def save_tensors(path, named: dict[str, np.ndarray], meta: dict[str, dict] | Non
 
 def load_records(path) -> list[tuple[str, np.ndarray, dict]]:
     records = []
-    with open(path, "rb") as fh:
-        while True:
-            rec = read_record(fh)
-            if rec is None:
-                break
+    with open_input(path, "container", "rb") as fh:
+        while (rec := read_record(fh)) is not None:
             records.append(rec)
     if not records:
         raise FormatError(f"{path}: empty container")
@@ -120,10 +121,43 @@ def load_records(path) -> list[tuple[str, np.ndarray, dict]]:
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for name, arr, _ in load_records(path):
-        out[name] = arr
-    return out
+    return {name: arr for name, arr, _ in load_records(path)}
+
+
+def open_input(path, what: str, mode: str = "r"):
+    """path opened for reading (text as UTF-8); failing that, a ConfigError naming it."""
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigError(f"{what} {path} cannot be read: {exc}") from exc
+
+
+def read_json(path, what: str, parse=None):
+    """The JSON document at path, or parse(document); every failure names what and path."""
+    with open_input(path, what) as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # also undecodable bytes
+            raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    try:
+        return doc if parse is None else parse(doc)
+    except CtGraphError as exc:
+        raise type(exc)(f"{what} {path}: {exc}") from exc
+
+
+def write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+
+
+def check_keys(doc, known, what: str) -> dict:
+    """doc, which must be a JSON object whose keys all name entries of known."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return doc
 
 
 def ensure_dir(path) -> Path:

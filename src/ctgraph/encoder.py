@@ -10,14 +10,13 @@ theirs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .container import ensure_dir, load_tensor, save_tensor
-from .errors import ValidationError
+from .container import ensure_dir, load_tensor, read_json, save_tensor, write_json
+from .errors import ValidationError, malformed
 from .tensor import Tensor
 from .volume import Volume3D
 
@@ -77,17 +76,18 @@ def get_preset(name: str, registry_path=None) -> EncoderPreset:
 
 
 def load_preset_registry(path) -> dict[str, EncoderPreset]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    out = {}
-    for entry in doc.get("presets", []):
-        preset = EncoderPreset(
-            str(entry["name"]),
-            tuple(int(c) for c in entry["channels"]),
-            tuple(int(f) for f in entry["factors"]),
-        )
-        out[preset.name] = preset
-    return out
+    return read_json(path, "preset registry", _presets_from_json)
+
+
+def _presets_from_json(doc: dict) -> dict[str, EncoderPreset]:
+    with malformed("preset registry"):
+        presets = [
+            EncoderPreset(
+                str(p["name"]), tuple(map(int, p["channels"])), tuple(map(int, p["factors"]))
+            )
+            for p in doc.get("presets", [])
+        ]
+    return {preset.name: preset for preset in presets}
 
 
 @dataclass
@@ -173,9 +173,7 @@ def export_pyramid(pyramid: FeaturePyramid, out_dir) -> Path:
         channel_first = np.moveaxis(layer.data.data, 3, 0)
         save_tensor(out / name, channel_first, name=f"layer_{i}")
         names.append(name)
-    index = {"layers": names, "channels": list(pyramid.channels)}
-    with open(out / _INDEX_FILE, "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2)
+    write_json(out / _INDEX_FILE, {"layers": names, "channels": list(pyramid.channels)})
     return out
 
 
@@ -195,6 +193,10 @@ def import_pyramid(paths) -> FeaturePyramid:
 
 def load_pyramid(directory) -> FeaturePyramid:
     directory = Path(directory)
-    with open(directory / _INDEX_FILE, "r", encoding="utf-8") as fh:
-        index = json.load(fh)
-    return import_pyramid([directory / name for name in index["layers"]])
+    names = read_json(directory / _INDEX_FILE, "pyramid index", _layer_names)
+    return import_pyramid([directory / name for name in names])
+
+
+def _layer_names(index: dict) -> list[str]:
+    with malformed("pyramid index"):
+        return [str(name) for name in index["layers"]]

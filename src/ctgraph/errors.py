@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+import contextlib
+
 
 class CtGraphError(Exception):
     """Base class for library errors."""
@@ -19,3 +21,14 @@ class ValidationError(CtGraphError, ValueError):
 
 class ConfigError(CtGraphError, ValueError):
     """A configuration is missing, unreadable, or inconsistent."""
+
+
+@contextlib.contextmanager
+def malformed(what: str):
+    """Raise a JSON parser's missing-key, wrong-type or bad-value error as ValidationError."""
+    try:
+        yield
+    except CtGraphError:
+        raise
+    except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed {what}: {exc!r}") from exc

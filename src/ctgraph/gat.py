@@ -14,17 +14,17 @@ self-loop, weights the projected members. Head outputs are concatenated.
 
 from __future__ import annotations
 
-import dataclasses
-import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .container import ensure_dir, load_tensor, save_tensor
-from .errors import ShapeError, ValidationError
+from .container import check_keys, ensure_dir, load_tensor, read_json, save_tensor, write_json
+from .errors import ShapeError, ValidationError, malformed
 from .graph import LEVEL_COARSE, LEVEL_FINE, TOPOLOGY_SINGLE, RegionGraph
-from .pooling import RegionFeatureSet
+from .pooling import GLOBAL_GRID, RegionFeatureSet
 from .tensor import (
     Tensor,
     add,
@@ -52,13 +52,15 @@ class GatConfig:
     ln_eps: float = 1e-6
 
     def __post_init__(self):
+        sizes = (self.c_total, self.c_last, self.d_h, self.n_heads, self.export_dim)
+        if not all(isinstance(n, Integral) and n >= 1 for n in sizes + tuple(self.mlp_hidden)):
+            raise ValidationError(f"sizes and mlp_hidden must be positive integers: {self}")
+        if not isinstance(self.slope, Real) or not isinstance(self.ln_eps, Real):
+            raise ValidationError("slope and ln_eps must be numbers")
         if self.d_h % self.n_heads:
             raise ValidationError(
                 f"d_h ({self.d_h}) must be divisible by n_heads ({self.n_heads})"
             )
-        for name in ("c_total", "c_last", "d_h", "n_heads", "export_dim"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be positive")
 
     @property
     def d_head(self) -> int:
@@ -66,11 +68,14 @@ class GatConfig:
 
     @property
     def global_in(self) -> int:
-        return 32 * self.c_last
+        return math.prod(GLOBAL_GRID) * self.c_last
 
     @classmethod
     def from_json(cls, doc: dict) -> "GatConfig":
-        return cls(**{**doc, "mlp_hidden": tuple(doc.get("mlp_hidden", ()))})
+        """Config from a JSON object such as a checkpoint's config.json."""
+        check_keys(doc, cls.__dataclass_fields__, "gat config")
+        with malformed("gat config"):
+            return cls(**{**doc, "mlp_hidden": tuple(doc.get("mlp_hidden", ()))})
 
 
 class GatModel:
@@ -136,8 +141,7 @@ class GatModel:
 
     def save(self, directory) -> Path:
         out = ensure_dir(directory)
-        with open(out / "config.json", "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(self.config), fh, indent=2)
+        write_json(out / "config.json", asdict(self.config))
         for name, tensor in self.params.items():
             save_tensor(out / (name + ".bin"), tensor.data, name=name)
         return out
@@ -145,8 +149,7 @@ class GatModel:
     @classmethod
     def load(cls, directory) -> "GatModel":
         directory = Path(directory)
-        with open(directory / "config.json", "r", encoding="utf-8") as fh:
-            config = GatConfig.from_json(json.load(fh))
+        config = read_json(directory / "config.json", "checkpoint config", GatConfig.from_json)
         params = {}
         for name, shape in cls.param_shapes(config).items():
             array, _ = load_tensor(directory / (name + ".bin"))

@@ -9,12 +9,12 @@ that carry their own mask label.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .container import read_json, write_json
+from .errors import ValidationError, malformed
 
 LEVEL_FINE = "fine"
 LEVEL_COARSE = "coarse"
@@ -276,74 +276,56 @@ def default_hierarchy() -> AnatomyHierarchy:
 
 
 def hierarchy_to_json(hierarchy: AnatomyHierarchy) -> dict:
-    doc = {
+    """The anatomy.json document; a coarse node without its own label has no "label" key."""
+    return {
         "version": 1,
-        "fine": [
-            {"id": f.id, "name": f.name, "label": f.label, "parent": f.parent}
-            for f in hierarchy.fine
-        ],
-        "coarse": [],
+        "fine": [asdict(f) for f in hierarchy.fine],
+        "coarse": [{k: v for k, v in asdict(c).items() if v is not None} for c in hierarchy.coarse],
     }
-    for c in hierarchy.coarse:
-        entry: dict = {"id": c.id, "name": c.name}
-        if c.label is not None:
-            entry["label"] = c.label
-        doc["coarse"].append(entry)
-    return doc
 
 
 def hierarchy_from_json(doc: dict) -> AnatomyHierarchy:
-    try:
+    with malformed("hierarchy document"):
         fine = tuple(
             FineNode(int(f["id"]), str(f["name"]), int(f["label"]), int(f["parent"]))
             for f in doc["fine"]
         )
         coarse = tuple(
             CoarseNode(
-                int(c["id"]),
-                str(c["name"]),
-                int(c["label"]) if "label" in c and c["label"] is not None else None,
+                int(c["id"]), str(c["name"]), None if c.get("label") is None else int(c["label"])
             )
             for c in doc["coarse"]
         )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed hierarchy document: {exc}") from exc
     global_id = max([f.id for f in fine] + [c.id for c in coarse], default=0) + 1
     return AnatomyHierarchy(fine=fine, coarse=coarse, global_id=global_id)
 
 
 def load_hierarchy(path) -> AnatomyHierarchy:
-    with open(path, "r", encoding="utf-8") as fh:
-        return hierarchy_from_json(json.load(fh))
+    return read_json(path, "hierarchy", hierarchy_from_json)
 
 
 def save_hierarchy(path, hierarchy: AnatomyHierarchy) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(hierarchy_to_json(hierarchy), fh, indent=2)
+    write_json(path, hierarchy_to_json(hierarchy))
 
 
 def graph_to_json(graph: RegionGraph) -> dict:
     return {
         "topology": graph.topology,
-        "nodes": [{"id": n.id, "level": n.level} for n in graph.nodes],
+        "nodes": [asdict(n) for n in graph.nodes],
         "edges": [[s, d] for s, d in graph.edges],
     }
 
 
 def graph_from_json(doc: dict) -> RegionGraph:
-    try:
+    with malformed("graph document"):
         nodes = tuple(GraphNode(int(n["id"]), str(n["level"])) for n in doc["nodes"])
         edges = tuple((int(s), int(d)) for s, d in doc["edges"])
         return RegionGraph(nodes, edges, str(doc["topology"]))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed graph document: {exc}") from exc
 
 
 def load_graph(path) -> RegionGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(json.load(fh))
+    return read_json(path, "graph", graph_from_json)
 
 
 def save_graph(path, graph: RegionGraph) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(graph), fh, indent=2)
+    write_json(path, graph_to_json(graph))

@@ -15,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import ensure_dir, load_records, load_tensor, save_tensor, save_tensors
+from .container import check_keys, ensure_dir, load_records, load_tensor, open_input
+from .container import save_tensor, save_tensors
 from .errors import ConfigError, ShapeError, ValidationError
 from .gat import GatConfig, GatForward, GatModel, forward as gat_forward
 from .graph import RegionGraph
 from .metrics import MacroScores, macro_prf1
 from .pooling import GlobalFeatureGrid, RegionFeatureSet
-from .tensor import AdamW, Tensor, add, bce_with_logits, matmul, reshape, _sigmoid_np
+from .tensor import AdamW, Tensor, add, bce_with_logits, matmul, no_grad, reshape, _sigmoid_np
 
 DEFAULT_PROMPT = (
     "Generate a medical report based on the visual information of the given CT image."
@@ -47,15 +48,15 @@ class TrainConfig:
         return cls.from_json(overrides, head="gat")
 
     @classmethod
-    def from_json(cls, doc: dict, head: str = "probe") -> "TrainConfig":
-        """Config to train the "probe" or "gat" head (lr 5e-5); rejects unknown keys and modes."""
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
+    def from_json(cls, doc: dict, head: str = "probe", seed: int = 0) -> "TrainConfig":
+        """Config to train the "probe" or "gat" head (lr 5e-5), seeded by seed unless doc
+        sets one; rejects unknown keys and a mode naming the other head.
+        """
+        check_keys(doc, cls.__dataclass_fields__, "train config")
         if doc.get("mode", head) != head:
             raise ConfigError(f"train config mode '{doc['mode']}' does not match the {head} head")
         defaults = {"lr": 5e-5} if head == "gat" else {}
-        return cls(**{**defaults, **doc, "mode": head})
+        return cls(**{**defaults, "seed": seed, **doc, "mode": head})
 
 
 @dataclass
@@ -246,8 +247,10 @@ class GatClassifier:
         return add(matmul(h, self.head_weight), self.head_bias)
 
     def predict(self, graph: RegionGraph, sample) -> np.ndarray:
-        """0/1 labels: (n_classes,) for one sample, (B, n_classes) for a list of B."""
-        labels = (_sigmoid_np(self.logits(graph, sample).data) >= self.threshold).astype(np.int32)
+        """0/1 labels: (n_classes,) for one sample, (B, n_classes) for a list of B; no tape."""
+        with no_grad():
+            logits = self.logits(graph, sample).data
+        labels = (_sigmoid_np(logits) >= self.threshold).astype(np.int32)
         return labels[0] if isinstance(sample[0], RegionFeatureSet) else labels
 
     def save(self, directory) -> Path:
@@ -358,7 +361,7 @@ def read_manifest(path, required=("feature_file", "labels")) -> list[dict]:
     need id. Any defect raises ConfigError naming path:line.
     """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path, "JSONL file") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

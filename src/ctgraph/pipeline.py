@@ -16,12 +16,11 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import demo as demo_mod
-from .container import ensure_dir
+from .container import check_keys, ensure_dir, read_json, write_json
 from .encoder import export_pyramid, get_preset, synth_encode
 from .errors import ConfigError, CtGraphError, ValidationError
 from .gat import GatConfig, forward as gat_forward
@@ -72,35 +71,16 @@ def stage(name: str, seconds: dict | None = None, **fields):
     log_event(name, "done", seconds=elapsed, **done)
 
 
-def require_file(path, what: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} not found: {p}")
-    return p
-
-
-def read_json(path, what: str):
-    """The JSON document at path, {} for no path; a missing or malformed file fails."""
-    if path is None:
-        return {}
-    with open(require_file(path, what), "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
-
-
 def check_gat_doc(doc: dict) -> dict:
-    """doc, whose keys must name GatConfig fields other than the input widths."""
-    unknown = set(doc) - (set(GatConfig.__dataclass_fields__) - {"c_total", "c_last"})
-    if unknown:
-        raise ConfigError(f"unknown gat config keys: {sorted(unknown)} (widths come from the data)")
+    """doc, valid GatConfig fields except the input widths, which come from the data."""
+    check_keys(doc, set(GatConfig.__dataclass_fields__) - {"c_total", "c_last"}, "gat config")
+    GatConfig.from_json({**doc, "c_total": 1, "c_last": 1})
     return doc
 
 
 def hierarchy_from(path) -> AnatomyHierarchy:
     """The hierarchy stored at path, or the built-in table when path is None."""
-    return load_hierarchy(require_file(path, "hierarchy")) if path else default_hierarchy()
+    return load_hierarchy(path) if path else default_hierarchy()
 
 
 # stages ----------------------------------------------------------------------
@@ -164,7 +144,7 @@ def train_probe_stage(pooled, targets, granularity: str, cfg: TrainConfig, out):
     """Fit the linear probe on pooled samples; writes probe.bin and trace.json."""
     features = np.stack([build_probe_features(*s, granularity=granularity) for s in pooled])
     model, trace, info = train_probe(features, targets, cfg)
-    _write_trace(model.save(out), trace, info)
+    write_json(model.save(out) / "trace.json", {"trace": trace, "info": info})
     return trace, info
 
 
@@ -178,13 +158,8 @@ def train_gat_stage(pooled, targets, graph, gat_doc: dict, cfg: TrainConfig, out
         {**gat_doc, "c_total": fine_set.fused.shape[1], "c_last": grid.channels}
     )
     clf, trace, info = train_gat_classifier(pooled, targets, graph, gat_config, cfg)
-    _write_trace(clf.save(out), trace, info)
+    write_json(clf.save(out) / "trace.json", {"trace": trace, "info": info})
     return clf, trace, info
-
-
-def _write_trace(out: Path, trace: list[dict], info: dict) -> None:
-    with open(out / "trace.json", "w", encoding="utf-8") as fh:
-        json.dump({"trace": trace, "info": info}, fh, indent=2)
 
 
 def infer_stage(graph, sample, model, path):
@@ -220,8 +195,7 @@ def eval_stage(preds: list[dict], refs: list[dict], metrics, path) -> dict:
             **{f"bleu_{k}": b for k, b in zip(range(1, 5), bleu)},
             "rouge_l": rouge_l(cands, golds),
         }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+    write_json(path, report)
     return report
 
 
@@ -230,6 +204,10 @@ def eval_stage(preds: list[dict], refs: list[dict], metrics, path) -> dict:
 
 @dataclass
 class PipelineConfig:
+    """A `ct-graph run` config, checked when built; `train_configs` holds the parsed
+    (probe, gat_train) sections, seeded by `seed` unless they set their own.
+    """
+
     seed: int = 7
     out_dir: str = "pipeline_out"
     preset: str = "demo"
@@ -242,18 +220,20 @@ class PipelineConfig:
     gat: dict = field(default_factory=dict)
     probe_granularity: str = "fine"
 
+    def __post_init__(self):
+        check_gat_doc(self.gat)
+        self.train_configs = (
+            TrainConfig.from_json(self.probe, seed=self.seed),
+            TrainConfig.from_json(self.gat_train, head="gat", seed=self.seed),
+        )
+
     @classmethod
     def from_json(cls, doc: dict) -> "PipelineConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown pipeline config keys: {sorted(unknown)}")
-        check_gat_doc(doc.get("gat", {}))
-        return cls(**doc)
+        return cls(**check_keys(doc, cls.__dataclass_fields__, "pipeline config"))
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        return cls.from_json(read_json(path, "pipeline config"))
+        return read_json(path, "pipeline config", cls.from_json)
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
@@ -267,7 +247,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
     try:
         hierarchy = hierarchy_from(cfg.hierarchy)
         spec = (
-            load_phantom_spec(require_file(cfg.phantom_spec, "phantom spec"))
+            load_phantom_spec(cfg.phantom_spec)
             if cfg.phantom_spec
             else demo_mod.demo_phantom_spec(hierarchy)
         )
@@ -285,8 +265,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
             graph = graph_stage(hierarchy, cfg.topology, cfg.seed, out / "graph.json")
             save_hierarchy(out / "anatomy.json", hierarchy)
         with stage("train", seconds):
-            probe_cfg = TrainConfig.from_json({"seed": cfg.seed, **cfg.probe})
-            gat_cfg = TrainConfig.for_gat(**{"seed": cfg.seed, **cfg.gat_train})
+            probe_cfg, gat_cfg = cfg.train_configs
             probe_trace, probe_info = train_probe_stage(
                 pooled, targets, cfg.probe_granularity, probe_cfg, out / "probe"
             )
@@ -310,8 +289,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
     except Exception as exc:
         started = list(seconds)
         failed = started[-1] if started else "setup"
-        stale_path.write_text(
-            json.dumps({"failed_stage": failed, "cause": str(exc), "stages_started": started})
+        write_json(
+            stale_path, {"failed_stage": failed, "cause": str(exc), "stages_started": started}
         )
         log_event(failed, "failed", cause=str(exc))
         if isinstance(exc, CtGraphError):
@@ -321,7 +300,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
     if stale_path.exists():
         stale_path.unlink()
     summary["total_seconds"] = round(time.perf_counter() - t_total, 3)
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+    write_json(out / "summary.json", summary)
     log_event("run", "done", total_seconds=summary["total_seconds"])
     return summary

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import load_records, save_tensors
+from .container import load_tensors, save_tensors
 from .errors import ShapeError, ValidationError
 from .graph import AnatomyHierarchy
 from .tensor import Tensor, concat, from_op, gather_rows, matmul, reshape
@@ -104,9 +104,12 @@ class RegionFeatureSet:
         return len(self.region_ids)
 
 
+GLOBAL_GRID = (4, 4, 2)  # cells the final layer is pooled to; the GAT's global MLP reads them
+
+
 @dataclass
 class GlobalFeatureGrid:
-    """Adaptive average pooling of the final layer down to (4, 4, 2)."""
+    """Adaptive average pooling of the final layer down to GLOBAL_GRID."""
 
     grid: Tensor  # (gh, gw, gd, C_L)
 
@@ -122,15 +125,15 @@ def _partition(n: int, parts: int) -> list[tuple[int, int]]:
     return [(a * n // parts, (a + 1) * n // parts) for a in range(parts)]
 
 
-def adaptive_avg_pool_global(layer: Tensor, target=(4, 4, 2)) -> GlobalFeatureGrid:
-    """Tile the layer into a fixed grid of boxes and average each box."""
+def adaptive_avg_pool_global(layer: Tensor) -> GlobalFeatureGrid:
+    """Tile the layer into the GLOBAL_GRID boxes and average each box."""
     if layer.ndim != 4:
         raise ShapeError(f"expected (H, W, D, C) features, got {layer.shape}")
     h, w, d, c = layer.shape
-    th, tw, td = target
+    th, tw, td = GLOBAL_GRID
     if h < th or w < tw or d < td:
         raise ShapeError(
-            f"input extents {(h, w, d)} are smaller than the target grid {target}"
+            f"input extents {(h, w, d)} are smaller than the target grid {GLOBAL_GRID}"
         )
     hb, wb, db = _partition(h, th), _partition(w, tw), _partition(d, td)
     data = layer.data
@@ -219,7 +222,7 @@ def save_pooled(path, fine: RegionFeatureSet, coarse: RegionFeatureSet, grid: Gl
 
 
 def load_pooled(path):
-    arrays = {name: arr for name, arr, _ in load_records(path)}
+    arrays = load_tensors(path)
 
     def build(prefix: str) -> RegionFeatureSet:
         ids = arrays[f"{prefix}_ids"].tolist()

@@ -5,12 +5,14 @@ gradient can be validated against central finite differences. float64 is
 the default scalar type (verification mode); float32 is accepted for
 throughput runs and carries looser tolerances.
 
-Ops record backward closures only when some input requires gradients, so
-inference-style code pays nothing for the tape.
+Ops record backward closures only when some input requires gradients and
+no `no_grad()` scope is open, so inference-style code pays nothing for the
+tape.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -147,10 +149,24 @@ def as_tensor(x, dtype=None) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within this scope ops record no tape: their results never require gradients."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def from_op(data, parents: Sequence[Tensor], backward) -> Tensor:
     """Wrap an op result, attaching the tape node when gradients are needed."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

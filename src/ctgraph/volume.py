@@ -7,13 +7,12 @@ i.e. flat offset = (i * W + j) * D + t.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .container import load_tensor, save_tensor
-from .errors import FormatError, ValidationError
+from .container import load_tensor, read_json, save_tensor, write_json
+from .errors import FormatError, ValidationError, malformed
 
 
 @dataclass(frozen=True)
@@ -202,36 +201,8 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume3D, LabelMask3D, np.ndarr
 # JSON and container I/O ------------------------------------------------------
 
 
-def phantom_spec_to_json(spec: PhantomSpec) -> dict:
-    return {
-        "shape": list(spec.shape),
-        "seed": spec.seed,
-        "noise_sigma": spec.noise_sigma,
-        "intensity_jitter": spec.intensity_jitter,
-        "regions": [
-            {
-                "label": r.label,
-                "center": list(r.center),
-                "radii": list(r.radii),
-                "intensity": r.intensity,
-            }
-            for r in spec.regions
-        ],
-        "pathologies": [
-            {
-                "name": p.name,
-                "host_label": p.host_label,
-                "delta": p.delta,
-                "prevalence": p.prevalence,
-                "radius": p.radius,
-            }
-            for p in spec.pathologies
-        ],
-    }
-
-
 def phantom_spec_from_json(doc: dict) -> PhantomSpec:
-    try:
+    with malformed("phantom spec"):
         regions = tuple(
             RegionSpec(
                 label=int(r["label"]),
@@ -259,18 +230,14 @@ def phantom_spec_from_json(doc: dict) -> PhantomSpec:
             noise_sigma=float(doc.get("noise_sigma", 0.0)),
             intensity_jitter=float(doc.get("intensity_jitter", 0.0)),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed phantom spec: {exc}") from exc
 
 
 def load_phantom_spec(path) -> PhantomSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return phantom_spec_from_json(json.load(fh))
+    return read_json(path, "phantom spec", phantom_spec_from_json)
 
 
 def save_phantom_spec(path, spec: PhantomSpec) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(phantom_spec_to_json(spec), fh, indent=2)
+    write_json(path, asdict(spec))
 
 
 def save_volume(path, volume: Volume3D) -> None:

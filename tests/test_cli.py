@@ -269,6 +269,84 @@ class TestExitCodes:
         assert code == 2
         assert "mode 'gat'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "train_section",
+        [{"probe": {"epoch": 1}}, {"gat_train": {"mode": "probe"}}, {"probe": [1]}],
+        ids=["unknown-key", "other-head", "not-an-object"],
+    )
+    def test_run_bad_train_config_exits_2_before_synth(self, workspace, capsys, train_section):
+        ws = workspace
+        config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2, **train_section}
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        assert "train config" in capsys.readouterr().err
+        for left in ("synth", "encode", "pool", "graph.json", "STALE"):
+            assert not (ws / "out" / left).exists()
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "graph-hierarchy", "infer-graph", "synth-spec", "encode-presets",
+            "encode-preset-without-name", "pool-index-without-layers", "infer-unknown-config-key",
+        ],
+    )
+    def test_malformed_json_input_exits_2_naming_file(self, workspace, capsys, case):
+        ws = workspace
+        (ws / "bad.json").write_text("{not json")
+        nameless = {"presets": [{"channels": [2], "factors": [1]}]}
+        (ws / "noname.json").write_text(json.dumps(nameless))
+        (ws / "pyr").mkdir()
+        (ws / "pyr" / "pyramid.json").write_text(json.dumps({"channels": [2]}))
+        if case == "infer-unknown-config-key":
+            assert run_cli("graph", "--hierarchy", ws / "anatomy.json", "--out", ws / "g.json") == 0
+            assert run_cli(
+                "synth", "--spec", ws / "phantom.json", "--count", 1, "--out", ws / "d"
+            ) == 0
+            assert run_cli(
+                "encode", "--preset", "tiny", "--presets", ws / "presets.json",
+                "--in", ws / "d" / "vol_000.bin", "--out", ws / "p0",
+            ) == 0
+            assert run_cli(
+                "pool", "--pyramid", ws / "p0", "--mask", ws / "d" / "mask_000.bin",
+                "--hierarchy", ws / "anatomy.json", "--out", ws / "f.bin",
+            ) == 0
+            (ws / "ckpt").mkdir()
+            (ws / "ckpt" / "config.json").write_text(
+                json.dumps({"c_total": 4, "c_last": 2, "d_h": 8, "n_heads": 2, "heads": 2})
+            )
+        argv, named = {
+            "graph-hierarchy": (
+                ["graph", "--hierarchy", ws / "bad.json", "--out", ws / "g"], "bad.json"
+            ),
+            "infer-graph": (
+                ["infer", "--graph", ws / "bad.json", "--feats", ws / "f.bin", "--model", ws / "m",
+                 "--out", ws / "t.bin"],
+                "bad.json",
+            ),
+            "synth-spec": (["synth", "--spec", ws / "bad.json", "--out", ws / "d"], "bad.json"),
+            "encode-presets": (
+                ["encode", "--preset", "tiny", "--presets", ws / "bad.json", "--in", ws / "v.bin",
+                 "--out", ws / "p"],
+                "bad.json",
+            ),
+            "encode-preset-without-name": (
+                ["encode", "--preset", "tiny", "--presets", ws / "noname.json",
+                 "--in", ws / "v.bin", "--out", ws / "p"],
+                "noname.json",
+            ),
+            "pool-index-without-layers": (
+                ["pool", "--pyramid", ws / "pyr", "--mask", ws / "m.bin", "--out", ws / "f"],
+                "pyramid.json",
+            ),
+            "infer-unknown-config-key": (
+                ["infer", "--graph", ws / "g.json", "--feats", ws / "f.bin", "--model", ws / "ckpt",
+                 "--out", ws / "t.bin"],
+                "config.json",
+            ),
+        }[case]
+        assert run_cli(*argv) == 2
+        assert named in capsys.readouterr().err
+
     def test_unknown_preset_exits_2(self, workspace):
         ws = workspace
         run_cli("synth", "--spec", ws / "phantom.json", "--count", 1, "--out", ws / "d")

@@ -1,10 +1,13 @@
 """Probe training, the graph classifier head, and token export."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
+import ctgraph.heads as heads_module
+import ctgraph.tensor as tensor_module
 from ctgraph.errors import ConfigError, ValidationError
 from ctgraph.gat import GatConfig, GatModel, forward
 from ctgraph.gradcheck import check_gradients
@@ -178,6 +181,43 @@ class TestGatClassifier:
         _, trace_a, _ = train_gat_classifier(samples, targets, graph, cfg, train_cfg)
         _, trace_b, _ = train_gat_classifier(samples, targets, graph, cfg, train_cfg)
         assert trace_a == trace_b
+
+    def test_predict_records_no_tape(self, monkeypatch):
+        h = small_hierarchy(n_fine=3, n_coarse=2)
+        cfg = tiny_config()
+        graph = build_hierarchical(h)
+        clf = init_gat_classifier(cfg, 2, seed=0)
+        samples = [synth_inputs(h, cfg, seed=s) for s in range(3)]
+        recorded = []
+        from_op = tensor_module.from_op
+
+        def counting_from_op(data, parents, backward):
+            out = from_op(data, parents, backward)
+            recorded.append(out._backward is not None)
+            return out
+
+        monkeypatch.setattr(tensor_module, "from_op", counting_from_op)
+        clf.predict(graph, samples)
+        clf.predict(graph, samples[0])
+        assert recorded and not any(recorded)
+        clf.logits(graph, samples)  # the training forward still records its tape
+        assert any(recorded)
+
+    def test_untaped_validation_leaves_fit_unchanged(self, monkeypatch):
+        h = small_hierarchy(n_fine=3, n_coarse=2)
+        cfg = tiny_config()
+        graph = build_hierarchical(h)
+        samples = [synth_inputs(h, cfg, seed=s) for s in range(8)]
+        targets = np.array([[1.0, 0.0], [0.0, 1.0]] * 4)
+        train_cfg = TrainConfig.for_gat(epochs=4, batch_size=3, seed=2, lr=1e-2)
+        fits = []
+        for scope in (tensor_module.no_grad, contextlib.nullcontext):
+            monkeypatch.setattr(heads_module, "no_grad", scope)
+            clf, trace, info = train_gat_classifier(samples, targets, graph, cfg, train_cfg)
+            fits.append((trace, info, [p.data.copy() for p in clf.parameters()]))
+        (trace_a, info_a, params_a), (trace_b, info_b, params_b) = fits
+        assert trace_a == trace_b and info_a == info_b
+        assert all(np.array_equal(a, b) for a, b in zip(params_a, params_b))
 
     def test_checkpoint_round_trip(self, tmp_path):
         cfg = tiny_config()

@@ -1,0 +1,186 @@
+"""Every document loader fails on bad input with a CtGraphError, never a raw exception.
+
+Each loader gets arbitrary bytes, arbitrary JSON values, and a valid
+document with one node replaced by an arbitrary JSON value or removed.
+"""
+
+import copy
+import dataclasses
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ctgraph.container import read_record
+from ctgraph.demo import demo_phantom_spec, demo_pipeline_config
+from ctgraph.encoder import export_pyramid, get_preset, load_pyramid, synth_encode
+from ctgraph.errors import CtGraphError
+from ctgraph.gat import GatModel
+from ctgraph.graph import (
+    build_hierarchical,
+    graph_to_json,
+    hierarchy_to_json,
+    load_graph,
+    load_hierarchy,
+)
+from ctgraph.pipeline import PipelineConfig
+from ctgraph.volume import Volume3D, load_phantom_spec
+
+from test_gat import small_hierarchy, tiny_config
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+DELETE = object()
+FUZZ = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def node_paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from node_paths(value, prefix + (key,))
+
+
+def mutated(doc, path, value):
+    """doc with the node at path replaced by value, or removed for DELETE."""
+    if not path:
+        return None if value is DELETE else value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def payloads(valid_doc):
+    """File contents: arbitrary bytes, arbitrary JSON, or valid_doc with one node changed."""
+    paths = list(node_paths(valid_doc))
+    return st.one_of(
+        st.binary(max_size=48),
+        JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+        st.builds(
+            lambda p, v: json.dumps(mutated(valid_doc, p, v)).encode(),
+            st.sampled_from(paths),
+            JSON_VALUES | st.just(DELETE),
+        ),
+    )
+
+
+def loads_or_fails_typed(load):
+    try:
+        load()
+    except Exception as exc:  # noqa: BLE001 - the assertion is on the type
+        assert isinstance(exc, CtGraphError), f"{type(exc).__name__}: {exc}"
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """(file to overwrite, loader, valid document) per loader, in one directory."""
+    base = tmp_path_factory.mktemp("docs")
+    hierarchy = small_hierarchy()
+    volume = Volume3D(np.random.default_rng(0).standard_normal((8, 8, 8)))
+    pyramid_dir = export_pyramid(synth_encode(volume, get_preset("demo"), seed=1), base / "pyr")
+    ckpt = GatModel.init(tiny_config(), seed=0).save(base / "ckpt")
+    valid = {
+        "hierarchy": (base / "anatomy.json", lambda: load_hierarchy(base / "anatomy.json"),
+                      hierarchy_to_json(hierarchy)),
+        "graph": (base / "graph.json", lambda: load_graph(base / "graph.json"),
+                  graph_to_json(build_hierarchical(hierarchy))),
+        "phantom-spec": (base / "phantom.json", lambda: load_phantom_spec(base / "phantom.json"),
+                         json.loads(json.dumps(dataclasses.asdict(demo_phantom_spec())))),
+        "preset-registry": (
+            base / "presets.json",
+            lambda: get_preset("tiny", registry_path=base / "presets.json"),
+            {"presets": [{"name": "tiny", "channels": [2, 2], "factors": [1, 2]}]},
+        ),
+        "pyramid-index": (pyramid_dir / "pyramid.json", lambda: load_pyramid(pyramid_dir),
+                          json.loads((pyramid_dir / "pyramid.json").read_text())),
+        "checkpoint-config": (ckpt / "config.json", lambda: GatModel.load(ckpt),
+                              json.loads((ckpt / "config.json").read_text())),
+        "pipeline-config": (base / "run.json", lambda: PipelineConfig.load(base / "run.json"),
+                            demo_pipeline_config()),
+    }
+    for path, load, doc in valid.values():
+        path.write_text(json.dumps(doc))
+        load()  # the unchanged document loads
+    return valid
+
+
+@pytest.mark.parametrize(
+    "loader",
+    ["hierarchy", "graph", "phantom-spec", "preset-registry", "pyramid-index",
+     "checkpoint-config", "pipeline-config"],
+)
+@given(data=st.data())
+@FUZZ
+def test_loader_raises_only_typed_errors(documents, loader, data):
+    path, load, valid_doc = documents[loader]
+    path.write_bytes(data.draw(payloads(valid_doc)))
+    loads_or_fails_typed(load)
+
+
+VALID_HEADER = {"name": "t", "dtype": "float64", "shape": [2], "byte_order": "little"}
+
+
+@given(
+    record=st.one_of(
+        st.binary(max_size=64),
+        JSON_VALUES.map(lambda v: json.dumps(v).encode() + b"\n" + bytes(16)),
+        st.builds(
+            lambda p, v: json.dumps(mutated(VALID_HEADER, p, v)).encode() + b"\n" + bytes(16),
+            st.sampled_from(list(node_paths(VALID_HEADER))),
+            JSON_VALUES | st.just(DELETE),
+        ),
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_read_record_raises_only_typed_errors(record):
+    loads_or_fails_typed(lambda: read_record(io.BytesIO(record)))
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        list(VALID_HEADER),
+        5,
+        "dtype",
+        {**VALID_HEADER, "dtype": ["float64"]},
+        {**VALID_HEADER, "shape": [2**70]},
+    ],
+    ids=["array", "number", "string", "unhashable-dtype", "huge-shape"],
+)
+def test_read_record_rejects_malformed_headers(header):
+    with pytest.raises(CtGraphError):
+        read_record(io.BytesIO(json.dumps(header).encode() + b"\n" + bytes(16)))
+
+
+@pytest.mark.parametrize("field", ["id", "parent", "label"])
+def test_non_numeric_hierarchy_id_is_a_typed_error(tmp_path, field):
+    doc = hierarchy_to_json(small_hierarchy())
+    doc["fine"][0][field] = "one"
+    (tmp_path / "anatomy.json").write_text(json.dumps(doc))
+    with pytest.raises(CtGraphError, match="anatomy.json"):
+        load_hierarchy(tmp_path / "anatomy.json")
+
+
+def test_non_numeric_graph_id_is_a_typed_error(tmp_path):
+    doc = graph_to_json(build_hierarchical(small_hierarchy()))
+    doc["nodes"][0]["id"] = "one"
+    (tmp_path / "graph.json").write_text(json.dumps(doc))
+    with pytest.raises(CtGraphError, match="graph.json"):
+        load_graph(tmp_path / "graph.json")

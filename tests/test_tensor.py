@@ -19,6 +19,7 @@ from ctgraph.tensor import (
     leaky_relu,
     matmul,
     mlp_forward,
+    no_grad,
     sigmoid,
     softmax,
     softplus,
@@ -371,3 +372,25 @@ class TestStructuralOps:
     def test_max_relative_error_helper(self):
         assert max_relative_error(np.array([1.0]), np.array([1.0])) == 0.0
         assert max_relative_error(np.array([2.0]), np.array([1.0])) == pytest.approx(0.5)
+
+
+class TestNoGrad:
+    def test_scope_records_no_tape_and_restores_on_exit(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        x = Tensor(np.eye(2))
+        with no_grad():
+            inside = matmul(x, w)
+            with no_grad():
+                pass
+            still_inside = matmul(x, w)
+        after = matmul(x, w)
+        assert not inside.requires_grad and inside._backward is None
+        assert not still_inside.requires_grad
+        assert after.requires_grad and after._backward is not None
+
+    def test_scope_closes_when_the_body_raises(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert (w * 2.0).requires_grad

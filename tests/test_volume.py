@@ -1,5 +1,7 @@
 """Mask resizing oracle, phantom generation, and volume/mask round trips."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from ctgraph.volume import (
     load_mask,
     load_volume,
     phantom_spec_from_json,
-    phantom_spec_to_json,
     resize_mask_nearest,
     save_mask,
     save_volume,
@@ -182,7 +183,7 @@ class TestPhantom:
 
     def test_spec_json_round_trip(self):
         spec = _simple_spec()
-        again = phantom_spec_from_json(phantom_spec_to_json(spec))
+        again = phantom_spec_from_json(asdict(spec))
         assert again == spec
 
 
