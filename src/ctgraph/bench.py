@@ -9,6 +9,7 @@ its epoch budget at desk scale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ def standardize(features: np.ndarray) -> np.ndarray:
     return (features - mu) / sd
 
 
+@functools.lru_cache(maxsize=len(BENCH_SEEDS))  # both trends read each seed's one dataset
 def bench_dataset(settings: BenchSettings, seed: int):
     hierarchy = default_hierarchy()
     spec = demo_phantom_spec(

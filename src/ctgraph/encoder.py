@@ -156,7 +156,8 @@ def synth_encode(volume: Volume3D, preset: EncoderPreset, seed: int) -> FeatureP
         rng = np.random.default_rng([seed, li])
         scale = rng.standard_normal(c_l)
         offset = 0.1 * rng.standard_normal(c_l)
-        feats = box[..., None] * scale + offset
+        feats = box[..., None] * scale
+        feats += offset
         layers.append(PyramidLayer(Tensor(feats)))
     return FeaturePyramid(layers)
 

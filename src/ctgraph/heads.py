@@ -361,14 +361,14 @@ def read_manifest(path, required=("feature_file", "labels")) -> list[dict]:
     need id. Any defect raises ConfigError naming path:line.
     """
     records = []
-    with open_input(path, "JSONL file") as fh:
+    with open_input(path, "JSONL file", "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+                record = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8
                 raise ConfigError(f"{path}:{line_no}: invalid JSONL record: {exc}") from exc
             if not isinstance(record, dict):
                 raise ConfigError(f"{path}:{line_no}: JSONL record is not an object")

@@ -1,10 +1,11 @@
 """Mask-guided average pooling, layer fusion, and global adaptive pooling.
 
-The pooling kernel scatter-accumulates per-region sums in a fixed number of
-passes over the voxels (one per channel), independent of how many regions
-the mask carries; a per-region rescan is used only as a test oracle.
-Accumulation is always float64, even for float32 feature maps, because
-region voxel counts can be large.
+The pooling kernel first gathers the rows of listed regions, dropping the
+background, then scatter-accumulates per-region sums in one pass per channel
+over those rows, so its cost is independent of how many regions the mask
+carries; a per-region rescan is used only as a test oracle. Accumulation is
+always float64, even for float32 feature maps, because region voxel counts
+can be large.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import load_tensors, save_tensors
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, malformed
 from .graph import AnatomyHierarchy
 from .tensor import Tensor, concat, from_op, gather_rows, matmul, reshape
 from .volume import LabelMask3D, resize_mask_nearest
@@ -23,7 +24,8 @@ from .volume import LabelMask3D, resize_mask_nearest
 def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int):
     """Mean of rows per segment id; empty segments yield zero rows.
 
-    values: (n, C); segment_ids: (n,) ints in [0, num_segments).
+    values: (n, C); segment_ids: (n,) non-negative ints. Rows whose id is
+    >= num_segments are dropped: they count nowhere and get zero gradient.
     Returns (means Tensor (num_segments, C), counts (num_segments,)).
     Differentiable in values.
     """
@@ -34,23 +36,24 @@ def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int):
         raise ShapeError(
             f"segment ids of shape {seg.shape} do not match {values.shape[0]} rows"
         )
-    n, c = values.shape
-    counts = np.bincount(seg, minlength=num_segments)
-    if len(counts) > num_segments:
-        raise ShapeError("segment ids exceed num_segments")
-    sums = np.empty((num_segments, c), dtype=np.float64)
+    if seg.size and seg.min() < 0:
+        raise ShapeError("segment ids must be non-negative")
     data = values.data
-    for ch in range(c):
+    keep = np.flatnonzero(seg < num_segments)
+    kept_seg, kept = seg[keep], data[keep]
+    counts = np.bincount(kept_seg, minlength=num_segments)
+    sums = np.empty((num_segments, data.shape[1]), dtype=np.float64)
+    for ch in range(data.shape[1]):
         sums[:, ch] = np.bincount(
-            seg, weights=data[:, ch].astype(np.float64, copy=False), minlength=num_segments
+            kept_seg, weights=kept[:, ch].astype(np.float64, copy=False), minlength=num_segments
         )
     divisor = np.maximum(counts, 1)[:, None].astype(np.float64)
     means = sums / divisor
 
     def backward(g):
-        scaled = g / divisor
-        gv = scaled[seg]
-        return (gv.astype(data.dtype, copy=False),)
+        gv = np.zeros_like(data)
+        gv[keep] = (g / divisor)[kept_seg]
+        return (gv,)
 
     return from_op(means, (values,), backward), counts
 
@@ -69,15 +72,13 @@ def mask_pool_layer(layer: Tensor, mask: LabelMask3D, region_labels) -> tuple[Te
         )
     labels = list(region_labels)
     n_regions = len(labels)
-    # route every unlisted label (incl. background) to a trash slot past the
-    # end; region labels outside the mask vocabulary simply stay empty
+    # every unlisted label (incl. background) gets id n_regions, which
+    # segment_mean drops; region labels outside the mask vocabulary stay empty
     lut = np.full(max([mask.num_labels] + labels) + 1, n_regions, dtype=np.intp)
     for slot, label in enumerate(labels):
         lut[label] = slot
     seg = lut[mask.labels.ravel()]
-    values = reshape(layer, (-1, layer.shape[3]))
-    means, counts = segment_mean(values, seg, n_regions + 1)
-    return gather_rows(means, np.arange(n_regions)), counts[:n_regions]
+    return segment_mean(reshape(layer, (-1, layer.shape[3])), seg, n_regions)
 
 
 def fuse_layers(per_layer: list[Tensor]) -> Tensor:
@@ -241,5 +242,5 @@ def load_pooled(path):
             valid=arrays[f"{prefix}_valid"].astype(bool),
         )
 
-    grid = GlobalFeatureGrid(Tensor(arrays["global_grid"]))
-    return build("fine"), build("coarse"), grid
+    with malformed(f"pooled-feature file {path}"):  # a missing record raises KeyError
+        return build("fine"), build("coarse"), GlobalFeatureGrid(Tensor(arrays["global_grid"]))

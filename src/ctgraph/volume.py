@@ -126,7 +126,14 @@ class PhantomSpec:
             raise ValidationError("region labels must be unique")
         if any(l < 1 for l in labels):
             raise ValidationError("region labels must be >= 1 (0 is background)")
+        for r in self.regions:
+            if not (np.isfinite(r.center).all() and all(0 < x < np.inf for x in r.radii)):
+                raise ValidationError(
+                    f"region label {r.label}: centre must be finite and radii finite and > 0"
+                )
         for p in self.pathologies:
+            if not 0 < p.radius < np.inf:
+                raise ValidationError(f"pathology '{p.name}': radius must be finite and > 0")
             if not 0.0 <= p.prevalence <= 1.0:
                 raise ValidationError(f"pathology '{p.name}': prevalence must lie in [0, 1]")
             if p.host_label not in labels:
@@ -140,19 +147,23 @@ class PhantomSpec:
         return replace(self, seed=seed)
 
 
-def _ellipsoid(shape, center, radii) -> np.ndarray:
-    gi, gj, gt = np.ogrid[: shape[0], : shape[1], : shape[2]]
+def _ellipsoid(shape, center, radii):
+    """(box, inside): bounding-box slices, padded by a voxel and clipped, and its inside voxels."""
+    box = tuple(
+        slice(max(int(np.floor(c - r)) - 1, 0), min(int(np.ceil(c + r)) + 2, n))
+        for n, c, r in zip(shape, center, radii)
+    )
+    gi, gj, gt = np.ogrid[box]
     ci, cj, ct = center
     ri, rj, rt = radii
-    return ((gi - ci) / ri) ** 2 + ((gj - cj) / rj) ** 2 + ((gt - ct) / rt) ** 2 <= 1.0
+    return box, ((gi - ci) / ri) ** 2 + ((gj - cj) / rj) ** 2 + ((gt - ct) / rt) ** 2 <= 1.0
 
 
 def generate_phantom(spec: PhantomSpec) -> tuple[Volume3D, LabelMask3D, np.ndarray]:
     """Deterministic per spec.seed; returns (volume, mask, binary target vector)."""
     shape = tuple(spec.shape)
-    vol = np.zeros(shape, dtype=np.float64)
     labels = np.zeros(shape, dtype=np.int32)
-
+    boxes = {}  # label -> a box holding all of its voxels
     for region in spec.regions:
         for axis in range(3):
             lo = region.center[axis] - region.radii[axis]
@@ -161,9 +172,8 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume3D, LabelMask3D, np.ndarr
                 raise ValidationError(
                     f"region label {region.label} extends outside extents {shape} on axis {axis}"
                 )
-        inside = _ellipsoid(shape, region.center, region.radii)
-        vol[inside] = region.intensity
-        labels[inside] = region.label
+        boxes[region.label], inside = _ellipsoid(shape, region.center, region.radii)
+        labels[boxes[region.label]][inside] = region.label
 
     counts = np.bincount(labels.ravel(), minlength=spec.num_labels + 1)
     for region in spec.regions:
@@ -173,11 +183,14 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume3D, LabelMask3D, np.ndarr
                 "check for overlapping regions"
             )
 
+    # every voxel takes its final label's intensity (background 0), jittered per label
     rng = np.random.default_rng(spec.seed)
+    painted = [r.label for r in spec.regions]
+    level = np.zeros(spec.num_labels + 1)
+    level[painted] = [r.intensity for r in spec.regions]
     if spec.intensity_jitter > 0:
-        shifts = rng.normal(0.0, spec.intensity_jitter, size=len(spec.regions))
-        for region, shift in zip(spec.regions, shifts):
-            vol[labels == region.label] += shift
+        level[painted] += rng.normal(0.0, spec.intensity_jitter, size=len(painted))
+    vol = level[labels]
 
     targets = (rng.random(len(spec.pathologies)) < np.array(
         [p.prevalence for p in spec.pathologies]
@@ -186,11 +199,12 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume3D, LabelMask3D, np.ndarr
     for positive, patho in zip(targets, spec.pathologies):
         if not positive:
             continue
-        host_voxels = np.argwhere(labels == patho.host_label)
+        host = boxes[patho.host_label]
+        host_voxels = np.argwhere(labels[host] == patho.host_label) + [b.start for b in host]
         site = host_voxels[rng.integers(len(host_voxels))]
-        blob = _ellipsoid(shape, tuple(site), (patho.radius,) * 3)
-        blob &= labels == patho.host_label
-        vol[blob] += patho.delta
+        box, blob = _ellipsoid(shape, tuple(site), (patho.radius,) * 3)
+        blob &= labels[box] == patho.host_label
+        vol[box][blob] += patho.delta
 
     if spec.noise_sigma > 0:
         vol += rng.normal(0.0, spec.noise_sigma, size=shape)

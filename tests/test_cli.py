@@ -347,6 +347,50 @@ class TestExitCodes:
         assert run_cli(*argv) == 2
         assert named in capsys.readouterr().err
 
+    def test_infer_on_a_volume_container_exits_2_naming_it(self, workspace, capsys):
+        ws = workspace
+        assert run_cli("graph", "--hierarchy", ws / "anatomy.json", "--out", ws / "g.json") == 0
+        assert run_cli("synth", "--spec", ws / "phantom.json", "--count", 1, "--out", ws / "d") == 0
+        code = run_cli(
+            "infer", "--graph", ws / "g.json", "--feats", ws / "d" / "vol_000.bin",
+            "--model", ws / "ckpt", "--out", ws / "t.bin",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "vol_000.bin" in err and "fine_ids" in err  # the first missing record
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("radii", float("nan")), ("radii", -1.5), ("radii", float("inf")),
+            ("center", float("nan")), ("radius", float("nan")), ("radius", -2.0),
+        ],
+    )
+    def test_synth_spec_with_bad_geometry_exits_2(self, workspace, capsys, field, value):
+        ws = workspace
+        doc = json.loads((ws / "phantom.json").read_text())
+        if field == "radius":
+            doc["pathologies"][0]["radius"] = value
+        else:
+            doc["regions"][0][field][1] = value
+        (ws / "bad_spec.json").write_text(json.dumps(doc))  # NaN and Infinity as bare tokens
+        assert run_cli("synth", "--spec", ws / "bad_spec.json", "--out", ws / "d") == 2
+        assert "bad_spec.json" in capsys.readouterr().err
+        assert not (ws / "d").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_undecodable_manifest_exits_2_naming_it(self, workspace, capsys, command):
+        ws = workspace
+        (ws / "binary.jsonl").write_bytes(b'\xff\xfe{"id": 0}\n')
+        argv = {
+            "train": ["train", "--mode", "probe", "--manifest", ws / "binary.jsonl",
+                      "--out", ws / "probe"],
+            "eval": ["eval", "--pred", ws / "binary.jsonl", "--ref", ws / "binary.jsonl",
+                     "--out", ws / "report.json"],
+        }[command]
+        assert run_cli(*argv) == 2
+        assert "binary.jsonl" in capsys.readouterr().err
+
     def test_unknown_preset_exits_2(self, workspace):
         ws = workspace
         run_cli("synth", "--spec", ws / "phantom.json", "--count", 1, "--out", ws / "d")

@@ -311,3 +311,9 @@ class TestManifest:
         path.write_text("")
         with pytest.raises(ConfigError, match="empty"):
             read_manifest(path)
+
+    def test_undecodable_bytes_rejected_naming_path(self, tmp_path):
+        path = tmp_path / "binary.jsonl"
+        path.write_bytes(b'\xff\xfe{"feature_file": "f0.bin", "labels": [0]}\n')
+        with pytest.raises(ConfigError, match="binary.jsonl"):
+            read_manifest(path)

@@ -13,21 +13,25 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ctgraph.container import read_record
+from ctgraph.container import load_tensors, read_record, save_tensors
 from ctgraph.demo import demo_phantom_spec, demo_pipeline_config
 from ctgraph.encoder import export_pyramid, get_preset, load_pyramid, synth_encode
 from ctgraph.errors import CtGraphError
 from ctgraph.gat import GatModel
 from ctgraph.graph import (
     build_hierarchical,
+    default_hierarchy,
     graph_to_json,
     hierarchy_to_json,
     load_graph,
     load_hierarchy,
 )
+from ctgraph.heads import read_manifest
 from ctgraph.pipeline import PipelineConfig
-from ctgraph.volume import Volume3D, load_phantom_spec
+from ctgraph.pooling import load_pooled, pool_all, save_pooled
+from ctgraph.volume import Volume3D, generate_phantom, load_phantom_spec
 
 from test_gat import small_hierarchy, tiny_config
 
@@ -184,3 +188,50 @@ def test_non_numeric_graph_id_is_a_typed_error(tmp_path):
     (tmp_path / "graph.json").write_text(json.dumps(doc))
     with pytest.raises(CtGraphError, match="graph.json"):
         load_graph(tmp_path / "graph.json")
+
+
+MANIFEST_RECORD = {"feature_file": "f0.bin", "labels": [0, 1]}
+
+
+@given(lines=st.lists(payloads(MANIFEST_RECORD), min_size=1, max_size=3))
+@FUZZ
+def test_read_manifest_raises_only_typed_errors(tmp_path_factory, lines):
+    """Manifest lines of arbitrary bytes, arbitrary JSON, or a record with one node changed."""
+    path = tmp_path_factory.mktemp("manifest") / "data.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    loads_or_fails_typed(lambda: read_manifest(path))
+
+
+@pytest.fixture(scope="module")
+def pooled_file(tmp_path_factory):
+    """A valid pooled-feature container."""
+    volume, mask, _ = generate_phantom(demo_phantom_spec())
+    pooled = pool_all(synth_encode(volume, get_preset("demo"), seed=7), mask, default_hierarchy())
+    path = tmp_path_factory.mktemp("pooled") / "feats.bin"
+    save_pooled(path, *pooled)
+    load_pooled(path)  # the unchanged container loads
+    return path
+
+
+SMALL_ARRAYS = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.int64, np.int32]),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+)
+
+
+@given(data=st.data())
+@FUZZ
+def test_load_pooled_raises_only_typed_errors(tmp_path_factory, pooled_file, data):
+    """A pooled container with one record removed or replaced, or arbitrary bytes."""
+    records = load_tensors(pooled_file)
+    name = data.draw(st.sampled_from(sorted(records)))
+    replacement = data.draw(st.one_of(st.just(DELETE), SMALL_ARRAYS, st.binary(max_size=48)))
+    path = tmp_path_factory.mktemp("fuzz") / "feats.bin"
+    if isinstance(replacement, bytes):
+        path.write_bytes(replacement)
+    else:
+        del records[name]
+        if replacement is not DELETE:
+            records[name] = replacement
+        save_tensors(path, records)
+    loads_or_fails_typed(lambda: load_pooled(path))

@@ -6,13 +6,22 @@ float64. Union pooling is checked against the voxel-count-weighted mean
 identity over disjoint children.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ctgraph.encoder import EncoderPreset, FeaturePyramid, PyramidLayer, synth_encode
+from ctgraph.demo import demo_phantom_spec
+from ctgraph.encoder import (
+    EncoderPreset,
+    FeaturePyramid,
+    PyramidLayer,
+    get_preset,
+    synth_encode,
+)
 from ctgraph.errors import ShapeError
 from ctgraph.gradcheck import check_gradients
-from ctgraph.graph import AnatomyHierarchy, CoarseNode, FineNode
+from ctgraph.graph import AnatomyHierarchy, CoarseNode, FineNode, default_hierarchy
 from ctgraph.pooling import (
     adaptive_avg_pool_global,
     fuse_layers,
@@ -23,7 +32,7 @@ from ctgraph.pooling import (
     segment_mean,
 )
 from ctgraph.tensor import Tensor
-from ctgraph.volume import LabelMask3D, Volume3D
+from ctgraph.volume import LabelMask3D, Volume3D, generate_phantom, resize_mask_nearest
 
 
 def rescan_oracle(features: np.ndarray, labels: np.ndarray, region_labels):
@@ -40,6 +49,42 @@ def rescan_oracle(features: np.ndarray, labels: np.ndarray, region_labels):
         if counts[slot]:
             out[slot] = flat_feats[member].mean(axis=0)
     return out, counts
+
+
+def bincount_reference(values: np.ndarray, seg: np.ndarray, num_segments: int):
+    """Per-channel float64 bincount over the rows whose id is below num_segments."""
+    kept = seg < num_segments
+    counts = np.bincount(seg[kept], minlength=num_segments)
+    sums = np.stack(
+        [
+            np.bincount(seg[kept], weights=values[kept, ch].astype(np.float64),
+                        minlength=num_segments)
+            for ch in range(values.shape[1])
+        ],
+        axis=1,
+    )
+    return sums / np.maximum(counts, 1)[:, None], counts
+
+
+def assert_rows_close(out: np.ndarray, ref: np.ndarray, rel: float):
+    """Each row within rel of the largest magnitude in that reference row."""
+    scale = np.maximum(np.abs(ref).max(axis=1, keepdims=True), 1e-300)
+    assert np.max(np.abs(out - ref) / scale) <= rel
+
+
+def demo_phantom_x4():
+    """The demo phantom blown up 4x along every axis, regions on the same voxels."""
+    base = demo_phantom_spec()
+    return generate_phantom(replace(
+        base,
+        shape=tuple(4 * s for s in base.shape),
+        regions=tuple(
+            replace(r, center=tuple(4 * c + 1.5 for c in r.center),
+                    radii=tuple(4 * x for x in r.radii))
+            for r in base.regions
+        ),
+        pathologies=tuple(replace(p, radius=4 * p.radius) for p in base.pathologies),
+    ))
 
 
 class TestMaskPoolLayer:
@@ -89,6 +134,50 @@ class TestMaskPoolLayer:
 
         assert check_gradients(loss, [feats]) < 1e-4
 
+    def test_gradients_on_a_mostly_background_mask(self):
+        rng = np.random.default_rng(16)
+        feats = Tensor(rng.standard_normal((6, 6, 4, 3)), requires_grad=True)
+        labels = np.zeros((6, 6, 4), dtype=np.int32)
+        labels[1:3, 2:4, 1:3] = 1  # 8 of 144 voxels
+        labels[4, 4, 2] = 2
+        mask = LabelMask3D(labels, 2)
+        weights = Tensor(rng.standard_normal((2, 3)))
+
+        def loss():
+            pooled, _ = mask_pool_layer(feats, mask, [1, 2])
+            return (pooled * weights).sum()
+
+        assert check_gradients(loss, [feats]) < 1e-4
+        assert np.all(feats.grad[labels == 0] == 0.0)
+
+    def test_demo_phantom_x4_matches_bincount_reference(self):
+        volume, mask, _ = demo_phantom_x4()
+        hierarchy = default_hierarchy()
+        labels = [n.label for n in hierarchy.fine]
+        pyramid = synth_encode(volume, get_preset("swinunetr-style"), seed=7)
+        for layer in pyramid.layers:
+            resized = resize_mask_nearest(mask, layer.extents)
+            slot = np.full(mask.num_labels + 1, len(labels))
+            slot[labels] = np.arange(len(labels))
+            seg = slot[resized.labels.ravel()]
+            values = layer.data.data.reshape(-1, layer.channels)
+            # float32 values on a grid of step 2**(e - 24), all below 2**e in
+            # magnitude: every region's sum is an integer multiple of the step
+            # below 2**(24 + 18), exact in float64 in any order, not in float32
+            step = 2.0 ** (np.frexp(np.abs(values).max())[1] - 24)
+            assert seg.size < 2**18
+            on_grid = (np.round(values / step) * step).astype(np.float32)
+            for cast, check in ((values, 1e-12), (on_grid, None)):
+                out, counts = mask_pool_layer(
+                    Tensor(cast.reshape(layer.data.shape)), resized, labels
+                )
+                ref, ref_counts = bincount_reference(cast, seg, len(labels))
+                assert np.array_equal(counts, ref_counts)
+                if check is None:
+                    assert np.array_equal(out.data, ref)
+                else:
+                    assert_rows_close(out.data, ref, check)
+
 
 class TestSegmentMean:
     def test_empty_segment_is_zero_row(self):
@@ -114,6 +203,43 @@ class TestSegmentMean:
         shuffled, _ = segment_mean(Tensor(values[perm]), seg[perm], 4)
         rel = np.abs(shuffled.data - base.data) / np.maximum(np.abs(base.data), 1e-12)
         assert rel.max() < 1e-6
+
+    def test_ids_past_the_end_are_dropped_with_zero_gradient(self):
+        rng = np.random.default_rng(8)
+        values = Tensor(rng.standard_normal((60, 3)), requires_grad=True)
+        seg = rng.integers(0, 6, 60)  # ids 4 and 5 lie past num_segments
+        means, counts = segment_mean(values, seg, 4)
+        ref, ref_counts = bincount_reference(values.data, seg, 4)
+        assert np.array_equal(counts, ref_counts)
+        assert_rows_close(means.data, ref, 1e-12)
+        g = rng.standard_normal((4, 3))
+        (means * Tensor(g)).sum().backward()
+        kept = seg < 4
+        assert np.all(values.grad[~kept] == 0.0)
+        assert np.array_equal(values.grad[kept], (g / np.maximum(counts, 1)[:, None])[seg[kept]])
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(ShapeError, match="non-negative"):
+            segment_mean(Tensor(np.ones((3, 2))), np.array([0, -1, 1]), 2)
+
+    def test_non_finite_row_reaches_only_its_own_segment(self):
+        values = np.ones((4, 2))
+        values[3] = np.inf
+        means, _ = segment_mean(Tensor(values), np.array([0, 1, 1, 2]), 2)  # row 3 dropped
+        assert np.array_equal(means.data, np.ones((2, 2)))
+        values[3] = np.nan
+        means, _ = segment_mean(Tensor(values), np.array([0, 1, 1, 0]), 2)
+        assert np.isnan(means.data[0]).all() and np.array_equal(means.data[1], [1.0, 1.0])
+
+    def test_many_segments(self):
+        rng = np.random.default_rng(9)
+        n_segments, n = 5000, 3000
+        values = rng.standard_normal((n, 4)).astype(np.float32)
+        seg = rng.integers(0, n_segments + 50, n)
+        means, counts = segment_mean(Tensor(values), seg, n_segments)
+        ref, ref_counts = bincount_reference(values, seg, n_segments)
+        assert np.array_equal(counts, ref_counts)
+        assert np.array_equal(means.data, ref)
 
 
 class TestFuseLayers:

@@ -109,7 +109,68 @@ def _simple_spec(**kwargs):
     return PhantomSpec(**defaults)
 
 
+def full_volume_phantom(spec: PhantomSpec):
+    """Reference phantom: every ellipsoid and every per-region jitter pass over the whole volume."""
+    grids = np.ogrid[: spec.shape[0], : spec.shape[1], : spec.shape[2]]
+
+    def ellipsoid(center, radii):
+        return sum(((g - c) / r) ** 2 for g, c, r in zip(grids, center, radii)) <= 1.0
+
+    vol = np.zeros(spec.shape)
+    labels = np.zeros(spec.shape, dtype=np.int32)
+    for region in spec.regions:
+        inside = ellipsoid(region.center, region.radii)
+        vol[inside] = region.intensity
+        labels[inside] = region.label
+    rng = np.random.default_rng(spec.seed)
+    if spec.intensity_jitter > 0:
+        shifts = rng.normal(0.0, spec.intensity_jitter, size=len(spec.regions))
+        for region, shift in zip(spec.regions, shifts):
+            vol[labels == region.label] += shift
+    prevalence = [p.prevalence for p in spec.pathologies]
+    targets = (rng.random(len(prevalence)) < prevalence).astype(np.int32)
+    for positive, patho in zip(targets, spec.pathologies):
+        if positive:
+            host = np.argwhere(labels == patho.host_label)
+            site = host[rng.integers(len(host))]
+            vol[ellipsoid(site, (patho.radius,) * 3) & (labels == patho.host_label)] += patho.delta
+    if spec.noise_sigma > 0:
+        vol += rng.normal(0.0, spec.noise_sigma, size=spec.shape)
+    return vol, labels, targets
+
+
 class TestPhantom:
+    def test_matches_full_volume_reference_bitwise(self):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for seed in range(40):
+            shape = tuple(int(x) for x in rng.integers(4, 16, 3))
+            regions = []
+            for label in range(1, int(rng.integers(2, 6))):
+                radii = tuple(float(r) for r in rng.uniform(0.6, 3.5, 3))
+                center = tuple(
+                    float(rng.uniform(r - 0.5, n - 0.5 - r)) if n - 1 > 2 * r else (n - 1) / 2
+                    for r, n in zip(radii, shape)
+                )
+                regions.append(RegionSpec(label, center, radii, float(rng.uniform())))
+            pathologies = tuple(
+                PathologySpec(f"p{i}", int(rng.integers(1, len(regions) + 1)), float(rng.normal()),
+                              float(rng.uniform()), float(rng.uniform(0.5, 5.0)))
+                for i in range(int(rng.integers(0, 4)))
+            )
+            spec = PhantomSpec(shape, tuple(regions), pathologies, seed=seed,
+                               noise_sigma=float(rng.choice([0.0, 0.1])),
+                               intensity_jitter=float(rng.choice([0.0, 0.3])))
+            try:
+                vol, mask, targets = generate_phantom(spec)
+            except ValidationError:
+                continue  # a region out of bounds or painted over
+            ref_vol, ref_labels, ref_targets = full_volume_phantom(spec)
+            assert np.array_equal(vol.voxels, ref_vol)
+            assert np.array_equal(mask.labels, ref_labels)
+            assert np.array_equal(targets, ref_targets)
+            checked += 1
+        assert checked >= 20
     def test_zero_prevalence_keeps_base_layout(self):
         spec = _simple_spec(
             pathologies=(
