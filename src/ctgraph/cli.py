@@ -20,7 +20,7 @@ from .container import read_json
 from .encoder import get_preset, load_pyramid
 from .errors import ConfigError, CtGraphError, FormatError, ValidationError
 from .gat import GatModel
-from .graph import load_graph
+from .graph import TOPOLOGIES, TOPOLOGY_HIERARCHICAL, load_graph
 from .heads import TrainConfig, read_manifest
 from .pipeline import (
     PipelineConfig,
@@ -154,9 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="build the region graph")
     p.add_argument("--hierarchy", default=None)
-    p.add_argument(
-        "--topology", default="hierarchical", choices=["hierarchical", "random", "single"]
-    )
+    p.add_argument("--topology", default=TOPOLOGY_HIERARCHICAL, choices=TOPOLOGIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_graph)

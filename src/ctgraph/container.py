@@ -160,6 +160,21 @@ def check_keys(doc, known, what: str) -> dict:
     return doc
 
 
+def check_values(config, what: str, rules: dict) -> None:
+    """Raise ConfigError naming the first field of config that breaks its rule.
+
+    rules maps a field name to (type, wanted, condition): the value must be an
+    instance of type, not a bool, and pass condition unless that is None;
+    wanted describes a valid value for the message.
+    """
+    for key, (kind, wanted, condition) in rules.items():
+        value = getattr(config, key)
+        if isinstance(value, bool) or not isinstance(value, kind) or not (
+            condition is None or condition(value)
+        ):
+            raise ConfigError(f"{what} '{key}' must be {wanted}, got {value!r}")
+
+
 def ensure_dir(path) -> Path:
     p = Path(path)
     p.mkdir(parents=True, exist_ok=True)

@@ -213,10 +213,8 @@ def _attend(graph, center_ids, member_ids, h_members, h_centers, member_valid, m
     if unbatched:
         h_members, h_centers = (reshape(t, (1,) + t.shape) for t in (h_members, h_centers))
     b, n_centers, n_members = h_centers.shape[0], len(center_ids), len(member_ids)
-    slot = {m: j for j, m in enumerate(member_ids)}
-    children = np.zeros((n_centers, n_members), dtype=bool)
-    for i, center in enumerate(center_ids):
-        children[i, [slot[m] for m in graph.children_of(center) if m in slot]] = True
+    parents = graph.parents()
+    children = np.equal.outer(center_ids, [parents[m] for m in member_ids])
     valid = np.ones((b, n_members), dtype=bool) if member_valid is None else member_valid
     self_loop = np.broadcast_to(np.eye(n_centers, dtype=bool), (b, n_centers, n_centers))
     mask = np.concatenate([children & np.reshape(valid, (b, 1, n_members)), self_loop], axis=2)

@@ -10,6 +10,8 @@ that carry their own mask label.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -48,6 +50,9 @@ class AnatomyHierarchy:
     global_id: int
 
     def __post_init__(self):
+        # one node order for every consumer: pooling rows, graph nodes, anatomy.json
+        object.__setattr__(self, "fine", tuple(sorted(self.fine, key=attrgetter("id"))))
+        object.__setattr__(self, "coarse", tuple(sorted(self.coarse, key=attrgetter("id"))))
         ids = [n.id for n in self.fine] + [n.id for n in self.coarse] + [self.global_id]
         if len(set(ids)) != len(ids):
             raise ValidationError("node ids must be unique across levels")
@@ -57,22 +62,25 @@ class AnatomyHierarchy:
                 raise ValidationError(
                     f"fine node '{node.name}' (id {node.id}) has unknown parent {node.parent}"
                 )
-        labels = [n.label for n in self.fine] + [
-            c.label for c in self.coarse if c.label is not None
-        ]
-        if len(set(labels)) != len(labels):
+        if len(set(self.labels)) != len(self.labels):
             raise ValidationError("mask labels must be unique across nodes")
 
+    @property
+    def labels(self) -> list[int]:
+        """Mask label per pooling slot: the fine nodes, then the coarse nodes' own labels."""
+        return [f.label for f in self.fine] + [c.label for c in self.coarse if c.label is not None]
+
+    @property
+    def label_owners(self) -> list[int]:
+        """Id of the coarse node whose union region holds each slot of `labels`."""
+        return [f.parent for f in self.fine] + [c.id for c in self.coarse if c.label is not None]
+
     def children_of(self, coarse_id: int) -> list[FineNode]:
-        return sorted((f for f in self.fine if f.parent == coarse_id), key=lambda n: n.id)
+        return [f for f in self.fine if f.parent == coarse_id]
 
     def member_labels(self, coarse_id: int) -> list[int]:
         """Mask labels forming the coarse node's union region."""
-        labels = [f.label for f in self.children_of(coarse_id)]
-        cnode = next(c for c in self.coarse if c.id == coarse_id)
-        if cnode.label is not None:
-            labels.append(cnode.label)
-        return labels
+        return [l for l, owner in zip(self.labels, self.label_owners) if owner == coarse_id]
 
     @property
     def num_fine(self) -> int:
@@ -84,10 +92,7 @@ class AnatomyHierarchy:
 
     @property
     def max_label(self) -> int:
-        return max(
-            [f.label for f in self.fine]
-            + [c.label for c in self.coarse if c.label is not None]
-        )
+        return max(self.labels)
 
 
 @dataclass(frozen=True)
@@ -138,54 +143,43 @@ class RegionGraph:
         return sorted(src for src, dst in self.edges if dst == node_id)
 
 
-def _ordered_nodes(hierarchy: AnatomyHierarchy, include_coarse: bool = True) -> tuple[GraphNode, ...]:
-    nodes = [GraphNode(f.id, LEVEL_FINE) for f in sorted(hierarchy.fine, key=lambda n: n.id)]
-    if include_coarse:
-        nodes += [
-            GraphNode(c.id, LEVEL_COARSE) for c in sorted(hierarchy.coarse, key=lambda n: n.id)
-        ]
+def _in_tree(hierarchy: AnatomyHierarchy, fine_parents: list[int], topology: str) -> RegionGraph:
+    """Fine nodes under fine_parents; coarse nodes, but for single-level, under the global node."""
+    coarse = () if topology == TOPOLOGY_SINGLE else hierarchy.coarse
+    nodes = [GraphNode(f.id, LEVEL_FINE) for f in hierarchy.fine]
+    nodes += [GraphNode(c.id, LEVEL_COARSE) for c in coarse]
     nodes.append(GraphNode(hierarchy.global_id, LEVEL_GLOBAL))
-    return tuple(nodes)
+    edges = [(f.id, parent) for f, parent in zip(hierarchy.fine, fine_parents)]
+    edges += [(c.id, hierarchy.global_id) for c in coarse]
+    return RegionGraph(tuple(nodes), tuple(edges), topology)
 
 
 def build_hierarchical(hierarchy: AnatomyHierarchy) -> RegionGraph:
     """Fine nodes point at their parents, coarse nodes at the global node."""
-    edges = [(f.id, f.parent) for f in sorted(hierarchy.fine, key=lambda n: n.id)]
-    edges += [
-        (c.id, hierarchy.global_id) for c in sorted(hierarchy.coarse, key=lambda n: n.id)
-    ]
-    return RegionGraph(_ordered_nodes(hierarchy), tuple(edges), TOPOLOGY_HIERARCHICAL)
+    return _in_tree(hierarchy, [f.parent for f in hierarchy.fine], TOPOLOGY_HIERARCHICAL)
 
 
 def build_random(hierarchy: AnatomyHierarchy, seed: int) -> RegionGraph:
     """Same node and edge counts as hierarchical, parents drawn uniformly."""
-    rng = np.random.default_rng(seed)
-    coarse_ids = [c.id for c in sorted(hierarchy.coarse, key=lambda n: n.id)]
-    fine_ids = [f.id for f in sorted(hierarchy.fine, key=lambda n: n.id)]
-    picks = rng.integers(0, len(coarse_ids), size=len(fine_ids))
-    edges = [(fid, coarse_ids[k]) for fid, k in zip(fine_ids, picks)]
-    edges += [(cid, hierarchy.global_id) for cid in coarse_ids]
-    return RegionGraph(_ordered_nodes(hierarchy), tuple(edges), TOPOLOGY_RANDOM)
+    coarse_ids = [c.id for c in hierarchy.coarse]
+    picks = np.random.default_rng(seed).integers(0, len(coarse_ids), size=hierarchy.num_fine)
+    return _in_tree(hierarchy, [coarse_ids[k] for k in picks], TOPOLOGY_RANDOM)
 
 
 def build_single_level(hierarchy: AnatomyHierarchy) -> RegionGraph:
     """Every fine node connects straight to the global node; no coarse level."""
-    edges = [
-        (f.id, hierarchy.global_id) for f in sorted(hierarchy.fine, key=lambda n: n.id)
-    ]
-    return RegionGraph(
-        _ordered_nodes(hierarchy, include_coarse=False), tuple(edges), TOPOLOGY_SINGLE
-    )
+    return _in_tree(hierarchy, [hierarchy.global_id] * hierarchy.num_fine, TOPOLOGY_SINGLE)
 
 
 def build_graph(hierarchy: AnatomyHierarchy, topology: str, seed: int = 0) -> RegionGraph:
-    if topology in (TOPOLOGY_HIERARCHICAL,):
-        return build_hierarchical(hierarchy)
-    if topology in (TOPOLOGY_RANDOM,):
-        return build_random(hierarchy, seed)
-    if topology in (TOPOLOGY_SINGLE, "single"):
-        return build_single_level(hierarchy)
-    raise ValidationError(f"unknown topology '{topology}'")
+    builders = {
+        TOPOLOGY_HIERARCHICAL: build_hierarchical,
+        TOPOLOGY_RANDOM: partial(build_random, seed=seed),
+        TOPOLOGY_SINGLE: build_single_level,
+    }
+    if topology not in builders:
+        raise ValidationError(f"unknown topology '{topology}' (known: {TOPOLOGIES})")
+    return builders[topology](hierarchy)
 
 
 # default table ---------------------------------------------------------------

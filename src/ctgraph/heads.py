@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .container import check_keys, ensure_dir, load_records, load_tensor, open_input
+from .container import check_keys, check_values, ensure_dir, load_records, load_tensor, open_input
 from .container import save_tensor, save_tensors
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError, malformed
 from .gat import GatConfig, GatForward, GatModel, forward as gat_forward
 from .graph import RegionGraph
 from .metrics import MacroScores, macro_prf1
@@ -41,6 +42,17 @@ class TrainConfig:
     seed: int = 0
     threshold: float = 0.5
     val_fraction: float = 0.1
+
+    def __post_init__(self):
+        check_values(self, "train config", {
+            "batch_size": (Integral, "an integer >= 1", lambda v: v >= 1),
+            "epochs": (Integral, "an integer >= 0", lambda v: v >= 0),
+            "seed": (Integral, "an integer >= 0", lambda v: v >= 0),
+            "lr": (Real, "a number", None),
+            "weight_decay": (Real, "a number", None),
+            "threshold": (Real, "a number", None),
+            "val_fraction": (Real, "a number in [0, 1)", lambda v: 0 <= v < 1),
+        })
 
     @classmethod
     def for_gat(cls, **overrides) -> "TrainConfig":
@@ -102,13 +114,15 @@ def _save_head(path, weight: Tensor, bias: Tensor, threshold: float) -> None:
 def _load_head(path) -> tuple[Tensor, Tensor, float]:
     """(weight, bias, threshold) of an affine head written by _save_head."""
     records = load_records(path)
-    arrays = {name: arr for name, arr, _ in records}
-    threshold = records[0][2].get("meta", {}).get("threshold", 0.5)
-    return (
-        Tensor(arrays["weight"], requires_grad=True),
-        Tensor(arrays["bias"], requires_grad=True),
-        float(threshold),
-    )
+    with malformed(f"head file {path}"):  # another container misses 'weight' or 'bias'
+        arrays = {name: arr for name, arr, _ in records}
+        weight, bias = arrays["weight"], arrays["bias"]
+        threshold = float(records[0][2].get("meta", {}).get("threshold", 0.5))
+    if weight.ndim != 2 or bias.shape != weight.shape[1:]:
+        raise ValidationError(
+            f"{path}: head weight {weight.shape} and bias {bias.shape} do not form an affine layer"
+        )
+    return Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True), threshold
 
 
 def build_probe_features(

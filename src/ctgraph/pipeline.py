@@ -16,15 +16,17 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from . import demo as demo_mod
-from .container import check_keys, ensure_dir, read_json, write_json
+from .container import check_keys, check_values, ensure_dir, read_json, write_json
 from .encoder import export_pyramid, get_preset, synth_encode
 from .errors import ConfigError, CtGraphError, ValidationError
 from .gat import GatConfig, forward as gat_forward
 from .graph import (
+    TOPOLOGIES,
     AnatomyHierarchy,
     build_graph,
     default_hierarchy,
@@ -33,6 +35,7 @@ from .graph import (
     save_hierarchy,
 )
 from .heads import (
+    GRANULARITIES,
     TrainConfig,
     build_probe_features,
     export_tokens,
@@ -221,6 +224,12 @@ class PipelineConfig:
     probe_granularity: str = "fine"
 
     def __post_init__(self):
+        check_values(self, "pipeline config", {
+            "seed": (Integral, "an integer >= 0", lambda v: v >= 0),
+            "num_samples": (Integral, "an integer >= 1", lambda v: v >= 1),
+            "topology": (str, f"one of {TOPOLOGIES}", lambda v: v in TOPOLOGIES),
+            "probe_granularity": (str, f"one of {GRANULARITIES}", lambda v: v in GRANULARITIES),
+        })
         check_gat_doc(self.gat)
         self.train_configs = (
             TrainConfig.from_json(self.probe, seed=self.seed),

@@ -5,7 +5,9 @@ background, then scatter-accumulates per-region sums in one pass per channel
 over those rows, so its cost is independent of how many regions the mask
 carries; a per-region rescan is used only as a test oracle. Accumulation is
 always float64, even for float32 feature maps, because region voxel counts
-can be large.
+can be large. Fixed structure is a constant matrix applied with `matmul`:
+coarse union rows are member-weighted sums of the label rows, and the global
+grid is a (cells x voxels) averaging matrix times the final layer.
 """
 
 from __future__ import annotations
@@ -75,8 +77,7 @@ def mask_pool_layer(layer: Tensor, mask: LabelMask3D, region_labels) -> tuple[Te
     # every unlisted label (incl. background) gets id n_regions, which
     # segment_mean drops; region labels outside the mask vocabulary stay empty
     lut = np.full(max([mask.num_labels] + labels) + 1, n_regions, dtype=np.intp)
-    for slot, label in enumerate(labels):
-        lut[label] = slot
+    lut[labels] = np.arange(n_regions)
     seg = lut[mask.labels.ravel()]
     return segment_mean(reshape(layer, (-1, layer.shape[3])), seg, n_regions)
 
@@ -122,38 +123,29 @@ class GlobalFeatureGrid:
         return self.grid.shape[3]
 
 
-def _partition(n: int, parts: int) -> list[tuple[int, int]]:
-    return [(a * n // parts, (a + 1) * n // parts) for a in range(parts)]
-
-
 def adaptive_avg_pool_global(layer: Tensor) -> GlobalFeatureGrid:
-    """Tile the layer into the GLOBAL_GRID boxes and average each box."""
+    """Tile the layer into the GLOBAL_GRID boxes and average each box.
+
+    Along an axis of n voxels, cell a spans [a*n//t, (a+1)*n//t). The box
+    means are one product of a constant (cells x voxels) averaging matrix
+    with the layer's (voxels, C) rows, differentiable like any matmul.
+    """
     if layer.ndim != 4:
         raise ShapeError(f"expected (H, W, D, C) features, got {layer.shape}")
     h, w, d, c = layer.shape
-    th, tw, td = GLOBAL_GRID
-    if h < th or w < tw or d < td:
+    if h < GLOBAL_GRID[0] or w < GLOBAL_GRID[1] or d < GLOBAL_GRID[2]:
         raise ShapeError(
             f"input extents {(h, w, d)} are smaller than the target grid {GLOBAL_GRID}"
         )
-    hb, wb, db = _partition(h, th), _partition(w, tw), _partition(d, td)
-    data = layer.data
-    out = np.empty((th, tw, td, c), dtype=np.float64)
-    for a, (h0, h1) in enumerate(hb):
-        for b, (w0, w1) in enumerate(wb):
-            for e, (d0, d1) in enumerate(db):
-                out[a, b, e] = data[h0:h1, w0:w1, d0:d1].mean(axis=(0, 1, 2))
-
-    def backward(g):
-        gv = np.zeros_like(data)
-        for a, (h0, h1) in enumerate(hb):
-            for b, (w0, w1) in enumerate(wb):
-                for e, (d0, d1) in enumerate(db):
-                    size = (h1 - h0) * (w1 - w0) * (d1 - d0)
-                    gv[h0:h1, w0:w1, d0:d1] += g[a, b, e] / size
-        return (gv,)
-
-    return GlobalFeatureGrid(from_op(out, (layer,), backward))
+    axis_cells = [
+        np.repeat(np.arange(t), np.diff(np.arange(t + 1) * n // t))
+        for n, t in zip((h, w, d), GLOBAL_GRID)
+    ]
+    cell = np.ravel_multi_index(np.ix_(*axis_cells), GLOBAL_GRID).ravel()
+    boxes = np.equal.outer(np.arange(np.prod(GLOBAL_GRID)), cell)
+    averaging = boxes / boxes.sum(axis=1, keepdims=True)
+    means = matmul(Tensor(averaging), reshape(layer, (h * w * d, c)))
+    return GlobalFeatureGrid(reshape(means, GLOBAL_GRID + (c,)))
 
 
 def pool_all(pyramid, mask: LabelMask3D, hierarchy: AnatomyHierarchy):
@@ -168,14 +160,10 @@ def pool_all(pyramid, mask: LabelMask3D, hierarchy: AnatomyHierarchy):
     flagged invalid with zero features, never as an error. Returns
     (fine RegionFeatureSet, coarse RegionFeatureSet, GlobalFeatureGrid).
     """
-    fine_nodes = sorted(hierarchy.fine, key=lambda n: n.id)
-    coarse_nodes = sorted(hierarchy.coarse, key=lambda n: n.id)
-    labels = [n.label for n in fine_nodes] + [c.label for c in coarse_nodes if c.label is not None]
-    slot_of = {label: slot for slot, label in enumerate(labels)}
-    members = np.zeros((len(coarse_nodes), len(labels)), dtype=np.int64)
-    for row, cnode in enumerate(coarse_nodes):
-        members[row, [slot_of[label] for label in hierarchy.member_labels(cnode.id)]] = 1
-    fine_slots = np.arange(len(fine_nodes))
+    labels = hierarchy.labels
+    coarse_ids = [c.id for c in hierarchy.coarse]
+    members = np.equal.outer(coarse_ids, hierarchy.label_owners).astype(np.int64)
+    fine_slots = np.arange(hierarchy.num_fine)
 
     fine_layers, coarse_layers, label_counts = [], [], []
     for layer in pyramid.layers:
@@ -187,17 +175,16 @@ def pool_all(pyramid, mask: LabelMask3D, hierarchy: AnatomyHierarchy):
         label_counts.append(counts)
     label_counts = np.stack(label_counts, axis=1)
 
-    full_counts = np.bincount(mask.labels.ravel(), minlength=mask.num_labels + 1)
-    present = np.array([l <= mask.num_labels and full_counts[l] > 0 for l in labels], dtype=bool)
+    present = np.bincount(mask.labels.ravel(), minlength=max(labels, default=0) + 1)[labels] > 0
     fine_set = RegionFeatureSet(
-        region_ids=[n.id for n in fine_nodes],
+        region_ids=[n.id for n in hierarchy.fine],
         per_layer=fine_layers,
         fused=fuse_layers(fine_layers),
         counts=label_counts[fine_slots],
         valid=present[fine_slots],
     )
     coarse_set = RegionFeatureSet(
-        region_ids=[n.id for n in coarse_nodes],
+        region_ids=coarse_ids,
         per_layer=coarse_layers,
         fused=fuse_layers(coarse_layers),
         counts=members @ label_counts,
@@ -225,22 +212,31 @@ def save_pooled(path, fine: RegionFeatureSet, coarse: RegionFeatureSet, grid: Gl
 def load_pooled(path):
     arrays = load_tensors(path)
 
+    def record(name: str, ndim: int, lead: tuple = ()) -> np.ndarray:
+        """The named array, which must have ndim axes, the first extents being lead."""
+        array = arrays[name]
+        if array.ndim != ndim or array.shape[: len(lead)] != lead:
+            raise ValidationError(
+                f"{path}: record '{name}' has shape {array.shape}, want {ndim}-d leading {lead}"
+            )
+        return array
+
     def build(prefix: str) -> RegionFeatureSet:
-        ids = arrays[f"{prefix}_ids"].tolist()
+        ids = record(f"{prefix}_ids", 1)
+        n = len(ids)
         per_layer = []
-        i = 0
-        while f"{prefix}_layer_{i:02d}" in arrays:
-            per_layer.append(Tensor(arrays[f"{prefix}_layer_{i:02d}"]))
-            i += 1
+        while f"{prefix}_layer_{len(per_layer):02d}" in arrays:
+            per_layer.append(Tensor(record(f"{prefix}_layer_{len(per_layer):02d}", 2, (n,))))
         if not per_layer:
             raise ValidationError(f"{path}: no '{prefix}' layers found")
         return RegionFeatureSet(
-            region_ids=ids,
+            region_ids=ids.tolist(),
             per_layer=per_layer,
             fused=fuse_layers(per_layer),
-            counts=arrays[f"{prefix}_counts"],
-            valid=arrays[f"{prefix}_valid"].astype(bool),
+            counts=record(f"{prefix}_counts", 2, (n, len(per_layer))),
+            valid=record(f"{prefix}_valid", 1, (n,)).astype(bool),
         )
 
     with malformed(f"pooled-feature file {path}"):  # a missing record raises KeyError
-        return build("fine"), build("coarse"), GlobalFeatureGrid(Tensor(arrays["global_grid"]))
+        fine, coarse = build("fine"), build("coarse")
+        return fine, coarse, GlobalFeatureGrid(Tensor(record("global_grid", 4, GLOBAL_GRID)))

@@ -21,8 +21,6 @@ from .errors import ShapeError
 
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-# Accepted max relative error of analytic vs central-difference gradients.
-GRAD_RTOL = {"float64": 1e-4, "float32": 1e-2}
 # Accepted deviation of softmax group sums from 1.
 SOFTMAX_SUM_ATOL = {"float64": 1e-9, "float32": 1e-5}
 

@@ -177,6 +177,16 @@ class TestSubcommandChain:
         assert 0.0 <= report["nlg"]["bleu_1"] <= 1.0
         assert 0.0 <= report["nlg"]["rouge_l"] <= 1.0
 
+    def test_graph_takes_the_single_level_tag(self, workspace):
+        ws = workspace
+        assert run_cli(
+            "graph", "--hierarchy", ws / "anatomy.json", "--topology", "single-level",
+            "--out", ws / "g.json",
+        ) == 0
+        graph = json.loads((ws / "g.json").read_text())
+        assert graph["topology"] == "single-level"
+        assert [level["level"] for level in graph["nodes"]] == ["fine", "fine", "global"]
+
 
 class TestExitCodes:
     def test_missing_hierarchy_exits_2_naming_path(self, workspace, capsys):
@@ -271,8 +281,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "train_section",
-        [{"probe": {"epoch": 1}}, {"gat_train": {"mode": "probe"}}, {"probe": [1]}],
-        ids=["unknown-key", "other-head", "not-an-object"],
+        [
+            {"probe": {"epoch": 1}}, {"gat_train": {"mode": "probe"}}, {"probe": [1]},
+            {"probe": {"epochs": "2"}}, {"gat_train": {"lr": "fast"}},
+            {"gat_train": {"batch_size": 0}}, {"probe": {"val_fraction": 1.5}},
+            {"probe": {"epochs": True}},
+        ],
+        ids=[
+            "unknown-key", "other-head", "not-an-object", "string-epochs", "string-lr",
+            "zero-batch", "val-fraction-above-1", "bool-epochs",
+        ],
     )
     def test_run_bad_train_config_exits_2_before_synth(self, workspace, capsys, train_section):
         ws = workspace
@@ -282,6 +300,21 @@ class TestExitCodes:
         assert "train config" in capsys.readouterr().err
         for left in ("synth", "encode", "pool", "graph.json", "STALE"):
             assert not (ws / "out" / left).exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("num_samples", "3"), ("num_samples", 0), ("seed", "7"), ("seed", False),
+            ("topology", "bogus"), ("topology", "single"), ("probe_granularity", "voxel"),
+        ],
+    )
+    def test_run_bad_pipeline_value_exits_2_before_synth(self, workspace, capsys, key, value):
+        ws = workspace
+        config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2, key: value}
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        assert f"pipeline config '{key}'" in capsys.readouterr().err
+        assert not (ws / "out").exists()
 
     @pytest.mark.parametrize(
         "case",

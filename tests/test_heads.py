@@ -8,6 +8,7 @@ import pytest
 
 import ctgraph.heads as heads_module
 import ctgraph.tensor as tensor_module
+from ctgraph.container import save_tensors
 from ctgraph.errors import ConfigError, ValidationError
 from ctgraph.gat import GatConfig, GatModel, forward
 from ctgraph.gradcheck import check_gradients
@@ -88,6 +89,21 @@ class TestTrainProbe:
         assert np.array_equal(back.weight.data, model.weight.data)
         assert np.array_equal(back.bias.data, model.bias.data)
 
+    @pytest.mark.parametrize(
+        "records",
+        [
+            {"volume": np.zeros((2, 2, 2))},
+            {"weight": np.zeros(3), "bias": np.zeros(3)},
+            {"weight": np.zeros((3, 2)), "bias": np.zeros(3)},
+            {"weight": np.zeros((3, 2)), "bias": np.zeros((1, 2))},
+        ],
+        ids=["other-container", "1-d-weight", "bias-width", "2-d-bias"],
+    )
+    def test_load_rejects_a_file_that_is_not_a_head(self, tmp_path, records):
+        save_tensors(tmp_path / "probe.bin", records)
+        with pytest.raises(ValidationError, match="probe.bin"):
+            ProbeModel.load(tmp_path)
+
 
 class TestTrainConfig:
     def test_probe_defaults(self):
@@ -114,6 +130,21 @@ class TestTrainConfig:
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             TrainConfig.from_json({"learning_rate": 0.1})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"epochs": "2"}, {"lr": "fast"}, {"batch_size": 0}, {"batch_size": True},
+            {"epochs": -1}, {"val_fraction": 1.5}, {"val_fraction": 1}, {"seed": 2.5},
+        ],
+    )
+    def test_rejects_bad_values_naming_the_key(self, doc):
+        with pytest.raises(ConfigError, match=f"'{next(iter(doc))}'"):
+            TrainConfig.from_json(doc)
+
+    def test_accepts_numpy_numbers(self):
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), lr=np.float32(1e-3))
+        assert (cfg.epochs, cfg.batch_size) == (2, 4)
 
 
 class TestGatClassifier:
@@ -227,6 +258,12 @@ class TestGatClassifier:
         assert np.array_equal(back.head_weight.data, clf.head_weight.data)
         for name in clf.gat.params:
             assert np.array_equal(back.gat.params[name].data, clf.gat.params[name].data)
+
+    def test_load_rejects_a_head_file_of_another_kind(self, tmp_path):
+        init_gat_classifier(tiny_config(), 3, seed=1).save(tmp_path / "ckpt")
+        save_tensors(tmp_path / "ckpt" / "head.bin", {"volume": np.zeros((2, 2, 2))})
+        with pytest.raises(ValidationError, match="head.bin"):
+            GatClassifier.load(tmp_path / "ckpt")
 
 
 class TestProbeFeatures:

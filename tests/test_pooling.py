@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ctgraph.container import load_tensors, save_tensors
 from ctgraph.demo import demo_phantom_spec
 from ctgraph.encoder import (
     EncoderPreset,
@@ -19,9 +20,17 @@ from ctgraph.encoder import (
     get_preset,
     synth_encode,
 )
-from ctgraph.errors import ShapeError
+from ctgraph.errors import ShapeError, ValidationError
 from ctgraph.gradcheck import check_gradients
-from ctgraph.graph import AnatomyHierarchy, CoarseNode, FineNode, default_hierarchy
+from ctgraph.graph import (
+    TOPOLOGIES,
+    AnatomyHierarchy,
+    CoarseNode,
+    FineNode,
+    build_graph,
+    default_hierarchy,
+    save_hierarchy,
+)
 from ctgraph.pooling import (
     adaptive_avg_pool_global,
     fuse_layers,
@@ -504,3 +513,71 @@ def test_pooled_container_round_trip(tmp_path):
     assert np.array_equal(coarse2.counts, coarse_set.counts)
     assert np.array_equal(grid2.grid.data, grid.grid.data)
     assert np.array_equal(fine2.valid, fine_set.valid)
+
+
+def test_nodes_out_of_id_order_give_the_same_rows_graphs_and_anatomy_json(tmp_path):
+    ordered = default_hierarchy()
+    rng = np.random.default_rng(16)
+    shuffled = AnatomyHierarchy(
+        fine=tuple(ordered.fine[i] for i in rng.permutation(ordered.num_fine)),
+        coarse=tuple(ordered.coarse[i] for i in rng.permutation(ordered.num_coarse)),
+        global_id=ordered.global_id,
+    )
+    volume, mask, _ = generate_phantom(demo_phantom_spec(ordered))
+    pyramid = synth_encode(volume, get_preset("demo"), seed=7)
+    for sets in zip(pool_all(pyramid, mask, ordered)[:2], pool_all(pyramid, mask, shuffled)[:2]):
+        a, b = sets
+        assert a.region_ids == b.region_ids
+        assert np.array_equal(a.fused.data, b.fused.data)
+        assert np.array_equal(a.counts, b.counts) and np.array_equal(a.valid, b.valid)
+    for topology in TOPOLOGIES:
+        assert build_graph(shuffled, topology, seed=3) == build_graph(ordered, topology, seed=3)
+    save_hierarchy(tmp_path / "ordered.json", ordered)
+    save_hierarchy(tmp_path / "shuffled.json", shuffled)
+    assert (tmp_path / "shuffled.json").read_bytes() == (tmp_path / "ordered.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "record, replacement",
+    [
+        ("fine_ids", np.arange(1, 35)),
+        ("fine_ids", np.ones((3, 1), dtype=np.int64)),
+        ("fine_layer_01", np.zeros((2, 3))),
+        ("fine_counts", np.ones(1, dtype=np.int64)),
+        ("fine_valid", np.ones((2, 2), dtype=np.int32)),
+        ("coarse_layer_00", np.zeros((5, 2))),
+        ("coarse_counts", np.ones((2, 3), dtype=np.int64)),
+        ("global_grid", np.zeros(3)),
+        ("global_grid", np.zeros((4, 4, 1, 3))),
+    ],
+)
+def test_load_pooled_rejects_records_whose_shapes_disagree(tmp_path, record, replacement):
+    rng = np.random.default_rng(15)
+    vol = Volume3D(rng.standard_normal((8, 8, 8)))
+    pyr = synth_encode(vol, EncoderPreset("two", (2, 3), (1, 2)), seed=0)
+    labels = rng.integers(0, 4, (8, 8, 8)).astype(np.int32)
+    save_pooled(tmp_path / "f.bin", *pool_all(pyr, LabelMask3D(labels, 3), two_level_hierarchy()))
+    records = load_tensors(tmp_path / "f.bin")
+    records[record] = replacement
+    save_tensors(tmp_path / "f.bin", records)
+    with pytest.raises(ValidationError, match="f.bin"):
+        load_pooled(tmp_path / "f.bin")
+
+
+def test_load_pooled_rejects_a_container_of_disagreeing_shapes(tmp_path):
+    save_tensors(
+        tmp_path / "f.bin",
+        {
+            "fine_ids": np.arange(1, 35),
+            "fine_layer_00": np.zeros((34, 2)),
+            "fine_counts": np.ones(1, dtype=np.int64),
+            "fine_valid": np.ones((2, 2), dtype=np.int32),
+            "coarse_ids": np.arange(35, 38),
+            "coarse_layer_00": np.zeros((5, 2)),
+            "coarse_counts": np.ones((3, 1), dtype=np.int64),
+            "coarse_valid": np.ones(3, dtype=np.int32),
+            "global_grid": np.zeros(3),
+        },
+    )
+    with pytest.raises(ValidationError, match="fine_counts"):
+        load_pooled(tmp_path / "f.bin")
