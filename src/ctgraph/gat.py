@@ -7,13 +7,15 @@ connection back to the original global embedding. Both run `_attend`, one
 masked dense attention stage over a batch axis: layer-normalized rows are
 projected for all heads by one matmul; each head's attention vector splits
 as a = [a_src; a_dst], so member j scores LeakyReLU(a_src.Wh_j + a_dst.Wh_i)
-for center i (the GAT rule on [Wh_j || Wh_i]); a softmax over the member
-axis, masked by the graph edges, the samples' `valid` flags and the
-self-loop, weights the projected members. Head outputs are concatenated.
+for center i (the GAT rule on [Wh_j || Wh_i]), and one more matmul with a
+block-diagonal matrix of the heads' a gives every such term; a softmax over
+the member axis, masked by the graph edges, the samples' `valid` flags and
+the self-loop, weights the projected members. Head outputs are concatenated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
@@ -29,14 +31,18 @@ from .tensor import (
     Tensor,
     add,
     concat,
-    gather_rows,
+    edge_scores,
     layer_norm,
     leaky_relu,
+    linear,
     matmul,
+    merge_heads,
     mlp_forward,
     reshape,
+    scatter,
     softmax,
-    transpose,
+    split_heads,
+    stack,
 )
 
 
@@ -199,6 +205,32 @@ def embed_nodes(model: GatModel, fine_fused: Tensor, coarse_fused: Tensor | None
     return h_f, h_c, h_g
 
 
+@functools.lru_cache(maxsize=None)
+def _attention_slots(n_heads: int, d_head: int) -> np.ndarray:
+    """Flat positions in the (d_h, 2 * n_heads) block-diagonal attention matrix
+    of the heads' a = [a_src; a_dst] entries, head by head."""
+    head, part, row = np.indices((n_heads, 2, d_head)).reshape(3, -1)
+    slots = (head * d_head + row) * (2 * n_heads) + part * n_heads + head
+    slots.setflags(write=False)
+    return slots
+
+
+def head_blocks(model: GatModel, stage: str) -> tuple[Tensor, Tensor]:
+    """The stage's per-head leaves as one projection and one attention matrix.
+
+    w (d_h, d_h) holds head h's w in columns h*d_head:(h+1)*d_head; a
+    (d_h, 2 * n_heads) holds a_src in column h and a_dst in column
+    n_heads + h, on head h's rows, so rows @ w @ a gives every head's
+    source and destination terms. Gradients flow back to the leaves.
+    """
+    cfg, heads = model.config, model.heads(stage)
+    w = concat([w for w, _ in heads], axis=1)
+    a = scatter(
+        [a for _, a in heads], (cfg.d_h, 2 * cfg.n_heads), _attention_slots(cfg.n_heads, cfg.d_head)
+    )
+    return w, a
+
+
 def _attend(graph, center_ids, member_ids, h_members, h_centers, member_valid, model, stage):
     """One masked dense attention stage over the graph's center <- member edges.
 
@@ -211,7 +243,7 @@ def _attend(graph, center_ids, member_ids, h_members, h_centers, member_valid, m
     cfg = model.config
     unbatched = h_centers.ndim == 2
     if unbatched:
-        h_members, h_centers = (reshape(t, (1,) + t.shape) for t in (h_members, h_centers))
+        h_members, h_centers = stack([h_members]), stack([h_centers])
     b, n_centers, n_members = h_centers.shape[0], len(center_ids), len(member_ids)
     parents = graph.parents()
     children = np.equal.outer(center_ids, [parents[m] for m in member_ids])
@@ -219,23 +251,13 @@ def _attend(graph, center_ids, member_ids, h_members, h_centers, member_valid, m
     self_loop = np.broadcast_to(np.eye(n_centers, dtype=bool), (b, n_centers, n_centers))
     mask = np.concatenate([children & np.reshape(valid, (b, 1, n_members)), self_loop], axis=2)
 
-    heads, d_head = model.heads(stage), cfg.d_head
+    w, a = head_blocks(model, stage)
     gamma, beta = model.params[f"{stage}.ln.gamma"], model.params[f"{stage}.ln.beta"]
-    w = concat([w for w, _ in heads], axis=1)
-    a = concat([reshape(a, (2, d_head)) for _, a in heads], axis=1)  # rows a_src, a_dst
-    a_src, a_dst = (reshape(gather_rows(a, [r]), (len(heads), d_head, 1)) for r in (0, 1))
-
-    def per_head(rows):  # (B, n, d_h) -> (B, n_heads, n, d_head)
-        return transpose(reshape(rows, (b, rows.shape[1], len(heads), d_head)), (0, 2, 1, 3))
-
-    proj_centers = matmul(layer_norm(h_centers, gamma, beta, cfg.ln_eps), w)
-    proj_members = matmul(layer_norm(h_members, gamma, beta, cfg.ln_eps), w)
-    values = per_head(concat([proj_members, proj_centers], axis=1))
-    scores = add(
-        transpose(matmul(values, a_src), (0, 1, 3, 2)), matmul(per_head(proj_centers), a_dst)
-    )
+    rows = layer_norm(concat([h_members, h_centers], axis=1), gamma, beta, cfg.ln_eps)
+    proj = matmul(rows, w)  # (B, members + centers, d_h), centers last
+    scores = edge_scores(matmul(proj, a), n_centers)
     alpha = softmax(leaky_relu(scores, cfg.slope), axis=-1, mask=mask[:, None])
-    updated = reshape(transpose(matmul(alpha, values), (0, 2, 1, 3)), (b, n_centers, cfg.d_h))
+    updated = merge_heads(matmul(alpha, split_heads(proj, cfg.n_heads)))
     alphas = {}
     for i, center in enumerate(center_ids if b == 1 else ()):  # tables for one sample only
         members = [m for m, keep in zip(member_ids, mask[0, i]) if keep] + [center]
@@ -268,11 +290,6 @@ def attend_coarse_to_global(
     return add(updated, h_global), alphas
 
 
-def _stack(tensors: list[Tensor]) -> Tensor:
-    """The tensors along a new leading batch axis; gradients reach each one."""
-    return reshape(concat(tensors, axis=0), (len(tensors),) + tuple(tensors[0].shape))
-
-
 def forward(graph: RegionGraph, fine_set, coarse_set, grid, model: GatModel) -> GatForward:
     """Full pass: embed, attend per topology, project export tokens.
 
@@ -297,9 +314,9 @@ def forward(graph: RegionGraph, fine_set, coarse_set, grid, model: GatModel) -> 
                 )
     h_f, h_c, h_g = embed_nodes(
         model,
-        _stack([s.fused for s in fine_set]),
-        None if single_level else _stack([s.fused for s in coarse_set]),
-        _stack([g.flat() for g in grid]),
+        stack([s.fused for s in fine_set]),
+        None if single_level else stack([s.fused for s in coarse_set]),
+        stack([g.flat() for g in grid]),
     )
     fine_valid = np.stack([s.valid for s in fine_set])
 
@@ -316,7 +333,7 @@ def forward(graph: RegionGraph, fine_set, coarse_set, grid, model: GatModel) -> 
         rows = [h_g_prime, h_c_prime, h_f]
     token_ids = [graph.global_id] + [i for level in reversed(levels) for i in graph.ids_at(level)]
 
-    tokens = add(matmul(concat(rows, axis=1), model.params["out.w"]), model.params["out.b"])
+    tokens = linear(concat(rows, axis=1), model.params["out.w"], model.params["out.b"])
     outputs = [tokens, h_f, h_c, h_g, h_c_prime, h_g_prime]
     if single:
         outputs = [None if t is None else reshape(t, t.shape[1:]) for t in outputs]

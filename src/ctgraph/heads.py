@@ -10,6 +10,7 @@ generation prompt for a downstream language model.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
@@ -23,7 +24,7 @@ from .gat import GatConfig, GatForward, GatModel, forward as gat_forward
 from .graph import RegionGraph
 from .metrics import MacroScores, macro_prf1
 from .pooling import GlobalFeatureGrid, RegionFeatureSet
-from .tensor import AdamW, Tensor, add, bce_with_logits, matmul, no_grad, reshape, _sigmoid_np
+from .tensor import AdamW, Tensor, bce_with_logits, linear, no_grad, reshape, _sigmoid_np
 
 DEFAULT_PROMPT = (
     "Generate a medical report based on the visual information of the given CT image."
@@ -177,7 +178,7 @@ def train_probe(features: np.ndarray, targets: np.ndarray, cfg: TrainConfig):
     model = ProbeModel.zeros(features.shape[1], targets.shape[1], cfg.threshold)
 
     def batch_logits(batch):
-        return add(matmul(Tensor(features[batch]), model.weight), model.bias)
+        return linear(Tensor(features[batch]), model.weight, model.bias)
 
     def predict(indices):
         return model.predict(features[indices])
@@ -193,7 +194,9 @@ def fit(parameters: list[Tensor], batch_logits, predict, targets: np.ndarray, cf
     with per-label binary cross-entropy; predict(indices) gives their 0/1
     predictions. The shuffled split (validation takes the trailing fraction)
     and every epoch's batch order come from one generator seeded with
-    cfg.seed, so a fixed config gives the same trace.
+    cfg.seed, so a fixed config gives the same trace. A non-finite batch
+    loss raises ValidationError naming the epoch and batch before that
+    batch's optimizer step.
     """
     n = len(targets)
     rng = np.random.default_rng(cfg.seed)
@@ -217,10 +220,16 @@ def fit(parameters: list[Tensor], batch_logits, predict, targets: np.ndarray, cf
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             loss = bce_with_logits(batch_logits(batch), targets[batch])
+            value = loss.item()
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"training loss is {value} at epoch {epoch}, batch {n_batches}: "
+                    "the features or the learning rate give non-finite logits"
+                )
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
-            epoch_loss += loss.item()
+            epoch_loss += value
             n_batches += 1
         scores = val_scores()
         trace.append(
@@ -258,7 +267,7 @@ class GatClassifier:
         batch = [sample] if isinstance(sample[0], RegionFeatureSet) else sample
         fwd = gat_forward(graph, *zip(*batch), self.gat)
         h = reshape(fwd.activation.h_global_updated, (len(batch), self.gat.config.d_h))
-        return add(matmul(h, self.head_weight), self.head_bias)
+        return linear(h, self.head_weight, self.head_bias)
 
     def predict(self, graph: RegionGraph, sample) -> np.ndarray:
         """0/1 labels: (n_classes,) for one sample, (B, n_classes) for a list of B; no tape."""

@@ -12,6 +12,7 @@ grid is a (cells x voxels) averaging matrix times the final layer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,20 @@ class GlobalFeatureGrid:
         return self.grid.shape[3]
 
 
+@functools.lru_cache(maxsize=16)
+def _averaging_matrix(h: int, w: int, d: int) -> np.ndarray:
+    """The read-only (cells x voxels) matrix whose rows average each GLOBAL_GRID box."""
+    axis_cells = [
+        np.repeat(np.arange(t), np.diff(np.arange(t + 1) * n // t))
+        for n, t in zip((h, w, d), GLOBAL_GRID)
+    ]
+    cell = np.ravel_multi_index(np.ix_(*axis_cells), GLOBAL_GRID).ravel()
+    boxes = np.equal.outer(np.arange(np.prod(GLOBAL_GRID)), cell)
+    averaging = boxes / boxes.sum(axis=1, keepdims=True)
+    averaging.setflags(write=False)
+    return averaging
+
+
 def adaptive_avg_pool_global(layer: Tensor) -> GlobalFeatureGrid:
     """Tile the layer into the GLOBAL_GRID boxes and average each box.
 
@@ -137,13 +152,7 @@ def adaptive_avg_pool_global(layer: Tensor) -> GlobalFeatureGrid:
         raise ShapeError(
             f"input extents {(h, w, d)} are smaller than the target grid {GLOBAL_GRID}"
         )
-    axis_cells = [
-        np.repeat(np.arange(t), np.diff(np.arange(t + 1) * n // t))
-        for n, t in zip((h, w, d), GLOBAL_GRID)
-    ]
-    cell = np.ravel_multi_index(np.ix_(*axis_cells), GLOBAL_GRID).ravel()
-    boxes = np.equal.outer(np.arange(np.prod(GLOBAL_GRID)), cell)
-    averaging = boxes / boxes.sum(axis=1, keepdims=True)
+    averaging = _averaging_matrix(h, w, d)
     means = matmul(Tensor(averaging), reshape(layer, (h * w * d, c)))
     return GlobalFeatureGrid(reshape(means, GLOBAL_GRID + (c,)))
 

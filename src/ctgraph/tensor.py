@@ -83,7 +83,8 @@ class Tensor:
             if g is None:
                 continue
             if node._backward is None:
-                if node.requires_grad:
+                if node.requires_grad:  # a leaf's gradient keeps the leaf's dtype
+                    g = g.astype(node.data.dtype, copy=False)
                     node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
@@ -336,6 +337,54 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return from_op(out, ts, backward)
 
 
+def stack(tensors: Iterable[Tensor]) -> Tensor:
+    """The tensors, one or more of one shape, along a new leading axis; gradients reach each one."""
+    ts = [as_tensor(t) for t in tensors]
+    return from_op(np.stack([t.data for t in ts]), ts, tuple)
+
+
+def scatter(tensors: Sequence[Tensor], shape: tuple[int, ...], index) -> Tensor:
+    """Zeros of `shape` holding the tensors' entries, read in order, at the flat positions index.
+
+    index lists distinct positions, one per entry; backward gathers each
+    tensor's gradient back from its positions.
+    """
+    ts = [as_tensor(t) for t in tensors]
+    values = np.concatenate([t.data.ravel() for t in ts])
+    out = np.zeros(shape, dtype=values.dtype)
+    out.reshape(-1)[index] = values
+    cuts = np.cumsum([t.data.size for t in ts])[:-1]
+
+    def backward(g):
+        parts = np.split(g.reshape(-1)[index], cuts)
+        return tuple(part.reshape(t.data.shape) for part, t in zip(parts, ts))
+
+    return from_op(out, ts, backward)
+
+
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    *lead, n, width = x.shape
+    return np.swapaxes(x.reshape(*lead, n, n_heads, width // n_heads), -2, -3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    *lead, n_heads, n, d = x.shape
+    return np.swapaxes(x, -2, -3).reshape(*lead, n, n_heads * d)
+
+
+def split_heads(x, n_heads: int) -> Tensor:
+    """(..., n, n_heads * d) rows as (..., n_heads, n, d) per-head blocks; merge_heads inverts."""
+    x = as_tensor(x)
+    return from_op(_split_heads(x.data, n_heads), (x,), lambda g: (_merge_heads(g),))
+
+
+def merge_heads(x) -> Tensor:
+    """(..., n_heads, n, d) per-head blocks as (..., n, n_heads * d) rows, heads side by side."""
+    x = as_tensor(x)
+    n_heads = x.data.shape[-3]
+    return from_op(_merge_heads(x.data), (x,), lambda g: (_split_heads(g, n_heads),))
+
+
 def gather_rows(a, indices) -> Tensor:
     """Select rows of a 2-d tensor; backward scatter-adds into place."""
     a = as_tensor(a)
@@ -416,14 +465,16 @@ def softmax(a, axis: int = -1, mask=None) -> Tensor:
 def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = (np.mean(centered * centered, axis=-1, keepdims=True) + eps) ** -0.5
+    n = x.data.shape[-1]
+    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    inv = (np.add.reduce(centered * centered, axis=-1, keepdims=True) / n + eps) ** -0.5
     normed = centered * inv
 
     def backward(g):
         gn = g * gamma.data
-        gn_mean = gn.mean(axis=-1, keepdims=True)
-        gx = inv * (gn - gn_mean - normed * (gn * normed).mean(axis=-1, keepdims=True))
+        gn_mean = np.add.reduce(gn, axis=-1, keepdims=True) / n
+        gn_normed_mean = np.add.reduce(gn * normed, axis=-1, keepdims=True) / n
+        gx = inv * (gn - gn_mean - normed * gn_normed_mean)
         return gx, _unbroadcast(g * normed, gamma.data.shape), _unbroadcast(g, beta.data.shape)
 
     return from_op(normed * gamma.data + beta.data, (x, gamma, beta), backward)
@@ -438,14 +489,47 @@ def mlp_forward(x, layers: Sequence[tuple[Tensor, Tensor]], slope: float = 0.2) 
                 f"mlp layer {i}: input width {h.data.shape[-1]} does not chain "
                 f"into weight of shape {w.data.shape}"
             )
-        h = add(matmul(h, w), b)
+        h = linear(h, w, b)
         if i < len(layers) - 1:
             h = leaky_relu(h, slope)
     return h
 
 
+def linear(x, w, b=None) -> Tensor:
+    """x @ w (+ b) for a 2-d weight (k, m) and a bias of shape (m,).
+
+    Both passes run one 2-d GEMM over x's rows flattened to (..., k) -> (rows, k),
+    so a batched x costs no per-sample products and no sum over the batch.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    parents = (x, w) if b is None else (x, w, as_tensor(b))
+    if (
+        w.data.ndim != 2
+        or x.data.shape[-1:] != w.data.shape[:1]
+        or (b is not None and parents[2].data.shape != w.data.shape[1:])
+    ):
+        raise ShapeError(
+            f"linear: input {x.data.shape}, weight {w.data.shape} and bias "
+            f"{None if b is None else parents[2].data.shape} do not form x @ w + b"
+        )
+    k, m = w.data.shape
+    rows = x.data.reshape(-1, k)
+    out = rows @ w.data if b is None else rows @ w.data + parents[2].data
+
+    def backward(g):
+        g = g.reshape(-1, m)
+        gx = (g @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
+        gw = rows.T @ g if w.requires_grad else None
+        return (gx, gw) if b is None else (gx, gw, g.sum(axis=0))
+
+    return from_op(out.reshape(x.data.shape[:-1] + (m,)), parents, backward)
+
+
 def matmul(a, b) -> Tensor:
-    """Matrix product of the last two axes; leading axes broadcast as in numpy."""
+    """Matrix product of the last two axes; leading axes broadcast as in numpy.
+
+    A 2-d right operand goes through `linear`, one GEMM over a's flattened rows.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(
@@ -455,6 +539,8 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(
             f"matmul: inner dimensions disagree for {a.data.shape} x {b.data.shape}"
         )
+    if b.data.ndim == 2:
+        return linear(a, b)
     out = a.data @ b.data
 
     def backward(g):
@@ -472,17 +558,60 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
     return from_op(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, np.argsort(axes)),))
 
 
+def edge_scores(s, n_centers: int) -> Tensor:
+    """GAT attention logits from per-node score terms.
+
+    s (..., N, 2 * n_heads) holds each node's source term for head h in
+    column h and its destination term in column n_heads + h; the last
+    n_centers nodes are the centers. Returns (..., n_heads, n_centers, N)
+    with out[..., h, i, j] = s[..., j, h] + s[..., N - n_centers + i, n_heads + h].
+    """
+    s = as_tensor(s)
+    x = s.data
+    n_heads = x.shape[-1] // 2
+    if x.ndim < 2 or x.shape[-1] != 2 * n_heads or not 1 <= n_centers <= x.shape[-2]:
+        raise ShapeError(f"edge_scores: cannot score {n_centers} centers from terms {x.shape}")
+    src = np.swapaxes(x[..., :n_heads], -1, -2)[..., None, :]
+    dst = np.swapaxes(x[..., -n_centers:, n_heads:], -1, -2)[..., None]
+
+    def backward(g):
+        gs = np.zeros_like(x)
+        gs[..., :n_heads] = np.swapaxes(g.sum(axis=-2), -1, -2)
+        gs[..., -n_centers:, n_heads:] = np.swapaxes(g.sum(axis=-1), -1, -2)
+        return (gs,)
+
+    # C order: softmax then reduces contiguous rows, not the strided layout of src
+    return from_op(np.add(src, dst, order="C"), (s,), backward)
+
+
 def bce_with_logits(logits, targets) -> Tensor:
-    """Mean binary cross-entropy over all entries, stable for large logits."""
+    """Mean binary cross-entropy over all entries, stable for large logits.
+
+    softplus(x) - x * y, averaged; the gradient (sigmoid(x) - y) / n is
+    formed as g/n * sigmoid(x) - g/n * y.
+    """
     logits = as_tensor(logits)
-    targets = as_tensor(targets).detach()
-    return tensor_mean(sub(softplus(logits), mul(logits, targets)))
+    x = logits.data
+    y = as_tensor(targets).data
+    softplus_x = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    out = (softplus_x - x * y).mean()
+    scale = 1 / x.size
+
+    def backward(g):
+        g = np.broadcast_to(g * scale, x.shape)
+        return (g * _sigmoid_np(x) - g * y,)
+
+    return from_op(out, (logits,), backward)
 
 
 class AdamW:
     """Adam with decoupled weight decay and bias-corrected moments.
 
-    Deterministic given parameter values, gradients, and state.
+    The parameters' data become views into one flat buffer, so a step
+    updates every parameter with a handful of in-place numpy calls; what is
+    written to p.data[:] (or bound to p.data) is what the next step updates.
+    A parameter whose grad is None is left untouched and its step count does
+    not advance. Deterministic given parameter values, gradients, and state.
     """
 
     def __init__(
@@ -498,25 +627,50 @@ class AdamW:
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self.state = [
-            {"t": 0, "m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
-            for p in self.params
-        ]
+        dtypes = {p.data.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError(f"AdamW needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+        self._data = np.concatenate([p.data.ravel() for p in self.params] or [np.zeros(0)])
+        self._bounds = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        for p, start, stop in zip(self.params, self._bounds, self._bounds[1:]):
+            p.data = self._data[start:stop].reshape(p.data.shape)
+        self._views = [p.data for p in self.params]
+        self._m = np.zeros_like(self._data)
+        self._v = np.zeros_like(self._data)
+        self._grad = np.empty_like(self._data)
+        self.steps = [0] * len(self.params)  # updates each parameter has taken
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
     def step(self) -> None:
-        for p, st in zip(self.params, self.state):
+        runs: list[list[int]] = []  # [first, stop, t]: adjacent parameters stepping alike
+        for i, p in enumerate(self.params):
+            if p.data is not self._views[i]:  # rebound since the last step: adopt its values
+                self._views[i][...] = p.data
+                p.data = self._views[i]
             if p.grad is None:
                 continue
-            g = p.grad
-            st["t"] += 1
-            st["m"] = self.beta1 * st["m"] + (1.0 - self.beta1) * g
-            st["v"] = self.beta2 * st["v"] + (1.0 - self.beta2) * (g * g)
-            m_hat = st["m"] / (1.0 - self.beta1 ** st["t"])
-            v_hat = st["v"] / (1.0 - self.beta2 ** st["t"])
-            p.data = p.data - self.lr * (
-                m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data
-            )
+            self.steps[i] += 1
+            if runs and runs[-1][1] == i and runs[-1][2] == self.steps[i]:
+                runs[-1][1] = i + 1
+            else:
+                runs.append([i, i + 1, self.steps[i]])
+        for first, stop, t in runs:
+            lo, hi = self._bounds[first], self._bounds[stop]
+            g, m, v, p = (buf[lo:hi] for buf in (self._grad, self._m, self._v, self._data))
+            np.concatenate([q.grad.ravel() for q in self.params[first:stop]], out=g)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            g *= g
+            g *= 1.0 - self.beta2
+            v += g
+            denom = np.sqrt(v / (1.0 - self.beta2**t))
+            denom += self.eps
+            update = m / (1.0 - self.beta1**t)
+            update /= denom
+            update += self.weight_decay * p
+            update *= self.lr
+            p -= update

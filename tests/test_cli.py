@@ -2,13 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ctgraph.cli import main
 from ctgraph.demo import demo_phantom_spec
 from ctgraph.graph import AnatomyHierarchy, CoarseNode, FineNode, save_hierarchy
 from ctgraph.heads import load_token_export, write_manifest
-from ctgraph.pooling import load_pooled
+from ctgraph.pooling import GlobalFeatureGrid, RegionFeatureSet, load_pooled, save_pooled
+from ctgraph.tensor import Tensor
 from ctgraph.volume import (
     PathologySpec,
     PhantomSpec,
@@ -211,6 +213,30 @@ class TestExitCodes:
         code = run_cli("run", "--config", ws / "run.json")
         assert code == 2
         assert "missing_anatomy.json" in capsys.readouterr().err
+
+    def test_train_on_non_finite_features_exits_2_naming_the_epoch(self, workspace, capsys):
+        ws = workspace
+        rng = np.random.default_rng(0)
+        for i in range(4):
+            rows = rng.standard_normal((2, 2))
+            rows[0, 0] = np.inf if i == 2 else rows[0, 0]
+            fine = RegionFeatureSet(
+                [1, 2], [Tensor(rows)], Tensor(rows), np.ones((2, 1), np.int64), np.ones(2, bool)
+            )
+            coarse = RegionFeatureSet(
+                [10], [Tensor(np.ones((1, 2)))], Tensor(np.ones((1, 2))),
+                np.ones((1, 1), np.int64), np.ones(1, bool),
+            )
+            grid = GlobalFeatureGrid(Tensor(np.zeros((4, 4, 2, 2))))
+            save_pooled(ws / f"f{i}.bin", fine, coarse, grid)
+        records = [{"feature_file": f"f{i}.bin", "labels": [i % 2, 1]} for i in range(4)]
+        write_manifest(ws / "data.jsonl", records)
+        code = run_cli(
+            "train", "--mode", "probe", "--manifest", ws / "data.jsonl", "--out", ws / "probe"
+        )
+        assert code == 2
+        assert "epoch 0" in capsys.readouterr().err
+        assert not (ws / "probe" / "probe.bin").exists()
 
     def test_train_gat_without_graph_exits_2_naming_flag(self, workspace, capsys):
         ws = workspace

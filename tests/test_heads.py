@@ -106,6 +106,20 @@ class TestTrainProbe:
 
 
 class TestTrainConfig:
+    def test_non_finite_loss_raises_before_any_step(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        features = rng.standard_normal((10, 4))
+        features[7, 2] = np.inf
+        targets = rng.integers(0, 2, (10, 2)).astype(np.float64)
+        steps = []
+        monkeypatch.setattr(tensor_module.AdamW, "step", lambda self: steps.append(1))
+        cfg = TrainConfig(epochs=2, batch_size=4, val_fraction=0.0, seed=0)
+        with pytest.raises(ValidationError, match=r"epoch 0, batch \d"):
+            train_probe(features, targets, cfg)
+        rng = np.random.default_rng(0)  # fit's split, then epoch 0's batch order
+        order = rng.permutation(rng.permutation(10))
+        assert len(steps) == list(order).index(7) // 4  # the batches before the bad one only
+
     def test_probe_defaults(self):
         cfg = TrainConfig()
         assert (cfg.lr, cfg.weight_decay, cfg.batch_size, cfg.epochs) == (

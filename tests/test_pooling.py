@@ -302,6 +302,18 @@ class TestAdaptivePool:
         with pytest.raises(ShapeError, match="smaller"):
             adaptive_avg_pool_global(Tensor(np.zeros((3, 4, 2, 1))))
 
+    def test_averaging_matrix_is_built_once_and_read_only(self):
+        from ctgraph.pooling import _averaging_matrix
+
+        matrix = _averaging_matrix(8, 8, 4)
+        assert _averaging_matrix(8, 8, 4) is matrix
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+        data = np.random.default_rng(6).standard_normal((8, 8, 4, 3))
+        first = adaptive_avg_pool_global(Tensor(data)).grid.data
+        second = adaptive_avg_pool_global(Tensor(data)).grid.data
+        assert np.array_equal(first, second)
+
     def test_partitions_tile_input_exactly(self):
         # sum of (box mean * box volume) must reproduce the total sum
         rng = np.random.default_rng(5)

@@ -14,17 +14,24 @@ from ctgraph.tensor import (
     Tensor,
     bce_with_logits,
     concat,
+    edge_scores,
     gather_rows,
     layer_norm,
     leaky_relu,
+    linear,
     matmul,
+    merge_heads,
     mlp_forward,
     no_grad,
+    scatter,
     sigmoid,
     softmax,
     softplus,
+    split_heads,
+    stack,
     transpose,
 )
+import ctgraph.tensor as tensor_module
 
 
 class TestMatmul:
@@ -75,6 +82,57 @@ class TestMatmul:
             [x, w, y, v],
         )
         assert err < 1e-4
+
+
+    @pytest.mark.parametrize(
+        "lead", [(1, 3), (4, 3), (1, 2, 3), (2, 3, 3)], ids=["3d-B1", "3d-B4", "4d-B1", "4d-B2"]
+    )
+    def test_flattened_weight_gradient_matches_per_sample_sum(self, lead):
+        rng = np.random.default_rng(len(lead) * 10 + lead[0])
+        x = Tensor(rng.standard_normal(lead + (4,)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        weights = Tensor(rng.standard_normal(lead + (5,)))
+        assert check_gradients(lambda: (matmul(x, w) * weights).sum(), [x, w]) < 1e-6
+        rows, g = x.data.reshape(-1, 4), weights.data.reshape(-1, 5)
+        oracle = sum(np.outer(r, gr) for r, gr in zip(rows, g))
+        assert np.max(np.abs(w.grad - oracle)) < 1e-12
+        assert np.max(np.abs(x.grad - weights.data @ w.data.T)) < 1e-12
+
+
+class TestLinear:
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)], ids=["2d", "3d"])
+    def test_gradients(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        b = Tensor(rng.standard_normal(5), requires_grad=True)
+        weights = Tensor(rng.standard_normal(shape[:-1] + (5,)))
+        assert check_gradients(lambda: (linear(x, w, b) * weights).sum(), [x, w, b]) < 1e-6
+        assert check_gradients(lambda: (linear(x, w) * weights).sum(), [x, w]) < 1e-6
+
+    def test_forward_is_matmul_plus_bias(self):
+        rng = np.random.default_rng(5)
+        x, w, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)
+        assert np.array_equal(linear(Tensor(x), Tensor(w), Tensor(b)).data, x @ w + b)
+        batched = rng.standard_normal((2, 3, 4))
+        out = linear(Tensor(batched), Tensor(w), Tensor(b)).data
+        assert out.shape == (2, 3, 2)
+        assert np.max(np.abs(out - (batched @ w + b))) < 1e-12
+
+    def test_input_without_grad_gets_none(self):
+        x = Tensor(np.ones((2, 3)))
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        linear(x, w).sum().backward()
+        assert x.grad is None and np.array_equal(w.grad, np.full((3, 2), 2.0))
+
+    @pytest.mark.parametrize(
+        "x, w, b",
+        [((2, 3), (4, 2), (2,)), ((2, 3), (3, 2), (3,)), ((2, 3), (3, 2, 1), None)],
+        ids=["inner", "bias", "3d-weight"],
+    )
+    def test_shape_errors_name_the_shapes(self, x, w, b):
+        with pytest.raises(ShapeError, match="linear"):
+            linear(Tensor(np.ones(x)), Tensor(np.ones(w)), b if b is None else Tensor(np.ones(b)))
 
 
 class TestLeakyRelu:
@@ -301,6 +359,170 @@ class TestAdamW:
             return p.data
 
         assert np.array_equal(run(), run())
+
+
+class TestAdamWFlatBuffer:
+    @staticmethod
+    def loop_reference(params, grads_per_step, lr, betas, eps, weight_decay):
+        """The per-parameter AdamW loop the flat step replaced, as the oracle."""
+        beta1, beta2 = betas
+        data = [p.copy() for p in params]
+        state = [{"t": 0, "m": np.zeros_like(p), "v": np.zeros_like(p)} for p in params]
+        for grads in grads_per_step:
+            for i, (g, st) in enumerate(zip(grads, state)):
+                if g is None:
+                    continue
+                st["t"] += 1
+                st["m"] = beta1 * st["m"] + (1.0 - beta1) * g
+                st["v"] = beta2 * st["v"] + (1.0 - beta2) * (g * g)
+                m_hat = st["m"] / (1.0 - beta1 ** st["t"])
+                v_hat = st["v"] / (1.0 - beta2 ** st["t"])
+                data[i] = data[i] - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * data[i])
+        return data
+
+    def test_equals_the_per_parameter_loop_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        shapes = [(3, 4), (4,), (1,), (2, 2, 3)]
+        start = [rng.standard_normal(s) for s in shapes]
+        steps = [
+            [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 2) for s in shapes] for _ in range(12)
+        ]
+        steps[3][1] = None  # one parameter skips a step and falls behind in its count
+        steps[7][0] = steps[7][3] = None
+        settings = dict(lr=3e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-4)
+        params = [Tensor(p.copy(), requires_grad=True) for p in start]
+        opt = AdamW(params, **settings)
+        for grads in steps:
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+        expected = self.loop_reference(start, steps, **settings)
+        for p, e in zip(params, expected):
+            assert np.array_equal(p.data, e)
+        assert opt.steps == [11, 11, 12, 11]
+
+    def test_parameter_without_grad_stays_bit_unchanged(self):
+        a = Tensor([0.3, -0.7], requires_grad=True)
+        b = Tensor([[1.5, 2.5]], requires_grad=True)
+        before = a.data.copy()
+        opt = AdamW([a, b], lr=0.1, weight_decay=0.5)
+        for _ in range(3):
+            b.grad = np.ones((1, 2))
+            opt.step()
+        assert np.array_equal(a.data, before)
+        assert not np.array_equal(b.data, [[1.5, 2.5]])
+        assert opt.steps == [0, 3]
+
+    def test_write_after_construction_is_what_the_next_step_updates(self):
+        p = Tensor([1.0, 2.0], requires_grad=True)
+        q = Tensor([5.0], requires_grad=True)
+        opt = AdamW([p, q], lr=0.1)
+        p.data[:] = [4.0, -4.0]
+        q.data = np.array([7.0])  # rebinding reaches the optimizer too
+        p.grad, q.grad = np.ones(2), np.ones(1)
+        opt.step()
+        fresh = [Tensor([4.0, -4.0], requires_grad=True), Tensor([7.0], requires_grad=True)]
+        ref = AdamW(fresh, lr=0.1)
+        fresh[0].grad, fresh[1].grad = np.ones(2), np.ones(1)
+        ref.step()
+        assert np.array_equal(p.data, fresh[0].data) and np.array_equal(q.data, fresh[1].data)
+
+    def test_parameters_of_two_dtypes_are_rejected(self):
+        with pytest.raises(ValueError, match="one dtype"):
+            AdamW([Tensor(np.ones(2)), Tensor(np.ones(2, dtype=np.float32))])
+
+
+class TestLeafGradientDtype:
+    def test_float32_leaf_times_float64_operand(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        (x * Tensor(np.array([1.0, 2.0, 3.0]))).sum().backward()
+        assert x.grad.dtype == np.float32
+        assert np.array_equal(x.grad, [1.0, 2.0, 3.0])
+
+    def test_float32_layer_through_the_global_pool(self):
+        from ctgraph.pooling import adaptive_avg_pool_global
+
+        layer = Tensor(np.random.default_rng(2).standard_normal((4, 4, 2, 3)).astype(np.float32),
+                       requires_grad=True)
+        adaptive_avg_pool_global(layer).grid.sum().backward()
+        assert layer.grad.dtype == np.float32
+        assert np.array_equal(layer.grad, np.ones((4, 4, 2, 3), dtype=np.float32))
+
+
+class TestFusedOps:
+    def test_stack_gradients_and_values(self):
+        rng = np.random.default_rng(13)
+        parts = [Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(3)]
+        weights = Tensor(rng.standard_normal((3, 2, 3)))
+        assert np.array_equal(stack(parts).data, np.stack([p.data for p in parts]))
+        assert check_gradients(lambda: (stack(parts) * weights).sum(), parts) < 1e-6
+
+    def test_scatter_places_entries_and_gathers_gradients(self):
+        rng = np.random.default_rng(14)
+        a = Tensor(rng.standard_normal((2, 1)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        index = np.array([5, 0, 7, 2, 3])
+        out = scatter([a, b], (2, 4), index).data
+        expected = np.zeros(8)
+        expected[index] = np.concatenate([a.data.ravel(), b.data])
+        assert np.array_equal(out, expected.reshape(2, 4))
+        weights = Tensor(rng.standard_normal((2, 4)))
+        err = check_gradients(lambda: (scatter([a, b], (2, 4), index) * weights).sum(), [a, b])
+        assert err < 1e-6
+
+    def test_split_and_merge_heads_invert_each_other(self):
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.standard_normal((2, 5, 6)), requires_grad=True)
+        heads = split_heads(x, 3)
+        assert heads.shape == (2, 3, 5, 2)
+        assert np.array_equal(heads.data[1, 2], x.data[1, :, 4:6])
+        assert np.array_equal(merge_heads(heads).data, x.data)
+        weights = Tensor(rng.standard_normal((2, 3, 5, 2)))
+        assert check_gradients(lambda: (split_heads(x, 3) * weights).sum(), [x]) < 1e-6
+        y = Tensor(rng.standard_normal((2, 3, 5, 2)), requires_grad=True)
+        weights = Tensor(rng.standard_normal((2, 5, 6)))
+        assert check_gradients(lambda: (merge_heads(y) * weights).sum(), [y]) < 1e-6
+
+    def test_edge_scores_against_a_loop_with_gradients(self):
+        rng = np.random.default_rng(16)
+        s = Tensor(rng.standard_normal((2, 5, 6)), requires_grad=True)  # 3 heads, 2 centers
+        out = edge_scores(s, 2).data
+        assert out.shape == (2, 3, 2, 5)
+        for b in range(2):
+            for h in range(3):
+                for i in range(2):
+                    for j in range(5):
+                        assert out[b, h, i, j] == s.data[b, j, h] + s.data[b, 3 + i, 3 + h]
+        weights = Tensor(rng.standard_normal((2, 3, 2, 5)))
+        assert check_gradients(lambda: (edge_scores(s, 2) * weights).sum(), [s]) < 1e-6
+
+    @pytest.mark.parametrize("scale", [1.0, 60.0], ids=["moderate", "beyond-40"])
+    def test_bce_with_logits_matches_composition_and_gradcheck(self, scale):
+        rng = np.random.default_rng(17)
+        x = Tensor(scale * rng.standard_normal((4, 3)), requires_grad=True)
+        if scale > 1:
+            x.data[0] = [-45.0, 40.0, 80.0]
+        y = rng.integers(0, 2, (4, 3))
+        composed = (softplus(x) - x * Tensor(y.astype(float))).mean()
+        assert np.array_equal(bce_with_logits(x, y).data, composed.data)
+        assert np.isfinite(bce_with_logits(x, y).item())
+        assert check_gradients(lambda: bce_with_logits(x, y), [x]) < 1e-6
+        grad = x.grad.copy()
+        x.grad = None
+        composed.backward()
+        assert np.array_equal(grad, x.grad)
+
+    def test_bce_with_logits_is_one_tape_node(self, monkeypatch):
+        recorded = []
+        from_op = tensor_module.from_op
+
+        def counting_from_op(data, parents, backward):
+            recorded.append(1)
+            return from_op(data, parents, backward)
+
+        monkeypatch.setattr(tensor_module, "from_op", counting_from_op)
+        bce_with_logits(Tensor(np.zeros((2, 2)), requires_grad=True), np.ones((2, 2)))
+        assert len(recorded) == 1
 
 
 class TestLossAndActivations:
