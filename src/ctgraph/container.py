@@ -8,8 +8,10 @@ bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from pathlib import Path
 from typing import BinaryIO
 
@@ -86,8 +88,7 @@ def read_record(fh: BinaryIO):
 
 
 def save_tensor(path, array: np.ndarray, name: str = "tensor", meta: dict | None = None) -> None:
-    with open(path, "wb") as fh:
-        write_record(fh, array, name=name, meta=meta)
+    save_tensors(path, {name: array}, {name: meta})
 
 
 def load_tensor(path):
@@ -105,7 +106,7 @@ def load_tensor(path):
 
 def save_tensors(path, named: dict[str, np.ndarray], meta: dict[str, dict] | None = None) -> None:
     meta = meta or {}
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         for name, arr in named.items():
             write_record(fh, arr, name=name, meta=meta.get(name))
 
@@ -145,8 +146,25 @@ def read_json(path, what: str, parse=None):
         raise type(exc)(f"{what} {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def open_output(path, mode: str = "w"):
+    """A temporary file beside path (text as UTF-8), moved over path by os.replace when
+    the body returns and removed when it raises, so path is never half written.
+    No fsync: this guards against a crash of the process, not a power loss, as
+    a demo run writes 91 files.
+    """
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(doc, fh, indent=2)
 
 

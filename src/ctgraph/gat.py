@@ -231,23 +231,18 @@ def head_blocks(model: GatModel, stage: str) -> tuple[Tensor, Tensor]:
     return w, a
 
 
-def _attend(graph, center_ids, member_ids, h_members, h_centers, member_valid, model, stage):
+def _attend(graph, center_ids, member_ids, h_members, h_centers, valid, model, stage):
     """One masked dense attention stage over the graph's center <- member edges.
 
-    h_members (B, members, d_h) and h_centers (B, centers, d_h), or both
-    without the batch axis, hold rows in member_ids / center_ids order;
-    member_valid (B, members) flags present members (None: all). Returns the
-    updated centers shaped like h_centers and, for B = 1, the table
+    h_members (B, members, d_h) and h_centers (B, centers, d_h) hold rows in
+    member_ids / center_ids order; valid (B, members) flags present members.
+    Returns the updated (B, centers, d_h) centers and, for B = 1, the table
     {center: {"members": ids, "alpha": (n_heads, group)}}, self-loop last.
     """
     cfg = model.config
-    unbatched = h_centers.ndim == 2
-    if unbatched:
-        h_members, h_centers = stack([h_members]), stack([h_centers])
     b, n_centers, n_members = h_centers.shape[0], len(center_ids), len(member_ids)
     parents = graph.parents()
     children = np.equal.outer(center_ids, [parents[m] for m in member_ids])
-    valid = np.ones((b, n_members), dtype=bool) if member_valid is None else member_valid
     self_loop = np.broadcast_to(np.eye(n_centers, dtype=bool), (b, n_centers, n_centers))
     mask = np.concatenate([children & np.reshape(valid, (b, 1, n_members)), self_loop], axis=2)
 
@@ -262,11 +257,11 @@ def _attend(graph, center_ids, member_ids, h_members, h_centers, member_valid, m
     for i, center in enumerate(center_ids if b == 1 else ()):  # tables for one sample only
         members = [m for m, keep in zip(member_ids, mask[0, i]) if keep] + [center]
         alphas[center] = {"members": members, "alpha": alpha.data[0, :, i][:, mask[0, i]]}
-    return (reshape(updated, updated.shape[1:]) if unbatched else updated), alphas
+    return updated, alphas
 
 
 def attend_fine_to_coarse(
-    graph: RegionGraph, h_fine: Tensor, h_coarse: Tensor, model: GatModel, fine_valid=None
+    graph: RegionGraph, h_fine: Tensor, h_coarse: Tensor, model: GatModel, fine_valid
 ):
     """Stage-1 update of every coarse node; childless nodes keep only the self-loop."""
     return _attend(
@@ -276,7 +271,7 @@ def attend_fine_to_coarse(
 
 
 def attend_coarse_to_global(
-    graph: RegionGraph, h_coarse_updated: Tensor, h_global: Tensor, model: GatModel, coarse_valid=None
+    graph: RegionGraph, h_coarse_updated: Tensor, h_global: Tensor, model: GatModel, coarse_valid
 ):
     """Stage-2 update of the global node from its children, plus the identity skip.
 
@@ -290,19 +285,13 @@ def attend_coarse_to_global(
     return add(updated, h_global), alphas
 
 
-def forward(graph: RegionGraph, fine_set, coarse_set, grid, model: GatModel) -> GatForward:
-    """Full pass: embed, attend per topology, project export tokens.
+def propagate(graph: RegionGraph, fine_sets, coarse_sets, grids, model: GatModel) -> GraphActivation:
+    """Check region ids, embed and attend B samples' pooled sets (equal-length sequences).
 
-    Takes one sample's pooled sets, or equal-length sequences of B samples'
-    sets; a batch's tokens and activations carry a leading batch axis and
-    its alphas tables are empty. Tokens are ordered global, then coarse by
-    id, then fine by id; fine tokens carry the pre-normalization embeddings.
+    Every row carries a leading batch axis; alphas tables are filled for B = 1 only.
     """
-    single = isinstance(fine_set, RegionFeatureSet)
-    if single:
-        fine_set, coarse_set, grid = [fine_set], [coarse_set], [grid]
     single_level = graph.topology == TOPOLOGY_SINGLE
-    levels = {LEVEL_FINE: fine_set} if single_level else {LEVEL_FINE: fine_set, LEVEL_COARSE: coarse_set}
+    levels = {LEVEL_FINE: fine_sets} if single_level else {LEVEL_FINE: fine_sets, LEVEL_COARSE: coarse_sets}
     for level, sets in levels.items():
         ids = graph.ids_at(level)
         for feature_set in sets:
@@ -314,28 +303,39 @@ def forward(graph: RegionGraph, fine_set, coarse_set, grid, model: GatModel) -> 
                 )
     h_f, h_c, h_g = embed_nodes(
         model,
-        stack([s.fused for s in fine_set]),
-        None if single_level else stack([s.fused for s in coarse_set]),
-        stack([g.flat() for g in grid]),
+        stack([s.fused for s in fine_sets]),
+        None if single_level else stack([s.fused for s in coarse_sets]),
+        stack([g.flat() for g in grids]),
     )
-    fine_valid = np.stack([s.valid for s in fine_set])
+    fine_valid = np.stack([s.valid for s in fine_sets])
 
     alphas: dict[str, dict] = {}
-    if single_level:
-        h_c_prime = None
-        h_g_prime, alphas["global"] = attend_coarse_to_global(graph, h_f, h_g, model, fine_valid)
-        rows = [h_g_prime, h_f]
-    else:
+    h_c_prime, children, children_valid = None, h_f, fine_valid  # single-level: fine -> global
+    if not single_level:
         h_c_prime, alphas["coarse"] = attend_fine_to_coarse(graph, h_f, h_c, model, fine_valid)
-        h_g_prime, alphas["global"] = attend_coarse_to_global(
-            graph, h_c_prime, h_g, model, np.stack([s.valid for s in coarse_set])
-        )
-        rows = [h_g_prime, h_c_prime, h_f]
-    token_ids = [graph.global_id] + [i for level in reversed(levels) for i in graph.ids_at(level)]
+        children, children_valid = h_c_prime, np.stack([s.valid for s in coarse_sets])
+    h_g_prime, alphas["global"] = attend_coarse_to_global(graph, children, h_g, model, children_valid)
+    return GraphActivation(h_f, h_c, h_g, h_c_prime, h_g_prime, alphas=alphas)
 
+
+def forward(graph: RegionGraph, fine_set, coarse_set, grid, model: GatModel) -> GatForward:
+    """Full pass: `propagate`, then project export tokens.
+
+    Takes one sample's pooled sets, or equal-length sequences of B samples'
+    sets; a batch's tokens and activations carry a leading batch axis and
+    its alphas tables are empty. Tokens are ordered global, then coarse by
+    id, then fine by id; fine tokens carry the pre-normalization embeddings.
+    """
+    single = isinstance(fine_set, RegionFeatureSet)
+    if single:
+        fine_set, coarse_set, grid = [fine_set], [coarse_set], [grid]
+    act = propagate(graph, fine_set, coarse_set, grid, model)
+    levels = [LEVEL_FINE] if act.h_coarse is None else [LEVEL_COARSE, LEVEL_FINE]
+    token_ids = [graph.global_id] + [i for level in levels for i in graph.ids_at(level)]
+    rows = [t for t in (act.h_global_updated, act.h_coarse_updated, act.h_fine) if t is not None]
     tokens = linear(concat(rows, axis=1), model.params["out.w"], model.params["out.b"])
-    outputs = [tokens, h_f, h_c, h_g, h_c_prime, h_g_prime]
+    outputs = [tokens, act.h_fine, act.h_coarse, act.h_global, act.h_coarse_updated, act.h_global_updated]
     if single:
         outputs = [None if t is None else reshape(t, t.shape[1:]) for t in outputs]
     tokens, *hidden = outputs
-    return GatForward(tokens, token_ids, GraphActivation(*hidden, alphas=alphas))
+    return GatForward(tokens, token_ids, GraphActivation(*hidden, alphas=act.alphas))

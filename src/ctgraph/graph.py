@@ -122,22 +122,27 @@ class RegionGraph:
             parents[src].append(dst)
         fine_parent = LEVEL_GLOBAL if self.topology == TOPOLOGY_SINGLE else LEVEL_COARSE
         want = {LEVEL_FINE: [fine_parent], LEVEL_COARSE: [LEVEL_GLOBAL], LEVEL_GLOBAL: []}
+        ids_by_level: dict[str, list[int]] = {level: [] for level in want}
         for node_id, level in level_of.items():
             if [level_of[p] for p in parents[node_id]] != want.get(level):
                 raise ValidationError(
                     f"{level} node {node_id}: expected parents at levels {want.get(level)}, "
                     f"found parents {parents[node_id]}"
                 )
+            ids_by_level[level].append(node_id)
+        # kept as attributes, not fields, so graph.json and graph equality ignore them
+        object.__setattr__(self, "_ids_by_level", ids_by_level)
+        object.__setattr__(self, "_parent", {src: dst for src, dst in self.edges})
 
     def ids_at(self, level: str) -> list[int]:
-        return [n.id for n in self.nodes if n.level == level]
+        return list(self._ids_by_level.get(level, ()))
 
     @property
     def global_id(self) -> int:
-        return self.ids_at(LEVEL_GLOBAL)[0]
+        return self._ids_by_level[LEVEL_GLOBAL][0]
 
     def parents(self) -> dict[int, int]:
-        return {src: dst for src, dst in self.edges}
+        return dict(self._parent)
 
     def children_of(self, node_id: int) -> list[int]:
         return sorted(src for src, dst in self.edges if dst == node_id)

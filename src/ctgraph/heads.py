@@ -1,9 +1,10 @@
 """Task heads: linear probing, a graph classifier, and token export.
 
-The probe is a single affine layer trained with per-label binary
-cross-entropy on frozen features; the graph classifier puts the same head
-on the updated global embedding and backpropagates through both attention
-stages. Token export packages the projected node tokens together with the
+`AffineHead` is the one affine layer. The probe trains it with per-label
+binary cross-entropy on frozen features; the graph classifier puts it on
+the updated global embedding from `gat.propagate` and backpropagates
+through both attention stages, building no export tokens. Token export
+packages the node tokens that `gat.forward` projects together with the
 generation prompt for a downstream language model.
 """
 
@@ -17,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import check_keys, check_values, ensure_dir, load_records, load_tensor, open_input
+from .container import check_keys, check_values, load_records, load_tensor, open_input, open_output
 from .container import save_tensor, save_tensors
 from .errors import ConfigError, ShapeError, ValidationError, malformed
-from .gat import GatConfig, GatForward, GatModel, forward as gat_forward
+from .gat import GatConfig, GatForward, GatModel, propagate
 from .graph import RegionGraph
 from .metrics import MacroScores, macro_prf1
 from .pooling import GlobalFeatureGrid, RegionFeatureSet
@@ -35,7 +36,6 @@ GRANULARITIES = ("global", "coarse", "fine", "fused")
 
 @dataclass
 class TrainConfig:
-    mode: str = "probe"
     batch_size: int = 32
     epochs: int = 40
     lr: float = 1e-4
@@ -63,67 +63,55 @@ class TrainConfig:
     @classmethod
     def from_json(cls, doc: dict, head: str = "probe", seed: int = 0) -> "TrainConfig":
         """Config to train the "probe" or "gat" head (lr 5e-5), seeded by seed unless doc
-        sets one; rejects unknown keys and a mode naming the other head.
+        sets one; rejects unknown keys and a "mode" key naming the other head.
         """
-        check_keys(doc, cls.__dataclass_fields__, "train config")
-        if doc.get("mode", head) != head:
+        check_keys(doc, {*cls.__dataclass_fields__, "mode"}, "train config")
+        fields = dict(doc)
+        if fields.pop("mode", head) != head:
             raise ConfigError(f"train config mode '{doc['mode']}' does not match the {head} head")
         defaults = {"lr": 5e-5} if head == "gat" else {}
-        return cls(**{**defaults, "seed": seed, **doc, "mode": head})
+        return cls(**{**defaults, "seed": seed, **fields})
 
 
 @dataclass
-class ProbeModel:
-    """One affine layer; frozen-feature linear probing."""
+class AffineHead:
+    """One affine layer with a decision threshold: the probe and the classifier head.
+
+    Its file holds "weight" and "bias" records, the threshold in the weight's meta.
+    """
 
     weight: Tensor
     bias: Tensor
     threshold: float = 0.5
 
-    @classmethod
-    def zeros(cls, in_dim: int, n_classes: int, threshold: float = 0.5) -> "ProbeModel":
-        return cls(
-            weight=Tensor(np.zeros((in_dim, n_classes)), requires_grad=True),
-            bias=Tensor(np.zeros(n_classes), requires_grad=True),
-            threshold=threshold,
+    def logits(self, x) -> Tensor:
+        return linear(x, self.weight, self.bias)
+
+    def predict(self, x) -> np.ndarray:
+        """0/1 labels of the rows of x; records no tape."""
+        with no_grad():
+            logits = self.logits(x).data
+        return (_sigmoid_np(logits) >= self.threshold).astype(np.int32)
+
+    def save(self, path) -> None:
+        save_tensors(
+            path,
+            {"weight": self.weight.data, "bias": self.bias.data},
+            meta={"weight": {"threshold": self.threshold}},
         )
 
-    def logits(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weight.data + self.bias.data
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return (_sigmoid_np(self.logits(features)) >= self.threshold).astype(np.int32)
-
-    def save(self, directory) -> Path:
-        out = ensure_dir(directory)
-        _save_head(out / "probe.bin", self.weight, self.bias, self.threshold)
-        return out
-
     @classmethod
-    def load(cls, directory) -> "ProbeModel":
-        return cls(*_load_head(Path(directory) / "probe.bin"))
-
-
-def _save_head(path, weight: Tensor, bias: Tensor, threshold: float) -> None:
-    save_tensors(
-        path,
-        {"weight": weight.data, "bias": bias.data},
-        meta={"weight": {"threshold": threshold}},
-    )
-
-
-def _load_head(path) -> tuple[Tensor, Tensor, float]:
-    """(weight, bias, threshold) of an affine head written by _save_head."""
-    records = load_records(path)
-    with malformed(f"head file {path}"):  # another container misses 'weight' or 'bias'
-        arrays = {name: arr for name, arr, _ in records}
-        weight, bias = arrays["weight"], arrays["bias"]
-        threshold = float(records[0][2].get("meta", {}).get("threshold", 0.5))
-    if weight.ndim != 2 or bias.shape != weight.shape[1:]:
-        raise ValidationError(
-            f"{path}: head weight {weight.shape} and bias {bias.shape} do not form an affine layer"
-        )
-    return Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True), threshold
+    def load(cls, path) -> "AffineHead":
+        records = load_records(path)
+        with malformed(f"head file {path}"):  # another container misses 'weight' or 'bias'
+            arrays = {name: arr for name, arr, _ in records}
+            weight, bias = arrays["weight"], arrays["bias"]
+            threshold = float(records[0][2].get("meta", {}).get("threshold", 0.5))
+        if weight.ndim != 2 or bias.shape != weight.shape[1:]:
+            raise ValidationError(
+                f"{path}: head weight {weight.shape} and bias {bias.shape} do not form an affine layer"
+            )
+        return cls(Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True), threshold)
 
 
 def build_probe_features(
@@ -132,35 +120,25 @@ def build_probe_features(
     grid: GlobalFeatureGrid,
     granularity: str = "fine",
     layer: int | None = None,
-    include_global: bool = False,
 ) -> np.ndarray:
     """Flatten pooled features into one probe input vector.
 
-    granularity picks which node level feeds the probe; layer=k restricts it
-    to a single encoder layer (fine plus coarse rows at that layer, with the
-    flattened global grid appended only when include_global is set).
+    granularity names the region sets that feed the probe ("fused": fine then
+    coarse); each gives its fused rows, or its rows at encoder layer k when
+    layer=k. "global" gives the flattened global grid.
     """
     if granularity not in GRANULARITIES:
         raise ValidationError(f"unknown granularity '{granularity}' (known: {GRANULARITIES})")
-    if layer is not None:
-        if layer >= len(fine_set.per_layer):
-            raise ValidationError(
-                f"layer {layer} out of range for {len(fine_set.per_layer)} pyramid layers"
-            )
-        parts = [fine_set.per_layer[layer].data.ravel(), coarse_set.per_layer[layer].data.ravel()]
-        if include_global:
-            parts.append(grid.grid.data.ravel())
-        return np.concatenate(parts)
+    if layer is not None and layer >= len(fine_set.per_layer):
+        raise ValidationError(
+            f"layer {layer} out of range for {len(fine_set.per_layer)} pyramid layers"
+        )
     if granularity == "global":
         return grid.grid.data.ravel().copy()
-    if granularity == "coarse":
-        return coarse_set.fused.data.ravel().copy()
-    if granularity == "fine":
-        return fine_set.fused.data.ravel().copy()
-    parts = [fine_set.fused.data.ravel(), coarse_set.fused.data.ravel()]
-    if include_global:
-        parts.append(grid.grid.data.ravel())
-    return np.concatenate(parts)
+    sets = {"fine": [fine_set], "coarse": [coarse_set], "fused": [fine_set, coarse_set]}
+    return np.concatenate(
+        [(s.fused if layer is None else s.per_layer[layer]).data.ravel() for s in sets[granularity]]
+    )
 
 
 def train_probe(features: np.ndarray, targets: np.ndarray, cfg: TrainConfig):
@@ -175,10 +153,12 @@ def train_probe(features: np.ndarray, targets: np.ndarray, cfg: TrainConfig):
         raise ShapeError(
             f"expected aligned 2-d features/targets, got {features.shape} and {targets.shape}"
         )
-    model = ProbeModel.zeros(features.shape[1], targets.shape[1], cfg.threshold)
+    n_classes = targets.shape[1]
+    weight = Tensor(np.zeros((features.shape[1], n_classes)), requires_grad=True)
+    model = AffineHead(weight, Tensor(np.zeros(n_classes), requires_grad=True), cfg.threshold)
 
     def batch_logits(batch):
-        return linear(Tensor(features[batch]), model.weight, model.bias)
+        return model.logits(features[batch])
 
     def predict(indices):
         return model.predict(features[indices])
@@ -252,38 +232,35 @@ def fit(parameters: list[Tensor], batch_logits, predict, targets: np.ndarray, cf
 
 @dataclass
 class GatClassifier:
-    """Graph attention model plus an affine head on the updated global token."""
+    """Graph attention model plus an affine head on the updated global node."""
 
     gat: GatModel
-    head_weight: Tensor
-    head_bias: Tensor
-    threshold: float = 0.5
+    head: AffineHead
 
     def parameters(self) -> list[Tensor]:
-        return self.gat.parameters() + [self.head_weight, self.head_bias]
+        return self.gat.parameters() + [self.head.weight, self.head.bias]
 
     def logits(self, graph: RegionGraph, sample) -> Tensor:
         """(B, n_classes) logits of one pooled sample (B = 1) or a list of B, in one forward."""
         batch = [sample] if isinstance(sample[0], RegionFeatureSet) else sample
-        fwd = gat_forward(graph, *zip(*batch), self.gat)
-        h = reshape(fwd.activation.h_global_updated, (len(batch), self.gat.config.d_h))
-        return linear(h, self.head_weight, self.head_bias)
+        h = propagate(graph, *zip(*batch), self.gat).h_global_updated  # no export tokens
+        return self.head.logits(reshape(h, (len(batch), self.gat.config.d_h)))
 
     def predict(self, graph: RegionGraph, sample) -> np.ndarray:
         """0/1 labels: (n_classes,) for one sample, (B, n_classes) for a list of B; no tape."""
         with no_grad():
             logits = self.logits(graph, sample).data
-        labels = (_sigmoid_np(logits) >= self.threshold).astype(np.int32)
+        labels = (_sigmoid_np(logits) >= self.head.threshold).astype(np.int32)
         return labels[0] if isinstance(sample[0], RegionFeatureSet) else labels
 
     def save(self, directory) -> Path:
         out = self.gat.save(directory)
-        _save_head(out / "head.bin", self.head_weight, self.head_bias, self.threshold)
+        self.head.save(out / "head.bin")
         return out
 
     @classmethod
     def load(cls, directory) -> "GatClassifier":
-        return cls(GatModel.load(directory), *_load_head(Path(directory) / "head.bin"))
+        return cls(GatModel.load(directory), AffineHead.load(Path(directory) / "head.bin"))
 
 
 def init_gat_classifier(
@@ -294,12 +271,8 @@ def init_gat_classifier(
     head_w = rng.standard_normal((gat_config.d_h, n_classes)) * np.sqrt(
         2.0 / (gat_config.d_h + n_classes)
     )
-    return GatClassifier(
-        gat=gat,
-        head_weight=Tensor(head_w, requires_grad=True),
-        head_bias=Tensor(np.zeros(n_classes), requires_grad=True),
-        threshold=threshold,
-    )
+    bias = Tensor(np.zeros(n_classes), requires_grad=True)
+    return GatClassifier(gat, AffineHead(Tensor(head_w, requires_grad=True), bias, threshold))
 
 
 def train_gat_classifier(
@@ -372,7 +345,7 @@ def load_token_export(path) -> TokenExport:
 
 
 def write_manifest(path, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
 

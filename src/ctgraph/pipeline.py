@@ -147,7 +147,9 @@ def train_probe_stage(pooled, targets, granularity: str, cfg: TrainConfig, out):
     """Fit the linear probe on pooled samples; writes probe.bin and trace.json."""
     features = np.stack([build_probe_features(*s, granularity=granularity) for s in pooled])
     model, trace, info = train_probe(features, targets, cfg)
-    write_json(model.save(out) / "trace.json", {"trace": trace, "info": info})
+    out = ensure_dir(out)
+    model.save(out / "probe.bin")
+    write_json(out / "trace.json", {"trace": trace, "info": info})
     return trace, info
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctgraph.container import load_tensor, load_tensors, save_tensor, save_tensors
+import ctgraph.container as container_module
+from ctgraph.container import load_tensor, load_tensors, save_tensor, save_tensors, write_json
 from ctgraph.errors import FormatError
 
 
@@ -94,3 +95,34 @@ def test_trailing_bytes_after_single_record(tmp_path):
     path.write_bytes(path.read_bytes() + b"x")
     with pytest.raises(FormatError, match="trailing"):
         load_tensor(path)
+
+
+def test_failed_save_tensors_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "multi.bin"
+    save_tensors(path, {"old": np.arange(3.0)})
+    before = path.read_bytes()
+    write_record = container_module.write_record
+    written = []
+
+    def fail_after_first(fh, array, name="tensor", meta=None):
+        if written:
+            raise OSError("disk full")
+        written.append(name)
+        write_record(fh, array, name=name, meta=meta)
+
+    monkeypatch.setattr(container_module, "write_record", fail_after_first)
+    with pytest.raises(OSError, match="disk full"):
+        save_tensors(path, {"a": np.zeros(2), "b": np.ones(2)})
+    assert written == ["a"]
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["multi.bin"]
+
+
+def test_failed_write_json_keeps_the_old_file(tmp_path):
+    path = tmp_path / "summary.json"
+    write_json(path, {"metrics": {"f1": 0.5}})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json(path, {"metrics": {"f1": object()}})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]

@@ -231,9 +231,9 @@ class TestStageTwo:
         # rebuild stage 2 by hand with the coarse row forced equal to h_g
         from ctgraph.gat import attend_coarse_to_global
 
-        h_g = out.activation.h_global
+        h_g = Tensor(out.activation.h_global.data[None])  # (1, 1, d_h)
         equal_rows = Tensor(h_g.data.copy())
-        _, alphas = attend_coarse_to_global(graph, equal_rows, h_g, model)
+        _, alphas = attend_coarse_to_global(graph, equal_rows, h_g, model, np.ones((1, 1), bool))
         assert np.allclose(alphas[h.global_id]["alpha"], 0.5, atol=1e-12)
 
     def test_matches_loop_transcription(self):
