@@ -3,7 +3,8 @@
 A container record is one JSON header line (name, dtype, shape, byte_order)
 followed by the raw contiguous little-endian payload. A file may hold several
 records back to back; readers consume records until EOF. Round trips are
-bit-exact.
+bit-exact. A float record holding NaN or inf fails at load with a
+ValidationError naming the file and the record.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import ConfigError, CtGraphError, FormatError
+from .errors import ConfigError, CtGraphError, FormatError, ValidationError
 
 _TO_NUMPY = {"float64": "<f8", "float32": "<f4", "int64": "<i8", "int32": "<i4"}
 _FROM_KIND = {("f", 8): "float64", ("f", 4): "float32", ("i", 8): "int64", ("i", 4): "int32"}
@@ -87,6 +88,14 @@ def read_record(fh: BinaryIO):
     return header["name"], array, header
 
 
+def _finite(path, record):
+    """record (name, array, header), unless its array is float and holds NaN or inf."""
+    name, array, _ = record
+    if array.dtype.kind == "f" and not np.isfinite(array).all():
+        raise ValidationError(f"{path}: record '{name}' holds non-finite values")
+    return record
+
+
 def save_tensor(path, array: np.ndarray, name: str = "tensor", meta: dict | None = None) -> None:
     save_tensors(path, {name: array}, {name: meta})
 
@@ -100,7 +109,7 @@ def load_tensor(path):
         trailing = fh.read(1)
         if trailing:
             raise FormatError(f"{path}: trailing data after single record")
-    _, array, header = rec
+    _, array, header = _finite(path, rec)
     return array, header
 
 
@@ -115,7 +124,7 @@ def load_records(path) -> list[tuple[str, np.ndarray, dict]]:
     records = []
     with open_input(path, "container", "rb") as fh:
         while (rec := read_record(fh)) is not None:
-            records.append(rec)
+            records.append(_finite(path, rec))
     if not records:
         raise FormatError(f"{path}: empty container")
     return records

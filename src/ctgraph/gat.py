@@ -25,8 +25,8 @@ import numpy as np
 
 from .container import check_keys, ensure_dir, load_tensor, read_json, save_tensor, write_json
 from .errors import ShapeError, ValidationError, malformed
-from .graph import LEVEL_COARSE, LEVEL_FINE, TOPOLOGY_SINGLE, RegionGraph
-from .pooling import GLOBAL_GRID, RegionFeatureSet
+from .graph import LEVEL_COARSE, LEVEL_FINE, LEVEL_GLOBAL, TOPOLOGY_SINGLE, RegionGraph
+from .pooling import GLOBAL_GRID
 from .tensor import (
     Tensor,
     add,
@@ -181,7 +181,7 @@ class GraphActivation:
 
 @dataclass
 class GatForward:
-    tokens: Tensor  # (n_tokens, export_dim); (B, n_tokens, export_dim) for a batch
+    tokens: Tensor  # (n_tokens, export_dim)
     token_ids: list[int]
     activation: GraphActivation
 
@@ -231,18 +231,17 @@ def head_blocks(model: GatModel, stage: str) -> tuple[Tensor, Tensor]:
     return w, a
 
 
-def _attend(graph, center_ids, member_ids, h_members, h_centers, valid, model, stage):
-    """One masked dense attention stage over the graph's center <- member edges.
+def _attend(graph, level, h_members, h_centers, valid, model, stage):
+    """One masked dense attention stage over `graph.group(level)`: centers <- member edges.
 
     h_members (B, members, d_h) and h_centers (B, centers, d_h) hold rows in
-    member_ids / center_ids order; valid (B, members) flags present members.
+    the group's member / center order; valid (B, members) flags present members.
     Returns the updated (B, centers, d_h) centers and, for B = 1, the table
     {center: {"members": ids, "alpha": (n_heads, group)}}, self-loop last.
     """
     cfg = model.config
+    center_ids, member_ids, children = graph.group(level)
     b, n_centers, n_members = h_centers.shape[0], len(center_ids), len(member_ids)
-    parents = graph.parents()
-    children = np.equal.outer(center_ids, [parents[m] for m in member_ids])
     self_loop = np.broadcast_to(np.eye(n_centers, dtype=bool), (b, n_centers, n_centers))
     mask = np.concatenate([children & np.reshape(valid, (b, 1, n_members)), self_loop], axis=2)
 
@@ -264,10 +263,7 @@ def attend_fine_to_coarse(
     graph: RegionGraph, h_fine: Tensor, h_coarse: Tensor, model: GatModel, fine_valid
 ):
     """Stage-1 update of every coarse node; childless nodes keep only the self-loop."""
-    return _attend(
-        graph, graph.ids_at(LEVEL_COARSE), graph.ids_at(LEVEL_FINE), h_fine, h_coarse,
-        fine_valid, model, "stage1",
-    )
+    return _attend(graph, LEVEL_COARSE, h_fine, h_coarse, fine_valid, model, "stage1")
 
 
 def attend_coarse_to_global(
@@ -277,10 +273,8 @@ def attend_coarse_to_global(
 
     The children are the coarse nodes, or the fine nodes of a single-level graph.
     """
-    level = LEVEL_FINE if graph.topology == TOPOLOGY_SINGLE else LEVEL_COARSE
     updated, alphas = _attend(
-        graph, [graph.global_id], graph.ids_at(level), h_coarse_updated, h_global,
-        coarse_valid, model, "stage2",
+        graph, LEVEL_GLOBAL, h_coarse_updated, h_global, coarse_valid, model, "stage2"
     )
     return add(updated, h_global), alphas
 
@@ -319,23 +313,16 @@ def propagate(graph: RegionGraph, fine_sets, coarse_sets, grids, model: GatModel
 
 
 def forward(graph: RegionGraph, fine_set, coarse_set, grid, model: GatModel) -> GatForward:
-    """Full pass: `propagate`, then project export tokens.
+    """Full pass over one sample's pooled sets: `propagate`, then project export tokens.
 
-    Takes one sample's pooled sets, or equal-length sequences of B samples'
-    sets; a batch's tokens and activations carry a leading batch axis and
-    its alphas tables are empty. Tokens are ordered global, then coarse by
-    id, then fine by id; fine tokens carry the pre-normalization embeddings.
+    Tokens are ordered global, then coarse by id, then fine by id; fine
+    tokens carry the pre-normalization embeddings.
     """
-    single = isinstance(fine_set, RegionFeatureSet)
-    if single:
-        fine_set, coarse_set, grid = [fine_set], [coarse_set], [grid]
-    act = propagate(graph, fine_set, coarse_set, grid, model)
+    act = propagate(graph, [fine_set], [coarse_set], [grid], model)
     levels = [LEVEL_FINE] if act.h_coarse is None else [LEVEL_COARSE, LEVEL_FINE]
     token_ids = [graph.global_id] + [i for level in levels for i in graph.ids_at(level)]
     rows = [t for t in (act.h_global_updated, act.h_coarse_updated, act.h_fine) if t is not None]
     tokens = linear(concat(rows, axis=1), model.params["out.w"], model.params["out.b"])
     outputs = [tokens, act.h_fine, act.h_coarse, act.h_global, act.h_coarse_updated, act.h_global_updated]
-    if single:
-        outputs = [None if t is None else reshape(t, t.shape[1:]) for t in outputs]
-    tokens, *hidden = outputs
+    tokens, *hidden = [None if t is None else reshape(t, t.shape[1:]) for t in outputs]
     return GatForward(tokens, token_ids, GraphActivation(*hidden, alphas=act.alphas))

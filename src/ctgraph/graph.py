@@ -64,23 +64,33 @@ class AnatomyHierarchy:
                 )
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("mask labels must be unique across nodes")
+        # the coarse node owning each slot of `labels`: fine nodes' parents, then own labels
+        owners = [f.parent for f in self.fine] + [c.id for c in self.coarse if c.label is not None]
+        members = {
+            LEVEL_FINE: np.eye(self.num_fine, len(owners), dtype=np.int64),
+            LEVEL_COARSE: np.equal.outer([c.id for c in self.coarse], owners).astype(np.int64),
+        }
+        for matrix in members.values():
+            matrix.setflags(write=False)
+        object.__setattr__(self, "_members", members)  # not a field: equality ignores it
 
     @property
     def labels(self) -> list[int]:
         """Mask label per pooling slot: the fine nodes, then the coarse nodes' own labels."""
         return [f.label for f in self.fine] + [c.label for c in self.coarse if c.label is not None]
 
-    @property
-    def label_owners(self) -> list[int]:
-        """Id of the coarse node whose union region holds each slot of `labels`."""
-        return [f.parent for f in self.fine] + [c.id for c in self.coarse if c.label is not None]
+    def members(self, level: str) -> np.ndarray:
+        """Read-only int64 (nodes x labels) 0/1 region matrix of the `fine` or `coarse` nodes:
+        a fine node's region is its own label, a coarse node's its children's plus its own."""
+        return self._members[level]
 
     def children_of(self, coarse_id: int) -> list[FineNode]:
         return [f for f in self.fine if f.parent == coarse_id]
 
     def member_labels(self, coarse_id: int) -> list[int]:
         """Mask labels forming the coarse node's union region."""
-        return [l for l, owner in zip(self.labels, self.label_owners) if owner == coarse_id]
+        own = [c.label for c in self.coarse if c.id == coarse_id and c.label is not None]
+        return [f.label for f in self.children_of(coarse_id)] + own
 
     @property
     def num_fine(self) -> int:
@@ -130,19 +140,29 @@ class RegionGraph:
                     f"found parents {parents[node_id]}"
                 )
             ids_by_level[level].append(node_id)
+        parent = {node_id: dsts[0] for node_id, dsts in parents.items() if dsts}  # node order
+        groups = {}
+        for level in (LEVEL_COARSE, LEVEL_GLOBAL):
+            members = [m for m, p in parent.items() if level_of[p] == level]
+            children = np.equal.outer(ids_by_level[level], [parent[m] for m in members])
+            children.setflags(write=False)
+            groups[level] = (tuple(ids_by_level[level]), tuple(members), children)
         # kept as attributes, not fields, so graph.json and graph equality ignore them
         object.__setattr__(self, "_ids_by_level", ids_by_level)
-        object.__setattr__(self, "_parent", {src: dst for src, dst in self.edges})
+        object.__setattr__(self, "_groups", groups)
 
     def ids_at(self, level: str) -> list[int]:
         return list(self._ids_by_level.get(level, ()))
 
+    def group(self, level: str) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+        """(center ids, member ids, read-only centers x members child mask) of the `coarse`
+        or `global` stage, ids in node order; the members are the nodes with a parent at
+        that level: the global node's are the coarse nodes, or a single-level graph's fine."""
+        return self._groups[level]
+
     @property
     def global_id(self) -> int:
         return self._ids_by_level[LEVEL_GLOBAL][0]
-
-    def parents(self) -> dict[int, int]:
-        return dict(self._parent)
 
     def children_of(self, node_id: int) -> list[int]:
         return sorted(src for src, dst in self.edges if dst == node_id)

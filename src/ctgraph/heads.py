@@ -174,9 +174,11 @@ def fit(parameters: list[Tensor], batch_logits, predict, targets: np.ndarray, cf
     with per-label binary cross-entropy; predict(indices) gives their 0/1
     predictions. The shuffled split (validation takes the trailing fraction)
     and every epoch's batch order come from one generator seeded with
-    cfg.seed, so a fixed config gives the same trace. A non-finite batch
-    loss raises ValidationError naming the epoch and batch before that
-    batch's optimizer step.
+    cfg.seed, so a fixed config gives the same trace. F1 is scored on the
+    validation samples, or on every sample when none is held out; their
+    indices are info["scored_indices"]. A non-finite batch loss raises
+    ValidationError naming the epoch and batch before that batch's
+    optimizer step.
     """
     n = len(targets)
     rng = np.random.default_rng(cfg.seed)
@@ -226,6 +228,7 @@ def fit(parameters: list[Tensor], batch_logits, predict, targets: np.ndarray, cf
         "degenerate_classes": final.degenerate_classes,
         "train_size": int(len(train_idx)),
         "val_size": int(len(val_idx)),
+        "scored_indices": scored_idx.tolist(),
     }
     return trace, info
 

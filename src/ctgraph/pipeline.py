@@ -289,10 +289,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
         metrics["gat_info"] = gat_info
         with stage("infer", seconds):
             infer_stage(graph, pooled[0], clf.gat, out / "tokens.bin")
-        with stage("eval", seconds):
+        with stage("eval", seconds):  # the classifier's held-out samples
+            scored = gat_info["scored_indices"]
             report = eval_stage(
-                [{"labels": labels} for labels in clf.predict(graph, pooled)],
-                [{"labels": t} for t in targets],
+                [{"labels": labels} for labels in clf.predict(graph, [pooled[i] for i in scored])],
+                [{"labels": targets[i]} for i in scored],
                 ["ce"],
                 out / "report.json",
             )

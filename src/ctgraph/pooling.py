@@ -6,8 +6,10 @@ over those rows, so its cost is independent of how many regions the mask
 carries; a per-region rescan is used only as a test oracle. Accumulation is
 always float64, even for float32 feature maps, because region voxel counts
 can be large. Fixed structure is a constant matrix applied with `matmul`:
-coarse union rows are member-weighted sums of the label rows, and the global
-grid is a (cells x voxels) averaging matrix times the final layer.
+the rows of both node levels come from one rule, the hierarchy's
+(nodes x labels) membership matrix weighting the label rows by voxel count,
+and the global grid is a (cells x voxels) averaging matrix times the final
+layer.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from .container import load_tensors, save_tensors
 from .errors import ShapeError, ValidationError, malformed
-from .graph import AnatomyHierarchy
-from .tensor import Tensor, concat, from_op, gather_rows, matmul, reshape
+from .graph import LEVEL_COARSE, LEVEL_FINE, AnatomyHierarchy
+from .tensor import Tensor, concat, from_op, matmul, reshape
 from .volume import LabelMask3D, resize_mask_nearest
 
 
@@ -161,43 +163,40 @@ def pool_all(pyramid, mask: LabelMask3D, hierarchy: AnatomyHierarchy):
     """Pool fine regions, coarse union regions, and the global grid.
 
     Each layer takes one mask resize and one mask_pool_layer call over the
-    fine labels plus the coarse nodes' own labels. Member label sets do not
-    overlap, so a coarse row is the voxel-count-weighted mean of its member
-    label rows: a constant (coarse x labels) weight matrix times the pooled
-    rows, differentiable like the rows themselves. Regions whose label is
-    absent from the mask (including labels outside its vocabulary) come back
-    flagged invalid with zero features, never as an error. Returns
-    (fine RegionFeatureSet, coarse RegionFeatureSet, GlobalFeatureGrid).
+    hierarchy's labels. Both node levels then follow one rule: with M the
+    level's (nodes x labels) membership matrix, a node's row is the
+    voxel-count-weighted mean of its member label rows, a constant matrix
+    M * counts / (M @ counts) times the pooled rows (a fine node's is its own
+    label row), differentiable like the rows themselves; its counts are
+    M @ label counts, and it is valid when any member label is in the mask.
+    Regions whose label is absent from the mask (including labels outside
+    its vocabulary) come back flagged invalid with zero features, never as
+    an error. Returns (fine RegionFeatureSet, coarse RegionFeatureSet,
+    GlobalFeatureGrid).
     """
     labels = hierarchy.labels
-    coarse_ids = [c.id for c in hierarchy.coarse]
-    members = np.equal.outer(coarse_ids, hierarchy.label_owners).astype(np.int64)
-    fine_slots = np.arange(hierarchy.num_fine)
-
-    fine_layers, coarse_layers, label_counts = [], [], []
+    levels = {level: hierarchy.members(level) for level in (LEVEL_FINE, LEVEL_COARSE)}
+    per_layer = {level: [] for level in levels}
+    label_counts = []
     for layer in pyramid.layers:
         resized = resize_mask_nearest(mask, layer.extents)
         rows, counts = mask_pool_layer(layer.data, resized, labels)
-        weights = members * counts / np.maximum(members @ counts, 1)[:, None]
-        fine_layers.append(gather_rows(rows, fine_slots))
-        coarse_layers.append(matmul(Tensor(weights), rows))
+        for level, members in levels.items():
+            weights = members * counts / np.maximum(members @ counts, 1)[:, None]
+            per_layer[level].append(matmul(Tensor(weights), rows))
         label_counts.append(counts)
     label_counts = np.stack(label_counts, axis=1)
 
     present = np.bincount(mask.labels.ravel(), minlength=max(labels, default=0) + 1)[labels] > 0
-    fine_set = RegionFeatureSet(
-        region_ids=[n.id for n in hierarchy.fine],
-        per_layer=fine_layers,
-        fused=fuse_layers(fine_layers),
-        counts=label_counts[fine_slots],
-        valid=present[fine_slots],
-    )
-    coarse_set = RegionFeatureSet(
-        region_ids=coarse_ids,
-        per_layer=coarse_layers,
-        fused=fuse_layers(coarse_layers),
-        counts=members @ label_counts,
-        valid=members @ present > 0,
+    fine_set, coarse_set = (
+        RegionFeatureSet(
+            region_ids=[n.id for n in getattr(hierarchy, level)],  # .fine or .coarse
+            per_layer=per_layer[level],
+            fused=fuse_layers(per_layer[level]),
+            counts=members @ label_counts,
+            valid=members @ present > 0,
+        )
+        for level, members in levels.items()
     )
     grid = adaptive_avg_pool_global(pyramid.layers[-1].data)
     return fine_set, coarse_set, grid

@@ -60,9 +60,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -385,22 +382,6 @@ def merge_heads(x) -> Tensor:
     return from_op(_merge_heads(x.data), (x,), lambda g: (_split_heads(g, n_heads),))
 
 
-def gather_rows(a, indices) -> Tensor:
-    """Select rows of a 2-d tensor; backward scatter-adds into place."""
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"gather_rows expects a 2-d tensor, got shape {a.data.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    out = a.data[idx]
-
-    def backward(g):
-        gz = np.zeros_like(a.data)
-        np.add.at(gz, idx, g)
-        return (gz,)
-
-    return from_op(out, (a,), backward)
-
-
 # activations ---------------------------------------------------------------
 
 
@@ -550,12 +531,6 @@ def matmul(a, b) -> Tensor:
         )
 
     return from_op(out, (a, b), backward)
-
-
-def transpose(a, axes: Sequence[int]) -> Tensor:
-    """Permute the axes of a as np.transpose does."""
-    a = as_tensor(a)
-    return from_op(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, np.argsort(axes)),))
 
 
 def edge_scores(s, n_centers: int) -> Tensor:

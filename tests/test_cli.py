@@ -7,6 +7,7 @@ import pytest
 
 from ctgraph.cli import main
 from ctgraph.demo import demo_phantom_spec
+from ctgraph.gat import GatConfig, GatModel
 from ctgraph.graph import AnatomyHierarchy, CoarseNode, FineNode, save_hierarchy
 from ctgraph.heads import load_token_export, write_manifest
 from ctgraph.pooling import GlobalFeatureGrid, RegionFeatureSet, load_pooled, save_pooled
@@ -214,7 +215,7 @@ class TestExitCodes:
         assert code == 2
         assert "missing_anatomy.json" in capsys.readouterr().err
 
-    def test_train_on_non_finite_features_exits_2_naming_the_epoch(self, workspace, capsys):
+    def test_train_on_non_finite_features_exits_2_naming_the_file(self, workspace, capsys):
         ws = workspace
         rng = np.random.default_rng(0)
         for i in range(4):
@@ -235,8 +236,32 @@ class TestExitCodes:
             "train", "--mode", "probe", "--manifest", ws / "data.jsonl", "--out", ws / "probe"
         )
         assert code == 2
-        assert "epoch 0" in capsys.readouterr().err
+        assert "f2.bin" in capsys.readouterr().err
         assert not (ws / "probe" / "probe.bin").exists()
+
+    def test_infer_on_a_nan_pooled_entry_exits_2_naming_the_file(self, workspace, capsys):
+        ws = workspace
+        rows = np.ones((2, 2))
+        rows[1, 0] = np.nan
+        fine = RegionFeatureSet(
+            [1, 2], [Tensor(rows)], Tensor(rows), np.ones((2, 1), np.int64), np.ones(2, bool)
+        )
+        coarse = RegionFeatureSet(
+            [10], [Tensor(np.ones((1, 2)))], Tensor(np.ones((1, 2))),
+            np.ones((1, 1), np.int64), np.ones(1, bool),
+        )
+        save_pooled(ws / "nan.bin", fine, coarse, GlobalFeatureGrid(Tensor(np.zeros((4, 4, 2, 2)))))
+        GatModel.init(GatConfig(c_total=2, c_last=2, d_h=4, n_heads=2, export_dim=4)).save(ws / "ckpt")
+        assert run_cli(
+            "graph", "--hierarchy", ws / "anatomy.json", "--out", ws / "graph.json"
+        ) == 0
+        code = run_cli(
+            "infer", "--graph", ws / "graph.json", "--feats", ws / "nan.bin",
+            "--model", ws / "ckpt", "--out", ws / "tokens.bin",
+        )
+        assert code == 2
+        assert "nan.bin" in capsys.readouterr().err
+        assert not (ws / "tokens.bin").exists()
 
     def test_train_gat_without_graph_exits_2_naming_flag(self, workspace, capsys):
         ws = workspace
@@ -509,6 +534,17 @@ class TestRunPipeline:
             ) == 0
             chained = (ws / f"feats_{i:03d}.bin").read_bytes()
             assert chained == (ws / "run_out" / "pool" / f"feats_{i:03d}.bin").read_bytes()
+
+    def test_eval_scores_the_classifiers_held_out_samples(self, workspace):
+        ws = workspace
+        config = self._config(ws, n=8)
+        config["gat_train"] = {**config["gat_train"], "val_fraction": 0.25}
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 0
+        metrics = json.loads((ws / "run_out" / "summary.json").read_text())["metrics"]
+        scored = metrics["gat_info"]["scored_indices"]
+        assert len(scored) == metrics["gat_info"]["val_size"] == 2
+        assert metrics["eval_ce_f1"] == metrics["gat_f1"]
 
     def test_rerun_reproduces_metrics(self, workspace):
         ws = workspace

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ctgraph.container as container_module
 from ctgraph.container import load_tensor, load_tensors, save_tensor, save_tensors, write_json
-from ctgraph.errors import FormatError
+from ctgraph.errors import FormatError, ValidationError
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -87,6 +87,18 @@ def test_multi_record_file(tmp_path):
     assert set(back) == set(named)
     for name in named:
         assert np.array_equal(back[name], named[name])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_non_finite_float_record_fails_at_load_naming_file_and_record(tmp_path, bad, dtype):
+    values = np.zeros((2, 3), dtype=dtype)
+    values[1, 2] = bad
+    save_tensor(tmp_path / "one.bin", values, name="feats")
+    save_tensors(tmp_path / "many.bin", {"ids": np.arange(3), "feats": values})
+    for path in (tmp_path / "one.bin", tmp_path / "many.bin"):
+        with pytest.raises(ValidationError, match=rf"{path.name}.*'feats'"):
+            (load_tensor if path.name == "one.bin" else load_tensors)(path)
 
 
 def test_trailing_bytes_after_single_record(tmp_path):

@@ -610,6 +610,13 @@ class TestCheckpoint:
         for name in model.params:
             assert np.array_equal(back.params[name].data, model.params[name].data)
 
+    def test_load_rejects_an_inf_parameter(self, tmp_path):
+        model = GatModel.init(tiny_config(), seed=17)
+        model.params["stage1.head0.a"].data[0, 0] = np.inf
+        model.save(tmp_path / "ckpt")
+        with pytest.raises(ValidationError, match=r"stage1\.head0\.a\.bin"):
+            GatModel.load(tmp_path / "ckpt")
+
     def test_parameter_count_deterministic_from_config(self):
         cfg = tiny_config()
         a = GatModel.init(cfg, seed=0)

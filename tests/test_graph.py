@@ -77,7 +77,7 @@ class TestDefaultTable:
     def test_in_tree_paths_to_global_have_length_at_most_two(self):
         h = default_hierarchy()
         graph = build_hierarchical(h)
-        parents = graph.parents()
+        parents = dict(graph.edges)
         for node in graph.nodes:
             if node.level == LEVEL_GLOBAL:
                 continue
@@ -106,6 +106,28 @@ class TestBuilders:
         edges_to_11 = [e for e in graph.edges if e[1] == 11]
         assert edges_from_11 == [(11, 12)]
         assert edges_to_11 == []
+
+    def test_membership_matrices_and_attention_groups(self):
+        h = AnatomyHierarchy(
+            fine=(FineNode(2, "b", 5, 10), FineNode(1, "a", 4, 10)),
+            coarse=(CoarseNode(10, "sys"), CoarseNode(11, "standalone", label=7)),
+            global_id=12,
+        )
+        assert h.labels == [4, 5, 7]
+        assert h.members(LEVEL_FINE).tolist() == [[1, 0, 0], [0, 1, 0]]
+        assert h.members(LEVEL_COARSE).tolist() == [[1, 1, 0], [0, 0, 1]]
+        graph = build_hierarchical(h)
+        groups = [
+            graph.group(LEVEL_COARSE), graph.group(LEVEL_GLOBAL),
+            build_single_level(h).group(LEVEL_GLOBAL),
+        ]
+        assert [(centers, members, mask.tolist()) for centers, members, mask in groups] == [
+            ((10, 11), (1, 2), [[True, True], [False, False]]),
+            ((12,), (10, 11), [[True, True]]),
+            ((12,), (1, 2), [[True, True]]),
+        ]
+        matrices = [h.members(LEVEL_FINE), h.members(LEVEL_COARSE)] + [g[2] for g in groups]
+        assert not any(m.flags.writeable for m in matrices)
 
     def test_random_same_seed_identical(self):
         h = default_hierarchy()

@@ -104,6 +104,13 @@ class TestTrainProbe:
         with pytest.raises(ValidationError, match="probe.bin"):
             AffineHead.load(tmp_path / "probe.bin")
 
+    def test_load_rejects_a_nan_weight(self, tmp_path):
+        weight = np.zeros((3, 2))
+        weight[2, 1] = np.nan
+        save_tensors(tmp_path / "probe.bin", {"weight": weight, "bias": np.zeros(2)})
+        with pytest.raises(ValidationError, match="probe.bin.*'weight'"):
+            AffineHead.load(tmp_path / "probe.bin")
+
 
 class TestTrainConfig:
     def test_non_finite_loss_raises_before_any_step(self, monkeypatch):
