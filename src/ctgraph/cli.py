@@ -3,8 +3,8 @@
 Subcommands: synth, encode, pool, graph, train, infer, eval, run.
 Exit codes: 0 ok, 1 runtime failure, 2 config/validation error.
 BLAS worker threads are fixed when numpy loads, so cap them with
-OMP_NUM_THREADS / OPENBLAS_NUM_THREADS in the environment before launch;
-the package's own kernels are single-threaded.
+OMP_NUM_THREADS / OPENBLAS_NUM_THREADS in the environment before launch.
+The synthetic encoder runs one thread per CPU in the affinity mask.
 """
 
 from __future__ import annotations

@@ -356,8 +356,9 @@ def write_manifest(path, records: list[dict]) -> None:
 def read_manifest(path, required=("feature_file", "labels")) -> list[dict]:
     """Non-empty JSONL file of objects, each holding the required keys.
 
-    Dataset manifests need feature_file and labels; evaluation records
-    need id. Any defect raises ConfigError naming path:line.
+    Dataset manifests need feature_file and labels, a list of 0/1 integers
+    as long as the first record's; evaluation records need id. Any defect
+    raises ConfigError naming path:line.
     """
     records = []
     with open_input(path, "JSONL file", "rb") as fh:
@@ -374,6 +375,19 @@ def read_manifest(path, required=("feature_file", "labels")) -> list[dict]:
             for key in required:
                 if key not in record:
                     raise ConfigError(f"{path}:{line_no}: record misses '{key}'")
+            if "labels" in required:
+                labels = record["labels"]
+                if not isinstance(labels, list) or any(
+                    type(v) is not int or v not in (0, 1) for v in labels
+                ):
+                    raise ConfigError(
+                        f"{path}:{line_no}: labels must be a list of 0/1 integers, got {labels!r}"
+                    )
+                if records and len(labels) != len(records[0]["labels"]):
+                    raise ConfigError(
+                        f"{path}:{line_no}: {len(labels)} labels, but the first record has "
+                        f"{len(records[0]['labels'])}"
+                    )
             records.append(record)
     if not records:
         raise ConfigError(f"{path}: empty manifest")

@@ -171,9 +171,15 @@ def pool_all(pyramid, mask: LabelMask3D, hierarchy: AnatomyHierarchy):
     M @ label counts, and it is valid when any member label is in the mask.
     Regions whose label is absent from the mask (including labels outside
     its vocabulary) come back flagged invalid with zero features, never as
-    an error. Returns (fine RegionFeatureSet, coarse RegionFeatureSet,
-    GlobalFeatureGrid).
+    an error. A pyramid that records its source extents must come with a
+    mask of the same extents. Returns (fine RegionFeatureSet, coarse
+    RegionFeatureSet, GlobalFeatureGrid).
     """
+    source = pyramid.source_extents
+    if source is not None and source != mask.shape:
+        raise ValidationError(
+            f"mask extents {mask.shape} differ from the encoded scan's extents {source}"
+        )
     labels = hierarchy.labels
     levels = {level: hierarchy.members(level) for level in (LEVEL_FINE, LEVEL_COARSE)}
     per_layer = {level: [] for level in levels}

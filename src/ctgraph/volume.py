@@ -8,6 +8,8 @@ i.e. flat offset = (i * W + j) * D + t.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,11 +65,14 @@ class LabelMask3D:
         return self.labels.shape
 
 
+@lru_cache(maxsize=256)
 def _nearest_indices(src: int, tgt: int) -> np.ndarray:
+    """Read-only source index of each target index, cached per (src, tgt)."""
     # voxel-center convention: src index = floor((tgt index + 0.5) * src / tgt)
     scale = src / tgt
-    idx = np.floor((np.arange(tgt) + 0.5) * scale).astype(np.intp)
-    return np.clip(idx, 0, src - 1)
+    idx = np.clip(np.floor((np.arange(tgt) + 0.5) * scale).astype(np.intp), 0, src - 1)
+    idx.setflags(write=False)
+    return idx
 
 
 def resize_mask_nearest(mask: LabelMask3D, target_shape: tuple[int, int, int]) -> LabelMask3D:
@@ -159,12 +164,17 @@ def _ellipsoid(shape, center, radii):
     return box, ((gi - ci) / ri) ** 2 + ((gj - cj) / rj) ** 2 + ((gt - ct) / rt) ** 2 <= 1.0
 
 
-def generate_phantom(spec: PhantomSpec) -> tuple[Volume3D, LabelMask3D, np.ndarray]:
-    """Deterministic per spec.seed; returns (volume, mask, binary target vector)."""
-    shape = tuple(spec.shape)
+@lru_cache(maxsize=8)
+def _paint(shape: tuple[int, int, int], regions: tuple[RegionSpec, ...]):
+    """(labels, boxes) of regions painted in order, both read-only.
+
+    They depend on the shape and the regions only, so phantoms that differ
+    in seed share one painting. boxes maps each label to a box holding all
+    of its voxels.
+    """
     labels = np.zeros(shape, dtype=np.int32)
-    boxes = {}  # label -> a box holding all of its voxels
-    for region in spec.regions:
+    boxes = {}
+    for region in regions:
         for axis in range(3):
             lo = region.center[axis] - region.radii[axis]
             hi = region.center[axis] + region.radii[axis]
@@ -175,13 +185,21 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume3D, LabelMask3D, np.ndarr
         boxes[region.label], inside = _ellipsoid(shape, region.center, region.radii)
         labels[boxes[region.label]][inside] = region.label
 
-    counts = np.bincount(labels.ravel(), minlength=spec.num_labels + 1)
-    for region in spec.regions:
+    counts = np.bincount(labels.ravel(), minlength=max(boxes) + 1)
+    for region in regions:
         if counts[region.label] == 0:
             raise ValidationError(
                 f"region label {region.label} has no voxels after painting; "
                 "check for overlapping regions"
             )
+    labels.setflags(write=False)
+    return labels, MappingProxyType(boxes)
+
+
+def generate_phantom(spec: PhantomSpec) -> tuple[Volume3D, LabelMask3D, np.ndarray]:
+    """Deterministic per spec.seed; returns (volume, mask, binary target vector)."""
+    shape = tuple(spec.shape)
+    labels, boxes = _paint(shape, tuple(spec.regions))
 
     # every voxel takes its final label's intensity (background 0), jittered per label
     rng = np.random.default_rng(spec.seed)
@@ -209,6 +227,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume3D, LabelMask3D, np.ndarr
     if spec.noise_sigma > 0:
         vol += rng.normal(0.0, spec.noise_sigma, size=shape)
 
+    # LabelMask3D copies the shared painting
     return Volume3D(vol), LabelMask3D(labels, spec.num_labels), targets
 
 

@@ -13,9 +13,11 @@ from ctgraph.heads import load_token_export, write_manifest
 from ctgraph.pooling import GlobalFeatureGrid, RegionFeatureSet, load_pooled, save_pooled
 from ctgraph.tensor import Tensor
 from ctgraph.volume import (
+    LabelMask3D,
     PathologySpec,
     PhantomSpec,
     RegionSpec,
+    save_mask,
     save_phantom_spec,
 )
 
@@ -461,6 +463,57 @@ class TestExitCodes:
         assert run_cli("synth", "--spec", ws / "bad_spec.json", "--out", ws / "d") == 2
         assert "bad_spec.json" in capsys.readouterr().err
         assert not (ws / "d").exists()
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0], [0, 1, 1], [0, 2], [0.5, 1], ["a", 0], [True, False], "01", None],
+        ids=["short", "long", "two", "half", "string", "bool", "not-a-list", "null"],
+    )
+    def test_train_manifest_with_bad_labels_exits_2_naming_line(self, workspace, capsys, labels):
+        ws = workspace
+        records = [
+            {"feature_file": "f0.bin", "labels": [1, 0]},
+            {"feature_file": "f1.bin", "labels": labels},
+        ]
+        write_manifest(ws / "data.jsonl", records)
+        code = run_cli(
+            "train", "--mode", "probe", "--manifest", ws / "data.jsonl", "--out", ws / "probe"
+        )
+        assert code == 2
+        assert "data.jsonl:2" in capsys.readouterr().err
+
+    def _encode_first_scan(self, ws):
+        assert run_cli("synth", "--spec", ws / "phantom.json", "--count", 1, "--out", ws / "d") == 0
+        assert run_cli(
+            "encode", "--preset", "tiny", "--presets", ws / "presets.json",
+            "--in", ws / "d" / "vol_000.bin", "--out", ws / "p0",
+        ) == 0
+
+    @pytest.mark.parametrize("extents", [(4, 4, 2), (16, 16, 8), (8, 8, 8)])
+    def test_pool_with_a_mask_of_other_extents_exits_2(self, workspace, capsys, extents):
+        ws = workspace
+        self._encode_first_scan(ws)
+        save_mask(ws / "other.bin", LabelMask3D(np.ones(extents, dtype=np.int32), 2))
+        code = run_cli(
+            "pool", "--pyramid", ws / "p0", "--mask", ws / "other.bin",
+            "--hierarchy", ws / "anatomy.json", "--out", ws / "f.bin",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(extents) in err and "(8, 8, 4)" in err
+        assert not (ws / "f.bin").exists()
+
+    def test_pool_of_a_pyramid_index_without_source_extents_takes_any_mask(self, workspace):
+        ws = workspace
+        self._encode_first_scan(ws)
+        index = json.loads((ws / "p0" / "pyramid.json").read_text())
+        assert index.pop("source_extents") == [8, 8, 4]
+        (ws / "p0" / "pyramid.json").write_text(json.dumps(index))
+        save_mask(ws / "other.bin", LabelMask3D(np.ones((16, 16, 8), dtype=np.int32), 2))
+        assert run_cli(
+            "pool", "--pyramid", ws / "p0", "--mask", ws / "other.bin",
+            "--hierarchy", ws / "anatomy.json", "--out", ws / "f.bin",
+        ) == 0
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_undecodable_manifest_exits_2_naming_it(self, workspace, capsys, command):

@@ -1,9 +1,13 @@
 """Synthetic encoder behavior, preset registry, and pyramid import/export."""
 
+import json
+
 import numpy as np
 import pytest
 
+from ctgraph import encoder
 from ctgraph.encoder import (
+    PRESETS,
     EncoderPreset,
     FeaturePyramid,
     export_pyramid,
@@ -77,6 +81,76 @@ def test_indivisible_extents_error_names_factor():
     vol = Volume3D(np.zeros((12, 12, 6)))
     with pytest.raises(ValidationError, match="divisible.*4"):
         synth_encode(vol, get_preset("demo"), seed=0)
+
+
+def serial_reference(volume, preset, seed):
+    """The encoder as one whole-layer box mean and lift per layer, on one thread."""
+    h, w, d = volume.shape
+    layers = []
+    for li, (c_l, factor) in enumerate(zip(preset.channels, preset.cumulative_factors())):
+        box = volume.voxels.reshape(
+            h // factor, factor, w // factor, factor, d // factor, factor
+        ).mean(axis=(1, 3, 5))
+        rng = np.random.default_rng([seed, li])
+        scale = rng.standard_normal(c_l)
+        offset = 0.1 * rng.standard_normal(c_l)
+        feats = box[..., None] * scale
+        feats += offset
+        layers.append(feats)
+    return layers
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("preset_name", sorted(PRESETS))
+def test_slab_parallel_pyramid_equals_serial_reference(monkeypatch, preset_name, workers):
+    # every volume is split, and the coarsest layers have fewer rows than
+    # slabs (1 or 3 rows) or a row count the slab count does not divide
+    monkeypatch.setattr(encoder, "_WORKERS", workers)
+    monkeypatch.setattr(encoder, "_INLINE_BELOW_VOXELS", 0)
+    preset = PRESETS[preset_name]
+    top = preset.cumulative_factors()[-1]
+    rng = np.random.default_rng(workers)
+    for shape in [(top, top, top), (3 * top, top, 2 * top)]:
+        vol = Volume3D(rng.standard_normal(shape) * 50.0)
+        pyr = synth_encode(vol, preset, seed=11)
+        expected = serial_reference(vol, preset, seed=11)
+        assert [layer.extents[0] for layer in pyr.layers][-1] in (1, 3)
+        for layer, ref in zip(pyr.layers, expected, strict=True):
+            assert np.array_equal(layer.data.data, ref)
+
+
+class _NoPool:
+    def submit(self, *args):
+        raise AssertionError("encoded on the thread pool")
+
+
+def test_one_cpu_and_small_volumes_encode_inline(monkeypatch):
+    monkeypatch.setattr(encoder, "_POOL", _NoPool())
+    small = Volume3D(np.random.default_rng(1).standard_normal((32, 32, 16)))
+    assert small.voxels.size < encoder._INLINE_BELOW_VOXELS
+    monkeypatch.setattr(encoder, "_WORKERS", 4)
+    synth_encode(small, get_preset("demo"), seed=1)
+    monkeypatch.setattr(encoder, "_WORKERS", 1)
+    large = Volume3D(np.zeros((64, 64, 64)))
+    assert large.voxels.size >= encoder._INLINE_BELOW_VOXELS
+    synth_encode(large, get_preset("demo"), seed=1)
+
+
+def test_export_records_the_source_extents(tmp_path):
+    vol = Volume3D(np.zeros((16, 16, 8)))
+    export_pyramid(synth_encode(vol, get_preset("demo"), seed=2), tmp_path)
+    assert json.loads((tmp_path / "pyramid.json").read_text())["source_extents"] == [16, 16, 8]
+    assert load_pyramid(tmp_path).source_extents == (16, 16, 8)
+
+
+@pytest.mark.parametrize("extents", [[16, 16], [16, 0, 8], "abc", [16, "x", 8]])
+def test_load_rejects_bad_source_extents(tmp_path, extents):
+    export_pyramid(synth_encode(Volume3D(np.zeros((16, 16, 8))), get_preset("demo"), 2), tmp_path)
+    index = json.loads((tmp_path / "pyramid.json").read_text())
+    index["source_extents"] = extents
+    (tmp_path / "pyramid.json").write_text(json.dumps(index))
+    with pytest.raises(ValidationError, match="pyramid index"):
+        load_pyramid(tmp_path)
 
 
 def test_export_import_round_trip_bit_identical(tmp_path):

@@ -1,5 +1,6 @@
 """Mask resizing oracle, phantom generation, and volume/mask round trips."""
 
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctgraph.demo import demo_phantom_spec
 from ctgraph.errors import FormatError, ValidationError
 from ctgraph.volume import (
     LabelMask3D,
@@ -14,6 +16,8 @@ from ctgraph.volume import (
     PhantomSpec,
     RegionSpec,
     Volume3D,
+    _nearest_indices,
+    _paint,
     generate_phantom,
     load_mask,
     load_volume,
@@ -90,6 +94,16 @@ class TestResizeMaskNearest:
         mask = LabelMask3D(np.zeros((2, 2, 2), dtype=np.int32), 1)
         with pytest.raises(ValidationError):
             resize_mask_nearest(mask, (0, 2, 2))
+
+    @pytest.mark.parametrize("src, tgt", [(7, 3), (3, 7), (64, 16), (5, 5), (1, 4), (33, 8)])
+    def test_nearest_indices_are_cached_read_only_and_follow_the_formula(self, src, tgt):
+        idx = _nearest_indices(src, tgt)
+        assert _nearest_indices(src, tgt) is idx
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 0
+        expected = [min(math.floor((t + 0.5) * (src / tgt)), src - 1) for t in range(tgt)]
+        assert idx.dtype == np.intp and idx.tolist() == expected
 
 
 def _simple_spec(**kwargs):
@@ -246,6 +260,55 @@ class TestPhantom:
         spec = _simple_spec()
         again = phantom_spec_from_json(asdict(spec))
         assert again == spec
+
+
+def _overlapping_spec():
+    """Region 2 paints over part of region 1; both keep voxels."""
+    return _simple_spec(
+        regions=(
+            RegionSpec(1, (5.0, 5.0, 4.0), (3.0, 3.0, 2.5), 0.4),
+            RegionSpec(2, (7.5, 7.0, 4.0), (2.5, 2.5, 2.0), 0.7),
+        ),
+        pathologies=(
+            PathologySpec("a", 1, 0.5, 1.0, radius=1.5),
+            PathologySpec("b", 2, 0.8, 1.0, radius=1.2),
+        ),
+        noise_sigma=0.05,
+        intensity_jitter=0.3,
+    )
+
+
+class TestPaintCache:
+    def _check_against_uncached(self, spec):
+        labels, boxes = _paint(tuple(spec.shape), spec.regions)
+        hits = _paint.cache_info().hits
+        vol, mask, targets = generate_phantom(spec)
+        assert _paint.cache_info().hits == hits + 1
+        fresh_labels, fresh_boxes = _paint.__wrapped__(tuple(spec.shape), spec.regions)
+        assert labels.tobytes() == fresh_labels.tobytes() and dict(boxes) == dict(fresh_boxes)
+        ref_vol, ref_labels, ref_targets = full_volume_phantom(spec)
+        assert vol.voxels.tobytes() == ref_vol.tobytes()
+        assert mask.labels.tobytes() == ref_labels.tobytes()
+        assert targets.tobytes() == ref_targets.tobytes()
+        assert not np.shares_memory(mask.labels, labels)
+
+    def test_demo_seeds_equal_an_uncached_paint(self):
+        for seed in range(4):
+            self._check_against_uncached(demo_phantom_spec(seed=seed))
+
+    def test_overlapping_regions_equal_an_uncached_paint(self):
+        spec = _overlapping_spec()
+        both, _ = _paint.__wrapped__(tuple(spec.shape), spec.regions)
+        alone, _ = _paint.__wrapped__(tuple(spec.shape), spec.regions[:1])
+        assert 0 < np.count_nonzero(both == 1) < np.count_nonzero(alone == 1)
+        for seed in range(4):
+            self._check_against_uncached(spec.with_seed(seed))
+
+    def test_cached_layout_is_read_only(self):
+        labels, boxes = _paint(tuple(_simple_spec().shape), _simple_spec().regions)
+        assert not labels.flags.writeable
+        with pytest.raises(TypeError):
+            boxes[1] = None
 
 
 class TestVolumeIO:
