@@ -4,18 +4,17 @@ Stage 1 updates each coarse node from its fine children plus a self-loop;
 stage 2 updates the global node from its children (the coarse nodes, or the
 fine nodes of a single-level graph) plus a self-loop, and adds a skip
 connection back to the original global embedding. Both run `_attend`, one
-masked dense attention stage over a batch axis: layer-normalized rows are
-projected for all heads by one matmul; each head's attention vector splits
-as a = [a_src; a_dst], so member j scores LeakyReLU(a_src.Wh_j + a_dst.Wh_i)
-for center i (the GAT rule on [Wh_j || Wh_i]), and one more matmul with a
-block-diagonal matrix of the heads' a gives every such term; a softmax over
-the member axis, masked by the graph edges, the samples' `valid` flags and
-the self-loop, weights the projected members. Head outputs are concatenated.
+masked dense attention stage over a batch axis: the members' and centers'
+rows are layer-normalized together and passed to `tensor.graph_attention`,
+one tape node for all heads. Each head's attention vector splits as
+a = [a_src; a_dst], so member j scores LeakyReLU(a_src.Wh_j + a_dst.Wh_i)
+for center i (the GAT rule on [Wh_j || Wh_i]); a softmax over the member
+axis, masked by the graph edges, the samples' `valid` flags and the
+self-loop, weights the projected members. Head outputs are concatenated.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
@@ -27,23 +26,7 @@ from .container import check_keys, ensure_dir, load_tensor, read_json, save_tens
 from .errors import ShapeError, ValidationError, malformed
 from .graph import LEVEL_COARSE, LEVEL_FINE, LEVEL_GLOBAL, TOPOLOGY_SINGLE, RegionGraph
 from .pooling import GLOBAL_GRID
-from .tensor import (
-    Tensor,
-    add,
-    concat,
-    edge_scores,
-    layer_norm,
-    leaky_relu,
-    linear,
-    matmul,
-    merge_heads,
-    mlp_forward,
-    reshape,
-    scatter,
-    softmax,
-    split_heads,
-    stack,
-)
+from .tensor import Tensor, add, concat, graph_attention, layer_norm, linear, mlp_forward, reshape, stack
 
 
 @dataclass(frozen=True)
@@ -63,6 +46,10 @@ class GatConfig:
             raise ValidationError(f"sizes and mlp_hidden must be positive integers: {self}")
         if not isinstance(self.slope, Real) or not isinstance(self.ln_eps, Real):
             raise ValidationError("slope and ln_eps must be numbers")
+        if not 0.0 < self.slope < 1.0:
+            raise ValidationError(f"slope must lie in (0, 1), got {self.slope}")
+        if not 0.0 < self.ln_eps < math.inf:
+            raise ValidationError(f"ln_eps must be positive and finite, got {self.ln_eps}")
         if self.d_h % self.n_heads:
             raise ValidationError(
                 f"d_h ({self.d_h}) must be divisible by n_heads ({self.n_heads})"
@@ -205,39 +192,16 @@ def embed_nodes(model: GatModel, fine_fused: Tensor, coarse_fused: Tensor | None
     return h_f, h_c, h_g
 
 
-@functools.lru_cache(maxsize=None)
-def _attention_slots(n_heads: int, d_head: int) -> np.ndarray:
-    """Flat positions in the (d_h, 2 * n_heads) block-diagonal attention matrix
-    of the heads' a = [a_src; a_dst] entries, head by head."""
-    head, part, row = np.indices((n_heads, 2, d_head)).reshape(3, -1)
-    slots = (head * d_head + row) * (2 * n_heads) + part * n_heads + head
-    slots.setflags(write=False)
-    return slots
-
-
-def head_blocks(model: GatModel, stage: str) -> tuple[Tensor, Tensor]:
-    """The stage's per-head leaves as one projection and one attention matrix.
-
-    w (d_h, d_h) holds head h's w in columns h*d_head:(h+1)*d_head; a
-    (d_h, 2 * n_heads) holds a_src in column h and a_dst in column
-    n_heads + h, on head h's rows, so rows @ w @ a gives every head's
-    source and destination terms. Gradients flow back to the leaves.
-    """
-    cfg, heads = model.config, model.heads(stage)
-    w = concat([w for w, _ in heads], axis=1)
-    a = scatter(
-        [a for _, a in heads], (cfg.d_h, 2 * cfg.n_heads), _attention_slots(cfg.n_heads, cfg.d_head)
-    )
-    return w, a
-
-
 def _attend(graph, level, h_members, h_centers, valid, model, stage):
     """One masked dense attention stage over `graph.group(level)`: centers <- member edges.
 
     h_members (B, members, d_h) and h_centers (B, centers, d_h) hold rows in
     the group's member / center order; valid (B, members) flags present members.
-    Returns the updated (B, centers, d_h) centers and, for B = 1, the table
-    {center: {"members": ids, "alpha": (n_heads, group)}}, self-loop last.
+    The rows are layer-normalized together, centers last, and attended by
+    `graph_attention` with the stage's heads over each center's valid children
+    plus its self-loop. Returns the updated (B, centers, d_h) centers and, for
+    B = 1, the table {center: {"members": ids, "alpha": (n_heads, group)}},
+    self-loop last.
     """
     cfg = model.config
     center_ids, member_ids, children = graph.group(level)
@@ -245,17 +209,13 @@ def _attend(graph, level, h_members, h_centers, valid, model, stage):
     self_loop = np.broadcast_to(np.eye(n_centers, dtype=bool), (b, n_centers, n_centers))
     mask = np.concatenate([children & np.reshape(valid, (b, 1, n_members)), self_loop], axis=2)
 
-    w, a = head_blocks(model, stage)
     gamma, beta = model.params[f"{stage}.ln.gamma"], model.params[f"{stage}.ln.beta"]
     rows = layer_norm(concat([h_members, h_centers], axis=1), gamma, beta, cfg.ln_eps)
-    proj = matmul(rows, w)  # (B, members + centers, d_h), centers last
-    scores = edge_scores(matmul(proj, a), n_centers)
-    alpha = softmax(leaky_relu(scores, cfg.slope), axis=-1, mask=mask[:, None])
-    updated = merge_heads(matmul(alpha, split_heads(proj, cfg.n_heads)))
+    updated, alpha = graph_attention(rows, model.heads(stage), mask, cfg.slope, n_centers)
     alphas = {}
     for i, center in enumerate(center_ids if b == 1 else ()):  # tables for one sample only
         members = [m for m, keep in zip(member_ids, mask[0, i]) if keep] + [center]
-        alphas[center] = {"members": members, "alpha": alpha.data[0, :, i][:, mask[0, i]]}
+        alphas[center] = {"members": members, "alpha": alpha[0, :, i][:, mask[0, i]]}
     return updated, alphas
 
 

@@ -356,11 +356,12 @@ def write_manifest(path, records: list[dict]) -> None:
 def read_manifest(path, required=("feature_file", "labels")) -> list[dict]:
     """Non-empty JSONL file of objects, each holding the required keys.
 
-    Dataset manifests need feature_file and labels, a list of 0/1 integers
-    as long as the first record's; evaluation records need id. Any defect
-    raises ConfigError naming path:line.
+    Dataset manifests need feature_file and labels; evaluation records need
+    id. Wherever a record has labels, they are a list of 0/1 integers as long
+    as the first such record's. Any defect raises ConfigError naming path:line.
     """
     records = []
+    width = None  # label count of the first record that has labels
     with open_input(path, "JSONL file", "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -375,7 +376,7 @@ def read_manifest(path, required=("feature_file", "labels")) -> list[dict]:
             for key in required:
                 if key not in record:
                     raise ConfigError(f"{path}:{line_no}: record misses '{key}'")
-            if "labels" in required:
+            if "labels" in record:
                 labels = record["labels"]
                 if not isinstance(labels, list) or any(
                     type(v) is not int or v not in (0, 1) for v in labels
@@ -383,10 +384,12 @@ def read_manifest(path, required=("feature_file", "labels")) -> list[dict]:
                     raise ConfigError(
                         f"{path}:{line_no}: labels must be a list of 0/1 integers, got {labels!r}"
                     )
-                if records and len(labels) != len(records[0]["labels"]):
+                if width is None:
+                    width = len(labels)
+                elif len(labels) != width:
                     raise ConfigError(
-                        f"{path}:{line_no}: {len(labels)} labels, but the first record has "
-                        f"{len(records[0]['labels'])}"
+                        f"{path}:{line_no}: {len(labels)} labels, but the first labelled "
+                        f"record has {width}"
                     )
             records.append(record)
     if not records:

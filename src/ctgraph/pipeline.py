@@ -184,6 +184,12 @@ def eval_stage(preds: list[dict], refs: list[dict], metrics, path) -> dict:
     if "ce" in metrics:
         if not all("labels" in record for record in preds + refs):
             raise ValidationError("ce metrics need 'labels' in every shared record")
+        for pred, ref in zip(preds, refs):
+            if len(pred["labels"]) != len(ref["labels"]):
+                raise ValidationError(
+                    f"record id {pred.get('id')!r}: {len(pred['labels'])} predicted labels "
+                    f"but {len(ref['labels'])} reference labels"
+                )
         scores = macro_prf1(
             np.array([p["labels"] for p in preds]), np.array([r["labels"] for r in refs])
         )

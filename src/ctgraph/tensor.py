@@ -13,6 +13,7 @@ tape.
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,28 +97,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -125,17 +108,8 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape):
         return reshape(self, shape[0] if len(shape) == 1 else shape)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -212,16 +186,6 @@ def add(a, b) -> Tensor:
     return from_op(out, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return from_op(out, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
@@ -235,55 +199,6 @@ def mul(a, b) -> Tensor:
     return from_op(out, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
-
-    def backward(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        )
-
-    return from_op(out, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return from_op(-a.data, (a,), lambda g: (-g,))
-
-
-def power(a, p: float) -> Tensor:
-    a = as_tensor(a)
-    p = float(p)
-    out = a.data**p
-
-    def backward(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return from_op(out, (a,), backward)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def backward(g):
-        return (g * out,)
-
-    return from_op(out, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.log(a.data)
-
-    def backward(g):
-        return (g / a.data,)
-
-    return from_op(out, (a,), backward)
-
-
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
@@ -293,20 +208,6 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
         return (np.broadcast_to(gg, a.data.shape).copy(),)
-
-    return from_op(out, (a,), backward)
-
-
-def tensor_mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    scale = out.size / a.data.size
-
-    def backward(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg * scale, a.data.shape).copy(),)
 
     return from_op(out, (a,), backward)
 
@@ -340,48 +241,6 @@ def stack(tensors: Iterable[Tensor]) -> Tensor:
     return from_op(np.stack([t.data for t in ts]), ts, tuple)
 
 
-def scatter(tensors: Sequence[Tensor], shape: tuple[int, ...], index) -> Tensor:
-    """Zeros of `shape` holding the tensors' entries, read in order, at the flat positions index.
-
-    index lists distinct positions, one per entry; backward gathers each
-    tensor's gradient back from its positions.
-    """
-    ts = [as_tensor(t) for t in tensors]
-    values = np.concatenate([t.data.ravel() for t in ts])
-    out = np.zeros(shape, dtype=values.dtype)
-    out.reshape(-1)[index] = values
-    cuts = np.cumsum([t.data.size for t in ts])[:-1]
-
-    def backward(g):
-        parts = np.split(g.reshape(-1)[index], cuts)
-        return tuple(part.reshape(t.data.shape) for part, t in zip(parts, ts))
-
-    return from_op(out, ts, backward)
-
-
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    *lead, n, width = x.shape
-    return np.swapaxes(x.reshape(*lead, n, n_heads, width // n_heads), -2, -3)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    *lead, n_heads, n, d = x.shape
-    return np.swapaxes(x, -2, -3).reshape(*lead, n, n_heads * d)
-
-
-def split_heads(x, n_heads: int) -> Tensor:
-    """(..., n, n_heads * d) rows as (..., n_heads, n, d) per-head blocks; merge_heads inverts."""
-    x = as_tensor(x)
-    return from_op(_split_heads(x.data, n_heads), (x,), lambda g: (_merge_heads(g),))
-
-
-def merge_heads(x) -> Tensor:
-    """(..., n_heads, n, d) per-head blocks as (..., n, n_heads * d) rows, heads side by side."""
-    x = as_tensor(x)
-    n_heads = x.data.shape[-3]
-    return from_op(_merge_heads(x.data), (x,), lambda g: (_split_heads(g, n_heads),))
-
-
 # activations ---------------------------------------------------------------
 
 
@@ -405,27 +264,6 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = _sigmoid_np(a.data)
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return from_op(out, (a,), backward)
-
-
-def softplus(a) -> Tensor:
-    """log(1 + exp(x)) computed without overflow; gradient is sigmoid(x)."""
-    a = as_tensor(a)
-    out = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
-
-    def backward(g):
-        return (g * _sigmoid_np(a.data),)
-
-    return from_op(out, (a,), backward)
 
 
 def softmax(a, axis: int = -1, mask=None) -> Tensor:
@@ -533,30 +371,101 @@ def matmul(a, b) -> Tensor:
     return from_op(out, (a, b), backward)
 
 
-def edge_scores(s, n_centers: int) -> Tensor:
-    """GAT attention logits from per-node score terms.
+def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., n, n_heads * d) rows as (..., n_heads, n, d) per-head views; _merge_heads inverts."""
+    *lead, n, width = x.shape
+    return np.swapaxes(x.reshape(*lead, n, n_heads, width // n_heads), -2, -3)
 
-    s (..., N, 2 * n_heads) holds each node's source term for head h in
-    column h and its destination term in column n_heads + h; the last
-    n_centers nodes are the centers. Returns (..., n_heads, n_centers, N)
-    with out[..., h, i, j] = s[..., j, h] + s[..., N - n_centers + i, n_heads + h].
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    *lead, n_heads, n, d = x.shape
+    return np.swapaxes(x, -2, -3).reshape(*lead, n, n_heads * d)
+
+
+@functools.lru_cache(maxsize=None)
+def _score_slots(n_heads: int, d_head: int) -> np.ndarray:
+    """Flat positions, in the (n_heads * d_head, 2 * n_heads) block-diagonal
+    score matrix, of the heads' a = [a_src; a_dst] entries, head by head:
+    a_src in column h and a_dst in column n_heads + h, on head h's rows."""
+    head, part, row = np.indices((n_heads, 2, d_head)).reshape(3, -1)
+    slots = (head * d_head + row) * (2 * n_heads) + part * n_heads + head
+    slots.setflags(write=False)
+    return slots
+
+
+def graph_attention(rows, heads: Sequence[tuple[Tensor, Tensor]], mask, slope: float, n_centers: int):
+    """Multi-head GAT attention of the last n_centers rows over all rows, as one tape node.
+
+    rows (B, N, d_h) hold the members, then the centers; heads lists each
+    head's (w (d_h, d), a (2d, 1)) leaves with n_heads * d = d_h and
+    a = [a_src; a_dst]; mask (B, n_centers, N) flags the entries center i
+    attends over. Head h weights entry j of center i by a softmax over the
+    masked j of LeakyReLU(a_src . w x_j + a_dst . w x_i), then sums w x_j.
+    Returns the (B, n_centers, d_h) head outputs side by side as a Tensor,
+    and the weights alpha (B, n_heads, n_centers, N) as a plain array.
+
+    All heads run as one projection by the heads' w side by side and one
+    product with a block-diagonal matrix of their a. The backward is closed
+    form: the softmax Jacobian, LeakyReLU's slope, the score gradient summed
+    over centers (source terms) and over entries (destination terms), and
+    one GEMM each for w and for rows.
     """
-    s = as_tensor(s)
-    x = s.data
-    n_heads = x.shape[-1] // 2
-    if x.ndim < 2 or x.shape[-1] != 2 * n_heads or not 1 <= n_centers <= x.shape[-2]:
-        raise ShapeError(f"edge_scores: cannot score {n_centers} centers from terms {x.shape}")
-    src = np.swapaxes(x[..., :n_heads], -1, -2)[..., None, :]
-    dst = np.swapaxes(x[..., -n_centers:, n_heads:], -1, -2)[..., None]
+    rows, mask = as_tensor(rows), np.asarray(mask, dtype=bool)
+    x = rows.data
+    n_heads = len(heads)
+    d_head = x.shape[-1] // max(n_heads, 1)
+    shapes = {(w.data.shape, a.data.shape) for w, a in heads}
+    if (
+        x.ndim != 3
+        or n_heads * d_head != x.shape[-1]
+        or shapes != {((x.shape[-1], d_head), (2 * d_head, 1))}
+        or not 1 <= n_centers <= x.shape[1]
+        or mask.shape != (x.shape[0], n_centers, x.shape[1])
+    ):
+        raise ShapeError(
+            f"graph_attention: rows {x.shape}, {n_heads} heads of (w, a) shapes "
+            f"{sorted(shapes)} and mask {mask.shape} do not fit {n_centers} centers"
+        )
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"graph_attention slope must lie in (0, 1), got {slope}")
+    b, n, d_h = x.shape
+    slots = _score_slots(n_heads, d_head)
+    w = np.concatenate([w.data for w, _ in heads], axis=1)
+    a_values = np.concatenate([a.data.ravel() for _, a in heads])
+    a = np.zeros((d_h, 2 * n_heads), dtype=a_values.dtype)
+    a.reshape(-1)[slots] = a_values
+    flat = x.reshape(-1, d_h)
+    proj_flat = flat @ w
+    proj = proj_flat.reshape(b, n, d_h)
+    terms = (proj_flat @ a).reshape(b, n, 2 * n_heads)  # source terms, then destination terms
+    src = np.swapaxes(terms[..., :n_heads], -1, -2)[..., None, :]
+    dst = np.swapaxes(terms[..., -n_centers:, n_heads:], -1, -2)[..., None]
+    # C order: the softmax then reduces contiguous rows, not the strided layout of src
+    scores = np.add(src, dst, order="C")
+    positive = scores > 0
+    scores = np.where(mask[:, None], np.where(positive, scores, slope * scores), -np.inf)
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    values = _split_heads(proj, n_heads)
 
     def backward(g):
-        gs = np.zeros_like(x)
-        gs[..., :n_heads] = np.swapaxes(g.sum(axis=-2), -1, -2)
-        gs[..., -n_centers:, n_heads:] = np.swapaxes(g.sum(axis=-1), -1, -2)
-        return (gs,)
+        g_out = _split_heads(g, n_heads)
+        g_alpha = g_out @ np.swapaxes(values, -1, -2)
+        g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True))
+        g_scores = g_scores * np.where(positive, 1.0, slope)
+        g_terms = np.zeros_like(terms)
+        g_terms[..., :n_heads] = np.swapaxes(g_scores.sum(axis=-2), -1, -2)
+        g_terms[..., -n_centers:, n_heads:] = np.swapaxes(g_scores.sum(axis=-1), -1, -2)
+        g_terms = g_terms.reshape(-1, 2 * n_heads)
+        g_proj = (g_terms @ a.T).reshape(proj.shape) + _merge_heads(np.swapaxes(alpha, -1, -2) @ g_out)
+        g_proj = g_proj.reshape(-1, d_h)
+        g_rows = (g_proj @ w.T).reshape(x.shape) if rows.requires_grad else None
+        g_w = np.split(flat.T @ g_proj, n_heads, axis=1)
+        g_a = np.split((proj_flat.T @ g_terms).reshape(-1)[slots], n_heads)
+        return (g_rows, *(g for gw, ga in zip(g_w, g_a) for g in (gw, ga.reshape(-1, 1))))
 
-    # C order: softmax then reduces contiguous rows, not the strided layout of src
-    return from_op(np.add(src, dst, order="C"), (s,), backward)
+    leaves = [t for pair in heads for t in pair]
+    return from_op(_merge_heads(alpha @ values), (rows, *leaves), backward), alpha
 
 
 def bce_with_logits(logits, targets) -> Tensor:

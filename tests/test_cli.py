@@ -287,6 +287,43 @@ class TestExitCodes:
         assert code == 2
         assert "pred.jsonl:2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", [["a", 0], [2, 0], [0.5, 1]], ids=["string", "two", "half"])
+    def test_eval_ce_with_bad_labels_exits_2_naming_line(self, workspace, capsys, labels):
+        ws = workspace
+        (ws / "ref.jsonl").write_text('{"id": 1, "labels": [1, 0]}\n')
+        (ws / "pred.jsonl").write_text(json.dumps({"id": 1, "labels": labels}) + "\n")
+        code = run_cli(
+            "eval", "--metrics", "ce", "--pred", ws / "pred.jsonl", "--ref", ws / "ref.jsonl",
+            "--out", ws / "r.json",
+        )
+        assert code == 2
+        assert "pred.jsonl:1" in capsys.readouterr().err
+        assert not (ws / "r.json").exists()
+
+    def test_eval_ce_with_more_labels_than_the_reference_exits_2(self, workspace, capsys):
+        ws = workspace
+        (ws / "ref.jsonl").write_text('{"id": 1, "labels": [1, 0]}\n')
+        (ws / "pred.jsonl").write_text('{"id": 1, "labels": [1, 0, 1]}\n')
+        code = run_cli(
+            "eval", "--metrics", "ce", "--pred", ws / "pred.jsonl", "--ref", ws / "ref.jsonl",
+            "--out", ws / "r.json",
+        )
+        assert code == 2
+        assert "3 predicted labels but 2 reference labels" in capsys.readouterr().err
+        assert not (ws / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "gat", [{"slope": 1.5}, {"slope": 0.0}, {"slope": -0.2}, {"ln_eps": 0.0}, {"ln_eps": -1e-6}],
+        ids=["slope-1.5", "slope-0", "slope-negative", "ln_eps-0", "ln_eps-negative"],
+    )
+    def test_run_out_of_range_gat_value_exits_2_before_synth(self, workspace, capsys, gat):
+        ws = workspace
+        config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2, "gat": gat}
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        assert next(iter(gat)) in capsys.readouterr().err
+        assert not (ws / "out" / "synth").exists()
+
     def test_run_unknown_gat_key_exits_2_before_synth(self, workspace, capsys):
         ws = workspace
         config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2, "gat": {"heads": 2}}

@@ -394,6 +394,17 @@ class TestManifest:
         with pytest.raises(ConfigError, match="empty"):
             read_manifest(path)
 
+    def test_evaluation_records_with_labels_are_checked(self, tmp_path):
+        path = tmp_path / "pred.jsonl"
+        path.write_text('{"id": 0, "text": "clear"}\n{"id": 1, "labels": [1, 0]}\n{"id": 2, "labels": [1]}\n')
+        with pytest.raises(ConfigError, match="pred.jsonl:3"):
+            read_manifest(path, required=("id",))
+        path.write_text('{"id": 0, "text": "clear"}\n{"id": 1, "labels": [true, 0]}\n')
+        with pytest.raises(ConfigError, match="pred.jsonl:2"):
+            read_manifest(path, required=("id",))
+        path.write_text('{"id": 0, "text": "clear"}\n{"id": 1, "labels": [1, 0]}\n')
+        assert len(read_manifest(path, required=("id",))) == 2
+
     def test_undecodable_bytes_rejected_naming_path(self, tmp_path):
         path = tmp_path / "binary.jsonl"
         path.write_bytes(b'\xff\xfe{"feature_file": "f0.bin", "labels": [0]}\n')

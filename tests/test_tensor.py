@@ -14,19 +14,14 @@ from ctgraph.tensor import (
     Tensor,
     bce_with_logits,
     concat,
-    edge_scores,
+    graph_attention,
     layer_norm,
     leaky_relu,
     linear,
     matmul,
-    merge_heads,
     mlp_forward,
     no_grad,
-    scatter,
-    sigmoid,
     softmax,
-    softplus,
-    split_heads,
     stack,
 )
 import ctgraph.tensor as tensor_module
@@ -75,11 +70,12 @@ class TestMatmul:
         v = Tensor(rng.standard_normal((5, 4, 2)), requires_grad=True)
         assert np.allclose(matmul(x, w).data[1], x.data[1] @ w.data, atol=1e-15)
         assert matmul(y, v).shape == (2, 5, 3, 2)
-        err = check_gradients(
-            lambda: (matmul(x, w) ** 2).sum() + (matmul(y, v) ** 2).sum(),
-            [x, w, y, v],
-        )
-        assert err < 1e-4
+
+        def loss():
+            xw, yv = matmul(x, w), matmul(y, v)
+            return (xw * xw).sum() + (yv * yv).sum()
+
+        assert check_gradients(loss, [x, w, y, v]) < 1e-4
 
 
     @pytest.mark.parametrize(
@@ -301,8 +297,12 @@ class TestMlpForward:
         ]
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         params = [x] + [t for pair in layers for t in pair]
-        err = check_gradients(lambda: (mlp_forward(x, layers) ** 2).sum(), params)
-        assert err < 1e-4
+
+        def loss():
+            out = mlp_forward(x, layers)
+            return (out * out).sum()
+
+        assert check_gradients(loss, params) < 1e-4
 
 
 class TestAdamW:
@@ -455,44 +455,89 @@ class TestFusedOps:
         assert np.array_equal(stack(parts).data, np.stack([p.data for p in parts]))
         assert check_gradients(lambda: (stack(parts) * weights).sum(), parts) < 1e-6
 
-    def test_scatter_places_entries_and_gathers_gradients(self):
-        rng = np.random.default_rng(14)
-        a = Tensor(rng.standard_normal((2, 1)), requires_grad=True)
-        b = Tensor(rng.standard_normal(3), requires_grad=True)
-        index = np.array([5, 0, 7, 2, 3])
-        out = scatter([a, b], (2, 4), index).data
-        expected = np.zeros(8)
-        expected[index] = np.concatenate([a.data.ravel(), b.data])
-        assert np.array_equal(out, expected.reshape(2, 4))
-        weights = Tensor(rng.standard_normal((2, 4)))
-        err = check_gradients(lambda: (scatter([a, b], (2, 4), index) * weights).sum(), [a, b])
-        assert err < 1e-6
+    @staticmethod
+    def attention_inputs(batch, n_heads, seed, d_head=2, n_members=5, n_centers=3):
+        """Rows, per-head leaves and a mask with an invalid member and a childless center."""
+        rng = np.random.default_rng(seed)
+        d_h, n = n_heads * d_head, n_members + n_centers
+        rows = Tensor(rng.standard_normal((batch, n, d_h)), requires_grad=True)
+        heads = [
+            (Tensor(rng.standard_normal((d_h, d_head)), requires_grad=True),
+             Tensor(rng.standard_normal((2 * d_head, 1)), requires_grad=True))
+            for _ in range(n_heads)
+        ]
+        mask = np.zeros((batch, n_centers, n), dtype=bool)
+        mask[:, :, :n_members] = rng.random((batch, n_centers, n_members)) < 0.6
+        mask[:, :, 1] = False  # member 1 is invalid in every sample
+        mask[:, 0, :n_members] = False  # center 0 has no children
+        mask[:, :, n_members:] = np.eye(n_centers, dtype=bool)  # self-loops
+        return rows, heads, mask
 
-    def test_split_and_merge_heads_invert_each_other(self):
-        rng = np.random.default_rng(15)
-        x = Tensor(rng.standard_normal((2, 5, 6)), requires_grad=True)
-        heads = split_heads(x, 3)
-        assert heads.shape == (2, 3, 5, 2)
-        assert np.array_equal(heads.data[1, 2], x.data[1, :, 4:6])
-        assert np.array_equal(merge_heads(heads).data, x.data)
-        weights = Tensor(rng.standard_normal((2, 3, 5, 2)))
-        assert check_gradients(lambda: (split_heads(x, 3) * weights).sum(), [x]) < 1e-6
-        y = Tensor(rng.standard_normal((2, 3, 5, 2)), requires_grad=True)
-        weights = Tensor(rng.standard_normal((2, 5, 6)))
-        assert check_gradients(lambda: (merge_heads(y) * weights).sum(), [y]) < 1e-6
+    @pytest.mark.parametrize("n_heads", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_graph_attention_gradcheck_reaches_rows_and_each_head_leaf(self, batch, n_heads):
+        rows, heads, mask = self.attention_inputs(batch, n_heads, seed=10 * batch + n_heads)
+        weights = Tensor(np.random.default_rng(n_heads).standard_normal((batch, 3, 2 * n_heads)))
+        leaves = [t for pair in heads for t in pair]
 
-    def test_edge_scores_against_a_loop_with_gradients(self):
-        rng = np.random.default_rng(16)
-        s = Tensor(rng.standard_normal((2, 5, 6)), requires_grad=True)  # 3 heads, 2 centers
-        out = edge_scores(s, 2).data
-        assert out.shape == (2, 3, 2, 5)
+        def loss():
+            return (graph_attention(rows, heads, mask, 0.2, 3)[0] * weights).sum()
+
+        assert check_gradients(loss, [rows] + leaves) < 1e-6
+        assert all(np.any(t.grad != 0.0) for t in leaves)
+
+    def test_graph_attention_matches_a_per_head_loop(self):
+        rows, heads, mask = self.attention_inputs(2, 3, seed=7)
+        out, alpha = graph_attention(rows, heads, mask, 0.2, 3)
+        assert out.shape == (2, 3, 6) and alpha.shape == (2, 3, 3, 8)
+        assert np.all(alpha[~np.broadcast_to(mask[:, None], alpha.shape)] == 0.0)
+        assert np.all(alpha[:, :, 0, 5] == 1.0)  # the childless center attends to itself only
+        x = rows.data
         for b in range(2):
-            for h in range(3):
-                for i in range(2):
-                    for j in range(5):
-                        assert out[b, h, i, j] == s.data[b, j, h] + s.data[b, 3 + i, 3 + h]
-        weights = Tensor(rng.standard_normal((2, 3, 2, 5)))
-        assert check_gradients(lambda: (edge_scores(s, 2) * weights).sum(), [s]) < 1e-6
+            for h, (w, a) in enumerate(heads):
+                proj = x[b] @ w.data
+                for i in range(3):
+                    group = [j for j in range(8) if mask[b, i, j]]
+                    scores = [float(a.data[:2, 0] @ proj[j] + a.data[2:, 0] @ proj[5 + i]) for j in group]
+                    exps = [math.exp(v if v > 0 else 0.2 * v) for v in scores]
+                    weights = [e / sum(exps) for e in exps]
+                    expected = sum(wt * proj[j] for wt, j in zip(weights, group))
+                    assert np.max(np.abs(alpha[b, h, i, group] - weights)) < 1e-12
+                    assert np.max(np.abs(out.data[b, i, 2 * h : 2 * h + 2] - expected)) < 1e-12
+
+    def test_graph_attention_is_one_tape_node(self, monkeypatch):
+        rows, heads, mask = self.attention_inputs(2, 2, seed=3)
+        recorded = []
+        from_op = tensor_module.from_op
+
+        def counting_from_op(data, parents, backward):
+            recorded.append(len(parents))
+            return from_op(data, parents, backward)
+
+        monkeypatch.setattr(tensor_module, "from_op", counting_from_op)
+        graph_attention(rows, heads, mask, 0.2, 3)
+        assert recorded == [5]  # rows plus each head's w and a
+
+    @pytest.mark.parametrize("defect", ["mask", "centers", "head-width", "no-heads"])
+    def test_graph_attention_shape_errors(self, defect):
+        rows, heads, mask = self.attention_inputs(1, 2, seed=4)
+        n_centers = 3
+        if defect == "mask":
+            mask = mask[:, :2]
+        elif defect == "centers":
+            n_centers = 9
+        elif defect == "head-width":
+            heads[1] = (Tensor(np.ones((4, 3))), heads[1][1])
+        else:
+            heads = []
+        with pytest.raises(ShapeError, match="graph_attention"):
+            graph_attention(rows, heads, mask, 0.2, n_centers)
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.2, float("nan")])
+    def test_graph_attention_slope_must_be_in_unit_interval(self, slope):
+        rows, heads, mask = self.attention_inputs(1, 1, seed=5)
+        with pytest.raises(ValueError, match="slope"):
+            graph_attention(rows, heads, mask, slope, 3)
 
     @pytest.mark.parametrize("scale", [1.0, 60.0], ids=["moderate", "beyond-40"])
     def test_bce_with_logits_matches_composition_and_gradcheck(self, scale):
@@ -501,14 +546,15 @@ class TestFusedOps:
         if scale > 1:
             x.data[0] = [-45.0, 40.0, 80.0]
         y = rng.integers(0, 2, (4, 3))
-        composed = (softplus(x) - x * Tensor(y.astype(float))).mean()
-        assert np.array_equal(bce_with_logits(x, y).data, composed.data)
-        assert np.isfinite(bce_with_logits(x, y).item())
+        pairs = list(zip(x.data.ravel().tolist(), y.ravel().tolist()))
+        # softplus(v) - v * t and its derivative sigmoid(v) - t, entry by entry
+        expected = sum(max(v, 0.0) + math.log1p(math.exp(-abs(v))) - v * t for v, t in pairs) / 12
+        assert abs(bce_with_logits(x, y).item() - expected) <= 1e-12
         assert check_gradients(lambda: bce_with_logits(x, y), [x]) < 1e-6
-        grad = x.grad.copy()
         x.grad = None
-        composed.backward()
-        assert np.array_equal(grad, x.grad)
+        bce_with_logits(x, y).backward()
+        expected_grad = [(1.0 / (1.0 + math.exp(-v)) - t) / 12 for v, t in pairs]
+        assert np.max(np.abs(x.grad.ravel() - expected_grad)) <= 1e-12
 
     def test_bce_with_logits_is_one_tape_node(self, monkeypatch):
         recorded = []
@@ -530,34 +576,26 @@ class TestLossAndActivations:
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_sigmoid_softplus_stable_at_extremes(self):
-        x = Tensor([-800.0, 800.0])
-        assert np.all(np.isfinite(sigmoid(x).data))
-        assert np.all(np.isfinite(softplus(x).data))
-
-    def test_sigmoid_softplus_gradients(self):
-        x = Tensor(np.random.default_rng(4).standard_normal(8), requires_grad=True)
-        for fn in (sigmoid, softplus):
-            x.grad = None
-            err = check_gradients(lambda: fn(x).sum(), [x])
-            assert err < 1e-4
+        x = Tensor([[-800.0, 800.0]], requires_grad=True)
+        loss = bce_with_logits(x, np.array([[0, 1]]))
+        assert loss.item() == 0.0
+        loss.backward()
+        assert np.array_equal(x.grad, [[0.0, 0.0]])
+        loss = bce_with_logits(x, np.array([[1, 0]]))
+        assert loss.item() == 800.0
+        x.grad = None
+        loss.backward()
+        assert np.array_equal(x.grad, [[-0.5, 0.5]])
 
 
 @pytest.mark.parametrize(
     "build",
     [
         lambda x: (x + Tensor([0.5, -1.0, 2.0])).sum(),
-        lambda x: (Tensor([2.0, 0.5, -1.5]) - x).sum(),
         lambda x: (x * x + 3.0 * x).sum(),
-        lambda x: (x / Tensor([2.0, 4.0, -3.0])).sum(),
-        lambda x: (Tensor([1.0, 2.0, 3.0]) / (x * x + 2.0)).sum(),
-        lambda x: (-x).sum(),
-        lambda x: ((x * x + 1.0) ** 1.5).sum(),
-        lambda x: (x * x).mean(),
         lambda x: (x.reshape(3, 1) * Tensor([[2.0], [1.0], [0.5]])).sum(),
-        lambda x: (x * x + 0.1).log().sum(),
-        lambda x: x.exp().sum(),
     ],
-    ids=["add", "rsub", "mul", "div", "rdiv", "neg", "pow", "mean", "reshape", "log", "exp"],
+    ids=["add", "mul", "reshape"],
 )
 def test_elementwise_gradients(build):
     x = Tensor([0.4, -1.2, 2.1], requires_grad=True)
