@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import check_keys, ensure_dir, load_tensor, read_json, save_tensor, write_json
+from .container import check_keys, check_values, ensure_dir, load_tensor, read_json, save_tensor, write_json
 from .errors import ShapeError, ValidationError, malformed
 from .graph import LEVEL_COARSE, LEVEL_FINE, LEVEL_GLOBAL, TOPOLOGY_SINGLE, RegionGraph
 from .pooling import GLOBAL_GRID
@@ -41,9 +41,13 @@ class GatConfig:
     ln_eps: float = 1e-6
 
     def __post_init__(self):
-        sizes = (self.c_total, self.c_last, self.d_h, self.n_heads, self.export_dim)
-        if not all(isinstance(n, Integral) and n >= 1 for n in sizes + tuple(self.mlp_hidden)):
-            raise ValidationError(f"sizes and mlp_hidden must be positive integers: {self}")
+        size = (Integral, "an integer >= 1", lambda v: v >= 1)
+        check_values(self, "gat config", {
+            **dict.fromkeys(("c_total", "c_last", "d_h", "n_heads", "export_dim"), size),
+            "mlp_hidden": (tuple, "a list of integers >= 1", lambda v: all(
+                isinstance(n, Integral) and not isinstance(n, bool) and n >= 1 for n in v
+            )),
+        })
         if not isinstance(self.slope, Real) or not isinstance(self.ln_eps, Real):
             raise ValidationError("slope and ln_eps must be numbers")
         if not 0.0 < self.slope < 1.0:
@@ -110,10 +114,8 @@ class GatModel:
                 data = np.zeros(shape)
             elif name.endswith(".gamma"):
                 data = np.ones(shape)
-            elif len(shape) == 2:  # Glorot normal
+            else:  # every other parameter is a matrix: Glorot normal
                 data = np.sqrt(2.0 / sum(shape)) * rng.standard_normal(shape)
-            else:
-                data = rng.standard_normal(shape) * 0.1
             params[name] = Tensor(data, requires_grad=True)
         return cls(config, params)
 

@@ -49,9 +49,9 @@ class TrainConfig:
             "batch_size": (Integral, "an integer >= 1", lambda v: v >= 1),
             "epochs": (Integral, "an integer >= 0", lambda v: v >= 0),
             "seed": (Integral, "an integer >= 0", lambda v: v >= 0),
-            "lr": (Real, "a number", None),
-            "weight_decay": (Real, "a number", None),
-            "threshold": (Real, "a number", None),
+            "lr": (Real, "a finite number > 0", lambda v: 0 < v < math.inf),
+            "weight_decay": (Real, "a finite number >= 0", lambda v: 0 <= v < math.inf),
+            "threshold": (Real, "a number in [0, 1]", lambda v: 0 <= v <= 1),
             "val_fraction": (Real, "a number in [0, 1)", lambda v: 0 <= v < 1),
         })
 
@@ -358,10 +358,13 @@ def read_manifest(path, required=("feature_file", "labels")) -> list[dict]:
 
     Dataset manifests need feature_file and labels; evaluation records need
     id. Wherever a record has labels, they are a list of 0/1 integers as long
-    as the first such record's. Any defect raises ConfigError naming path:line.
+    as the first such record's; wherever it has text, that is a string; no two
+    records have ids of the same text. Any defect raises ConfigError naming
+    path:line.
     """
     records = []
     width = None  # label count of the first record that has labels
+    id_lines: dict[str, int] = {}  # id text -> line it is first seen on
     with open_input(path, "JSONL file", "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -376,6 +379,12 @@ def read_manifest(path, required=("feature_file", "labels")) -> list[dict]:
             for key in required:
                 if key not in record:
                     raise ConfigError(f"{path}:{line_no}: record misses '{key}'")
+            if "text" in record and not isinstance(record["text"], str):
+                raise ConfigError(f"{path}:{line_no}: text must be a string, got {record['text']!r}")
+            if "id" in record:
+                first = id_lines.setdefault(str(record["id"]), line_no)
+                if first != line_no:
+                    raise ConfigError(f"{path}:{line_no}: id {record['id']!r} repeats line {first}'s id")
             if "labels" in record:
                 labels = record["labels"]
                 if not isinstance(labels, list) or any(

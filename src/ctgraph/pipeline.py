@@ -174,12 +174,17 @@ def infer_stage(graph, sample, model, path):
     return fwd
 
 
+EVAL_METRICS = ("ce", "nlg")
+
+
 def eval_stage(preds: list[dict], refs: list[dict], metrics, path) -> dict:
     """Score aligned prediction/reference records; writes the report to path.
 
     "ce" compares the records' label vectors (macro P/R/F1); "nlg" compares
     their texts (BLEU-1..4, ROUGE-L).
     """
+    if not metrics or not set(metrics) <= set(EVAL_METRICS):
+        raise ConfigError(f"metrics must be one or more of {list(EVAL_METRICS)}, got {list(metrics)}")
     report: dict = {}
     if "ce" in metrics:
         if not all("labels" in record for record in preds + refs):

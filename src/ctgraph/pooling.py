@@ -5,7 +5,7 @@ background, then scatter-accumulates per-region sums in one pass per channel
 over those rows, so its cost is independent of how many regions the mask
 carries; a per-region rescan is used only as a test oracle. Accumulation is
 always float64, even for float32 feature maps, because region voxel counts
-can be large. Fixed structure is a constant matrix applied with `matmul`:
+can be large. Fixed structure is a constant matrix applied with `linear`:
 the rows of both node levels come from one rule, the hierarchy's
 (nodes x labels) membership matrix weighting the label rows by voxel count,
 and the global grid is a (cells x voxels) averaging matrix times the final
@@ -22,7 +22,7 @@ import numpy as np
 from .container import load_tensors, save_tensors
 from .errors import ShapeError, ValidationError, malformed
 from .graph import LEVEL_COARSE, LEVEL_FINE, AnatomyHierarchy
-from .tensor import Tensor, concat, from_op, matmul, reshape
+from .tensor import Tensor, concat, from_op, linear, reshape
 from .volume import LabelMask3D, resize_mask_nearest
 
 
@@ -145,7 +145,7 @@ def adaptive_avg_pool_global(layer: Tensor) -> GlobalFeatureGrid:
 
     Along an axis of n voxels, cell a spans [a*n//t, (a+1)*n//t). The box
     means are one product of a constant (cells x voxels) averaging matrix
-    with the layer's (voxels, C) rows, differentiable like any matmul.
+    with the layer's (voxels, C) rows, differentiable like any `linear`.
     """
     if layer.ndim != 4:
         raise ShapeError(f"expected (H, W, D, C) features, got {layer.shape}")
@@ -155,7 +155,7 @@ def adaptive_avg_pool_global(layer: Tensor) -> GlobalFeatureGrid:
             f"input extents {(h, w, d)} are smaller than the target grid {GLOBAL_GRID}"
         )
     averaging = _averaging_matrix(h, w, d)
-    means = matmul(Tensor(averaging), reshape(layer, (h * w * d, c)))
+    means = linear(Tensor(averaging), reshape(layer, (h * w * d, c)))
     return GlobalFeatureGrid(reshape(means, GLOBAL_GRID + (c,)))
 
 
@@ -189,7 +189,7 @@ def pool_all(pyramid, mask: LabelMask3D, hierarchy: AnatomyHierarchy):
         rows, counts = mask_pool_layer(layer.data, resized, labels)
         for level, members in levels.items():
             weights = members * counts / np.maximum(members @ counts, 1)[:, None]
-            per_layer[level].append(matmul(Tensor(weights), rows))
+            per_layer[level].append(linear(Tensor(weights), rows))
         label_counts.append(counts)
     label_counts = np.stack(label_counts, axis=1)
 

@@ -22,7 +22,7 @@ from .errors import ShapeError
 
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-# Accepted deviation of softmax group sums from 1.
+# Accepted deviation of graph_attention's softmax group sums from 1.
 SOFTMAX_SUM_ATOL = {"float64": 1e-9, "float32": 1e-5}
 
 
@@ -56,13 +56,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def item(self) -> float:
         return float(self.data.reshape(()))
@@ -102,11 +95,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return tensor_sum(self)
 
     def reshape(self, *shape):
         return reshape(self, shape[0] if len(shape) == 1 else shape)
@@ -199,15 +189,13 @@ def mul(a, b) -> Tensor:
     return from_op(out, (a, b), backward)
 
 
-def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(a) -> Tensor:
+    """The sum of every entry of a, as a 0-d tensor."""
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum()
 
     def backward(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return from_op(out, (a,), backward)
 
@@ -264,21 +252,6 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def softmax(a, axis: int = -1, mask=None) -> Tensor:
-    """Max-shifted softmax (sums within SOFTMAX_SUM_ATOL of 1); mask=False entries are 0."""
-    a = as_tensor(a)
-    if a.data.size == 0 or a.data.shape[axis] == 0:
-        raise ShapeError("softmax over an empty group")
-    x = a.data if mask is None else np.where(mask, a.data, -np.inf)
-    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
-
-    return from_op(out, (a,), backward)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
@@ -342,33 +315,6 @@ def linear(x, w, b=None) -> Tensor:
         return (gx, gw) if b is None else (gx, gw, g.sum(axis=0))
 
     return from_op(out.reshape(x.data.shape[:-1] + (m,)), parents, backward)
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product of the last two axes; leading axes broadcast as in numpy.
-
-    A 2-d right operand goes through `linear`, one GEMM over a's flattened rows.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(
-            f"matmul expects 2 or more dimensions, got shapes {a.data.shape} and {b.data.shape}"
-        )
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(
-            f"matmul: inner dimensions disagree for {a.data.shape} x {b.data.shape}"
-        )
-    if b.data.ndim == 2:
-        return linear(a, b)
-    out = a.data @ b.data
-
-    def backward(g):
-        return (
-            _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
-            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape),
-        )
-
-    return from_op(out, (a, b), backward)
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:

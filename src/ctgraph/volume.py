@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
+from numbers import Integral
 from types import MappingProxyType
 
 import numpy as np
@@ -126,6 +127,10 @@ class PhantomSpec:
     intensity_jitter: float = 0.0
 
     def __post_init__(self):
+        if len(self.shape) != 3 or not all(
+            isinstance(n, Integral) and not isinstance(n, bool) and n >= 1 for n in self.shape
+        ):
+            raise ValidationError(f"shape must be 3 positive integer extents, got {self.shape}")
         labels = [r.label for r in self.regions]
         if len(set(labels)) != len(labels):
             raise ValidationError("region labels must be unique")
@@ -293,5 +298,7 @@ def load_mask(path) -> LabelMask3D:
     if array.ndim != 3:
         raise FormatError(f"{path}: mask container must be 3-d, got shape {array.shape}")
     meta = header.get("meta") or {}
-    num_labels = int(meta.get("num_labels", array.max() if array.size else 1))
+    num_labels = meta.get("num_labels", int(array.max()) if array.size else 1)
+    if isinstance(num_labels, bool) or not isinstance(num_labels, Integral):
+        raise FormatError(f"{path}: mask num_labels must be an integer, got {num_labels!r}")
     return LabelMask3D(array, max(num_labels, 1))

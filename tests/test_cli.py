@@ -1,11 +1,13 @@
 """CLI chain: every subcommand end to end in a temp workspace, plus exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from ctgraph.cli import main
+from ctgraph.container import save_tensor
 from ctgraph.demo import demo_phantom_spec
 from ctgraph.gat import GatConfig, GatModel
 from ctgraph.graph import AnatomyHierarchy, CoarseNode, FineNode, save_hierarchy
@@ -275,7 +277,10 @@ class TestExitCodes:
         assert "--graph" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "bad_line", ['{"labels": [1, 0]}', "not json", "[1, 0]"], ids=["no-id", "not-json", "list"]
+        "bad_line",
+        ['{"labels": [1, 0]}', "not json", "[1, 0]", '{"id": 1, "text": 5}',
+         '{"id": 0, "labels": [0, 0]}', '{"id": "0", "labels": [0, 0]}'],
+        ids=["no-id", "not-json", "list", "number-text", "repeated-id", "repeated-id-text"],
     )
     def test_eval_bad_record_exits_2_naming_line(self, workspace, capsys, bad_line):
         ws = workspace
@@ -300,6 +305,19 @@ class TestExitCodes:
         assert "pred.jsonl:1" in capsys.readouterr().err
         assert not (ws / "r.json").exists()
 
+    @pytest.mark.parametrize("metrics", ["bogus", "ce,bleu", ","])
+    def test_eval_unknown_metric_exits_2_listing_the_known_ones(self, workspace, capsys, metrics):
+        ws = workspace
+        (ws / "ref.jsonl").write_text('{"id": 1, "labels": [1, 0]}\n')
+        (ws / "pred.jsonl").write_text('{"id": 1, "labels": [1, 0]}\n')
+        code = run_cli(
+            "eval", "--metrics", metrics, "--pred", ws / "pred.jsonl", "--ref", ws / "ref.jsonl",
+            "--out", ws / "r.json",
+        )
+        assert code == 2
+        assert "['ce', 'nlg']" in capsys.readouterr().err
+        assert not (ws / "r.json").exists()
+
     def test_eval_ce_with_more_labels_than_the_reference_exits_2(self, workspace, capsys):
         ws = workspace
         (ws / "ref.jsonl").write_text('{"id": 1, "labels": [1, 0]}\n')
@@ -322,6 +340,21 @@ class TestExitCodes:
         (ws / "run.json").write_text(json.dumps(config))
         assert run_cli("run", "--config", ws / "run.json") == 2
         assert next(iter(gat)) in capsys.readouterr().err
+        assert not (ws / "out" / "synth").exists()
+
+    @pytest.mark.parametrize(
+        "gat, key",
+        [({"d_h": 0}, "d_h"), ({"n_heads": True}, "n_heads"), ({"export_dim": True}, "export_dim"),
+         ({"mlp_hidden": [True]}, "mlp_hidden"), ({"mlp_hidden": [8, 0]}, "mlp_hidden")],
+        ids=["zero-d_h", "bool-heads", "bool-export", "bool-hidden", "zero-hidden"],
+    )
+    def test_run_bad_gat_size_exits_2_naming_the_key(self, workspace, capsys, gat, key):
+        ws = workspace
+        config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2, "gat": gat}
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        err = capsys.readouterr().err
+        assert f"gat config '{key}'" in err and "c_total" not in err
         assert not (ws / "out" / "synth").exists()
 
     def test_run_unknown_gat_key_exits_2_before_synth(self, workspace, capsys):
@@ -375,11 +408,14 @@ class TestExitCodes:
             {"probe": {"epoch": 1}}, {"gat_train": {"mode": "probe"}}, {"probe": [1]},
             {"probe": {"epochs": "2"}}, {"gat_train": {"lr": "fast"}},
             {"gat_train": {"batch_size": 0}}, {"probe": {"val_fraction": 1.5}},
-            {"probe": {"epochs": True}},
+            {"probe": {"epochs": True}}, {"gat_train": {"mode": "gat", "lr": math.nan}},
+            {"gat_train": {"lr": 0.0}}, {"probe": {"weight_decay": math.inf}},
+            {"gat_train": {"threshold": 2.0}},
         ],
         ids=[
             "unknown-key", "other-head", "not-an-object", "string-epochs", "string-lr",
-            "zero-batch", "val-fraction-above-1", "bool-epochs",
+            "zero-batch", "val-fraction-above-1", "bool-epochs", "nan-lr", "zero-lr",
+            "infinite-weight-decay", "threshold-above-1",
         ],
     )
     def test_run_bad_train_config_exits_2_before_synth(self, workspace, capsys, train_section):
@@ -501,6 +537,16 @@ class TestExitCodes:
         assert "bad_spec.json" in capsys.readouterr().err
         assert not (ws / "d").exists()
 
+    @pytest.mark.parametrize("shape", [[8, 8], [8, 8, 4, 2], [8, 0, 4]], ids=["2-d", "4-d", "zero"])
+    def test_synth_spec_with_bad_shape_exits_2(self, workspace, capsys, shape):
+        ws = workspace
+        doc = json.loads((ws / "phantom.json").read_text())
+        doc["shape"] = shape
+        (ws / "bad_spec.json").write_text(json.dumps(doc))
+        assert run_cli("synth", "--spec", ws / "bad_spec.json", "--out", ws / "d") == 2
+        assert "bad_spec.json" in capsys.readouterr().err
+        assert not (ws / "d").exists()
+
     @pytest.mark.parametrize(
         "labels",
         [[0], [0, 1, 1], [0, 2], [0.5, 1], ["a", 0], [True, False], "01", None],
@@ -538,6 +584,19 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert str(extents) in err and "(8, 8, 4)" in err
+        assert not (ws / "f.bin").exists()
+
+    def test_pool_with_a_non_integer_mask_header_exits_2_naming_it(self, workspace, capsys):
+        ws = workspace
+        self._encode_first_scan(ws)
+        save_tensor(ws / "bad_mask.bin", np.ones((8, 8, 4), dtype=np.int32), name="mask",
+                    meta={"num_labels": "x"})
+        code = run_cli(
+            "pool", "--pyramid", ws / "p0", "--mask", ws / "bad_mask.bin",
+            "--hierarchy", ws / "anatomy.json", "--out", ws / "f.bin",
+        )
+        assert code == 2
+        assert "bad_mask.bin" in capsys.readouterr().err
         assert not (ws / "f.bin").exists()
 
     def test_pool_of_a_pyramid_index_without_source_extents_takes_any_mask(self, workspace):

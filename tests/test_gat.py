@@ -12,7 +12,7 @@ import pytest
 
 import ctgraph.tensor as tensor_module
 from ctgraph.container import save_tensor
-from ctgraph.errors import ValidationError
+from ctgraph.errors import ConfigError, ValidationError
 from ctgraph.gat import GatConfig, GatModel, embed_nodes, forward
 from ctgraph.gradcheck import check_gradients, max_relative_error
 from ctgraph.graph import (
@@ -605,6 +605,17 @@ class TestCheckpoint:
     )
     def test_config_rejects_slope_and_ln_eps_out_of_range(self, field, value):
         with pytest.raises(ValidationError, match=field):
+            tiny_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_heads", True), ("export_dim", True), ("d_h", 0), ("c_total", 0), ("c_last", -1),
+         ("d_h", 8.0), ("mlp_hidden", (True,)), ("mlp_hidden", (8, 0)), ("mlp_hidden", (2.5,))],
+        ids=["bool-heads", "bool-export", "zero-d_h", "zero-c_total", "negative-c_last",
+             "float-d_h", "bool-hidden", "zero-hidden", "float-hidden"],
+    )
+    def test_config_sizes_are_integers_of_at_least_one_naming_the_key(self, field, value):
+        with pytest.raises(ConfigError, match=f"gat config '{field}'"):
             tiny_config(**{field: value})
 
     def test_d_h_must_divide_heads(self):

@@ -157,6 +157,9 @@ class TestTrainConfig:
         [
             {"epochs": "2"}, {"lr": "fast"}, {"batch_size": 0}, {"batch_size": True},
             {"epochs": -1}, {"val_fraction": 1.5}, {"val_fraction": 1}, {"seed": 2.5},
+            {"lr": math.nan}, {"lr": math.inf}, {"lr": 0.0}, {"lr": -1e-3},
+            {"weight_decay": math.nan}, {"weight_decay": math.inf}, {"weight_decay": -0.1},
+            {"threshold": math.nan}, {"threshold": 1.5}, {"threshold": -0.1},
         ],
     )
     def test_rejects_bad_values_naming_the_key(self, doc):

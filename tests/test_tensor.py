@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ctgraph.errors import ShapeError
 from ctgraph.gradcheck import check_gradients, max_relative_error, numerical_gradient
 from ctgraph.tensor import (
+    SOFTMAX_SUM_ATOL,
     AdamW,
     Tensor,
     bce_with_logits,
@@ -18,23 +19,23 @@ from ctgraph.tensor import (
     layer_norm,
     leaky_relu,
     linear,
-    matmul,
     mlp_forward,
     no_grad,
-    softmax,
     stack,
 )
 import ctgraph.tensor as tensor_module
 
 
 class TestMatmul:
+    """`linear` without a bias is the engine's matrix product."""
+
     def test_identity(self):
         eye = Tensor(np.eye(2))
         m = Tensor([[3.0, 4.0], [5.0, 6.0]])
-        assert np.array_equal(matmul(eye, m).data, m.data)
+        assert np.array_equal(linear(eye, m).data, m.data)
 
     def test_row_times_column(self):
-        out = matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+        out = linear(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
         assert out.data.shape == (1, 1)
         assert out.data[0, 0] == 11.0
 
@@ -47,36 +48,19 @@ class TestMatmul:
             for j in range(3):
                 for k in range(4):
                     expected[i, j] += a[i, k] * b[k, j]
-        out = matmul(Tensor(a), Tensor(b)).data
+        out = linear(Tensor(a), Tensor(b)).data
         assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
+            linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        err = check_gradients(lambda: matmul(a, b).sum(), [a, b])
+        err = check_gradients(lambda: linear(a, b).sum(), [a, b])
         assert err < 1e-4
-
-
-    def test_batched_operands_broadcast_with_gradients(self):
-        rng = np.random.default_rng(4)
-        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        y = Tensor(rng.standard_normal((2, 5, 3, 4)), requires_grad=True)
-        v = Tensor(rng.standard_normal((5, 4, 2)), requires_grad=True)
-        assert np.allclose(matmul(x, w).data[1], x.data[1] @ w.data, atol=1e-15)
-        assert matmul(y, v).shape == (2, 5, 3, 2)
-
-        def loss():
-            xw, yv = matmul(x, w), matmul(y, v)
-            return (xw * xw).sum() + (yv * yv).sum()
-
-        assert check_gradients(loss, [x, w, y, v]) < 1e-4
-
 
     @pytest.mark.parametrize(
         "lead", [(1, 3), (4, 3), (1, 2, 3), (2, 3, 3)], ids=["3d-B1", "3d-B4", "4d-B1", "4d-B2"]
@@ -86,7 +70,7 @@ class TestMatmul:
         x = Tensor(rng.standard_normal(lead + (4,)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         weights = Tensor(rng.standard_normal(lead + (5,)))
-        assert check_gradients(lambda: (matmul(x, w) * weights).sum(), [x, w]) < 1e-6
+        assert check_gradients(lambda: (linear(x, w) * weights).sum(), [x, w]) < 1e-6
         rows, g = x.data.reshape(-1, 4), weights.data.reshape(-1, 5)
         oracle = sum(np.outer(r, gr) for r, gr in zip(rows, g))
         assert np.max(np.abs(w.grad - oracle)) < 1e-12
@@ -147,65 +131,6 @@ class TestLeakyRelu:
     def test_slope_must_be_in_unit_interval(self):
         with pytest.raises(ValueError):
             leaky_relu(Tensor([1.0]), 1.5)
-
-
-class TestSoftmax:
-    def test_symmetry(self):
-        out = softmax(Tensor([2.5, 2.5, 2.5]))
-        assert np.allclose(out.data, 1.0 / 3.0, atol=1e-15)
-
-    def test_single_element(self):
-        assert softmax(Tensor([42.0])).data[0] == pytest.approx(1.0)
-
-    def test_shift_invariance_with_huge_scores(self):
-        big = softmax(Tensor([1000.0, 1001.0])).data
-        small = softmax(Tensor([0.0, 1.0])).data
-        assert np.all(np.isfinite(big))
-        assert np.allclose(big, small, atol=1e-15)
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(ShapeError):
-            softmax(Tensor(np.zeros(0)))
-
-    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
-    @settings(max_examples=60, deadline=None)
-    def test_sums_to_one(self, values):
-        out = softmax(Tensor(values)).data
-        assert out.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(out > 0)
-
-    def test_float32_mode_within_its_tolerance(self):
-        from ctgraph.tensor import SOFTMAX_SUM_ATOL
-
-        rng = np.random.default_rng(12)
-        out = softmax(Tensor(rng.standard_normal(32).astype(np.float32))).data
-        assert out.dtype == np.float32
-        assert abs(out.sum() - 1.0) <= SOFTMAX_SUM_ATOL["float32"]
-
-    def test_gradients(self):
-        x = Tensor(np.random.default_rng(5).standard_normal(6), requires_grad=True)
-        err = check_gradients(lambda: (softmax(x) * Tensor([1, 2, 3, 4, 5, 6.0])).sum(), [x])
-        assert err < 1e-4
-
-
-    def test_masked_4d_rows_down_to_self_loop(self):
-        rng = np.random.default_rng(21)
-        x = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
-        mask = rng.random((2, 1, 4, 5)) < 0.5
-        mask[..., 4] = True  # the self-loop column is never masked
-        mask[0, 0, 1, :4] = False  # one row keeps only its self-loop
-        out = softmax(x, axis=-1, mask=mask).data
-        assert np.all(out[np.broadcast_to(~mask, out.shape)] == 0.0)
-        assert np.all(out[0, :, 1, 4] == 1.0)
-        assert np.max(np.abs(out.sum(axis=-1) - 1.0)) < 1e-12
-        weights = Tensor(rng.standard_normal((2, 3, 4, 5)))
-        err = check_gradients(lambda: (softmax(x, axis=-1, mask=mask) * weights).sum(), [x])
-        assert err < 1e-4
-
-    def test_mask_shift_ignores_masked_entries(self):
-        out = softmax(Tensor([1e4, 0.0, 1.0]), mask=np.array([False, True, True])).data
-        assert out[0] == 0.0
-        assert np.allclose(out[1:], softmax(Tensor([0.0, 1.0])).data, atol=1e-15)
 
 
 class TestLayerNorm:
@@ -505,6 +430,14 @@ class TestFusedOps:
                     assert np.max(np.abs(alpha[b, h, i, group] - weights)) < 1e-12
                     assert np.max(np.abs(out.data[b, i, 2 * h : 2 * h + 2] - expected)) < 1e-12
 
+    def test_graph_attention_softmax_survives_huge_scores(self):
+        rows, heads, mask = self.attention_inputs(2, 2, seed=8)
+        heads = [(w, Tensor(1e3 * a.data)) for w, a in heads]
+        alpha = graph_attention(rows, heads, mask, 0.2, 3)[1]
+        masked = ~np.broadcast_to(mask[:, None], alpha.shape)
+        assert np.all(np.isfinite(alpha)) and np.all(alpha[masked] == 0.0)
+        assert np.max(np.abs(alpha.sum(axis=-1) - 1.0)) <= SOFTMAX_SUM_ATOL["float64"]
+
     def test_graph_attention_is_one_tape_node(self, monkeypatch):
         rows, heads, mask = self.attention_inputs(2, 2, seed=3)
         recorded = []
@@ -632,11 +565,11 @@ class TestNoGrad:
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         x = Tensor(np.eye(2))
         with no_grad():
-            inside = matmul(x, w)
+            inside = linear(x, w)
             with no_grad():
                 pass
-            still_inside = matmul(x, w)
-        after = matmul(x, w)
+            still_inside = linear(x, w)
+        after = linear(x, w)
         assert not inside.requires_grad and inside._backward is None
         assert not still_inside.requires_grad
         assert after.requires_grad and after._backward is not None

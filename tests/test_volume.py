@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctgraph.container import save_tensor
 from ctgraph.demo import demo_phantom_spec
 from ctgraph.errors import FormatError, ValidationError
 from ctgraph.volume import (
@@ -252,6 +253,14 @@ class TestPhantom:
         with pytest.raises(ValidationError, match="no voxels"):
             generate_phantom(spec)
 
+    @pytest.mark.parametrize(
+        "shape", [(8, 8), (8, 8, 4, 1), (8, 0, 4), (8, 8, 4.0), (8, True, 4)],
+        ids=["2-d", "4-d", "zero", "float", "bool"],
+    )
+    def test_shape_must_be_three_positive_integer_extents(self, shape):
+        with pytest.raises(ValidationError, match="shape"):
+            _simple_spec(shape=shape)
+
     def test_prevalence_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             _simple_spec(pathologies=(PathologySpec("a", 1, 0.5, 1.5),))
@@ -338,6 +347,13 @@ class TestVolumeIO:
         got_hist = np.bincount(back.labels.ravel(), minlength=35)
         assert np.array_equal(got_hist, expected_hist)
         assert np.array_equal(back.labels, labels)
+
+    @pytest.mark.parametrize("num_labels", ["x", 2.5, True, None], ids=["string", "float", "bool", "null"])
+    def test_mask_header_num_labels_must_be_an_integer(self, tmp_path, num_labels):
+        save_tensor(tmp_path / "m.bin", np.ones((2, 2, 2), dtype=np.int32), name="mask",
+                    meta={"num_labels": num_labels})
+        with pytest.raises(FormatError, match="m.bin.*num_labels"):
+            load_mask(tmp_path / "m.bin")
 
     def test_volume_rejects_non_finite(self):
         bad = np.zeros((2, 2, 2))
