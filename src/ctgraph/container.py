@@ -76,15 +76,16 @@ def read_record(fh: BinaryIO):
     np_dtype = np.dtype(_TO_NUMPY[dtype_name])
     nbytes = math.prod(shape) * np_dtype.itemsize
     try:
-        payload = fh.read(nbytes)
-    except (OverflowError, MemoryError):  # more bytes than any file holds
-        payload = b""
-    if len(payload) != nbytes:
+        array = np.empty(shape, dtype=np_dtype)
+    except (ValueError, MemoryError):  # more bytes than any file holds
+        got = 0
+    else:
+        got = fh.readinto(array)  # the payload lands in the array, copied once
+    if got != nbytes:
         raise FormatError(
             f"truncated payload for record '{header['name']}': "
-            f"expected {nbytes} bytes, got {len(payload)}"
+            f"expected {nbytes} bytes, got {got}"
         )
-    array = np.frombuffer(payload, dtype=np_dtype).reshape(shape).copy()
     return header["name"], array, header
 
 

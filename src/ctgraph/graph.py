@@ -17,6 +17,7 @@ import numpy as np
 
 from .container import read_json, write_json
 from .errors import ValidationError, malformed
+from .volume import MAX_LABEL
 
 LEVEL_FINE = "fine"
 LEVEL_COARSE = "coarse"
@@ -64,6 +65,9 @@ class AnatomyHierarchy:
                 )
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("mask labels must be unique across nodes")
+        outside = [label for label in self.labels if not 1 <= label <= MAX_LABEL]
+        if outside:
+            raise ValidationError(f"mask labels must lie in [1, {MAX_LABEL}], got {outside[0]}")
         # the coarse node owning each slot of `labels`: fine nodes' parents, then own labels
         owners = [f.parent for f in self.fine] + [c.id for c in self.coarse if c.label is not None]
         members = {

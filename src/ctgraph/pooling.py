@@ -1,15 +1,16 @@
 """Mask-guided average pooling, layer fusion, and global adaptive pooling.
 
-The pooling kernel first gathers the rows of listed regions, dropping the
-background, then scatter-accumulates per-region sums in one pass per channel
-over those rows, so its cost is independent of how many regions the mask
-carries; a per-region rescan is used only as a test oracle. Accumulation is
-always float64, even for float32 feature maps, because region voxel counts
-can be large. Fixed structure is a constant matrix applied with `linear`:
-the rows of both node levels come from one rule, the hierarchy's
-(nodes x labels) membership matrix weighting the label rows by voxel count,
-and the global grid is a (cells x voxels) averaging matrix times the final
-layer.
+The pooling kernel keeps the rows of listed regions, dropping the
+background, and sums every (region, channel) slot with one `np.bincount`
+per block of rows; each slot adds in row order, so the sums are
+bit-identical to one bincount per channel, and the cost is independent of
+how many regions the mask carries. A per-region rescan is used only as a
+test oracle. Accumulation is always float64, even for float32 feature
+maps, because region voxel counts can be large. Fixed structure is a
+constant matrix applied with `linear`: the rows of both node levels come
+from one rule, the hierarchy's (nodes x labels) membership matrix
+weighting the label rows by voxel count, and the global grid is a
+(cells x voxels) averaging matrix times the final layer.
 """
 
 from __future__ import annotations
@@ -25,6 +26,38 @@ from .graph import LEVEL_COARSE, LEVEL_FINE, AnatomyHierarchy
 from .tensor import Tensor, concat, from_op, linear, reshape
 from .volume import LabelMask3D, resize_mask_nearest
 
+# (row, channel) entries summed per bincount call, unless the running sums
+# a block carries are more. Larger blocks were slower per scan: their
+# multi-MB temporaries are page-faulted afresh on every call.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _segment_sums(data: np.ndarray, keep: np.ndarray, kept_seg: np.ndarray, num_segments: int):
+    """float64 (num_segments, C) sums of the rows data[keep] into segments kept_seg.
+
+    Entry (row, channel) adds to slot segment * C + channel, one
+    `np.bincount` per block of rows whose leading num_segments * C entries
+    are every slot's running sum. Each slot so adds its values in row order
+    from 0.0, as one bincount per channel over all the rows would: the sums
+    are bit-identical to that. A block is never smaller than the sums it
+    carries, so carrying them at most doubles the work.
+    """
+    channels = data.shape[1]
+    slots = num_segments * channels
+    step = max(1, max(_BLOCK_ENTRIES, slots) // max(channels, 1))
+    # one buffer pair for all blocks: the running sums, then one block's entries
+    index = np.empty(slots + min(step, keep.size) * channels, dtype=np.intp)
+    weights = np.zeros(index.size)
+    index[:slots] = np.arange(slots)
+    for lo in range(0, keep.size, step):
+        rows = keep[lo : lo + step]
+        end = slots + rows.size * channels
+        block_index = index[slots:end].reshape(rows.size, channels)
+        np.add(kept_seg[lo : lo + step, None] * channels, np.arange(channels), out=block_index)
+        weights[slots:end].reshape(rows.size, channels)[...] = data[rows]
+        weights[:slots] = np.bincount(index[:end], weights=weights[:end], minlength=slots)
+    return weights[:slots].reshape(num_segments, channels)
+
 
 def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int):
     """Mean of rows per segment id; empty segments yield zero rows.
@@ -32,7 +65,9 @@ def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int):
     values: (n, C); segment_ids: (n,) non-negative ints. Rows whose id is
     >= num_segments are dropped: they count nowhere and get zero gradient.
     Returns (means Tensor (num_segments, C), counts (num_segments,)).
-    Differentiable in values.
+    Differentiable in values. `_segment_sums` adds the kept rows with one
+    bincount per block of rows, each (segment, channel) slot in row order
+    from 0.0, bit-identical to one bincount per channel.
     """
     if values.ndim != 2:
         raise ShapeError(f"segment_mean expects (n, C) values, got shape {values.shape}")
@@ -45,15 +80,10 @@ def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int):
         raise ShapeError("segment ids must be non-negative")
     data = values.data
     keep = np.flatnonzero(seg < num_segments)
-    kept_seg, kept = seg[keep], data[keep]
+    kept_seg = seg[keep]
     counts = np.bincount(kept_seg, minlength=num_segments)
-    sums = np.empty((num_segments, data.shape[1]), dtype=np.float64)
-    for ch in range(data.shape[1]):
-        sums[:, ch] = np.bincount(
-            kept_seg, weights=kept[:, ch].astype(np.float64, copy=False), minlength=num_segments
-        )
     divisor = np.maximum(counts, 1)[:, None].astype(np.float64)
-    means = sums / divisor
+    means = _segment_sums(data, keep, kept_seg, num_segments) / divisor
 
     def backward(g):
         gv = np.zeros_like(data)
@@ -169,6 +199,9 @@ def pool_all(pyramid, mask: LabelMask3D, hierarchy: AnatomyHierarchy):
     M * counts / (M @ counts) times the pooled rows (a fine node's is its own
     label row), differentiable like the rows themselves; its counts are
     M @ label counts, and it is valid when any member label is in the mask.
+    Nearest resizing never invents a label, so a label counted at any layer
+    is in the mask; the full-resolution mask is scanned only when some label
+    is counted at none (a region too small to survive the resizes).
     Regions whose label is absent from the mask (including labels outside
     its vocabulary) come back flagged invalid with zero features, never as
     an error. A pyramid that records its source extents must come with a
@@ -193,7 +226,9 @@ def pool_all(pyramid, mask: LabelMask3D, hierarchy: AnatomyHierarchy):
         label_counts.append(counts)
     label_counts = np.stack(label_counts, axis=1)
 
-    present = np.bincount(mask.labels.ravel(), minlength=max(labels, default=0) + 1)[labels] > 0
+    present = label_counts.any(axis=1)
+    if not present.all():
+        present = np.bincount(mask.labels.ravel(), minlength=max(labels) + 1)[labels] > 0
     fine_set, coarse_set = (
         RegionFeatureSet(
             region_ids=[n.id for n in getattr(hierarchy, level)],  # .fine or .coarse

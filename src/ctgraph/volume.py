@@ -17,6 +17,10 @@ import numpy as np
 from .container import load_tensor, read_json, save_tensor, write_json
 from .errors import FormatError, ValidationError, malformed
 
+# The largest mask label: the uint16 range segmentation formats store labels in.
+# Pooling sizes tables by label, so a bound here keeps them small.
+MAX_LABEL = 65535
+
 
 @dataclass(frozen=True)
 class Volume3D:
@@ -50,8 +54,8 @@ class LabelMask3D:
         arr = np.asarray(self.labels)
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValidationError(f"mask must be 3-d with positive extents, got {arr.shape}")
-        if self.num_labels < 1:
-            raise ValidationError("num_labels must be >= 1")
+        if not 1 <= self.num_labels <= MAX_LABEL:
+            raise ValidationError(f"num_labels must lie in [1, {MAX_LABEL}], got {self.num_labels}")
         if arr.min() < 0 or arr.max() > self.num_labels:
             raise ValidationError(
                 f"mask labels must lie in [0, {self.num_labels}], "
@@ -286,7 +290,7 @@ def load_volume(path) -> Volume3D:
     array, header = load_tensor(path)
     if array.ndim != 3:
         raise FormatError(f"{path}: volume container must be 3-d, got shape {array.shape}")
-    return Volume3D(array.astype(np.float64))
+    return Volume3D(array)
 
 
 def save_mask(path, mask: LabelMask3D) -> None:
@@ -301,4 +305,6 @@ def load_mask(path) -> LabelMask3D:
     num_labels = meta.get("num_labels", int(array.max()) if array.size else 1)
     if isinstance(num_labels, bool) or not isinstance(num_labels, Integral):
         raise FormatError(f"{path}: mask num_labels must be an integer, got {num_labels!r}")
+    if num_labels > MAX_LABEL:
+        raise FormatError(f"{path}: mask num_labels must be at most {MAX_LABEL}, got {num_labels}")
     return LabelMask3D(array, max(num_labels, 1))

@@ -599,6 +599,33 @@ class TestExitCodes:
         assert "bad_mask.bin" in capsys.readouterr().err
         assert not (ws / "f.bin").exists()
 
+    @pytest.mark.parametrize("case", ["mask-header", "fine-label", "coarse-label"])
+    def test_pool_with_a_label_beyond_the_uint16_range_exits_2_naming_the_file(
+        self, workspace, capsys, case
+    ):
+        ws = workspace
+        self._encode_first_scan(ws)
+        mask, anatomy = ws / "d" / "mask_000.bin", ws / "anatomy.json"
+        if case == "mask-header":
+            mask = bad = ws / "bad_mask.bin"
+            save_tensor(mask, np.ones((8, 8, 4), dtype=np.int32), name="mask",
+                        meta={"num_labels": 2**40})
+        else:
+            doc = json.loads(anatomy.read_text())
+            if case == "fine-label":
+                doc["fine"][0]["label"] = 2**40
+            else:
+                doc["coarse"].append({"id": 12, "name": "own", "label": 2**40})
+            anatomy = bad = ws / "bad_anatomy.json"
+            anatomy.write_text(json.dumps(doc))
+        code = run_cli(
+            "pool", "--pyramid", ws / "p0", "--mask", mask, "--hierarchy", anatomy,
+            "--out", ws / "f.bin",
+        )
+        assert code == 2
+        assert bad.name in capsys.readouterr().err
+        assert not (ws / "f.bin").exists()
+
     def test_pool_of_a_pyramid_index_without_source_extents_takes_any_mask(self, workspace):
         ws = workspace
         self._encode_first_scan(ws)

@@ -192,6 +192,19 @@ class TestValidation:
                 global_id=11,
             )
 
+    @pytest.mark.parametrize(
+        "fine_label, coarse_label",
+        [(2**40, None), (1, 2**40), (0, None), (-1, None)],
+        ids=["huge-fine", "huge-coarse", "background", "negative"],
+    )
+    def test_labels_outside_1_to_65535_rejected(self, fine_label, coarse_label):
+        # pooling indexes tables by label: 2**40 would size one at 8 TiB, -1 wraps
+        with pytest.raises(ValidationError, match="label"):
+            AnatomyHierarchy(
+                fine=(FineNode(1, "a", fine_label, 10),),
+                coarse=(CoarseNode(10, "sys"), CoarseNode(12, "own", coarse_label)),
+                global_id=11,
+            )
 
     @pytest.mark.parametrize(
         "removed, added, message",

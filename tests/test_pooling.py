@@ -32,6 +32,7 @@ from ctgraph.graph import (
     save_hierarchy,
 )
 from ctgraph.pooling import (
+    _segment_sums,
     adaptive_avg_pool_global,
     fuse_layers,
     load_pooled,
@@ -60,8 +61,9 @@ def rescan_oracle(features: np.ndarray, labels: np.ndarray, region_labels):
     return out, counts
 
 
-def bincount_reference(values: np.ndarray, seg: np.ndarray, num_segments: int):
-    """Per-channel float64 bincount over the rows whose id is below num_segments."""
+def per_channel_sums(values: np.ndarray, seg: np.ndarray, num_segments: int):
+    """The former segment_mean kernel, one float64 bincount per channel: the sums
+    and counts of the rows whose id is below num_segments."""
     kept = seg < num_segments
     counts = np.bincount(seg[kept], minlength=num_segments)
     sums = np.stack(
@@ -72,6 +74,12 @@ def bincount_reference(values: np.ndarray, seg: np.ndarray, num_segments: int):
         ],
         axis=1,
     )
+    return sums, counts
+
+
+def bincount_reference(values: np.ndarray, seg: np.ndarray, num_segments: int):
+    """Per-channel float64 bincount means and counts over the rows whose id is below num_segments."""
+    sums, counts = per_channel_sums(values, seg, num_segments)
     return sums / np.maximum(counts, 1)[:, None], counts
 
 
@@ -249,6 +257,54 @@ class TestSegmentMean:
         ref, ref_counts = bincount_reference(values, seg, n_segments)
         assert np.array_equal(counts, ref_counts)
         assert np.array_equal(means.data, ref)
+
+
+class TestBlockedKernel:
+    """The blocked bincount kernel against the per-channel one it replaced: bit-identical."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("channels", [1, 768])
+    @pytest.mark.parametrize("num_segments", [1, 5])
+    @pytest.mark.parametrize("smallest_blocks", [False, True])
+    @pytest.mark.parametrize("rows", [0, 400], ids=["no-rows", "many-rows"])
+    def test_matches_the_per_channel_kernel(
+        self, monkeypatch, dtype, channels, num_segments, smallest_blocks, rows
+    ):
+        import ctgraph.pooling as pooling
+
+        if smallest_blocks:  # blocks of num_segments rows: one row, or five that end
+            monkeypatch.setattr(pooling, "_BLOCK_ENTRIES", 1)  # mid-way through segments
+        rng = np.random.default_rng(channels + rows)
+        values = (rng.standard_normal((rows, channels)) * 1e3).astype(dtype)
+        seg = rng.integers(0, num_segments + 2, rows)  # the last two ids are dropped
+        g = rng.standard_normal((num_segments, channels))
+        sums, counts = per_channel_sums(values, seg, num_segments)
+        divisor = np.maximum(counts, 1)[:, None]
+        kept = np.flatnonzero(seg < num_segments)
+        grad = np.zeros_like(values)
+        grad[kept] = (g / divisor)[seg[kept]]  # the backward, unchanged
+
+        got_sums = _segment_sums(values, kept, seg[kept], num_segments)
+        assert got_sums.dtype == np.float64 and np.array_equal(got_sums, sums)
+        tensor = Tensor(values, requires_grad=True)
+        got_means, got_counts = segment_mean(tensor, seg, num_segments)
+        assert np.array_equal(got_counts, counts)
+        assert np.array_equal(got_means.data, sums / divisor)
+        (got_means * Tensor(g)).sum().backward()
+        assert tensor.grad.dtype == dtype and np.array_equal(tensor.grad, grad)
+
+    def test_ingest_sized_pyramid_layers_match_the_per_channel_kernel(self):
+        volume, mask, _ = demo_phantom_x4()
+        labels = default_hierarchy().labels
+        slot = np.full(mask.num_labels + 1, len(labels))
+        slot[labels] = np.arange(len(labels))
+        for layer in synth_encode(volume, get_preset("swinunetr-style"), seed=7).layers:
+            seg = slot[resize_mask_nearest(mask, layer.extents).labels.ravel()]
+            kept = np.flatnonzero(seg < len(labels))
+            values = layer.data.data.reshape(-1, layer.channels)
+            for cast in (values, values.astype(np.float32)):
+                sums, _ = per_channel_sums(cast, seg, len(labels))
+                assert np.array_equal(_segment_sums(cast, kept, seg[kept], len(labels)), sums)
 
 
 class TestFuseLayers:
@@ -449,6 +505,23 @@ class TestPoolAll:
         assert fine_set.valid.tolist() == [True, False, True]
         assert np.all(fine_set.fused.data[1] == 0.0)
         assert coarse_set.valid.tolist() == [True, True]
+
+    def test_region_that_vanishes_at_every_layer_stays_valid(self):
+        # the demo preset has no full-resolution layer, and nearest resizing by 2
+        # never samples voxel (0, 0, 0): label 2 is counted at no layer, but it
+        # is in the mask; label 3 is in no voxel at all
+        h = two_level_hierarchy()
+        labels = np.zeros((32, 32, 16), dtype=np.int32)
+        labels[8:24, 8:24, 4:12] = 1
+        labels[0, 0, 0] = 2
+        volume = Volume3D(np.random.default_rng(17).standard_normal(labels.shape))
+        pyramid = synth_encode(volume, get_preset("demo"), seed=0)
+        assert all(layer.extents != labels.shape for layer in pyramid.layers)
+        fine_set, coarse_set, _ = pool_all(pyramid, LabelMask3D(labels, 3), h)
+        assert fine_set.valid.tolist() == [True, True, False]
+        assert fine_set.counts[1].tolist() == [0, 0, 0]
+        assert np.all(fine_set.fused.data[1:] == 0.0)
+        assert coarse_set.valid.tolist() == [True, False]
 
     def test_childless_coarse_with_own_label_pools_its_mask(self):
         # coarse 12 owns a label outside the mask vocabulary, and coarse 13's

@@ -355,6 +355,16 @@ class TestVolumeIO:
         with pytest.raises(FormatError, match="m.bin.*num_labels"):
             load_mask(tmp_path / "m.bin")
 
+    def test_mask_header_num_labels_beyond_the_uint16_range_fails_naming_the_file(self, tmp_path):
+        # 2**40 labels would size pooling's label lookup table at 8 TiB
+        save_tensor(tmp_path / "m.bin", np.ones((2, 2, 2), dtype=np.int32), name="mask",
+                    meta={"num_labels": 2**40})
+        with pytest.raises(FormatError, match="m.bin.*num_labels"):
+            load_mask(tmp_path / "m.bin")
+        save_tensor(tmp_path / "m.bin", np.full((2, 2, 2), 2**40, dtype=np.int64), name="mask")
+        with pytest.raises(FormatError, match="m.bin.*num_labels"):
+            load_mask(tmp_path / "m.bin")
+
     def test_volume_rejects_non_finite(self):
         bad = np.zeros((2, 2, 2))
         bad[0, 0, 0] = np.nan
@@ -364,3 +374,7 @@ class TestVolumeIO:
     def test_mask_rejects_labels_beyond_k(self):
         with pytest.raises(ValidationError):
             LabelMask3D(np.full((2, 2, 2), 9, dtype=np.int32), 4)
+
+    def test_mask_rejects_num_labels_beyond_the_uint16_range(self):
+        with pytest.raises(ValidationError, match="num_labels"):
+            LabelMask3D(np.ones((2, 2, 2), dtype=np.int32), 2**40)
