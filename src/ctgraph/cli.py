@@ -1,7 +1,7 @@
 """Command-line entry point wiring the pipeline stages.
 
 Subcommands: synth, encode, pool, graph, train, infer, eval, run.
-Exit codes: 0 ok, 1 runtime failure, 2 config/validation error.
+Exit codes: 0 ok, 1 runtime failure, 2 config/validation error or input of the wrong shape.
 BLAS worker threads are fixed when numpy loads, so cap them with
 OMP_NUM_THREADS / OPENBLAS_NUM_THREADS in the environment before launch.
 The synthetic encoder runs one thread per CPU in the affinity mask.
@@ -18,7 +18,7 @@ import numpy as np
 
 from .container import read_json
 from .encoder import get_preset, load_pyramid
-from .errors import ConfigError, CtGraphError, FormatError, ValidationError
+from .errors import ConfigError, CtGraphError, FormatError, ShapeError, ValidationError
 from .gat import GatModel
 from .graph import TOPOLOGIES, TOPOLOGY_HIERARCHICAL, load_graph
 from .heads import TrainConfig, read_manifest
@@ -123,6 +123,14 @@ def cmd_run(args) -> None:
     run_pipeline(cfg, out_dir=args.out)
 
 
+def seed_value(text: str) -> int:
+    """argparse type of --seed: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ct-graph",
@@ -133,14 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate phantom volumes, masks, and labels")
     p.add_argument("--spec", required=True, help="phantom spec JSON")
     p.add_argument("--count", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_value, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("encode", help="run the synthetic encoder over a volume")
     p.add_argument("--preset", required=True)
     p.add_argument("--presets", default=None, help="extra preset registry JSON")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=seed_value, default=7)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)
@@ -155,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="build the region graph")
     p.add_argument("--hierarchy", default=None)
     p.add_argument("--topology", default=TOPOLOGY_HIERARCHICAL, choices=TOPOLOGIES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_value, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_graph)
 
@@ -196,7 +204,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ConfigError, ValidationError, FormatError, FileNotFoundError) as exc:
+    except (ConfigError, ValidationError, FormatError, ShapeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CtGraphError as exc:

@@ -26,20 +26,14 @@ SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 SOFTMAX_SUM_ATOL = {"float64": 1e-9, "float32": 1e-5}
 
 
-def _coerce(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data, dtype=dtype)
-    if arr.dtype not in SUPPORTED_DTYPES:
-        arr = arr.astype(np.float64)
-    return arr
-
-
 class Tensor:
     """N-dimensional real array with optional gradient tracking."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _coerce(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        data = np.asarray(data)
+        self.data = data if data.dtype in SUPPORTED_DTYPES else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -84,29 +78,12 @@ class Tensor:
                 pid = id(parent)
                 pending[pid] = pg if pid not in pending else pending[pid] + pg
 
-    # operator sugar ------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def sum(self):
-        return tensor_sum(self)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 else shape)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 _grad_enabled = True
@@ -163,7 +140,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-# elementwise and reduction ops -------------------------------------------
+# elementwise and structural ops -------------------------------------------
 
 
 def add(a, b) -> Tensor:
@@ -174,30 +151,6 @@ def add(a, b) -> Tensor:
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return from_op(out, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
-
-    def backward(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
-
-    return from_op(out, (a, b), backward)
-
-
-def tensor_sum(a) -> Tensor:
-    """The sum of every entry of a, as a 0-d tensor."""
-    a = as_tensor(a)
-    out = a.data.sum()
-
-    def backward(g):
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return from_op(out, (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:

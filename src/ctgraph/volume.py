@@ -89,7 +89,7 @@ def resize_mask_nearest(mask: LabelMask3D, target_shape: tuple[int, int, int]) -
     ih = _nearest_indices(sh, th)
     iw = _nearest_indices(sw, tw)
     it = _nearest_indices(sd, td)
-    resized = mask.labels[np.ix_(ih, iw, it)]
+    resized = mask.labels.take(ih, 0).take(iw, 1).take(it, 2)
     return LabelMask3D(resized, mask.num_labels)
 
 
@@ -135,6 +135,11 @@ class PhantomSpec:
             isinstance(n, Integral) and not isinstance(n, bool) and n >= 1 for n in self.shape
         ):
             raise ValidationError(f"shape must be 3 positive integer extents, got {self.shape}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name, value in (("noise_sigma", self.noise_sigma), ("intensity_jitter", self.intensity_jitter)):
+            if not 0.0 <= value < np.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
         labels = [r.label for r in self.regions]
         if len(set(labels)) != len(labels):
             raise ValidationError("region labels must be unique")
@@ -145,9 +150,13 @@ class PhantomSpec:
                 raise ValidationError(
                     f"region label {r.label}: centre must be finite and radii finite and > 0"
                 )
+            if not np.isfinite(r.intensity):
+                raise ValidationError(f"region label {r.label}: intensity must be finite")
         for p in self.pathologies:
             if not 0 < p.radius < np.inf:
                 raise ValidationError(f"pathology '{p.name}': radius must be finite and > 0")
+            if not np.isfinite(p.delta):
+                raise ValidationError(f"pathology '{p.name}': delta must be finite")
             if not 0.0 <= p.prevalence <= 1.0:
                 raise ValidationError(f"pathology '{p.name}': prevalence must lie in [0, 1]")
             if p.host_label not in labels:

@@ -19,8 +19,10 @@ from ctgraph.volume import (
     PathologySpec,
     PhantomSpec,
     RegionSpec,
+    Volume3D,
     save_mask,
     save_phantom_spec,
+    save_volume,
 )
 
 
@@ -659,6 +661,102 @@ class TestExitCodes:
             "--out", ws / "p",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["synth", "encode", "graph"])
+    def test_negative_seed_exits_2_at_parse_time_naming_the_flag(self, workspace, capsys, command):
+        ws = workspace
+        argv = {
+            "synth": ["synth", "--spec", ws / "phantom.json", "--seed", -1, "--out", ws / "d"],
+            "encode": [
+                "encode", "--preset", "tiny", "--presets", ws / "presets.json", "--seed", -3,
+                "--in", ws / "v.bin", "--out", ws / "p",
+            ],
+            "graph": [
+                "graph", "--hierarchy", ws / "anatomy.json", "--topology", "random",
+                "--seed", -3, "--out", ws / "g.json",
+            ],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv)
+        assert exit_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not any((ws / name).exists() for name in ("d", "p", "g.json"))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise_sigma", math.nan), ("noise_sigma", -1.0), ("noise_sigma", math.inf),
+            ("intensity_jitter", math.nan), ("intensity_jitter", -1.0),
+            ("intensity_jitter", math.inf), ("intensity", math.nan), ("intensity", math.inf),
+            ("delta", math.nan), ("delta", -math.inf),
+        ],
+    )
+    def test_synth_spec_with_a_bad_number_exits_2_naming_the_field(
+        self, workspace, capsys, field, value
+    ):
+        ws = workspace
+        doc = json.loads((ws / "phantom.json").read_text())
+        if field == "intensity":
+            doc["regions"][1][field] = value
+        elif field == "delta":
+            doc["pathologies"][0][field] = value
+        else:
+            doc[field] = value
+        (ws / "bad_spec.json").write_text(json.dumps(doc))  # NaN and Infinity as bare tokens
+        assert run_cli("synth", "--spec", ws / "bad_spec.json", "--out", ws / "d") == 2
+        err = capsys.readouterr().err
+        assert "bad_spec.json" in err and field in err
+        assert not (ws / "d").exists()
+
+    def test_run_with_an_infinite_jitter_exits_2_before_synth(self, workspace, capsys):
+        ws = workspace
+        doc = json.loads((ws / "phantom.json").read_text())
+        doc["intensity_jitter"] = math.inf
+        (ws / "bad_spec.json").write_text(json.dumps(doc))
+        config = {
+            "seed": 1, "out_dir": str(ws / "out"), "num_samples": 2,
+            "phantom_spec": str(ws / "bad_spec.json"),
+        }
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        assert "intensity_jitter" in capsys.readouterr().err
+        assert not (ws / "out" / "synth").exists()
+
+    def test_pool_of_a_pyramid_coarser_than_the_global_grid_exits_2(self, workspace, capsys):
+        ws = workspace
+        save_volume(ws / "v.bin", Volume3D(np.zeros((32, 32, 16))))
+        save_mask(ws / "m.bin", LabelMask3D(np.ones((32, 32, 16), dtype=np.int32), 2))
+        assert run_cli(
+            "encode", "--preset", "transvw-style", "--in", ws / "v.bin", "--out", ws / "p"
+        ) == 0
+        code = run_cli(
+            "pool", "--pyramid", ws / "p", "--mask", ws / "m.bin",
+            "--hierarchy", ws / "anatomy.json", "--out", ws / "f.bin",
+        )
+        assert code == 2
+        assert "(2, 2, 1) are smaller than the target grid (4, 4, 2)" in capsys.readouterr().err
+        assert not (ws / "f.bin").exists()
+
+    def test_infer_with_a_checkpoint_of_another_width_exits_2(self, workspace, capsys):
+        ws = workspace
+        rows = np.ones((2, 2))
+        fine = RegionFeatureSet(
+            [1, 2], [Tensor(rows)], Tensor(rows), np.ones((2, 1), np.int64), np.ones(2, bool)
+        )
+        coarse = RegionFeatureSet(
+            [10], [Tensor(np.ones((1, 2)))], Tensor(np.ones((1, 2))),
+            np.ones((1, 1), np.int64), np.ones(1, bool),
+        )
+        save_pooled(ws / "f.bin", fine, coarse, GlobalFeatureGrid(Tensor(np.zeros((4, 4, 2, 2)))))
+        GatModel.init(GatConfig(c_total=7, c_last=2, d_h=4, n_heads=2, export_dim=4)).save(ws / "ckpt")
+        assert run_cli("graph", "--hierarchy", ws / "anatomy.json", "--out", ws / "g.json") == 0
+        code = run_cli(
+            "infer", "--graph", ws / "g.json", "--feats", ws / "f.bin",
+            "--model", ws / "ckpt", "--out", ws / "tokens.bin",
+        )
+        assert code == 2
+        assert "fine features have width 2, config expects 7" in capsys.readouterr().err
+        assert not (ws / "tokens.bin").exists()
 
 
 class TestRunPipeline:

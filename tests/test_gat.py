@@ -27,6 +27,7 @@ from ctgraph.graph import (
 from ctgraph.heads import init_gat_classifier
 from ctgraph.pooling import GlobalFeatureGrid, RegionFeatureSet
 from ctgraph.tensor import Tensor, bce_with_logits, concat
+from test_tensor import weighted_sum
 
 
 def loop_layer_norm(v, gamma, beta, eps):
@@ -402,7 +403,7 @@ class TestForward:
         fine_fused = Tensor(rng.standard_normal((3, cfg.c_total)), requires_grad=True)
         coarse_fused = Tensor(rng.standard_normal((2, cfg.c_total)), requires_grad=True)
         grid_data = Tensor(rng.standard_normal((4, 4, 2, cfg.c_last)), requires_grad=True)
-        weights = Tensor(rng.standard_normal((6, cfg.export_dim)))
+        weights = rng.standard_normal((6, cfg.export_dim))
 
         def loss():
             fine_set = RegionFeatureSet(
@@ -421,7 +422,7 @@ class TestForward:
             )
             grid = GlobalFeatureGrid(grid_data)
             out = forward(graph, fine_set, coarse_set, grid, model)
-            return (out.tokens * weights).sum()
+            return weighted_sum(out.tokens, weights)
 
         tensors = model.parameters() + [fine_fused, coarse_fused, grid_data]
         assert check_gradients(loss, tensors) < 1e-4
@@ -477,12 +478,12 @@ class TestBatch:
         for k, (fine_set, _, _) in enumerate(samples):
             fine_set.valid[k] = False
         samples[0][1].valid[1] = False
-        weights = Tensor(np.random.default_rng(4).standard_normal((5, 3)))
+        weights = np.random.default_rng(4).standard_normal((5, 3))
 
         def gradients(logits):
             for p in clf.parameters():
                 p.grad = None
-            (logits * weights).sum().backward()
+            weighted_sum(logits, weights).backward()
             return [np.zeros_like(p.data) if p.grad is None else p.grad for p in clf.parameters()]
 
         batched = clf.logits(graph, samples)

@@ -42,6 +42,7 @@ from ctgraph.pooling import (
     segment_mean,
 )
 from ctgraph.tensor import Tensor
+from test_tensor import weighted_sum
 from ctgraph.volume import LabelMask3D, Volume3D, generate_phantom, resize_mask_nearest
 
 
@@ -143,11 +144,11 @@ class TestMaskPoolLayer:
         rng = np.random.default_rng(3)
         feats = Tensor(rng.standard_normal((4, 4, 2, 3)), requires_grad=True)
         mask = LabelMask3D(rng.integers(0, 3, (4, 4, 2)), 2)
-        weights = Tensor(rng.standard_normal((2, 3)))
+        weights = rng.standard_normal((2, 3))
 
         def loss():
             pooled, _ = mask_pool_layer(feats, mask, [1, 2])
-            return (pooled * weights).sum()
+            return weighted_sum(pooled, weights)
 
         assert check_gradients(loss, [feats]) < 1e-4
 
@@ -158,11 +159,11 @@ class TestMaskPoolLayer:
         labels[1:3, 2:4, 1:3] = 1  # 8 of 144 voxels
         labels[4, 4, 2] = 2
         mask = LabelMask3D(labels, 2)
-        weights = Tensor(rng.standard_normal((2, 3)))
+        weights = rng.standard_normal((2, 3))
 
         def loss():
             pooled, _ = mask_pool_layer(feats, mask, [1, 2])
-            return (pooled * weights).sum()
+            return weighted_sum(pooled, weights)
 
         assert check_gradients(loss, [feats]) < 1e-4
         assert np.all(feats.grad[labels == 0] == 0.0)
@@ -230,7 +231,7 @@ class TestSegmentMean:
         assert np.array_equal(counts, ref_counts)
         assert_rows_close(means.data, ref, 1e-12)
         g = rng.standard_normal((4, 3))
-        (means * Tensor(g)).sum().backward()
+        weighted_sum(means, g).backward()
         kept = seg < 4
         assert np.all(values.grad[~kept] == 0.0)
         assert np.array_equal(values.grad[kept], (g / np.maximum(counts, 1)[:, None])[seg[kept]])
@@ -290,7 +291,7 @@ class TestBlockedKernel:
         got_means, got_counts = segment_mean(tensor, seg, num_segments)
         assert np.array_equal(got_counts, counts)
         assert np.array_equal(got_means.data, sums / divisor)
-        (got_means * Tensor(g)).sum().backward()
+        weighted_sum(got_means, g).backward()
         assert tensor.grad.dtype == dtype and np.array_equal(tensor.grad, grad)
 
     def test_ingest_sized_pyramid_layers_match_the_per_channel_kernel(self):
@@ -388,10 +389,10 @@ class TestAdaptivePool:
     def test_gradients(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((5, 6, 3, 2)), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 4, 2, 2)))
+        w = rng.standard_normal((4, 4, 2, 2))
 
         def loss():
-            return (adaptive_avg_pool_global(x).grid * w).sum()
+            return weighted_sum(adaptive_avg_pool_global(x).grid, w)
 
         assert check_gradients(loss, [x]) < 1e-4
 

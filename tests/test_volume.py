@@ -261,6 +261,30 @@ class TestPhantom:
         with pytest.raises(ValidationError, match="shape"):
             _simple_spec(shape=shape)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            _simple_spec(seed=seed)
+        with pytest.raises(ValidationError, match="seed"):
+            _simple_spec().with_seed(seed)
+
+    @pytest.mark.parametrize("field", ["noise_sigma", "intensity_jitter"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf, -math.inf])
+    def test_noise_and_jitter_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            _simple_spec(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_region_intensity_and_pathology_delta_must_be_finite(self, value):
+        regions = (
+            RegionSpec(1, (3.0, 3.0, 3.0), (2.0, 2.0, 2.0), 0.4),
+            RegionSpec(2, (8.0, 8.0, 4.0), (2.0, 2.0, 2.0), value),
+        )
+        with pytest.raises(ValidationError, match="region label 2: intensity"):
+            _simple_spec(regions=regions)
+        with pytest.raises(ValidationError, match="pathology 'a': delta"):
+            _simple_spec(pathologies=(PathologySpec("a", 1, value, 0.5),))
+
     def test_prevalence_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             _simple_spec(pathologies=(PathologySpec("a", 1, 0.5, 1.5),))
