@@ -46,7 +46,8 @@ def write_record(fh: BinaryIO, array: np.ndarray, name: str = "tensor", meta: di
     if meta:
         header["meta"] = meta
     fh.write(json.dumps(header).encode("utf-8") + b"\n")
-    fh.write(np.ascontiguousarray(arr).astype(_TO_NUMPY[dtype_name]).tobytes())
+    # copies only to change layout, byte order or dtype; the file reads the buffer itself
+    fh.write(np.ascontiguousarray(arr, dtype=_TO_NUMPY[dtype_name]).data)
 
 
 def read_record(fh: BinaryIO):
@@ -101,8 +102,8 @@ def save_tensor(path, array: np.ndarray, name: str = "tensor", meta: dict | None
     save_tensors(path, {name: array}, {name: meta})
 
 
-def load_tensor(path):
-    """Load a single-record container; returns (array, header)."""
+def read_tensor(path):
+    """The record (name, array, header) of a single-record container, not checked for NaN or inf."""
     with open_input(path, "container", "rb") as fh:
         rec = read_record(fh)
         if rec is None:
@@ -110,7 +111,12 @@ def load_tensor(path):
         trailing = fh.read(1)
         if trailing:
             raise FormatError(f"{path}: trailing data after single record")
-    _, array, header = _finite(path, rec)
+    return rec
+
+
+def load_tensor(path):
+    """Load a single-record container; returns (array, header)."""
+    _, array, header = _finite(path, read_tensor(path))
     return array, header
 
 

@@ -1,6 +1,7 @@
 """Shared exception types."""
 
 import contextlib
+from numbers import Integral
 
 
 class CtGraphError(Exception):
@@ -32,3 +33,10 @@ def malformed(what: str):
         raise
     except (AttributeError, LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed {what}: {exc!r}") from exc
+
+
+def integer(value, what: str) -> int:
+    """value as an int; a ValidationError naming what unless it is an integer (bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)

@@ -114,8 +114,9 @@ class GatModel:
                 data = np.zeros(shape)
             elif name.endswith(".gamma"):
                 data = np.ones(shape)
-            else:  # every other parameter is a matrix: Glorot normal
-                data = np.sqrt(2.0 / sum(shape)) * rng.standard_normal(shape)
+            else:  # every other parameter is a matrix: Glorot normal, scaled in place
+                data = rng.standard_normal(shape)
+                data *= np.sqrt(2.0 / sum(shape))
             params[name] = Tensor(data, requires_grad=True)
         return cls(config, params)
 

@@ -16,7 +16,7 @@ from operator import attrgetter
 import numpy as np
 
 from .container import read_json, write_json
-from .errors import ValidationError, malformed
+from .errors import ValidationError, integer, malformed
 from .volume import MAX_LABEL
 
 LEVEL_FINE = "fine"
@@ -310,12 +310,16 @@ def hierarchy_to_json(hierarchy: AnatomyHierarchy) -> dict:
 def hierarchy_from_json(doc: dict) -> AnatomyHierarchy:
     with malformed("hierarchy document"):
         fine = tuple(
-            FineNode(int(f["id"]), str(f["name"]), int(f["label"]), int(f["parent"]))
+            FineNode(
+                integer(f["id"], "fine id"), str(f["name"]),
+                integer(f["label"], "fine label"), integer(f["parent"], "fine parent"),
+            )
             for f in doc["fine"]
         )
         coarse = tuple(
             CoarseNode(
-                int(c["id"]), str(c["name"]), None if c.get("label") is None else int(c["label"])
+                integer(c["id"], "coarse id"), str(c["name"]),
+                None if c.get("label") is None else integer(c["label"], "coarse label"),
             )
             for c in doc["coarse"]
         )
@@ -341,8 +345,10 @@ def graph_to_json(graph: RegionGraph) -> dict:
 
 def graph_from_json(doc: dict) -> RegionGraph:
     with malformed("graph document"):
-        nodes = tuple(GraphNode(int(n["id"]), str(n["level"])) for n in doc["nodes"])
-        edges = tuple((int(s), int(d)) for s, d in doc["edges"])
+        nodes = tuple(GraphNode(integer(n["id"], "node id"), str(n["level"])) for n in doc["nodes"])
+        edges = tuple(
+            (integer(s, "edge endpoint"), integer(d, "edge endpoint")) for s, d in doc["edges"]
+        )
         return RegionGraph(nodes, edges, str(doc["topology"]))
 
 

@@ -14,27 +14,32 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .container import load_tensor, read_json, save_tensor, write_json
-from .errors import FormatError, ValidationError, malformed
+from .container import load_tensor, read_json, read_tensor, save_tensor, write_json
+from .errors import FormatError, ValidationError, integer, malformed
 
 # The largest mask label: the uint16 range segmentation formats store labels in.
 # Pooling sizes tables by label, so a bound here keeps them small.
 MAX_LABEL = 65535
 
 
+# Ownership rule of Volume3D and LabelMask3D: an array that already has the
+# class's dtype (float64, int32) in C order is kept, not copied, and marked
+# read-only, so the caller's array becomes read-only too; any other array is
+# copied once, converted, and the caller's array is left as it was.
+
+
 @dataclass(frozen=True)
 class Volume3D:
-    """A real-valued scan of extents (H, W, D)."""
+    """A real-valued scan of extents (H, W, D); see the ownership rule above."""
 
     voxels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.voxels, dtype=np.float64)
+        arr = np.ascontiguousarray(self.voxels, dtype=np.float64)
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValidationError(f"volume must be 3-d with positive extents, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("volume contains non-finite values")
-        arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "voxels", arr)
 
@@ -45,7 +50,7 @@ class Volume3D:
 
 @dataclass(frozen=True)
 class LabelMask3D:
-    """Integer labels in {0..num_labels}; 0 is background."""
+    """Integer labels in {0..num_labels}; 0 is background; see the ownership rule above."""
 
     labels: np.ndarray
     num_labels: int
@@ -61,7 +66,7 @@ class LabelMask3D:
                 f"mask labels must lie in [0, {self.num_labels}], "
                 f"found range [{arr.min()}, {arr.max()}]"
             )
-        arr = np.ascontiguousarray(arr.astype(np.int32))
+        arr = np.ascontiguousarray(arr, dtype=np.int32)
         arr.setflags(write=False)
         object.__setattr__(self, "labels", arr)
 
@@ -245,7 +250,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume3D, LabelMask3D, np.ndarr
     if spec.noise_sigma > 0:
         vol += rng.normal(0.0, spec.noise_sigma, size=shape)
 
-    # LabelMask3D copies the shared painting
+    # the mask shares the cached painting, which is read-only
     return Volume3D(vol), LabelMask3D(labels, spec.num_labels), targets
 
 
@@ -256,7 +261,7 @@ def phantom_spec_from_json(doc: dict) -> PhantomSpec:
     with malformed("phantom spec"):
         regions = tuple(
             RegionSpec(
-                label=int(r["label"]),
+                label=integer(r["label"], "region label"),
                 center=tuple(float(x) for x in r["center"]),
                 radii=tuple(float(x) for x in r["radii"]),
                 intensity=float(r["intensity"]),
@@ -266,7 +271,7 @@ def phantom_spec_from_json(doc: dict) -> PhantomSpec:
         pathologies = tuple(
             PathologySpec(
                 name=str(p["name"]),
-                host_label=int(p["host_label"]),
+                host_label=integer(p["host_label"], f"pathology '{p['name']}' host_label"),
                 delta=float(p["delta"]),
                 prevalence=float(p["prevalence"]),
                 radius=float(p.get("radius", 2.0)),
@@ -274,10 +279,10 @@ def phantom_spec_from_json(doc: dict) -> PhantomSpec:
             for p in doc.get("pathologies", ())
         )
         return PhantomSpec(
-            shape=tuple(int(x) for x in doc["shape"]),
+            shape=tuple(integer(x, "shape extent") for x in doc["shape"]),
             regions=regions,
             pathologies=pathologies,
-            seed=int(doc.get("seed", 0)),
+            seed=integer(doc.get("seed", 0), "seed"),
             noise_sigma=float(doc.get("noise_sigma", 0.0)),
             intensity_jitter=float(doc.get("intensity_jitter", 0.0)),
         )
@@ -296,10 +301,13 @@ def save_volume(path, volume: Volume3D) -> None:
 
 
 def load_volume(path) -> Volume3D:
-    array, header = load_tensor(path)
+    name, array, _ = read_tensor(path)
     if array.ndim != 3:
         raise FormatError(f"{path}: volume container must be 3-d, got shape {array.shape}")
-    return Volume3D(array)
+    try:
+        return Volume3D(array)  # its finiteness check is the only one on this path
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: record '{name}': {exc}") from exc
 
 
 def save_mask(path, mask: LabelMask3D) -> None:

@@ -722,6 +722,81 @@ class TestExitCodes:
         assert "intensity_jitter" in capsys.readouterr().err
         assert not (ws / "out" / "synth").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("seed", True), ("shape", 8.0), ("label", 1.7), ("label", True),
+         ("host_label", 2.5), ("host_label", 1.0)],
+    )
+    def test_synth_spec_with_a_non_integer_integer_field_exits_2_naming_it(
+        self, workspace, capsys, field, value
+    ):
+        ws = workspace
+        doc = json.loads((ws / "phantom.json").read_text())
+        if field == "shape":
+            doc["shape"][0] = value
+        elif field == "label":
+            doc["regions"][0]["label"] = value
+        elif field == "host_label":
+            doc["pathologies"][0]["host_label"] = value
+        else:
+            doc["seed"] = value
+        (ws / "bad_spec.json").write_text(json.dumps(doc))
+        assert run_cli("synth", "--spec", ws / "bad_spec.json", "--out", ws / "d") == 2
+        err = capsys.readouterr().err
+        assert "bad_spec.json" in err and field in err and "must be an integer" in err
+        assert not (ws / "d").exists()
+
+    def test_run_with_a_fractional_region_label_exits_2_before_synth(self, workspace, capsys):
+        ws = workspace
+        doc = json.loads((ws / "phantom.json").read_text())
+        doc["regions"][1]["label"] = 2.5
+        (ws / "bad_spec.json").write_text(json.dumps(doc))
+        config = {
+            "seed": 1, "out_dir": str(ws / "out"), "num_samples": 2,
+            "phantom_spec": str(ws / "bad_spec.json"),
+        }
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        assert "label must be an integer, got 2.5" in capsys.readouterr().err
+        assert not (ws / "out" / "synth").exists()
+
+    @pytest.mark.parametrize("key", ["id", "label", "parent"])
+    def test_graph_of_a_hierarchy_with_a_fractional_integer_exits_2_naming_it(
+        self, workspace, capsys, key
+    ):
+        ws = workspace
+        doc = json.loads((ws / "anatomy.json").read_text())
+        doc["fine"][0][key] += 0.5
+        (ws / "bad.json").write_text(json.dumps(doc))
+        assert run_cli("graph", "--hierarchy", ws / "bad.json", "--out", ws / "g.json") == 2
+        err = capsys.readouterr().err
+        assert "bad.json" in err and f"fine {key} must be an integer" in err
+        assert not (ws / "g.json").exists()
+
+    def test_infer_on_a_graph_with_a_fractional_node_id_exits_2_naming_it(self, workspace, capsys):
+        ws = workspace
+        assert run_cli("graph", "--hierarchy", ws / "anatomy.json", "--out", ws / "g.json") == 0
+        doc = json.loads((ws / "g.json").read_text())
+        doc["nodes"][0]["id"] += 0.5
+        (ws / "g.json").write_text(json.dumps(doc))
+        code = run_cli(
+            "infer", "--graph", ws / "g.json", "--feats", ws / "f.bin", "--model", ws / "m",
+            "--out", ws / "t.bin",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "g.json" in err and "node id must be an integer" in err
+
+    def test_encode_of_a_nan_volume_exits_2_naming_the_file_and_the_record(self, workspace, capsys):
+        ws = workspace
+        voxels = np.zeros((16, 16, 8))
+        voxels[3, 4, 5] = np.nan
+        save_tensor(ws / "nan.bin", voxels, name="volume")
+        assert run_cli("encode", "--preset", "demo", "--in", ws / "nan.bin", "--out", ws / "p") == 2
+        err = capsys.readouterr().err
+        assert "nan.bin" in err and "'volume'" in err and "non-finite" in err
+        assert not (ws / "p").exists()
+
     def test_pool_of_a_pyramid_coarser_than_the_global_grid_exits_2(self, workspace, capsys):
         ws = workspace
         save_volume(ws / "v.bin", Volume3D(np.zeros((32, 32, 16))))

@@ -1,6 +1,7 @@
 """Container format: bit-exact round trips and hard failures on bad files."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,3 +139,48 @@ def test_failed_write_json_keeps_the_old_file(tmp_path):
         write_json(path, {"metrics": {"f1": object()}})
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
+
+
+def traced_peak(fn):
+    """Peak bytes traced while fn runs, beyond what was traced when it started."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+def test_save_writes_a_float64_payload_from_the_array_own_buffer(tmp_path):
+    arr = np.random.default_rng(3).standard_normal(1 << 20)  # 8 MB
+    extra = traced_peak(lambda: save_tensor(tmp_path / "big.bin", arr))
+    assert extra < 1 << 20
+    back, _ = load_tensor(tmp_path / "big.bin")
+    assert np.array_equal(back, arr)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda a: a.astype(np.float32),
+        lambda a: a > 0,
+        lambda a: a.astype(">f8"),
+        lambda a: a.astype(">i4"),
+        lambda a: a.transpose(2, 0, 1),
+        lambda a: a[::2, :, 1::2],
+    ],
+    ids=["float32", "bool", "big-endian-f8", "big-endian-i4", "transposed", "strided"],
+)
+def test_converted_or_strided_inputs_round_trip_bit_exact(tmp_path, make):
+    arr = make(np.random.default_rng(4).standard_normal((6, 5, 4)) * 100)
+    save_tensor(tmp_path / "t.bin", arr, name="x")
+    back, header = load_tensor(tmp_path / "t.bin")
+    want = arr.astype(arr.dtype.newbyteorder("<") if arr.dtype != np.bool_ else np.int32)
+    assert back.dtype == want.dtype and back.dtype.byteorder in "=<|"
+    assert back.shape == arr.shape and np.array_equal(back, want)
+    # the bytes on disk: the header line, then the C-order little-endian scalars
+    payload = (tmp_path / "t.bin").read_bytes().split(b"\n", 1)[1]
+    assert payload == np.ascontiguousarray(want).tobytes()
+    assert header["shape"] == list(arr.shape)

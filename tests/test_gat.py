@@ -27,6 +27,7 @@ from ctgraph.graph import (
 from ctgraph.heads import init_gat_classifier
 from ctgraph.pooling import GlobalFeatureGrid, RegionFeatureSet
 from ctgraph.tensor import Tensor, bce_with_logits, concat
+from test_container import traced_peak
 from test_tensor import weighted_sum
 
 
@@ -98,6 +99,10 @@ def tiny_config(**kw):
     defaults = dict(c_total=5, c_last=3, d_h=8, n_heads=2, export_dim=4)
     defaults.update(kw)
     return GatConfig(**defaults)
+
+
+# the swinunetr-style preset at paper width: ~58 MB of float64 parameters
+PAPER_WIDTH = GatConfig(c_total=1488, c_last=768, d_h=256, n_heads=4, export_dim=64)
 
 
 class TestEmbedNodes:
@@ -586,6 +591,26 @@ class TestCheckpoint:
         model.save(tmp_path / "ckpt")
         with pytest.raises(ValidationError, match=r"stage1\.head0\.a\.bin"):
             GatModel.load(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("cfg", [tiny_config(mlp_hidden=(6,)), PAPER_WIDTH], ids=["tiny", "paper"])
+    def test_init_equals_the_glorot_formula(self, cfg):
+        model = GatModel.init(cfg, seed=21)
+        rng = np.random.default_rng(21)  # draws in param_shapes order, matrices only
+        for name, shape in GatModel.param_shapes(cfg).items():
+            data = model.params[name].data
+            if name.endswith((".b", ".beta")):
+                assert np.array_equal(data, np.zeros(shape))
+            elif name.endswith(".gamma"):
+                assert np.array_equal(data, np.ones(shape))
+            else:
+                assert np.array_equal(data, np.sqrt(2.0 / sum(shape)) * rng.standard_normal(shape))
+
+    def test_paper_width_init_allocates_only_the_parameters(self):
+        nbytes = sum(8 * int(np.prod(s)) for s in GatModel.param_shapes(PAPER_WIDTH).values())
+        models = []
+        extra = traced_peak(lambda: models.append(GatModel.init(PAPER_WIDTH, seed=0)))
+        assert sum(p.data.nbytes for p in models[0].parameters()) == nbytes
+        assert extra <= 1.05 * nbytes
 
     def test_parameter_count_deterministic_from_config(self):
         cfg = tiny_config()

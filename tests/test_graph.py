@@ -250,6 +250,28 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="none"):
             graph_from_json(doc)
 
+    @pytest.mark.parametrize("value", [1.5, 10.0, True, "10"], ids=["fraction", "whole-float", "bool", "string"])
+    @pytest.mark.parametrize(
+        "level, key", [("fine", "id"), ("fine", "label"), ("fine", "parent"), ("coarse", "id"),
+                       ("coarse", "label")],
+    )
+    def test_hierarchy_json_integer_fields_take_only_integers(self, level, key, value):
+        doc = hierarchy_to_json(tiny_hierarchy())
+        doc[level][0][key] = value
+        with pytest.raises(ValidationError, match=rf"{level} {key} must be an integer, got {value!r}"):
+            hierarchy_from_json(doc)
+
+    @pytest.mark.parametrize("value", [1.5, 10.0, True, "10"], ids=["fraction", "whole-float", "bool", "string"])
+    @pytest.mark.parametrize("where", ["node id", "edge endpoint"])
+    def test_graph_json_integer_fields_take_only_integers(self, where, value):
+        doc = graph_to_json(build_hierarchical(tiny_hierarchy()))
+        if where == "node id":
+            doc["nodes"][1]["id"] = value
+        else:
+            doc["edges"][0][1] = value
+        with pytest.raises(ValidationError, match=rf"{where} must be an integer, got {value!r}"):
+            graph_from_json(doc)
+
     def test_levels_present(self):
         graph = build_hierarchical(default_hierarchy())
         assert len(graph.ids_at(LEVEL_FINE)) == 34

@@ -27,6 +27,7 @@ from ctgraph.volume import (
     save_mask,
     save_volume,
 )
+from test_container import traced_peak
 
 
 def nearest_resize_oracle(labels: np.ndarray, target):
@@ -289,6 +290,22 @@ class TestPhantom:
         with pytest.raises(ValidationError):
             _simple_spec(pathologies=(PathologySpec("a", 1, 0.5, 1.5),))
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"], ids=["fraction", "whole-float", "bool", "string"])
+    @pytest.mark.parametrize("field", ["seed", "shape", "label", "host_label"])
+    def test_spec_json_integer_fields_take_only_integers(self, field, value):
+        doc = asdict(_simple_spec(pathologies=(PathologySpec("a", 2, 0.5, 0.5),)))
+        doc["shape"] = list(doc["shape"])
+        if field == "shape":
+            doc["shape"][1] = value
+        elif field == "label":
+            doc["regions"][1]["label"] = value
+        elif field == "host_label":
+            doc["pathologies"][0]["host_label"] = value
+        else:
+            doc["seed"] = value
+        with pytest.raises(ValidationError, match=rf"{field}.* must be an integer, got {value!r}"):
+            phantom_spec_from_json(doc)
+
     def test_spec_json_round_trip(self):
         spec = _simple_spec()
         again = phantom_spec_from_json(asdict(spec))
@@ -323,7 +340,7 @@ class TestPaintCache:
         assert vol.voxels.tobytes() == ref_vol.tobytes()
         assert mask.labels.tobytes() == ref_labels.tobytes()
         assert targets.tobytes() == ref_targets.tobytes()
-        assert not np.shares_memory(mask.labels, labels)
+        assert mask.labels is labels and not labels.flags.writeable
 
     def test_demo_seeds_equal_an_uncached_paint(self):
         for seed in range(4):
@@ -388,6 +405,52 @@ class TestVolumeIO:
         save_tensor(tmp_path / "m.bin", np.full((2, 2, 2), 2**40, dtype=np.int64), name="mask")
         with pytest.raises(FormatError, match="m.bin.*num_labels"):
             load_mask(tmp_path / "m.bin")
+
+    def test_load_volume_checks_finiteness_once(self, tmp_path, monkeypatch):
+        save_volume(tmp_path / "v.bin", Volume3D(np.ones((4, 4, 2))))
+        calls = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda *a, **kw: calls.append(1) or isfinite(*a, **kw))
+        assert np.array_equal(load_volume(tmp_path / "v.bin").voxels, np.ones((4, 4, 2)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_load_volume_of_a_non_finite_scan_names_the_file_and_the_record(self, tmp_path, bad):
+        voxels = np.zeros((4, 4, 2))
+        voxels[1, 2, 1] = bad
+        save_tensor(tmp_path / "v.bin", voxels, name="volume")
+        with pytest.raises(ValidationError, match=r"v\.bin.*'volume'.*non-finite"):
+            load_volume(tmp_path / "v.bin")
+
+    def test_load_mask_holds_the_labels_once(self, tmp_path):
+        labels = np.random.default_rng(5).integers(0, 35, (128, 128, 64)).astype(np.int32)
+        save_mask(tmp_path / "m.bin", LabelMask3D(labels, 34))
+        masks = []
+        extra = traced_peak(lambda: masks.append(load_mask(tmp_path / "m.bin")))
+        assert np.array_equal(masks[0].labels, labels)
+        assert extra <= 1.05 * labels.nbytes
+
+    def test_constructors_keep_an_array_of_their_dtype_and_mark_it_read_only(self):
+        voxels = np.zeros((4, 4, 2))
+        labels = np.ones((4, 4, 2), dtype=np.int32)
+        volume, mask = Volume3D(voxels), LabelMask3D(labels, 2)
+        assert volume.voxels is voxels and mask.labels is labels
+        assert not voxels.flags.writeable and not labels.flags.writeable
+        resized = resize_mask_nearest(mask, (2, 2, 1))
+        assert resized.labels.dtype == np.int32 and not resized.labels.flags.writeable
+
+    @pytest.mark.parametrize(
+        "make", [lambda a: a.astype(np.float32), lambda a: a.astype(np.int64), lambda a: a.transpose(1, 0, 2)],
+        ids=["float32", "int64", "transposed"],
+    )
+    def test_constructors_copy_any_other_array_once_and_leave_it_writable(self, make):
+        given = make(np.ones((4, 4, 2)))
+        for obj, field, dtype in ((Volume3D(given), "voxels", np.float64),
+                                  (LabelMask3D(given, 2), "labels", np.int32)):
+            kept = getattr(obj, field)
+            assert kept.dtype == dtype and kept.flags.c_contiguous and not kept.flags.writeable
+            assert not np.shares_memory(kept, given) and np.array_equal(kept, given)
+        assert given.flags.writeable
 
     def test_volume_rejects_non_finite(self):
         bad = np.zeros((2, 2, 2))
