@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import ensure_dir, load_tensor, read_json, save_tensor, write_json
-from .errors import ValidationError, malformed
+from .errors import ValidationError, integer, malformed
 from .tensor import Tensor
 from .volume import Volume3D
 
@@ -84,9 +84,9 @@ def load_preset_registry(path) -> dict[str, EncoderPreset]:
 def _presets_from_json(doc: dict) -> dict[str, EncoderPreset]:
     with malformed("preset registry"):
         presets = [
-            EncoderPreset(
-                str(p["name"]), tuple(map(int, p["channels"])), tuple(map(int, p["factors"]))
-            )
+            EncoderPreset(str(p["name"]), *(
+                tuple(integer(n, f"preset {key}") for n in p[key]) for key in ("channels", "factors")
+            ))
             for p in doc.get("presets", [])
         ]
     return {preset.name: preset for preset in presets}
@@ -250,18 +250,22 @@ def import_pyramid(paths, source_extents=None) -> FeaturePyramid:
 
 
 def load_pyramid(directory) -> FeaturePyramid:
-    """The pyramid an index file lists; an index without source_extents leaves them unknown."""
+    """The pyramid an index file lists, whose channels must be the layers'; an index
+    without source_extents leaves them unknown."""
     directory = Path(directory)
-    names, source_extents = read_json(directory / _INDEX_FILE, "pyramid index", _parse_index)
-    return import_pyramid([directory / name for name in names], source_extents)
+    return read_json(directory / _INDEX_FILE, "pyramid index", lambda index: _from_index(directory, index))
 
 
-def _parse_index(index: dict) -> tuple[list[str], tuple[int, int, int] | None]:
+def _from_index(directory: Path, index: dict) -> FeaturePyramid:
     with malformed("pyramid index"):
         names = [str(name) for name in index["layers"]]
+        channels = [integer(c, "channels") for c in index["channels"]]
         extents = index.get("source_extents")
         if extents is not None:
-            extents = tuple(int(n) for n in extents)
+            extents = tuple(integer(n, "source_extents") for n in extents)
             if len(extents) != 3 or min(extents) < 1:
                 raise ValueError(f"source_extents must be 3 positive integers, got {extents}")
-        return names, extents
+    pyramid = import_pyramid([directory / name for name in names], extents)
+    if list(pyramid.channels) != channels:
+        raise ValidationError(f"channels {channels} do not match the layers' {list(pyramid.channels)}")
+    return pyramid

@@ -4,13 +4,13 @@ Stage 1 updates each coarse node from its fine children plus a self-loop;
 stage 2 updates the global node from its children (the coarse nodes, or the
 fine nodes of a single-level graph) plus a self-loop, and adds a skip
 connection back to the original global embedding. Both run `_attend`, one
-masked dense attention stage over a batch axis: the members' and centers'
-rows are layer-normalized together and passed to `tensor.graph_attention`,
-one tape node for all heads. Each head's attention vector splits as
-a = [a_src; a_dst], so member j scores LeakyReLU(a_src.Wh_j + a_dst.Wh_i)
-for center i (the GAT rule on [Wh_j || Wh_i]); a softmax over the member
-axis, masked by the graph edges, the samples' `valid` flags and the
-self-loop, weights the projected members. Head outputs are concatenated.
+attention stage over the graph's edges and a batch axis: the members' and
+centers' rows are layer-normalized together and passed to
+`tensor.graph_attention`, one tape node for all heads. Each head's attention
+vector splits as a = [a_src; a_dst], so member j scores
+LeakyReLU(a_src.Wh_j + a_dst.Wh_i) for center i (the GAT rule on
+[Wh_j || Wh_i]); a softmax over each center's group, its valid members and
+its self-loop, weights the projected members. Head outputs are concatenated.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def embed_nodes(model: GatModel, fine_fused: Tensor, coarse_fused: Tensor | None
 
 
 def _attend(graph, level, h_members, h_centers, valid, model, stage):
-    """One masked dense attention stage over `graph.group(level)`: centers <- member edges.
+    """One attention stage over the edges of `graph.group(level)`: centers <- members.
 
     h_members (B, members, d_h) and h_centers (B, centers, d_h) hold rows in
     the group's member / center order; valid (B, members) flags present members.
@@ -207,18 +207,16 @@ def _attend(graph, level, h_members, h_centers, valid, model, stage):
     self-loop last.
     """
     cfg = model.config
-    center_ids, member_ids, children = graph.group(level)
-    b, n_centers, n_members = h_centers.shape[0], len(center_ids), len(member_ids)
-    self_loop = np.broadcast_to(np.eye(n_centers, dtype=bool), (b, n_centers, n_centers))
-    mask = np.concatenate([children & np.reshape(valid, (b, 1, n_members)), self_loop], axis=2)
-
+    center_ids, member_ids, group = graph.group(level)
+    b, n_centers = h_centers.shape[0], len(center_ids)
+    valid = np.concatenate([np.reshape(valid, (b, len(member_ids))), np.ones((b, n_centers), bool)], 1)
     gamma, beta = model.params[f"{stage}.ln.gamma"], model.params[f"{stage}.ln.beta"]
     rows = layer_norm(concat([h_members, h_centers], axis=1), gamma, beta, cfg.ln_eps)
-    updated, alpha = graph_attention(rows, model.heads(stage), mask, cfg.slope, n_centers)
-    alphas = {}
+    updated, alpha = graph_attention(rows, model.heads(stage), group, valid, cfg.slope, n_centers)
+    alphas, node_ids = {}, member_ids + center_ids
     for i, center in enumerate(center_ids if b == 1 else ()):  # tables for one sample only
-        members = [m for m, keep in zip(member_ids, mask[0, i]) if keep] + [center]
-        alphas[center] = {"members": members, "alpha": alpha[0, :, i][:, mask[0, i]]}
+        edges = np.flatnonzero((group == i) & valid[0])  # members in order, self-loop last
+        alphas[center] = {"members": [node_ids[j] for j in edges], "alpha": alpha[0, edges].T}
     return updated, alphas
 
 

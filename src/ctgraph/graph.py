@@ -147,10 +147,11 @@ class RegionGraph:
         parent = {node_id: dsts[0] for node_id, dsts in parents.items() if dsts}  # node order
         groups = {}
         for level in (LEVEL_COARSE, LEVEL_GLOBAL):
+            slot = {center: i for i, center in enumerate(ids_by_level[level])}
             members = [m for m, p in parent.items() if level_of[p] == level]
-            children = np.equal.outer(ids_by_level[level], [parent[m] for m in members])
-            children.setflags(write=False)
-            groups[level] = (tuple(ids_by_level[level]), tuple(members), children)
+            group = np.array([slot[parent[m]] for m in members] + list(slot.values()), dtype=np.intp)
+            group.setflags(write=False)
+            groups[level] = (tuple(slot), tuple(members), group)
         # kept as attributes, not fields, so graph.json and graph equality ignore them
         object.__setattr__(self, "_ids_by_level", ids_by_level)
         object.__setattr__(self, "_groups", groups)
@@ -159,9 +160,10 @@ class RegionGraph:
         return list(self._ids_by_level.get(level, ()))
 
     def group(self, level: str) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
-        """(center ids, member ids, read-only centers x members child mask) of the `coarse`
-        or `global` stage, ids in node order; the members are the nodes with a parent at
-        that level: the global node's are the coarse nodes, or a single-level graph's fine."""
+        """(center ids, member ids, group) of the `coarse` or `global` stage, ids in node
+        order. The members have a parent at that level (the global node's are the coarse
+        nodes, or a single-level graph's fine). group, read-only intp, gives each row of the
+        members, then the centers, its center's index; a center's own row is its self-loop."""
         return self._groups[level]
 
     @property

@@ -13,7 +13,6 @@ tape.
 from __future__ import annotations
 
 import contextlib
-import functools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -270,46 +269,20 @@ def linear(x, w, b=None) -> Tensor:
     return from_op(out.reshape(x.data.shape[:-1] + (m,)), parents, backward)
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """(..., n, n_heads * d) rows as (..., n_heads, n, d) per-head views; _merge_heads inverts."""
-    *lead, n, width = x.shape
-    return np.swapaxes(x.reshape(*lead, n, n_heads, width // n_heads), -2, -3)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    *lead, n_heads, n, d = x.shape
-    return np.swapaxes(x, -2, -3).reshape(*lead, n, n_heads * d)
-
-
-@functools.lru_cache(maxsize=None)
-def _score_slots(n_heads: int, d_head: int) -> np.ndarray:
-    """Flat positions, in the (n_heads * d_head, 2 * n_heads) block-diagonal
-    score matrix, of the heads' a = [a_src; a_dst] entries, head by head:
-    a_src in column h and a_dst in column n_heads + h, on head h's rows."""
-    head, part, row = np.indices((n_heads, 2, d_head)).reshape(3, -1)
-    slots = (head * d_head + row) * (2 * n_heads) + part * n_heads + head
-    slots.setflags(write=False)
-    return slots
-
-
-def graph_attention(rows, heads: Sequence[tuple[Tensor, Tensor]], mask, slope: float, n_centers: int):
-    """Multi-head GAT attention of the last n_centers rows over all rows, as one tape node.
+def graph_attention(rows, heads: Sequence[tuple[Tensor, Tensor]], group, valid, slope: float, n_centers: int):
+    """Multi-head GAT attention of each center over its group's rows, as one tape node.
 
     rows (B, N, d_h) hold the members, then the centers; heads lists each
     head's (w (d_h, d), a (2d, 1)) leaves with n_heads * d = d_h and
-    a = [a_src; a_dst]; mask (B, n_centers, N) flags the entries center i
-    attends over. Head h weights entry j of center i by a softmax over the
-    masked j of LeakyReLU(a_src . w x_j + a_dst . w x_i), then sums w x_j.
-    Returns the (B, n_centers, d_h) head outputs side by side as a Tensor,
-    and the weights alpha (B, n_heads, n_centers, N) as a plain array.
-
-    All heads run as one projection by the heads' w side by side and one
-    product with a block-diagonal matrix of their a. The backward is closed
-    form: the softmax Jacobian, LeakyReLU's slope, the score gradient summed
-    over centers (source terms) and over entries (destination terms), and
-    one GEMM each for w and for rows.
+    a = [a_src; a_dst]. group (N,) gives each row's center; center i's own row,
+    N - n_centers + i, is its self-loop. valid (B, N) flags the rows present,
+    the self-loops always. Head h weights row j of center i by a softmax over
+    the group's valid rows of LeakyReLU(a_src . w x_j + a_dst . w x_i), then
+    sums w x_j. Returns the (B, n_centers, d_h) head outputs side by side as a
+    Tensor, and the weights alpha (B, N, n_heads), one per edge, as an array.
+    Group maxima and sums reduce rows sorted by group; the backward is closed form.
     """
-    rows, mask = as_tensor(rows), np.asarray(mask, dtype=bool)
+    rows, group, valid = as_tensor(rows), np.asarray(group), np.asarray(valid, dtype=bool)
     x = rows.data
     n_heads = len(heads)
     d_head = x.shape[-1] // max(n_heads, 1)
@@ -319,52 +292,55 @@ def graph_attention(rows, heads: Sequence[tuple[Tensor, Tensor]], mask, slope: f
         or n_heads * d_head != x.shape[-1]
         or shapes != {((x.shape[-1], d_head), (2 * d_head, 1))}
         or not 1 <= n_centers <= x.shape[1]
-        or mask.shape != (x.shape[0], n_centers, x.shape[1])
+        or group.shape != x.shape[1:2]
+        or valid.shape != x.shape[:2]
+        or not (group[-n_centers:] == np.arange(n_centers)).all()
     ):
         raise ShapeError(
-            f"graph_attention: rows {x.shape}, {n_heads} heads of (w, a) shapes "
-            f"{sorted(shapes)} and mask {mask.shape} do not fit {n_centers} centers"
+            f"graph_attention: rows {x.shape}, {n_heads} heads of (w, a) shapes {sorted(shapes)}, group "
+            f"{group.shape} and valid {valid.shape} do not fit {n_centers} centers with self-loops last"
         )
     if not 0.0 < slope < 1.0:
         raise ValueError(f"graph_attention slope must lie in (0, 1), got {slope}")
     b, n, d_h = x.shape
-    slots = _score_slots(n_heads, d_head)
     w = np.concatenate([w.data for w, _ in heads], axis=1)
-    a_values = np.concatenate([a.data.ravel() for _, a in heads])
-    a = np.zeros((d_h, 2 * n_heads), dtype=a_values.dtype)
-    a.reshape(-1)[slots] = a_values
+    a = np.stack([a.data.reshape(2, d_head) for _, a in heads], axis=1)  # a_src, a_dst by head
     flat = x.reshape(-1, d_h)
-    proj_flat = flat @ w
-    proj = proj_flat.reshape(b, n, d_h)
-    terms = (proj_flat @ a).reshape(b, n, 2 * n_heads)  # source terms, then destination terms
-    src = np.swapaxes(terms[..., :n_heads], -1, -2)[..., None, :]
-    dst = np.swapaxes(terms[..., -n_centers:, n_heads:], -1, -2)[..., None]
-    # C order: the softmax then reduces contiguous rows, not the strided layout of src
-    scores = np.add(src, dst, order="C")
+    proj = (flat @ w).reshape(b, n, n_heads, d_head)
+    centers = proj[:, n - n_centers :]
+    order = np.argsort(group, kind="stable")
+    starts = np.searchsorted(group[order], np.arange(n_centers))  # no group is empty
+
+    def at_rows(v):  # (B, n_centers, ...) -> each row's center's entry, (B, N, ...)
+        return v.take(group, axis=1)
+
+    def group_reduce(v, ufunc=np.add):  # (B, N, ...) -> (B, n_centers, ...)
+        return ufunc.reduceat(v.take(order, axis=1), starts, axis=1)
+
+    scores = np.einsum("bnhd,hd->bnh", proj, a[0]) + at_rows(np.einsum("bchd,hd->bch", centers, a[1]))
     positive = scores > 0
-    scores = np.where(mask[:, None], np.where(positive, scores, slope * scores), -np.inf)
-    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    alpha = e / e.sum(axis=-1, keepdims=True)
-    values = _split_heads(proj, n_heads)
+    scores = np.where(valid[..., None], np.where(positive, scores, slope * scores), -np.inf)
+    e = np.exp(scores - at_rows(group_reduce(scores, np.maximum)))
+    alpha = e / at_rows(group_reduce(e))
 
     def backward(g):
-        g_out = _split_heads(g, n_heads)
-        g_alpha = g_out @ np.swapaxes(values, -1, -2)
-        g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True))
-        g_scores = g_scores * np.where(positive, 1.0, slope)
-        g_terms = np.zeros_like(terms)
-        g_terms[..., :n_heads] = np.swapaxes(g_scores.sum(axis=-2), -1, -2)
-        g_terms[..., -n_centers:, n_heads:] = np.swapaxes(g_scores.sum(axis=-1), -1, -2)
-        g_terms = g_terms.reshape(-1, 2 * n_heads)
-        g_proj = (g_terms @ a.T).reshape(proj.shape) + _merge_heads(np.swapaxes(alpha, -1, -2) @ g_out)
+        g_out = at_rows(g.reshape(b, n_centers, n_heads, d_head))
+        g_alpha = np.einsum("bnhd,bnhd->bnh", g_out, proj)
+        g_scores = alpha * (g_alpha - at_rows(group_reduce(alpha * g_alpha)))
+        g_scores *= np.where(positive, 1.0, slope)
+        g_dst = group_reduce(g_scores)
+        g_proj = alpha[..., None] * g_out + g_scores[..., None] * a[0]
+        g_proj[:, n - n_centers :] += g_dst[..., None] * a[1]
         g_proj = g_proj.reshape(-1, d_h)
         g_rows = (g_proj @ w.T).reshape(x.shape) if rows.requires_grad else None
         g_w = np.split(flat.T @ g_proj, n_heads, axis=1)
-        g_a = np.split((proj_flat.T @ g_terms).reshape(-1)[slots], n_heads)
+        g_src = np.einsum("bnh,bnhd->hd", g_scores, proj)
+        g_a = np.concatenate([g_src, np.einsum("bch,bchd->hd", g_dst, centers)], axis=1)
         return (g_rows, *(g for gw, ga in zip(g_w, g_a) for g in (gw, ga.reshape(-1, 1))))
 
     leaves = [t for pair in heads for t in pair]
-    return from_op(_merge_heads(alpha @ values), (rows, *leaves), backward), alpha
+    out = group_reduce(alpha[..., None] * proj).reshape(b, n_centers, d_h)
+    return from_op(out, (rows, *leaves), backward), alpha
 
 
 def bce_with_logits(logits, targets) -> Tensor:

@@ -640,6 +640,54 @@ class TestExitCodes:
             "--hierarchy", ws / "anatomy.json", "--out", ws / "f.bin",
         ) == 0
 
+    @pytest.mark.parametrize(
+        "field, value", [("channels", [8.9, 2]), ("channels", [2, True]), ("factors", [1, 2.7])]
+    )
+    def test_encode_with_a_non_integer_preset_entry_exits_2_naming_it(
+        self, workspace, capsys, field, value
+    ):
+        ws = workspace
+        assert run_cli("synth", "--spec", ws / "phantom.json", "--count", 1, "--out", ws / "d") == 0
+        registry = json.loads((ws / "presets.json").read_text())
+        registry["presets"][0][field] = value
+        (ws / "bad_presets.json").write_text(json.dumps(registry))
+        code = run_cli(
+            "encode", "--preset", "tiny", "--presets", ws / "bad_presets.json",
+            "--in", ws / "d" / "vol_000.bin", "--out", ws / "p0",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad_presets.json" in err and field in err and "must be an integer" in err
+        assert not (ws / "p0").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("source_extents", [8.9, 8, 4], "must be an integer"),
+            ("source_extents", [8, True, 4], "must be an integer"),
+            ("channels", [2, 2.0], "must be an integer"),
+            ("channels", [2, 3], "channels [2, 3] do not match"),
+            ("channels", [2], "channels [2] do not match"),
+        ],
+    )
+    def test_pool_of_a_bad_pyramid_index_exits_2_naming_it(
+        self, workspace, capsys, key, value, named
+    ):
+        ws = workspace
+        self._encode_first_scan(ws)
+        index = json.loads((ws / "p0" / "pyramid.json").read_text())
+        assert index["channels"] == [2, 2]
+        index[key] = value
+        (ws / "p0" / "pyramid.json").write_text(json.dumps(index))
+        code = run_cli(
+            "pool", "--pyramid", ws / "p0", "--mask", ws / "d" / "mask_000.bin",
+            "--hierarchy", ws / "anatomy.json", "--out", ws / "f.bin",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "pyramid.json" in err and key in err and named in err
+        assert not (ws / "f.bin").exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_undecodable_manifest_exits_2_naming_it(self, workspace, capsys, command):
         ws = workspace

@@ -143,13 +143,23 @@ def test_export_records_the_source_extents(tmp_path):
     assert load_pyramid(tmp_path).source_extents == (16, 16, 8)
 
 
-@pytest.mark.parametrize("extents", [[16, 16], [16, 0, 8], "abc", [16, "x", 8]])
+@pytest.mark.parametrize("extents", [[16, 16], [16, 0, 8], "abc", [16, "x", 8], [16.5, 16, 8]])
 def test_load_rejects_bad_source_extents(tmp_path, extents):
     export_pyramid(synth_encode(Volume3D(np.zeros((16, 16, 8))), get_preset("demo"), 2), tmp_path)
     index = json.loads((tmp_path / "pyramid.json").read_text())
     index["source_extents"] = extents
     (tmp_path / "pyramid.json").write_text(json.dumps(index))
     with pytest.raises(ValidationError, match="pyramid index"):
+        load_pyramid(tmp_path)
+
+
+def test_load_rejects_an_index_whose_channels_are_stale(tmp_path):
+    export_pyramid(synth_encode(Volume3D(np.zeros((16, 16, 8))), get_preset("demo"), 2), tmp_path)
+    index = json.loads((tmp_path / "pyramid.json").read_text())
+    assert index["channels"] == [8, 16, 32]
+    index["channels"] = [8, 16, 64]
+    (tmp_path / "pyramid.json").write_text(json.dumps(index))
+    with pytest.raises(ValidationError, match=r"pyramid.json: .*channels \[8, 16, 64\] do not match"):
         load_pyramid(tmp_path)
 
 

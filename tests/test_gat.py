@@ -268,6 +268,61 @@ class TestStageTwo:
         )
 
 
+def wide_hierarchy():
+    """117 fine nodes spread over 11 coarse nodes; coarse 211 has no children but its own label."""
+    fine = tuple(FineNode(i, f"f{i}", i, 200 + i % 11) for i in range(1, 118))
+    coarse = tuple(CoarseNode(200 + j, f"c{j}") for j in range(11))
+    return AnatomyHierarchy(fine=fine, coarse=coarse + (CoarseNode(211, "own", 118),), global_id=300)
+
+
+class TestWideHierarchy:
+    @pytest.mark.parametrize("topology", ["hierarchical", "random"])
+    def test_both_stages_match_loop_transcription(self, topology):
+        h = wide_hierarchy()
+        graph = build_graph(h, topology, seed=5)
+        cfg = tiny_config()
+        model = GatModel.init(cfg, seed=12)
+        fine_set, coarse_set, grid = synth_inputs(h, cfg, seed=12)
+        fine_set.valid[::7] = False
+        coarse_set.valid[3] = False
+        act = forward(graph, fine_set, coarse_set, grid, model).activation
+        if topology == "hierarchical":
+            assert graph.children_of(211) == []
+
+        def stage_args(stage):
+            heads = [(w.data, a.data) for w, a in model.heads(stage)]
+            p = model.params
+            return heads, cfg.slope, p[f"{stage}.ln.gamma"].data, p[f"{stage}.ln.beta"].data, cfg.ln_eps
+
+        worst = 0.0
+        for ci, cid in enumerate(graph.ids_at("coarse")):
+            children = [f for f in graph.children_of(cid) if fine_set.valid[f - 1]]
+            expected, alpha = loop_attention_stage(
+                [act.h_fine.data[f - 1] for f in children], act.h_coarse.data[ci],
+                *stage_args("stage1"),
+            )
+            rec = act.alphas["coarse"][cid]
+            assert rec["members"] == children + [cid]
+            worst = max(
+                worst,
+                np.max(np.abs(act.h_coarse_updated.data[ci] - expected)),
+                np.max(np.abs(rec["alpha"] - alpha)),
+            )
+        kept = [ci for ci in range(12) if coarse_set.valid[ci]]
+        expected, alpha = loop_attention_stage(
+            [act.h_coarse_updated.data[ci] for ci in kept], act.h_global.data[0],
+            *stage_args("stage2"),
+        )
+        rec = act.alphas["global"][h.global_id]
+        assert rec["members"] == [graph.ids_at("coarse")[ci] for ci in kept] + [h.global_id]
+        worst = max(
+            worst,
+            np.max(np.abs(act.h_global_updated.data[0] - expected - act.h_global.data[0])),
+            np.max(np.abs(rec["alpha"] - alpha)),
+        )
+        assert worst < 1e-10
+
+
 class TestForward:
     def test_default_hierarchy_emits_43_tokens(self):
         h = default_hierarchy()

@@ -121,11 +121,13 @@ class TestBuilders:
             graph.group(LEVEL_COARSE), graph.group(LEVEL_GLOBAL),
             build_single_level(h).group(LEVEL_GLOBAL),
         ]
-        assert [(centers, members, mask.tolist()) for centers, members, mask in groups] == [
-            ((10, 11), (1, 2), [[True, True], [False, False]]),
-            ((12,), (10, 11), [[True, True]]),
-            ((12,), (1, 2), [[True, True]]),
+        # each row's center, members then centers: a center's own row is its self-loop
+        assert [(centers, members, group.tolist()) for centers, members, group in groups] == [
+            ((10, 11), (1, 2), [0, 0, 0, 1]),
+            ((12,), (10, 11), [0, 0, 0]),
+            ((12,), (1, 2), [0, 0, 0]),
         ]
+        assert all(g[2].dtype == np.intp for g in groups)
         matrices = [h.members(LEVEL_FINE), h.members(LEVEL_COARSE)] + [g[2] for g in groups]
         assert not any(m.flags.writeable for m in matrices)
 

@@ -1,6 +1,7 @@
 """Tensor op contracts: forward values, error paths, and gradient checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -381,65 +382,82 @@ class TestFusedOps:
         assert check_gradients(lambda: weighted_sum(stack(parts), weights), parts) < 1e-6
 
     @staticmethod
-    def attention_inputs(batch, n_heads, seed, d_head=2, n_members=5, n_centers=3):
-        """Rows, per-head leaves and a mask with an invalid member and a childless center."""
+    def attention_inputs(batch, n_heads, seed, d_head=2):
+        """Rows, per-head leaves, group and valid flags: five members, then three centers.
+
+        Center 0 has no children; member 1 is invalid in every sample.
+        """
         rng = np.random.default_rng(seed)
-        d_h, n = n_heads * d_head, n_members + n_centers
-        rows = Tensor(rng.standard_normal((batch, n, d_h)), requires_grad=True)
+        d_h = n_heads * d_head
+        rows = Tensor(rng.standard_normal((batch, 8, d_h)), requires_grad=True)
         heads = [
             (Tensor(rng.standard_normal((d_h, d_head)), requires_grad=True),
              Tensor(rng.standard_normal((2 * d_head, 1)), requires_grad=True))
             for _ in range(n_heads)
         ]
-        mask = np.zeros((batch, n_centers, n), dtype=bool)
-        mask[:, :, :n_members] = rng.random((batch, n_centers, n_members)) < 0.6
-        mask[:, :, 1] = False  # member 1 is invalid in every sample
-        mask[:, 0, :n_members] = False  # center 0 has no children
-        mask[:, :, n_members:] = np.eye(n_centers, dtype=bool)  # self-loops
-        return rows, heads, mask
+        group = np.array([2, 1, 2, 1, 2, 0, 1, 2])  # members' centers, then the self-loops
+        valid = np.ones((batch, 8), dtype=bool)
+        valid[:, :5] = rng.random((batch, 5)) < 0.7
+        valid[:, 1] = False
+        return rows, heads, group, valid
+
+    @staticmethod
+    def group_sums(alpha, group):
+        """(B, centers, heads) sums of alpha over each center's rows."""
+        return np.stack([alpha[:, group == i].sum(axis=1) for i in range(group.max() + 1)], axis=1)
 
     @pytest.mark.parametrize("n_heads", [1, 2, 3])
     @pytest.mark.parametrize("batch", [1, 3])
     def test_graph_attention_gradcheck_reaches_rows_and_each_head_leaf(self, batch, n_heads):
-        rows, heads, mask = self.attention_inputs(batch, n_heads, seed=10 * batch + n_heads)
+        rows, heads, group, valid = self.attention_inputs(batch, n_heads, seed=10 * batch + n_heads)
         weights = np.random.default_rng(n_heads).standard_normal((batch, 3, 2 * n_heads))
         leaves = [t for pair in heads for t in pair]
 
         def loss():
-            return weighted_sum(graph_attention(rows, heads, mask, 0.2, 3)[0], weights)
+            return weighted_sum(graph_attention(rows, heads, group, valid, 0.2, 3)[0], weights)
 
         assert check_gradients(loss, [rows] + leaves) < 1e-6
         assert all(np.any(t.grad != 0.0) for t in leaves)
 
     def test_graph_attention_matches_a_per_head_loop(self):
-        rows, heads, mask = self.attention_inputs(2, 3, seed=7)
-        out, alpha = graph_attention(rows, heads, mask, 0.2, 3)
-        assert out.shape == (2, 3, 6) and alpha.shape == (2, 3, 3, 8)
-        assert np.all(alpha[~np.broadcast_to(mask[:, None], alpha.shape)] == 0.0)
-        assert np.all(alpha[:, :, 0, 5] == 1.0)  # the childless center attends to itself only
+        rows, heads, group, valid = self.attention_inputs(2, 3, seed=7)
+        out, alpha = graph_attention(rows, heads, group, valid, 0.2, 3)
+        assert out.shape == (2, 3, 6) and alpha.shape == (2, 8, 3)
+        assert np.all(alpha[~valid] == 0.0)
+        assert np.all(alpha[:, 5] == 1.0)  # the childless center attends to itself only
         x = rows.data
         for b in range(2):
             for h, (w, a) in enumerate(heads):
                 proj = x[b] @ w.data
                 for i in range(3):
-                    group = [j for j in range(8) if mask[b, i, j]]
-                    scores = [float(a.data[:2, 0] @ proj[j] + a.data[2:, 0] @ proj[5 + i]) for j in group]
+                    edges = [j for j in range(8) if group[j] == i and valid[b, j]]
+                    scores = [float(a.data[:2, 0] @ proj[j] + a.data[2:, 0] @ proj[5 + i]) for j in edges]
                     exps = [math.exp(v if v > 0 else 0.2 * v) for v in scores]
                     weights = [e / sum(exps) for e in exps]
-                    expected = sum(wt * proj[j] for wt, j in zip(weights, group))
-                    assert np.max(np.abs(alpha[b, h, i, group] - weights)) < 1e-12
+                    expected = sum(wt * proj[j] for wt, j in zip(weights, edges))
+                    assert np.max(np.abs(alpha[b, edges, h] - weights)) < 1e-12
                     assert np.max(np.abs(out.data[b, i, 2 * h : 2 * h + 2] - expected)) < 1e-12
 
     def test_graph_attention_softmax_survives_huge_scores(self):
-        rows, heads, mask = self.attention_inputs(2, 2, seed=8)
+        rows, heads, group, valid = self.attention_inputs(2, 2, seed=8)
         heads = [(w, Tensor(1e3 * a.data)) for w, a in heads]
-        alpha = graph_attention(rows, heads, mask, 0.2, 3)[1]
-        masked = ~np.broadcast_to(mask[:, None], alpha.shape)
-        assert np.all(np.isfinite(alpha)) and np.all(alpha[masked] == 0.0)
-        assert np.max(np.abs(alpha.sum(axis=-1) - 1.0)) <= SOFTMAX_SUM_ATOL["float64"]
+        alpha = graph_attention(rows, heads, group, valid, 0.2, 3)[1]
+        assert np.all(np.isfinite(alpha)) and np.all(alpha[~valid] == 0.0)
+        sums = self.group_sums(alpha, group)
+        assert np.max(np.abs(sums - 1.0)) <= SOFTMAX_SUM_ATOL["float64"]
+
+    def test_graph_attention_sample_without_valid_members_attends_to_self_loops(self):
+        rows, heads, group, valid = self.attention_inputs(2, 2, seed=9)
+        valid[0, :5] = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NaN from an all -inf group would warn
+            out, alpha = graph_attention(rows, heads, group, valid, 0.2, 3)
+            weighted_sum(out, np.ones(out.shape)).backward()
+        assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(rows.grad))
+        assert np.all(alpha[0, 5:] == 1.0) and np.all(alpha[0, :5] == 0.0)
 
     def test_graph_attention_is_one_tape_node(self, monkeypatch):
-        rows, heads, mask = self.attention_inputs(2, 2, seed=3)
+        rows, heads, group, valid = self.attention_inputs(2, 2, seed=3)
         recorded = []
         from_op = tensor_module.from_op
 
@@ -448,15 +466,21 @@ class TestFusedOps:
             return from_op(data, parents, backward)
 
         monkeypatch.setattr(tensor_module, "from_op", counting_from_op)
-        graph_attention(rows, heads, mask, 0.2, 3)
+        graph_attention(rows, heads, group, valid, 0.2, 3)
         assert recorded == [5]  # rows plus each head's w and a
 
-    @pytest.mark.parametrize("defect", ["mask", "centers", "head-width", "no-heads"])
+    @pytest.mark.parametrize(
+        "defect", ["group", "valid", "self-loop", "centers", "head-width", "no-heads"]
+    )
     def test_graph_attention_shape_errors(self, defect):
-        rows, heads, mask = self.attention_inputs(1, 2, seed=4)
+        rows, heads, group, valid = self.attention_inputs(1, 2, seed=4)
         n_centers = 3
-        if defect == "mask":
-            mask = mask[:, :2]
+        if defect == "group":
+            group = group[:-1]
+        elif defect == "valid":
+            valid = valid[:, :2]
+        elif defect == "self-loop":
+            group = np.array([2, 1, 2, 1, 2, 1, 1, 2])  # row 5 is center 0's self-loop
         elif defect == "centers":
             n_centers = 9
         elif defect == "head-width":
@@ -464,13 +488,13 @@ class TestFusedOps:
         else:
             heads = []
         with pytest.raises(ShapeError, match="graph_attention"):
-            graph_attention(rows, heads, mask, 0.2, n_centers)
+            graph_attention(rows, heads, group, valid, 0.2, n_centers)
 
     @pytest.mark.parametrize("slope", [0.0, 1.0, -0.2, float("nan")])
     def test_graph_attention_slope_must_be_in_unit_interval(self, slope):
-        rows, heads, mask = self.attention_inputs(1, 1, seed=5)
+        rows, heads, group, valid = self.attention_inputs(1, 1, seed=5)
         with pytest.raises(ValueError, match="slope"):
-            graph_attention(rows, heads, mask, slope, 3)
+            graph_attention(rows, heads, group, valid, slope, 3)
 
     @pytest.mark.parametrize("scale", [1.0, 60.0], ids=["moderate", "beyond-40"])
     def test_bce_with_logits_matches_composition_and_gradcheck(self, scale):
