@@ -1,7 +1,7 @@
 """Shared exception types."""
 
 import contextlib
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class CtGraphError(Exception):
@@ -40,3 +40,10 @@ def integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def number(value, what: str) -> float:
+    """value as a float; a ValidationError naming what unless it is a number (bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return float(value)

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from numbers import Integral, Real
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from .container import check_keys, check_values, ensure_dir, load_tensor, read_json, save_tensor, write_json
-from .errors import ShapeError, ValidationError, malformed
+from .errors import ShapeError, ValidationError, malformed, number
 from .graph import LEVEL_COARSE, LEVEL_FINE, LEVEL_GLOBAL, TOPOLOGY_SINGLE, RegionGraph
 from .pooling import GLOBAL_GRID
 from .tensor import Tensor, add, concat, graph_attention, layer_norm, linear, mlp_forward, reshape, stack
@@ -48,11 +48,9 @@ class GatConfig:
                 isinstance(n, Integral) and not isinstance(n, bool) and n >= 1 for n in v
             )),
         })
-        if not isinstance(self.slope, Real) or not isinstance(self.ln_eps, Real):
-            raise ValidationError("slope and ln_eps must be numbers")
-        if not 0.0 < self.slope < 1.0:
+        if not 0.0 < number(self.slope, "slope") < 1.0:
             raise ValidationError(f"slope must lie in (0, 1), got {self.slope}")
-        if not 0.0 < self.ln_eps < math.inf:
+        if not 0.0 < number(self.ln_eps, "ln_eps") < math.inf:
             raise ValidationError(f"ln_eps must be positive and finite, got {self.ln_eps}")
         if self.d_h % self.n_heads:
             raise ValidationError(

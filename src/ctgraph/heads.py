@@ -20,7 +20,7 @@ import numpy as np
 
 from .container import check_keys, check_values, load_records, load_tensor, open_input, open_output
 from .container import save_tensor, save_tensors
-from .errors import ConfigError, ShapeError, ValidationError, malformed
+from .errors import ConfigError, ShapeError, ValidationError, malformed, number
 from .gat import GatConfig, GatForward, GatModel, propagate
 from .graph import RegionGraph
 from .metrics import MacroScores, macro_prf1
@@ -106,7 +106,9 @@ class AffineHead:
         with malformed(f"head file {path}"):  # another container misses 'weight' or 'bias'
             arrays = {name: arr for name, arr, _ in records}
             weight, bias = arrays["weight"], arrays["bias"]
-            threshold = float(records[0][2].get("meta", {}).get("threshold", 0.5))
+            threshold = number(records[0][2].get("meta", {}).get("threshold", 0.5), f"{path}: threshold")
+        if not 0.0 <= threshold <= 1.0:
+            raise ValidationError(f"{path}: threshold must lie in [0, 1], got {threshold}")
         if weight.ndim != 2 or bias.shape != weight.shape[1:]:
             raise ValidationError(
                 f"{path}: head weight {weight.shape} and bias {bias.shape} do not form an affine layer"
@@ -358,9 +360,9 @@ def read_manifest(path, required=("feature_file", "labels")) -> list[dict]:
 
     Dataset manifests need feature_file and labels; evaluation records need
     id. Wherever a record has labels, they are a list of 0/1 integers as long
-    as the first such record's; wherever it has text, that is a string; no two
-    records have ids of the same text. Any defect raises ConfigError naming
-    path:line.
+    as the first such record's; wherever it has text or feature_file, that is
+    a string; no two records have ids of the same text. Any defect raises
+    ConfigError naming path:line.
     """
     records = []
     width = None  # label count of the first record that has labels
@@ -379,8 +381,9 @@ def read_manifest(path, required=("feature_file", "labels")) -> list[dict]:
             for key in required:
                 if key not in record:
                     raise ConfigError(f"{path}:{line_no}: record misses '{key}'")
-            if "text" in record and not isinstance(record["text"], str):
-                raise ConfigError(f"{path}:{line_no}: text must be a string, got {record['text']!r}")
+            for key in ("text", "feature_file"):
+                if key in record and not isinstance(record[key], str):
+                    raise ConfigError(f"{path}:{line_no}: {key} must be a string, got {record[key]!r}")
             if "id" in record:
                 first = id_lines.setdefault(str(record["id"]), line_no)
                 if first != line_no:

@@ -240,6 +240,8 @@ class PipelineConfig:
         check_values(self, "pipeline config", {
             "seed": (Integral, "an integer >= 0", lambda v: v >= 0),
             "num_samples": (Integral, "an integer >= 1", lambda v: v >= 1),
+            **dict.fromkeys(("out_dir", "preset"), (str, "a string", None)),
+            **dict.fromkeys(("hierarchy", "phantom_spec"), ((str, type(None)), "a string or null", None)),
             "topology": (str, f"one of {TOPOLOGIES}", lambda v: v in TOPOLOGIES),
             "probe_granularity": (str, f"one of {GRANULARITIES}", lambda v: v in GRANULARITIES),
         })

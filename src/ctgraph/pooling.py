@@ -1,16 +1,17 @@
 """Mask-guided average pooling, layer fusion, and global adaptive pooling.
 
-The pooling kernel keeps the rows of listed regions, dropping the
-background, and sums every (region, channel) slot with one `np.bincount`
-per block of rows; each slot adds in row order, so the sums are
-bit-identical to one bincount per channel, and the cost is independent of
-how many regions the mask carries. A per-region rescan is used only as a
-test oracle. Accumulation is always float64, even for float32 feature
-maps, because region voxel counts can be large. Fixed structure is a
-constant matrix applied with `linear`: the rows of both node levels come
-from one rule, the hierarchy's (nodes x labels) membership matrix
-weighting the label rows by voxel count, and the global grid is a
-(cells x voxels) averaging matrix times the final layer.
+`mask_pool_layer` is the one pooling op, one tape node per layer: it keeps
+the voxels of listed regions, dropping the background, and sums every
+(region, channel) slot with one `np.bincount` per block of rows; each slot
+adds in row order, so the sums are bit-identical to one bincount per
+channel, and the cost is independent of how many regions the mask carries.
+A per-region rescan is used only as a test oracle. Accumulation is always
+float64, even for float32 feature maps, because region voxel counts can be
+large. Fixed structure is a constant matrix applied with `linear`: the rows
+of both node levels come from one rule, the hierarchy's (nodes x labels)
+membership matrix weighting the label rows by voxel count, and the global
+grid is a (cells x voxels) averaging matrix times the final layer. A
+level's layers are fused with `concat` along the channel axis.
 """
 
 from __future__ import annotations
@@ -59,45 +60,15 @@ def _segment_sums(data: np.ndarray, keep: np.ndarray, kept_seg: np.ndarray, num_
     return weights[:slots].reshape(num_segments, channels)
 
 
-def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int):
-    """Mean of rows per segment id; empty segments yield zero rows.
-
-    values: (n, C); segment_ids: (n,) non-negative ints. Rows whose id is
-    >= num_segments are dropped: they count nowhere and get zero gradient.
-    Returns (means Tensor (num_segments, C), counts (num_segments,)).
-    Differentiable in values. `_segment_sums` adds the kept rows with one
-    bincount per block of rows, each (segment, channel) slot in row order
-    from 0.0, bit-identical to one bincount per channel.
-    """
-    if values.ndim != 2:
-        raise ShapeError(f"segment_mean expects (n, C) values, got shape {values.shape}")
-    seg = np.asarray(segment_ids, dtype=np.intp)
-    if seg.shape != (values.shape[0],):
-        raise ShapeError(
-            f"segment ids of shape {seg.shape} do not match {values.shape[0]} rows"
-        )
-    if seg.size and seg.min() < 0:
-        raise ShapeError("segment ids must be non-negative")
-    data = values.data
-    keep = np.flatnonzero(seg < num_segments)
-    kept_seg = seg[keep]
-    counts = np.bincount(kept_seg, minlength=num_segments)
-    divisor = np.maximum(counts, 1)[:, None].astype(np.float64)
-    means = _segment_sums(data, keep, kept_seg, num_segments) / divisor
-
-    def backward(g):
-        gv = np.zeros_like(data)
-        gv[keep] = (g / divisor)[kept_seg]
-        return (gv,)
-
-    return from_op(means, (values,), backward), counts
-
-
 def mask_pool_layer(layer: Tensor, mask: LabelMask3D, region_labels) -> tuple[Tensor, np.ndarray]:
-    """Per-region channel means of one (H, W, D, C) layer.
+    """Per-region channel means of one (H, W, D, C) layer, as one tape node.
 
-    The mask must already be resized to this layer's extents. Regions with
-    no voxels come back as zero rows with count 0.
+    The mask must already be resized to this layer's extents. Returns
+    (means Tensor (n_regions, C), voxel counts (n_regions,)); a region with
+    no voxels comes back as a zero row with count 0. Voxels of unlisted
+    labels, the background among them, count nowhere and get zero gradient.
+    `_segment_sums` adds the kept voxels in float64, even for a float32
+    layer, each (region, channel) slot in row order from 0.0.
     """
     if layer.ndim != 4:
         raise ShapeError(f"layer features must be (H, W, D, C), got {layer.shape}")
@@ -107,21 +78,24 @@ def mask_pool_layer(layer: Tensor, mask: LabelMask3D, region_labels) -> tuple[Te
         )
     labels = list(region_labels)
     n_regions = len(labels)
-    # every unlisted label (incl. background) gets id n_regions, which
-    # segment_mean drops; region labels outside the mask vocabulary stay empty
+    # every unlisted label (incl. background) gets id n_regions, which is
+    # dropped; region labels outside the mask vocabulary stay empty
     lut = np.full(max([mask.num_labels] + labels) + 1, n_regions, dtype=np.intp)
     lut[labels] = np.arange(n_regions)
     seg = lut[mask.labels.ravel()]
-    return segment_mean(reshape(layer, (-1, layer.shape[3])), seg, n_regions)
+    keep = np.flatnonzero(seg < n_regions)
+    kept_seg = seg[keep]
+    counts = np.bincount(kept_seg, minlength=n_regions)
+    divisor = np.maximum(counts, 1)[:, None].astype(np.float64)
+    data = layer.data.reshape(-1, layer.shape[3])
+    means = _segment_sums(data, keep, kept_seg, n_regions) / divisor
 
+    def backward(g):
+        gv = np.zeros_like(data)
+        gv[keep] = (g / divisor)[kept_seg]
+        return (gv.reshape(layer.shape),)
 
-def fuse_layers(per_layer: list[Tensor]) -> Tensor:
-    """Concatenate per-layer region features along the channel axis."""
-    if not per_layer or any(t is None for t in per_layer):
-        raise ShapeError("layer fusion requires every layer's features to be present")
-    if len(per_layer) == 1:
-        return per_layer[0]
-    return concat(per_layer, axis=1)
+    return from_op(means, (layer,), backward), counts
 
 
 @dataclass
@@ -233,7 +207,7 @@ def pool_all(pyramid, mask: LabelMask3D, hierarchy: AnatomyHierarchy):
         RegionFeatureSet(
             region_ids=[n.id for n in getattr(hierarchy, level)],  # .fine or .coarse
             per_layer=per_layer[level],
-            fused=fuse_layers(per_layer[level]),
+            fused=concat(per_layer[level], axis=1),
             counts=members @ label_counts,
             valid=members @ present > 0,
         )
@@ -281,7 +255,7 @@ def load_pooled(path):
         return RegionFeatureSet(
             region_ids=ids.tolist(),
             per_layer=per_layer,
-            fused=fuse_layers(per_layer),
+            fused=concat(per_layer, axis=1),
             counts=record(f"{prefix}_counts", 2, (n, len(per_layer))),
             valid=record(f"{prefix}_valid", 1, (n,)).astype(bool),
         )

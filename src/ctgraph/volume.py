@@ -15,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .container import load_tensor, read_json, read_tensor, save_tensor, write_json
-from .errors import FormatError, ValidationError, integer, malformed
+from .errors import FormatError, ValidationError, integer, malformed, number
 
 # The largest mask label: the uint16 range segmentation formats store labels in.
 # Pooling sizes tables by label, so a bound here keeps them small.
@@ -262,9 +262,9 @@ def phantom_spec_from_json(doc: dict) -> PhantomSpec:
         regions = tuple(
             RegionSpec(
                 label=integer(r["label"], "region label"),
-                center=tuple(float(x) for x in r["center"]),
-                radii=tuple(float(x) for x in r["radii"]),
-                intensity=float(r["intensity"]),
+                center=tuple(number(x, "region center") for x in r["center"]),
+                radii=tuple(number(x, "region radii") for x in r["radii"]),
+                intensity=number(r["intensity"], "region intensity"),
             )
             for r in doc["regions"]
         )
@@ -272,9 +272,9 @@ def phantom_spec_from_json(doc: dict) -> PhantomSpec:
             PathologySpec(
                 name=str(p["name"]),
                 host_label=integer(p["host_label"], f"pathology '{p['name']}' host_label"),
-                delta=float(p["delta"]),
-                prevalence=float(p["prevalence"]),
-                radius=float(p.get("radius", 2.0)),
+                delta=number(p["delta"], f"pathology '{p['name']}' delta"),
+                prevalence=number(p["prevalence"], f"pathology '{p['name']}' prevalence"),
+                radius=number(p.get("radius", 2.0), f"pathology '{p['name']}' radius"),
             )
             for p in doc.get("pathologies", ())
         )
@@ -283,8 +283,8 @@ def phantom_spec_from_json(doc: dict) -> PhantomSpec:
             regions=regions,
             pathologies=pathologies,
             seed=integer(doc.get("seed", 0), "seed"),
-            noise_sigma=float(doc.get("noise_sigma", 0.0)),
-            intensity_jitter=float(doc.get("intensity_jitter", 0.0)),
+            noise_sigma=number(doc.get("noise_sigma", 0.0), "noise_sigma"),
+            intensity_jitter=number(doc.get("intensity_jitter", 0.0), "intensity_jitter"),
         )
 
 

@@ -333,8 +333,11 @@ class TestExitCodes:
         assert not (ws / "r.json").exists()
 
     @pytest.mark.parametrize(
-        "gat", [{"slope": 1.5}, {"slope": 0.0}, {"slope": -0.2}, {"ln_eps": 0.0}, {"ln_eps": -1e-6}],
-        ids=["slope-1.5", "slope-0", "slope-negative", "ln_eps-0", "ln_eps-negative"],
+        "gat",
+        [{"slope": 1.5}, {"slope": 0.0}, {"slope": -0.2}, {"ln_eps": 0.0}, {"ln_eps": -1e-6},
+         {"ln_eps": True}, {"slope": "0.2"}],
+        ids=["slope-1.5", "slope-0", "slope-negative", "ln_eps-0", "ln_eps-negative", "ln_eps-bool",
+             "slope-string"],
     )
     def test_run_out_of_range_gat_value_exits_2_before_synth(self, workspace, capsys, gat):
         ws = workspace
@@ -434,15 +437,22 @@ class TestExitCodes:
         [
             ("num_samples", "3"), ("num_samples", 0), ("seed", "7"), ("seed", False),
             ("topology", "bogus"), ("topology", "single"), ("probe_granularity", "voxel"),
+            ("out_dir", 5), ("phantom_spec", 1), ("phantom_spec", 0), ("hierarchy", 5),
+            ("hierarchy", False), ("preset", ["demo"]), ("preset", None),
         ],
     )
-    def test_run_bad_pipeline_value_exits_2_before_synth(self, workspace, capsys, key, value):
+    def test_run_bad_pipeline_value_exits_2_before_synth(
+        self, workspace, capsys, monkeypatch, key, value
+    ):
         ws = workspace
-        config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2, key: value}
+        monkeypatch.chdir(ws)  # an out_dir of 5 would be the directory "5"
+        config = {"seed": 1, "out_dir": "out", "num_samples": 2, key: value}
         (ws / "run.json").write_text(json.dumps(config))
         assert run_cli("run", "--config", ws / "run.json") == 2
         assert f"pipeline config '{key}'" in capsys.readouterr().err
-        assert not (ws / "out").exists()
+        assert sorted(p.name for p in ws.iterdir()) == [
+            "anatomy.json", "phantom.json", "presets.json", "run.json"
+        ]
 
     @pytest.mark.parametrize(
         "case",
@@ -566,6 +576,24 @@ class TestExitCodes:
         )
         assert code == 2
         assert "data.jsonl:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("feature_file", [5, None, ["f0.bin"]], ids=["int", "null", "list"])
+    def test_train_manifest_with_a_non_string_feature_file_exits_2_naming_line(
+        self, workspace, capsys, feature_file
+    ):
+        ws = workspace
+        records = [
+            {"feature_file": feature_file, "labels": [1, 0]},
+            {"feature_file": "f1.bin", "labels": [0, 1]},
+        ]
+        write_manifest(ws / "data.jsonl", records)
+        code = run_cli(
+            "train", "--mode", "probe", "--manifest", ws / "data.jsonl", "--out", ws / "probe"
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data.jsonl:1" in err and "feature_file" in err
+        assert not (ws / "probe").exists()
 
     def _encode_first_scan(self, ws):
         assert run_cli("synth", "--spec", ws / "phantom.json", "--count", 1, "--out", ws / "d") == 0
@@ -754,6 +782,31 @@ class TestExitCodes:
         assert run_cli("synth", "--spec", ws / "bad_spec.json", "--out", ws / "d") == 2
         err = capsys.readouterr().err
         assert "bad_spec.json" in err and field in err
+        assert not (ws / "d").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("intensity", "0.5"), ("noise_sigma", True), ("prevalence", "1"), ("center", "4"),
+         ("center", True), ("radii", None), ("delta", [0.9]), ("radius", "2"),
+         ("intensity_jitter", False)],
+    )
+    def test_synth_spec_with_a_non_number_float_field_exits_2_naming_it(
+        self, workspace, capsys, field, value
+    ):
+        ws = workspace
+        doc = json.loads((ws / "phantom.json").read_text())
+        if field in ("center", "radii"):
+            doc["regions"][0][field][0] = value
+        elif field == "intensity":
+            doc["regions"][1][field] = value
+        elif field in ("prevalence", "delta", "radius"):
+            doc["pathologies"][0][field] = value
+        else:
+            doc[field] = value
+        (ws / "bad_spec.json").write_text(json.dumps(doc))
+        assert run_cli("synth", "--spec", ws / "bad_spec.json", "--out", ws / "d") == 2
+        err = capsys.readouterr().err
+        assert "bad_spec.json" in err and field in err and "must be a number" in err
         assert not (ws / "d").exists()
 
     def test_run_with_an_infinite_jitter_exits_2_before_synth(self, workspace, capsys):

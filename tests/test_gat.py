@@ -682,7 +682,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "field, value",
         [("slope", 1.5), ("slope", 1.0), ("slope", 0.0), ("slope", -0.2), ("slope", float("nan")),
-         ("ln_eps", 0.0), ("ln_eps", -1e-6), ("ln_eps", float("inf")), ("ln_eps", float("nan"))],
+         ("ln_eps", 0.0), ("ln_eps", -1e-6), ("ln_eps", float("inf")), ("ln_eps", float("nan")),
+         ("ln_eps", True), ("ln_eps", "1e-6"), ("slope", True)],
     )
     def test_config_rejects_slope_and_ln_eps_out_of_range(self, field, value):
         with pytest.raises(ValidationError, match=field):

@@ -104,6 +104,21 @@ class TestTrainProbe:
         with pytest.raises(ValidationError, match="probe.bin"):
             AffineHead.load(tmp_path / "probe.bin")
 
+    @pytest.mark.parametrize(
+        "threshold", [True, 5, "0.7", math.nan, -0.1, None], ids=["bool", "5", "string", "nan", "negative", "null"]
+    )
+    def test_load_rejects_a_threshold_that_is_not_a_number_in_0_1(self, tmp_path, threshold):
+        records = {"weight": np.zeros((3, 2)), "bias": np.zeros(2)}
+        save_tensors(tmp_path / "probe.bin", records, meta={"weight": {"threshold": threshold}})
+        with pytest.raises(ValidationError, match="probe.bin.*threshold"):
+            AffineHead.load(tmp_path / "probe.bin")
+
+    @pytest.mark.parametrize("threshold", [0, 1, 0.25])
+    def test_load_takes_a_threshold_in_0_1(self, tmp_path, threshold):
+        records = {"weight": np.zeros((3, 2)), "bias": np.zeros(2)}
+        save_tensors(tmp_path / "probe.bin", records, meta={"weight": {"threshold": threshold}})
+        assert AffineHead.load(tmp_path / "probe.bin").threshold == threshold
+
     def test_load_rejects_a_nan_weight(self, tmp_path):
         weight = np.zeros((3, 2))
         weight[2, 1] = np.nan
@@ -407,6 +422,16 @@ class TestManifest:
             read_manifest(path, required=("id",))
         path.write_text('{"id": 0, "text": "clear"}\n{"id": 1, "labels": [1, 0]}\n')
         assert len(read_manifest(path, required=("id",))) == 2
+
+    @pytest.mark.parametrize("feature_file", [5, None, True, {"path": "f0.bin"}])
+    def test_feature_file_must_be_a_string(self, tmp_path, feature_file):
+        path = tmp_path / "data.jsonl"
+        write_manifest(path, [
+            {"feature_file": "f0.bin", "labels": [0, 1]},
+            {"feature_file": feature_file, "labels": [1, 0]},
+        ])
+        with pytest.raises(ConfigError, match="data.jsonl:2: feature_file must be a string"):
+            read_manifest(path)
 
     def test_undecodable_bytes_rejected_naming_path(self, tmp_path):
         path = tmp_path / "binary.jsonl"

@@ -34,12 +34,10 @@ from ctgraph.graph import (
 from ctgraph.pooling import (
     _segment_sums,
     adaptive_avg_pool_global,
-    fuse_layers,
     load_pooled,
     mask_pool_layer,
     pool_all,
     save_pooled,
-    segment_mean,
 )
 from ctgraph.tensor import Tensor
 from test_tensor import weighted_sum
@@ -63,7 +61,7 @@ def rescan_oracle(features: np.ndarray, labels: np.ndarray, region_labels):
 
 
 def per_channel_sums(values: np.ndarray, seg: np.ndarray, num_segments: int):
-    """The former segment_mean kernel, one float64 bincount per channel: the sums
+    """The former pooling kernel, one float64 bincount per channel: the sums
     and counts of the rows whose id is below num_segments."""
     kept = seg < num_segments
     counts = np.bincount(seg[kept], minlength=num_segments)
@@ -82,6 +80,19 @@ def bincount_reference(values: np.ndarray, seg: np.ndarray, num_segments: int):
     """Per-channel float64 bincount means and counts over the rows whose id is below num_segments."""
     sums, counts = per_channel_sums(values, seg, num_segments)
     return sums / np.maximum(counts, 1)[:, None], counts
+
+
+def as_layer(values: np.ndarray, requires_grad: bool = False) -> Tensor:
+    """(n, C) rows as an (n, 1, 1, C) layer."""
+    return Tensor(values.reshape(len(values), 1, 1, -1), requires_grad=requires_grad)
+
+
+def pool_rows(layer: Tensor, seg, num_segments: int):
+    """mask_pool_layer of an (n, 1, 1, C) layer whose mask labels are seg + 1, over
+    regions 1..num_segments: the segment ids past the end become unlisted labels."""
+    seg = np.asarray(seg)
+    mask = LabelMask3D((seg + 1).reshape(-1, 1, 1), max(int(seg.max()) + 1, num_segments))
+    return mask_pool_layer(layer, mask, range(1, num_segments + 1))
 
 
 def assert_rows_close(out: np.ndarray, ref: np.ndarray, rel: float):
@@ -168,6 +179,23 @@ class TestMaskPoolLayer:
         assert check_gradients(loss, [feats]) < 1e-4
         assert np.all(feats.grad[labels == 0] == 0.0)
 
+    def test_is_one_tape_node_whose_only_parent_is_the_layer(self, monkeypatch):
+        import ctgraph.pooling as pooling
+
+        rng = np.random.default_rng(18)
+        feats = Tensor(rng.standard_normal((4, 4, 2, 3)), requires_grad=True)
+        mask = LabelMask3D(rng.integers(0, 3, (4, 4, 2)), 2)
+        recorded = []
+        from_op = pooling.from_op
+
+        def counting_from_op(data, parents, backward):
+            recorded.append(parents)
+            return from_op(data, parents, backward)
+
+        monkeypatch.setattr(pooling, "from_op", counting_from_op)
+        mask_pool_layer(feats, mask, [1, 2])
+        assert len(recorded) == 1 and len(recorded[0]) == 1 and recorded[0][0] is feats
+
     def test_demo_phantom_x4_matches_bincount_reference(self):
         volume, mask, _ = demo_phantom_x4()
         hierarchy = default_hierarchy()
@@ -197,10 +225,11 @@ class TestMaskPoolLayer:
                     assert_rows_close(out.data, ref, check)
 
 
-class TestSegmentMean:
+class TestSegments:
+    """mask_pool_layer over (n, 1, 1, C) layers whose mask labels are segment ids plus 1."""
+
     def test_empty_segment_is_zero_row(self):
-        values = Tensor(np.ones((3, 2)))
-        means, counts = segment_mean(values, np.array([0, 0, 2]), 4)
+        means, counts = pool_rows(as_layer(np.ones((3, 2))), [0, 0, 2], 4)
         assert counts.tolist() == [2, 0, 1, 0]
         assert np.all(means.data[1] == 0.0)
         assert np.all(means.data[3] == 0.0)
@@ -208,45 +237,43 @@ class TestSegmentMean:
     def test_float32_accumulates_in_float64(self):
         # many identical float32 values whose naive float32 mean drifts
         n = 200000
-        values = Tensor(np.full((n, 1), 0.1, dtype=np.float32))
-        means, _ = segment_mean(values, np.zeros(n, dtype=np.intp), 1)
+        layer = as_layer(np.full((n, 1), 0.1, dtype=np.float32))
+        means, _ = pool_rows(layer, np.zeros(n, dtype=np.intp), 1)
         assert abs(means.data[0, 0] - np.float64(np.float32(0.1))) < 1e-12
 
     def test_visit_order_independence_at_float32(self):
         rng = np.random.default_rng(7)
         values = rng.standard_normal((5000, 3)).astype(np.float32)
         seg = rng.integers(0, 4, 5000)
-        base, _ = segment_mean(Tensor(values), seg, 4)
+        base, _ = pool_rows(as_layer(values), seg, 4)
         perm = rng.permutation(5000)
-        shuffled, _ = segment_mean(Tensor(values[perm]), seg[perm], 4)
+        shuffled, _ = pool_rows(as_layer(values[perm]), seg[perm], 4)
         rel = np.abs(shuffled.data - base.data) / np.maximum(np.abs(base.data), 1e-12)
         assert rel.max() < 1e-6
 
-    def test_ids_past_the_end_are_dropped_with_zero_gradient(self):
+    def test_unlisted_voxels_are_dropped_with_zero_gradient(self):
         rng = np.random.default_rng(8)
-        values = Tensor(rng.standard_normal((60, 3)), requires_grad=True)
-        seg = rng.integers(0, 6, 60)  # ids 4 and 5 lie past num_segments
-        means, counts = segment_mean(values, seg, 4)
-        ref, ref_counts = bincount_reference(values.data, seg, 4)
+        values = rng.standard_normal((60, 3))
+        layer = as_layer(values, requires_grad=True)
+        seg = rng.integers(0, 6, 60)  # ids 4 and 5 are labels 5 and 6, not listed
+        means, counts = pool_rows(layer, seg, 4)
+        ref, ref_counts = bincount_reference(values, seg, 4)
         assert np.array_equal(counts, ref_counts)
         assert_rows_close(means.data, ref, 1e-12)
         g = rng.standard_normal((4, 3))
         weighted_sum(means, g).backward()
+        grad = layer.grad.reshape(60, 3)
         kept = seg < 4
-        assert np.all(values.grad[~kept] == 0.0)
-        assert np.array_equal(values.grad[kept], (g / np.maximum(counts, 1)[:, None])[seg[kept]])
+        assert np.all(grad[~kept] == 0.0)
+        assert np.array_equal(grad[kept], (g / np.maximum(counts, 1)[:, None])[seg[kept]])
 
-    def test_negative_id_rejected(self):
-        with pytest.raises(ShapeError, match="non-negative"):
-            segment_mean(Tensor(np.ones((3, 2))), np.array([0, -1, 1]), 2)
-
-    def test_non_finite_row_reaches_only_its_own_segment(self):
+    def test_non_finite_voxel_reaches_only_its_own_region(self):
         values = np.ones((4, 2))
         values[3] = np.inf
-        means, _ = segment_mean(Tensor(values), np.array([0, 1, 1, 2]), 2)  # row 3 dropped
+        means, _ = pool_rows(as_layer(values), [0, 1, 1, 2], 2)  # voxel 3 unlisted
         assert np.array_equal(means.data, np.ones((2, 2)))
         values[3] = np.nan
-        means, _ = segment_mean(Tensor(values), np.array([0, 1, 1, 0]), 2)
+        means, _ = pool_rows(as_layer(values), [0, 1, 1, 0], 2)
         assert np.isnan(means.data[0]).all() and np.array_equal(means.data[1], [1.0, 1.0])
 
     def test_many_segments(self):
@@ -254,7 +281,7 @@ class TestSegmentMean:
         n_segments, n = 5000, 3000
         values = rng.standard_normal((n, 4)).astype(np.float32)
         seg = rng.integers(0, n_segments + 50, n)
-        means, counts = segment_mean(Tensor(values), seg, n_segments)
+        means, counts = pool_rows(as_layer(values), seg, n_segments)
         ref, ref_counts = bincount_reference(values, seg, n_segments)
         assert np.array_equal(counts, ref_counts)
         assert np.array_equal(means.data, ref)
@@ -278,6 +305,26 @@ class TestBlockedKernel:
         rng = np.random.default_rng(channels + rows)
         values = (rng.standard_normal((rows, channels)) * 1e3).astype(dtype)
         seg = rng.integers(0, num_segments + 2, rows)  # the last two ids are dropped
+        sums, _ = per_channel_sums(values, seg, num_segments)
+        kept = np.flatnonzero(seg < num_segments)
+        got_sums = _segment_sums(values, kept, seg[kept], num_segments)
+        assert got_sums.dtype == np.float64 and np.array_equal(got_sums, sums)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("channels", [1, 768])
+    @pytest.mark.parametrize("num_segments", [1, 5])
+    @pytest.mark.parametrize("smallest_blocks", [False, True])
+    def test_pooled_means_and_gradient_match_the_per_channel_kernel(
+        self, monkeypatch, dtype, channels, num_segments, smallest_blocks
+    ):
+        import ctgraph.pooling as pooling
+
+        if smallest_blocks:
+            monkeypatch.setattr(pooling, "_BLOCK_ENTRIES", 1)
+        rows = 400
+        rng = np.random.default_rng(channels + rows)
+        values = (rng.standard_normal((rows, channels)) * 1e3).astype(dtype)
+        seg = rng.integers(0, num_segments + 2, rows)  # the last two ids are unlisted labels
         g = rng.standard_normal((num_segments, channels))
         sums, counts = per_channel_sums(values, seg, num_segments)
         divisor = np.maximum(counts, 1)[:, None]
@@ -285,14 +332,12 @@ class TestBlockedKernel:
         grad = np.zeros_like(values)
         grad[kept] = (g / divisor)[seg[kept]]  # the backward, unchanged
 
-        got_sums = _segment_sums(values, kept, seg[kept], num_segments)
-        assert got_sums.dtype == np.float64 and np.array_equal(got_sums, sums)
-        tensor = Tensor(values, requires_grad=True)
-        got_means, got_counts = segment_mean(tensor, seg, num_segments)
+        layer = as_layer(values, requires_grad=True)
+        got_means, got_counts = pool_rows(layer, seg, num_segments)
         assert np.array_equal(got_counts, counts)
         assert np.array_equal(got_means.data, sums / divisor)
         weighted_sum(got_means, g).backward()
-        assert tensor.grad.dtype == dtype and np.array_equal(tensor.grad, grad)
+        assert layer.grad.dtype == dtype and np.array_equal(layer.grad.reshape(rows, channels), grad)
 
     def test_ingest_sized_pyramid_layers_match_the_per_channel_kernel(self):
         volume, mask, _ = demo_phantom_x4()
@@ -306,33 +351,6 @@ class TestBlockedKernel:
             for cast in (values, values.astype(np.float32)):
                 sums, _ = per_channel_sums(cast, seg, len(labels))
                 assert np.array_equal(_segment_sums(cast, kept, seg[kept], len(labels)), sums)
-
-
-class TestFuseLayers:
-    def test_single_layer_is_identity(self):
-        t = Tensor(np.random.default_rng(0).standard_normal((3, 4)))
-        assert np.array_equal(fuse_layers([t]).data, t.data)
-
-    def test_voco_style_fused_width(self):
-        rng = np.random.default_rng(1)
-        widths = (48, 96, 192, 384, 768)
-        layers = [Tensor(rng.standard_normal((2, w))) for w in widths]
-        fused = fuse_layers(layers)
-        assert fused.shape == (2, 1488)
-
-    def test_slice_recovers_each_layer_bit_exactly(self):
-        rng = np.random.default_rng(2)
-        widths = (3, 5, 2)
-        layers = [rng.standard_normal((4, w)) for w in widths]
-        fused = fuse_layers([Tensor(l) for l in layers]).data
-        start = 0
-        for layer, w in zip(layers, widths):
-            assert np.array_equal(fused[:, start : start + w], layer)
-            start += w
-
-    def test_missing_layer_rejected(self):
-        with pytest.raises(ShapeError):
-            fuse_layers([Tensor(np.zeros((2, 2))), None])
 
 
 class TestAdaptivePool:
@@ -583,6 +601,14 @@ class TestPoolAll:
             fine_set.fused.data[:, :2], fine_set.per_layer[0].data
         )
         assert np.array_equal(fine_set.fused.data[:, 2:], fine_set.per_layer[1].data)
+
+
+    def test_single_layer_fused_equals_the_layer(self):
+        rng = np.random.default_rng(19)
+        pyr = FeaturePyramid([PyramidLayer(Tensor(rng.standard_normal((6, 6, 4, 3))))])
+        labels = rng.integers(0, 4, (6, 6, 4)).astype(np.int32)
+        for rset in pool_all(pyr, LabelMask3D(labels, 3), two_level_hierarchy())[:2]:
+            assert np.array_equal(rset.fused.data, rset.per_layer[0].data)
 
 
 def test_pooled_container_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 """Mask resizing oracle, phantom generation, and volume/mask round trips."""
 
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -305,6 +306,34 @@ class TestPhantom:
             doc["seed"] = value
         with pytest.raises(ValidationError, match=rf"{field}.* must be an integer, got {value!r}"):
             phantom_spec_from_json(doc)
+
+    @pytest.mark.parametrize("value", ["0.5", True, None, [1.0]], ids=["string", "bool", "null", "list"])
+    @pytest.mark.parametrize(
+        "field",
+        ["center", "radii", "intensity", "delta", "prevalence", "radius", "noise_sigma",
+         "intensity_jitter"],
+    )
+    def test_spec_json_float_fields_take_only_numbers(self, field, value):
+        doc = asdict(_simple_spec(pathologies=(PathologySpec("a", 2, 0.5, 0.5, 2.0),)))
+        if field in ("center", "radii"):
+            doc["regions"][0][field] = [3.0, value, 3.0]
+        elif field == "intensity":
+            doc["regions"][1][field] = value
+        elif field in ("delta", "prevalence", "radius"):
+            doc["pathologies"][0][field] = value
+        else:
+            doc[field] = value
+        want = rf"{field}.* must be a number, got {re.escape(repr(value))}"
+        with pytest.raises(ValidationError, match=want):
+            phantom_spec_from_json(doc)
+
+    def test_spec_json_float_fields_take_json_integers(self):
+        doc = asdict(_simple_spec(pathologies=(PathologySpec("a", 2, 1, 0, 2),)))
+        doc["regions"][0]["center"] = [3, 3, 3]
+        doc["noise_sigma"] = 0
+        spec = phantom_spec_from_json(doc)
+        assert spec.regions[0].center == (3.0, 3.0, 3.0) and type(spec.noise_sigma) is float
+        assert type(spec.pathologies[0].prevalence) is float
 
     def test_spec_json_round_trip(self):
         spec = _simple_spec()
