@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import ensure_dir, load_tensor, read_json, save_tensor, write_json
-from .errors import ValidationError, integer, malformed
+from .errors import ValidationError, integer, malformed, string
 from .tensor import Tensor
 from .volume import Volume3D
 
@@ -84,7 +84,7 @@ def load_preset_registry(path) -> dict[str, EncoderPreset]:
 def _presets_from_json(doc: dict) -> dict[str, EncoderPreset]:
     with malformed("preset registry"):
         presets = [
-            EncoderPreset(str(p["name"]), *(
+            EncoderPreset(string(p["name"], "preset name"), *(
                 tuple(integer(n, f"preset {key}") for n in p[key]) for key in ("channels", "factors")
             ))
             for p in doc.get("presets", [])
@@ -258,7 +258,7 @@ def load_pyramid(directory) -> FeaturePyramid:
 
 def _from_index(directory: Path, index: dict) -> FeaturePyramid:
     with malformed("pyramid index"):
-        names = [str(name) for name in index["layers"]]
+        names = [string(name, "layer file name") for name in index["layers"]]
         channels = [integer(c, "channels") for c in index["channels"]]
         extents = index.get("source_extents")
         if extents is not None:

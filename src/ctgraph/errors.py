@@ -47,3 +47,10 @@ def number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValidationError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def string(value, what: str) -> str:
+    """value; a ValidationError naming what unless it is a string."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, got {value!r}")
+    return value

@@ -16,7 +16,7 @@ from operator import attrgetter
 import numpy as np
 
 from .container import read_json, write_json
-from .errors import ValidationError, integer, malformed
+from .errors import ValidationError, integer, malformed, string
 from .volume import MAX_LABEL
 
 LEVEL_FINE = "fine"
@@ -63,6 +63,8 @@ class AnatomyHierarchy:
                 raise ValidationError(
                     f"fine node '{node.name}' (id {node.id}) has unknown parent {node.parent}"
                 )
+        if not self.labels:
+            raise ValidationError("a hierarchy needs at least one mask label")
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("mask labels must be unique across nodes")
         outside = [label for label in self.labels if not 1 <= label <= MAX_LABEL]
@@ -313,14 +315,14 @@ def hierarchy_from_json(doc: dict) -> AnatomyHierarchy:
     with malformed("hierarchy document"):
         fine = tuple(
             FineNode(
-                integer(f["id"], "fine id"), str(f["name"]),
+                integer(f["id"], "fine id"), string(f["name"], "fine name"),
                 integer(f["label"], "fine label"), integer(f["parent"], "fine parent"),
             )
             for f in doc["fine"]
         )
         coarse = tuple(
             CoarseNode(
-                integer(c["id"], "coarse id"), str(c["name"]),
+                integer(c["id"], "coarse id"), string(c["name"], "coarse name"),
                 None if c.get("label") is None else integer(c["label"], "coarse label"),
             )
             for c in doc["coarse"]
@@ -347,11 +349,13 @@ def graph_to_json(graph: RegionGraph) -> dict:
 
 def graph_from_json(doc: dict) -> RegionGraph:
     with malformed("graph document"):
-        nodes = tuple(GraphNode(integer(n["id"], "node id"), str(n["level"])) for n in doc["nodes"])
+        nodes = tuple(
+            GraphNode(integer(n["id"], "node id"), string(n["level"], "node level")) for n in doc["nodes"]
+        )
         edges = tuple(
             (integer(s, "edge endpoint"), integer(d, "edge endpoint")) for s, d in doc["edges"]
         )
-        return RegionGraph(nodes, edges, str(doc["topology"]))
+        return RegionGraph(nodes, edges, string(doc["topology"], "topology"))
 
 
 def load_graph(path) -> RegionGraph:

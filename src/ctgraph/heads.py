@@ -178,9 +178,10 @@ def fit(parameters: list[Tensor], batch_logits, predict, targets: np.ndarray, cf
     and every epoch's batch order come from one generator seeded with
     cfg.seed, so a fixed config gives the same trace. F1 is scored on the
     validation samples, or on every sample when none is held out; their
-    indices are info["scored_indices"]. A non-finite batch loss raises
-    ValidationError naming the epoch and batch before that batch's
-    optimizer step.
+    indices are info["scored_indices"]. AdamW steps the parameters the first
+    batch's backward reaches (never the GAT's export projection). A non-finite
+    batch loss raises ValidationError naming the epoch and batch before that
+    batch's backward.
     """
     n = len(targets)
     rng = np.random.default_rng(cfg.seed)
@@ -190,7 +191,7 @@ def fit(parameters: list[Tensor], batch_logits, predict, targets: np.ndarray, cf
         n_val = min(n - 1, max(1, int(round(n * cfg.val_fraction))))
     train_idx, val_idx = perm[: n - n_val], perm[n - n_val :]
     scored_idx = val_idx if len(val_idx) else np.arange(n)
-    optimizer = AdamW(parameters, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    optimizer = None
 
     def val_scores() -> MacroScores:
         return macro_prf1(predict(scored_idx), targets[scored_idx].astype(np.int32))
@@ -210,8 +211,12 @@ def fit(parameters: list[Tensor], batch_logits, predict, targets: np.ndarray, cf
                     f"training loss is {value} at epoch {epoch}, batch {n_batches}: "
                     "the features or the learning rate give non-finite logits"
                 )
-            optimizer.zero_grad()
+            for p in parameters:
+                p.grad = None
             loss.backward()
+            if optimizer is None:
+                reached = [p for p in parameters if p.grad is not None]
+                optimizer = AdamW(reached, lr=cfg.lr, weight_decay=cfg.weight_decay)
             optimizer.step()
             epoch_loss += value
             n_batches += 1

@@ -17,13 +17,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
+from pathlib import Path
 
 import numpy as np
 
 from . import demo as demo_mod
 from .container import check_keys, check_values, ensure_dir, read_json, write_json
 from .encoder import export_pyramid, get_preset, synth_encode
-from .errors import ConfigError, CtGraphError, ValidationError
+from .errors import ConfigError, CtGraphError, ShapeError, ValidationError
 from .gat import GatConfig, forward as gat_forward
 from .graph import (
     TOPOLOGIES,
@@ -83,7 +84,7 @@ def check_gat_doc(doc: dict) -> dict:
 
 def hierarchy_from(path) -> AnatomyHierarchy:
     """The hierarchy stored at path, or the built-in table when path is None."""
-    return load_hierarchy(path) if path else default_hierarchy()
+    return default_hierarchy() if path is None else load_hierarchy(path)
 
 
 # stages ----------------------------------------------------------------------
@@ -145,8 +146,12 @@ def graph_stage(hierarchy: AnatomyHierarchy, topology: str, seed: int, path):
 
 def train_probe_stage(pooled, targets, granularity: str, cfg: TrainConfig, out):
     """Fit the linear probe on pooled samples; writes probe.bin and trace.json."""
-    features = np.stack([build_probe_features(*s, granularity=granularity) for s in pooled])
-    model, trace, info = train_probe(features, targets, cfg)
+    features = [build_probe_features(*s, granularity=granularity) for s in pooled]
+    n = len(features[0])
+    for i, row in enumerate(features):
+        if len(row) != n:  # the pooled files come from encoders of other widths
+            raise ShapeError(f"pooled sample {i} gives {len(row)} probe features, sample 0 gives {n}")
+    model, trace, info = train_probe(np.stack(features), targets, cfg)
     out = ensure_dir(out)
     model.save(out / "probe.bin")
     write_json(out / "trace.json", {"trace": trace, "info": info})
@@ -240,8 +245,11 @@ class PipelineConfig:
         check_values(self, "pipeline config", {
             "seed": (Integral, "an integer >= 0", lambda v: v >= 0),
             "num_samples": (Integral, "an integer >= 1", lambda v: v >= 1),
-            **dict.fromkeys(("out_dir", "preset"), (str, "a string", None)),
-            **dict.fromkeys(("hierarchy", "phantom_spec"), ((str, type(None)), "a string or null", None)),
+            "out_dir": (str, "a non-empty string", bool),
+            "preset": (str, "a string", None),
+            **dict.fromkeys(
+                ("hierarchy", "phantom_spec"), ((str, type(None)), "a path or null", lambda v: v != "")
+            ),
             "topology": (str, f"one of {TOPOLOGIES}", lambda v: v in TOPOLOGIES),
             "probe_granularity": (str, f"one of {GRANULARITIES}", lambda v: v in GRANULARITIES),
         })
@@ -262,7 +270,7 @@ class PipelineConfig:
 
 def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
     """Run every stage; returns the summary dict (also written as summary.json)."""
-    out = ensure_dir(out_dir or cfg.out_dir)
+    out = Path(out_dir or cfg.out_dir)
     summary: dict = {"config": dataclasses.asdict(cfg), "stages": {}, "metrics": {}}
     seconds = summary["stages"]
     metrics = summary["metrics"]
@@ -271,11 +279,12 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
     try:
         hierarchy = hierarchy_from(cfg.hierarchy)
         spec = (
-            load_phantom_spec(cfg.phantom_spec)
-            if cfg.phantom_spec
-            else demo_mod.demo_phantom_spec(hierarchy)
+            demo_mod.demo_phantom_spec(hierarchy)
+            if cfg.phantom_spec is None
+            else load_phantom_spec(cfg.phantom_spec)
         )
         preset = get_preset(cfg.preset)
+        ensure_dir(out)
 
         with stage("synth", seconds, samples=cfg.num_samples):
             volumes, masks, targets = synth_stage(spec, cfg.num_samples, cfg.seed, out / "synth")
@@ -314,9 +323,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
     except Exception as exc:
         started = list(seconds)
         failed = started[-1] if started else "setup"
-        write_json(
-            stale_path, {"failed_stage": failed, "cause": str(exc), "stages_started": started}
-        )
+        if started:  # a failed setup has written nothing
+            write_json(
+                stale_path, {"failed_stage": failed, "cause": str(exc), "stages_started": started}
+            )
         log_event(failed, "failed", cause=str(exc))
         if isinstance(exc, CtGraphError):
             raise

@@ -127,29 +127,15 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum out broadcasted axes so grad matches the original operand shape."""
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 # elementwise and structural ops -------------------------------------------
 
 
 def add(a, b) -> Tensor:
+    """a + b for operands of one shape."""
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return from_op(out, (a, b), backward)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add: operands of shapes {a.data.shape} and {b.data.shape} differ")
+    return from_op(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def reshape(a, shape) -> Tensor:
@@ -207,7 +193,7 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine by (d,) gamma and beta."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     n = x.data.shape[-1]
     centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
@@ -219,7 +205,10 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
         gn_mean = np.add.reduce(gn, axis=-1, keepdims=True) / n
         gn_normed_mean = np.add.reduce(gn * normed, axis=-1, keepdims=True) / n
         gx = inv * (gn - gn_mean - normed * gn_normed_mean)
-        return gx, _unbroadcast(g * normed, gamma.data.shape), _unbroadcast(g, beta.data.shape)
+        g_gamma, g_beta = g * normed, g
+        while g_beta.ndim > 1:  # gamma and beta are (d,): sum the leading axes one at a time
+            g_gamma, g_beta = g_gamma.sum(axis=0), g_beta.sum(axis=0)
+        return gx, g_gamma, g_beta
 
     return from_op(normed * gamma.data + beta.data, (x, gamma, beta), backward)
 
@@ -228,11 +217,6 @@ def mlp_forward(x, layers: Sequence[tuple[Tensor, Tensor]], slope: float = 0.2) 
     """Affine -> LeakyReLU per hidden layer, final layer affine only."""
     h = as_tensor(x)
     for i, (w, b) in enumerate(layers):
-        if h.data.shape[-1] != w.data.shape[0]:
-            raise ShapeError(
-                f"mlp layer {i}: input width {h.data.shape[-1]} does not chain "
-                f"into weight of shape {w.data.shape}"
-            )
         h = linear(h, w, b)
         if i < len(layers) - 1:
             h = leaky_relu(h, slope)
@@ -366,11 +350,11 @@ def bce_with_logits(logits, targets) -> Tensor:
 class AdamW:
     """Adam with decoupled weight decay and bias-corrected moments.
 
-    The parameters' data become views into one flat buffer, so a step
-    updates every parameter with a handful of in-place numpy calls; what is
-    written to p.data[:] (or bound to p.data) is what the next step updates.
-    A parameter whose grad is None is left untouched and its step count does
-    not advance. Deterministic given parameter values, gradients, and state.
+    The parameters' data become views into one flat buffer, so a step updates
+    them all, with one step count, in a handful of in-place numpy calls; what
+    is written to p.data[:] (or bound to p.data) is what the next step updates.
+    Every parameter needs a gradient at every step. Deterministic given
+    parameter values, gradients, and state.
     """
 
     def __init__(
@@ -387,49 +371,38 @@ class AdamW:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         dtypes = {p.data.dtype for p in self.params}
-        if len(dtypes) > 1:
+        if len(dtypes) != 1:
             raise ValueError(f"AdamW needs parameters of one dtype, got {sorted(map(str, dtypes))}")
-        self._data = np.concatenate([p.data.ravel() for p in self.params] or [np.zeros(0)])
-        self._bounds = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
-        for p, start, stop in zip(self.params, self._bounds, self._bounds[1:]):
+        self._data = np.concatenate([p.data.ravel() for p in self.params])
+        bounds = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        for p, start, stop in zip(self.params, bounds, bounds[1:]):
             p.data = self._data[start:stop].reshape(p.data.shape)
         self._views = [p.data for p in self.params]
         self._m = np.zeros_like(self._data)
         self._v = np.zeros_like(self._data)
         self._grad = np.empty_like(self._data)
-        self.steps = [0] * len(self.params)  # updates each parameter has taken
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        self.t = 0  # steps taken
 
     def step(self) -> None:
-        runs: list[list[int]] = []  # [first, stop, t]: adjacent parameters stepping alike
         for i, p in enumerate(self.params):
             if p.data is not self._views[i]:  # rebound since the last step: adopt its values
                 self._views[i][...] = p.data
                 p.data = self._views[i]
             if p.grad is None:
-                continue
-            self.steps[i] += 1
-            if runs and runs[-1][1] == i and runs[-1][2] == self.steps[i]:
-                runs[-1][1] = i + 1
-            else:
-                runs.append([i, i + 1, self.steps[i]])
-        for first, stop, t in runs:
-            lo, hi = self._bounds[first], self._bounds[stop]
-            g, m, v, p = (buf[lo:hi] for buf in (self._grad, self._m, self._v, self._data))
-            np.concatenate([q.grad.ravel() for q in self.params[first:stop]], out=g)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            g *= g
-            g *= 1.0 - self.beta2
-            v += g
-            denom = np.sqrt(v / (1.0 - self.beta2**t))
-            denom += self.eps
-            update = m / (1.0 - self.beta1**t)
-            update /= denom
-            update += self.weight_decay * p
-            update *= self.lr
-            p -= update
+                raise ValueError(f"AdamW parameter {i} of shape {p.data.shape} has no gradient")
+        self.t += 1
+        g, m, v, p = self._grad, self._m, self._v, self._data
+        np.concatenate([q.grad.ravel() for q in self.params], out=g)
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        g *= g
+        g *= 1.0 - self.beta2
+        v += g
+        denom = np.sqrt(v / (1.0 - self.beta2**self.t))
+        denom += self.eps
+        update = m / (1.0 - self.beta1**self.t)
+        update /= denom
+        update += self.weight_decay * p
+        update *= self.lr
+        p -= update

@@ -15,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .container import load_tensor, read_json, read_tensor, save_tensor, write_json
-from .errors import FormatError, ValidationError, integer, malformed, number
+from .errors import FormatError, ValidationError, integer, malformed, number, string
 
 # The largest mask label: the uint16 range segmentation formats store labels in.
 # Pooling sizes tables by label, so a bound here keeps them small.
@@ -270,7 +270,7 @@ def phantom_spec_from_json(doc: dict) -> PhantomSpec:
         )
         pathologies = tuple(
             PathologySpec(
-                name=str(p["name"]),
+                name=string(p["name"], "pathology name"),
                 host_label=integer(p["host_label"], f"pathology '{p['name']}' host_label"),
                 delta=number(p["delta"], f"pathology '{p['name']}' delta"),
                 prevalence=number(p["prevalence"], f"pathology '{p['name']}' prevalence"),

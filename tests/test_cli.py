@@ -439,6 +439,7 @@ class TestExitCodes:
             ("topology", "bogus"), ("topology", "single"), ("probe_granularity", "voxel"),
             ("out_dir", 5), ("phantom_spec", 1), ("phantom_spec", 0), ("hierarchy", 5),
             ("hierarchy", False), ("preset", ["demo"]), ("preset", None),
+            ("phantom_spec", ""), ("hierarchy", ""), ("out_dir", ""),
         ],
     )
     def test_run_bad_pipeline_value_exits_2_before_synth(
@@ -728,6 +729,83 @@ class TestExitCodes:
         }[command]
         assert run_cli(*argv) == 2
         assert "binary.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, value, what",
+        [
+            ("pathology", None, "pathology name"), ("pathology", 5, "pathology name"),
+            ("fine", 5, "fine name"), ("coarse", None, "coarse name"), ("preset", 7, "preset name"),
+        ],
+    )
+    def test_non_string_name_exits_2_naming_the_field(self, workspace, capsys, case, value, what):
+        ws = workspace
+        if case == "preset":  # a scan to encode
+            assert run_cli("synth", "--spec", ws / "phantom.json", "--count", 1, "--out", ws / "d") == 0
+        file = {"pathology": "phantom.json", "preset": "presets.json"}.get(case, "anatomy.json")
+        doc = json.loads((ws / file).read_text())
+        doc[{"pathology": "pathologies", "preset": "presets"}.get(case, case)][0]["name"] = value
+        (ws / file).write_text(json.dumps(doc))
+        argv = {
+            "pathology": ["synth", "--spec", ws / file, "--count", 1, "--out", ws / "out"],
+            "preset": ["encode", "--preset", value, "--presets", ws / file,
+                       "--in", ws / "d" / "vol_000.bin", "--out", ws / "out"],
+        }.get(case, ["graph", "--hierarchy", ws / file, "--out", ws / "out"])
+        assert run_cli(*argv) == 2
+        assert f"{file}: {what} must be a string, got {value!r}" in capsys.readouterr().err
+        assert not (ws / "out").exists()
+
+    @pytest.mark.parametrize("command", ["graph", "pool"])
+    def test_empty_hierarchy_path_exits_2(self, workspace, capsys, command):
+        ws = workspace
+        argv = ["graph", "--hierarchy", "", "--out", ws / "out"]
+        if command == "pool":
+            self._encode_first_scan(ws)
+            argv = ["pool", "--pyramid", ws / "p0", "--mask", ws / "d" / "mask_000.bin",
+                    "--hierarchy", "", "--out", ws / "out"]
+        assert run_cli(*argv) == 2
+        assert "hierarchy  cannot be read" in capsys.readouterr().err
+        assert not (ws / "out").exists()
+
+    @pytest.mark.parametrize("command", ["graph", "pool", "run"])
+    def test_hierarchy_without_a_mask_label_exits_2_before_writing(self, workspace, capsys, command):
+        ws = workspace
+        (ws / "empty.json").write_text(json.dumps({"fine": [], "coarse": []}))
+        argv = ["graph", "--hierarchy", ws / "empty.json", "--out", ws / "out"]
+        if command == "pool":
+            self._encode_first_scan(ws)
+            argv = ["pool", "--pyramid", ws / "p0", "--mask", ws / "d" / "mask_000.bin",
+                    "--hierarchy", ws / "empty.json", "--out", ws / "out"]
+        elif command == "run":
+            config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2,
+                      "hierarchy": str(ws / "empty.json")}
+            (ws / "run.json").write_text(json.dumps(config))
+            argv = ["run", "--config", ws / "run.json"]
+        assert run_cli(*argv) == 2
+        assert "empty.json: a hierarchy needs at least one mask label" in capsys.readouterr().err
+        assert not (ws / "out").exists()
+
+    def test_probe_train_on_pooled_files_of_mixed_widths_exits_2_naming_the_sample(
+        self, workspace, capsys
+    ):
+        ws = workspace
+        grid = GlobalFeatureGrid(Tensor(np.zeros((4, 4, 2, 2))))
+        for i, channels in enumerate((2, 2, 3, 2)):  # sample 2 has a wider encoder
+            rows = np.ones((2, channels))
+            fine = RegionFeatureSet(
+                [1, 2], [Tensor(rows)], Tensor(rows), np.ones((2, 1), np.int64), np.ones(2, bool)
+            )
+            coarse = RegionFeatureSet(
+                [10], [Tensor(rows[:1])], Tensor(rows[:1]), np.ones((1, 1), np.int64), np.ones(1, bool)
+            )
+            save_pooled(ws / f"f{i}.bin", fine, coarse, grid)
+        records = [{"feature_file": f"f{i}.bin", "labels": [1, 0]} for i in range(4)]
+        write_manifest(ws / "data.jsonl", records)
+        code = run_cli(
+            "train", "--mode", "probe", "--manifest", ws / "data.jsonl", "--out", ws / "probe"
+        )
+        assert code == 2
+        assert "sample 2 gives 6 probe features, sample 0 gives 4" in capsys.readouterr().err
+        assert not (ws / "probe").exists()
 
     def test_unknown_preset_exits_2(self, workspace):
         ws = workspace

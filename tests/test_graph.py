@@ -195,6 +195,19 @@ class TestValidation:
             )
 
     @pytest.mark.parametrize(
+        "coarse", [(), (CoarseNode(10, "sys"),)], ids=["no-nodes", "coarse-without-label"]
+    )
+    def test_hierarchy_without_a_mask_label_rejected(self, coarse):
+        with pytest.raises(ValidationError, match="at least one mask label"):
+            AnatomyHierarchy(fine=(), coarse=coarse, global_id=11)
+
+    def test_coarse_only_hierarchy_with_own_labels_is_valid(self):
+        coarse = (CoarseNode(10, "a", 3), CoarseNode(12, "b", 1))
+        h = AnatomyHierarchy(fine=(), coarse=coarse, global_id=13)
+        assert h.labels == [3, 1] and h.max_label == 3
+        assert hierarchy_from_json(hierarchy_to_json(h)) == h
+
+    @pytest.mark.parametrize(
         "fine_label, coarse_label",
         [(2**40, None), (1, 2**40), (0, None), (-1, None)],
         ids=["huge-fine", "huge-coarse", "background", "negative"],

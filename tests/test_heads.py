@@ -12,7 +12,7 @@ from ctgraph.container import save_tensors
 from ctgraph.errors import ConfigError, ValidationError
 from ctgraph.gat import GatConfig, GatModel, forward
 from ctgraph.gradcheck import check_gradients
-from ctgraph.graph import build_hierarchical, default_hierarchy
+from ctgraph.graph import build_graph, build_hierarchical, default_hierarchy
 from ctgraph.heads import (
     DEFAULT_PROMPT,
     AffineHead,
@@ -128,6 +128,7 @@ class TestTrainProbe:
 
 
 class TestTrainConfig:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_non_finite_loss_raises_before_any_step(self, monkeypatch):
         rng = np.random.default_rng(3)
         features = rng.standard_normal((10, 4))
@@ -308,6 +309,24 @@ class TestGatClassifier:
         (trace_a, info_a, params_a), (trace_b, info_b, params_b) = fits
         assert trace_a == trace_b and info_a == info_b
         assert all(np.array_equal(a, b) for a, b in zip(params_a, params_b))
+
+    @pytest.mark.parametrize(
+        "topology, unreached",
+        [("hierarchical", ("out.",)), ("single-level", ("out.", "stage1.", "coarse_mlp."))],
+    )
+    def test_fit_moves_exactly_the_parameters_the_loss_reaches(self, topology, unreached):
+        h = small_hierarchy(n_fine=3, n_coarse=2)
+        cfg = tiny_config()
+        samples = [synth_inputs(h, cfg, seed=s) for s in range(6)]
+        targets = np.array([[1.0, 0.0], [0.0, 1.0]] * 3)
+        train_cfg = TrainConfig.for_gat(epochs=2, batch_size=3, seed=1, lr=1e-2)
+        init = init_gat_classifier(cfg, 2, seed=1)  # the fit's own initial values
+        clf, _, _ = train_gat_classifier(samples, targets, build_graph(h, topology), cfg, train_cfg)
+        for name, p in clf.gat.params.items():
+            moved = not np.array_equal(p.data, init.gat.params[name].data)
+            assert moved != name.startswith(unreached), name
+        assert not np.array_equal(clf.head.weight.data, init.head.weight.data)
+        assert not np.array_equal(clf.head.bias.data, init.head.bias.data)
 
     def test_checkpoint_round_trip(self, tmp_path):
         cfg = tiny_config()

@@ -8,6 +8,7 @@ import copy
 import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 from ctgraph.container import load_tensors, read_record, save_tensors
 from ctgraph.demo import demo_phantom_spec, demo_pipeline_config
 from ctgraph.encoder import export_pyramid, get_preset, load_pyramid, synth_encode
-from ctgraph.errors import CtGraphError
+from ctgraph.errors import CtGraphError, ValidationError
 from ctgraph.gat import GatModel
 from ctgraph.graph import (
     build_hierarchical,
@@ -180,6 +181,27 @@ def test_non_numeric_hierarchy_id_is_a_typed_error(tmp_path, field):
     (tmp_path / "anatomy.json").write_text(json.dumps(doc))
     with pytest.raises(CtGraphError, match="anatomy.json"):
         load_hierarchy(tmp_path / "anatomy.json")
+
+
+@pytest.mark.parametrize(
+    "loader, path, what",
+    [
+        ("phantom-spec", ("pathologies", 0, "name"), "pathology name"),
+        ("hierarchy", ("fine", 0, "name"), "fine name"),
+        ("hierarchy", ("coarse", 0, "name"), "coarse name"),
+        ("graph", ("nodes", 0, "level"), "node level"),
+        ("graph", ("topology",), "topology"),
+        ("preset-registry", ("presets", 0, "name"), "preset name"),
+        ("pyramid-index", ("layers", 0), "layer file name"),
+    ],
+)
+@pytest.mark.parametrize("value", [None, 5, ["x"]], ids=["null", "number", "list"])
+def test_name_fields_take_json_strings_only(documents, loader, path, what, value):
+    file, load, valid_doc = documents[loader]
+    file.write_text(json.dumps(mutated(valid_doc, path, value)))
+    expected = f"{file.name}: {what} must be a string, got {value!r}"
+    with pytest.raises(ValidationError, match=re.escape(expected)):
+        load()
 
 
 def test_non_numeric_graph_id_is_a_typed_error(tmp_path):
