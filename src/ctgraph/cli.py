@@ -131,6 +131,13 @@ def seed_value(text: str) -> int:
     return value
 
 
+def out_value(text: str) -> str:
+    """argparse type of --out: an empty path would select the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ct-graph",
@@ -142,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="phantom spec JSON")
     p.add_argument("--count", type=int, default=16)
     p.add_argument("--seed", type=seed_value, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("encode", help="run the synthetic encoder over a volume")
@@ -150,21 +157,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presets", default=None, help="extra preset registry JSON")
     p.add_argument("--seed", type=seed_value, default=7)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("pool", help="mask-guided pooling over a pyramid")
     p.add_argument("--pyramid", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--hierarchy", default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_pool)
 
     p = sub.add_parser("graph", help="build the region graph")
     p.add_argument("--hierarchy", default=None)
     p.add_argument("--topology", default=TOPOLOGY_HIERARCHICAL, choices=TOPOLOGIES)
     p.add_argument("--seed", type=seed_value, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("train", help="train the probe or the graph classifier")
@@ -174,26 +181,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None, help="graph JSON (gat mode)")
     p.add_argument("--gat-config", default=None, help="gat dimensions JSON (gat mode)")
     p.add_argument("--granularity", default="fine", help="probe feature granularity")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="export node tokens from pooled features")
     p.add_argument("--graph", required=True)
     p.add_argument("--feats", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score predictions against references")
     p.add_argument("--pred", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--metrics", default="ce")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("run", help="run the full pipeline from a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=out_value, default=None)
     p.set_defaults(func=cmd_run)
 
     return parser

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .encoder import get_preset, synth_encode
+from .errors import ValidationError
 from .graph import AnatomyHierarchy, default_hierarchy
 from .pooling import pool_all
 from .volume import PathologySpec, PhantomSpec, RegionSpec, generate_phantom
@@ -20,6 +21,7 @@ DEMO_SHAPE = (32, 32, 16)
 _H_POSITIONS = (4.0, 10.0, 16.0, 22.0, 28.0)
 _W_POSITIONS = (4.0, 12.0, 20.0, 28.0)
 _D_POSITIONS = (4.0, 11.0)
+DEMO_MAX_LABEL = len(_H_POSITIONS) * len(_W_POSITIONS) * len(_D_POSITIONS)  # one grid slot per label
 _RADII_CYCLE = ((2.2, 2.6, 2.2), (2.6, 2.2, 2.4), (2.4, 2.4, 2.6))
 
 _PATHOLOGIES = (
@@ -44,6 +46,11 @@ def demo_phantom_spec(
 ) -> PhantomSpec:
     hierarchy = hierarchy or default_hierarchy()
     n_labels = hierarchy.max_label
+    if n_labels > DEMO_MAX_LABEL:
+        raise ValidationError(
+            f"the demo phantom layout holds at most {DEMO_MAX_LABEL} labels, but the hierarchy's "
+            f"largest label is {n_labels}: give the run a phantom_spec"
+        )
     regions = []
     for label in range(1, n_labels + 1):
         slot = label - 1

@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .container import check_keys, check_values, ensure_dir, load_tensor, read_json, save_tensor, write_json
-from .errors import ShapeError, ValidationError, malformed, number
+from .errors import ConfigError, ShapeError, ValidationError, malformed, number
 from .graph import LEVEL_COARSE, LEVEL_FINE, LEVEL_GLOBAL, TOPOLOGY_SINGLE, RegionGraph
 from .pooling import GLOBAL_GRID
-from .tensor import Tensor, add, concat, graph_attention, layer_norm, linear, mlp_forward, reshape, stack
+from .tensor import Tensor, add, concat, graph_attention, layer_norm, linear, reshape, stack
 
 
 @dataclass(frozen=True)
@@ -36,18 +36,13 @@ class GatConfig:
     d_h: int = 256
     n_heads: int = 4
     slope: float = 0.2
-    mlp_hidden: tuple[int, ...] = ()
     export_dim: int = 64
     ln_eps: float = 1e-6
 
     def __post_init__(self):
         size = (Integral, "an integer >= 1", lambda v: v >= 1)
-        check_values(self, "gat config", {
-            **dict.fromkeys(("c_total", "c_last", "d_h", "n_heads", "export_dim"), size),
-            "mlp_hidden": (tuple, "a list of integers >= 1", lambda v: all(
-                isinstance(n, Integral) and not isinstance(n, bool) and n >= 1 for n in v
-            )),
-        })
+        sizes = ("c_total", "c_last", "d_h", "n_heads", "export_dim")
+        check_values(self, "gat config", dict.fromkeys(sizes, size))
         if not 0.0 < number(self.slope, "slope") < 1.0:
             raise ValidationError(f"slope must lie in (0, 1), got {self.slope}")
         if not 0.0 < number(self.ln_eps, "ln_eps") < math.inf:
@@ -66,15 +61,27 @@ class GatConfig:
         return math.prod(GLOBAL_GRID) * self.c_last
 
     @classmethod
-    def from_json(cls, doc: dict) -> "GatConfig":
-        """Config from a JSON object such as a checkpoint's config.json."""
-        check_keys(doc, cls.__dataclass_fields__, "gat config")
+    def from_json(cls, doc: dict, **widths) -> "GatConfig":
+        """Config from a JSON object such as a checkpoint's config.json; widths
+        (c_total, c_last) come from the data and must not appear in doc.
+
+        Earlier releases wrote "mlp_hidden": [] (no hidden node layers) into every
+        config; that value is read, and any other rejected.
+        """
+        known = {*cls.__dataclass_fields__, "mlp_hidden"} - set(widths)
+        fields = dict(check_keys(doc, known, "gat config"))
+        if fields.pop("mlp_hidden", []) != []:
+            raise ConfigError(f"gat config 'mlp_hidden' must be [], got {doc['mlp_hidden']!r}")
         with malformed("gat config"):
-            return cls(**{**doc, "mlp_hidden": tuple(doc.get("mlp_hidden", ()))})
+            return cls(**fields, **widths)
 
 
 class GatModel:
-    """Node MLPs, per-head attention parameters, LayerNorms, output projection."""
+    """Node embeddings, per-head attention parameters, LayerNorms, output projection.
+
+    Each level's node embedding is one affine map, `{level}_mlp.0.w` and `.0.b`;
+    the names keep the checkpoint file layout.
+    """
 
     def __init__(self, config: GatConfig, params: dict[str, Tensor]):
         self.config = config
@@ -82,17 +89,11 @@ class GatModel:
 
     @classmethod
     def param_shapes(cls, config: GatConfig) -> dict[str, tuple[int, ...]]:
-        hidden = list(config.mlp_hidden)
         shapes: dict[str, tuple[int, ...]] = {}
-        for prefix, in_dim in (
-            ("fine_mlp", config.c_total),
-            ("coarse_mlp", config.c_total),
-            ("global_mlp", config.global_in),
-        ):
-            dims = [in_dim] + hidden + [config.d_h]
-            for i in range(len(dims) - 1):
-                shapes[f"{prefix}.{i}.w"] = (dims[i], dims[i + 1])
-                shapes[f"{prefix}.{i}.b"] = (dims[i + 1],)
+        fan_in = {"fine": config.c_total, "coarse": config.c_total, "global": config.global_in}
+        for level, k in fan_in.items():
+            shapes[f"{level}_mlp.0.w"] = (k, config.d_h)
+            shapes[f"{level}_mlp.0.b"] = (config.d_h,)
         for stage in ("stage1", "stage2"):
             for h in range(config.n_heads):
                 shapes[f"{stage}.head{h}.w"] = (config.d_h, config.d_head)
@@ -120,12 +121,6 @@ class GatModel:
 
     def parameters(self) -> list[Tensor]:
         return [self.params[name] for name in sorted(self.params)]
-
-    def mlp_layers(self, prefix: str) -> list[tuple[Tensor, Tensor]]:
-        return [
-            (self.params[f"{prefix}.{i}.w"], self.params[f"{prefix}.{i}.b"])
-            for i in range(len(self.config.mlp_hidden) + 1)
-        ]
 
     def heads(self, stage: str) -> list[tuple[Tensor, Tensor]]:
         return [
@@ -175,7 +170,7 @@ class GatForward:
 
 
 def embed_nodes(model: GatModel, fine_fused: Tensor, coarse_fused: Tensor | None, grid_flat: Tensor):
-    """MLP embeddings for every node; all rows come out with width d_h."""
+    """Affine embeddings for every node; all rows come out with width d_h."""
     cfg = model.config
     if fine_fused.shape[-1] != cfg.c_total:
         raise ShapeError(
@@ -185,12 +180,10 @@ def embed_nodes(model: GatModel, fine_fused: Tensor, coarse_fused: Tensor | None
         raise ShapeError(
             f"global grid flattens to {grid_flat.shape[-1]}, config expects {cfg.global_in}"
         )
-    h_f = mlp_forward(fine_fused, model.mlp_layers("fine_mlp"), cfg.slope)
-    h_c = None
-    if coarse_fused is not None:
-        h_c = mlp_forward(coarse_fused, model.mlp_layers("coarse_mlp"), cfg.slope)
-    h_g = mlp_forward(grid_flat, model.mlp_layers("global_mlp"), cfg.slope)
-    return h_f, h_c, h_g
+    p = model.params
+    h_f = linear(fine_fused, p["fine_mlp.0.w"], p["fine_mlp.0.b"])
+    h_c = None if coarse_fused is None else linear(coarse_fused, p["coarse_mlp.0.w"], p["coarse_mlp.0.b"])
+    return h_f, h_c, linear(grid_flat, p["global_mlp.0.w"], p["global_mlp.0.b"])
 
 
 def _attend(graph, level, h_members, h_centers, valid, model, stage):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .container import check_keys, check_values, load_records, load_tensor, open_input, open_output
 from .container import save_tensor, save_tensors
-from .errors import ConfigError, ShapeError, ValidationError, malformed, number
+from .errors import ConfigError, ShapeError, ValidationError, integer, malformed, number, string
 from .gat import GatConfig, GatForward, GatModel, propagate
 from .graph import RegionGraph
 from .metrics import MacroScores, macro_prf1
@@ -342,13 +342,14 @@ def save_token_export(path, export: TokenExport) -> None:
 
 
 def load_token_export(path) -> TokenExport:
+    """Tokens with one integer id per row and a string prompt; else a ValidationError naming path."""
     array, header = load_tensor(path)
     meta = header.get("meta") or {}
-    return TokenExport(
-        tokens=array,
-        token_ids=[int(i) for i in meta.get("token_ids", [])],
-        prompt=meta.get("prompt", DEFAULT_PROMPT),
-    )
+    with malformed(f"token file {path}"):
+        ids = [integer(i, f"{path}: token id") for i in meta.get("token_ids", [])]
+    if array.ndim != 2 or len(array) != len(ids):
+        raise ValidationError(f"{path}: {len(ids)} token ids for tokens of shape {array.shape}")
+    return TokenExport(array, ids, string(meta.get("prompt", DEFAULT_PROMPT), f"{path}: prompt"))
 
 
 # dataset manifests -----------------------------------------------------------

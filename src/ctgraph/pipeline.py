@@ -77,8 +77,7 @@ def stage(name: str, seconds: dict | None = None, **fields):
 
 def check_gat_doc(doc: dict) -> dict:
     """doc, valid GatConfig fields except the input widths, which come from the data."""
-    check_keys(doc, set(GatConfig.__dataclass_fields__) - {"c_total", "c_last"}, "gat config")
-    GatConfig.from_json({**doc, "c_total": 1, "c_last": 1})
+    GatConfig.from_json(doc, c_total=1, c_last=1)
     return doc
 
 
@@ -164,9 +163,7 @@ def train_gat_stage(pooled, targets, graph, gat_doc: dict, cfg: TrainConfig, out
     gat_doc holds GatConfig fields as JSON; input widths come from the data.
     """
     fine_set, _, grid = pooled[0]
-    gat_config = GatConfig.from_json(
-        {**gat_doc, "c_total": fine_set.fused.shape[1], "c_last": grid.channels}
-    )
+    gat_config = GatConfig.from_json(gat_doc, c_total=fine_set.fused.shape[1], c_last=grid.channels)
     clf, trace, info = train_gat_classifier(pooled, targets, graph, gat_config, cfg)
     write_json(clf.save(out) / "trace.json", {"trace": trace, "info": info})
     return clf, trace, info
@@ -270,7 +267,7 @@ class PipelineConfig:
 
 def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
     """Run every stage; returns the summary dict (also written as summary.json)."""
-    out = Path(out_dir or cfg.out_dir)
+    out = Path(cfg.out_dir if out_dir is None else out_dir)
     summary: dict = {"config": dataclasses.asdict(cfg), "stages": {}, "metrics": {}}
     seconds = summary["stages"]
     metrics = summary["metrics"]

@@ -113,7 +113,7 @@ class RegionFeatureSet:
         return len(self.region_ids)
 
 
-GLOBAL_GRID = (4, 4, 2)  # cells the final layer is pooled to; the GAT's global MLP reads them
+GLOBAL_GRID = (4, 4, 2)  # cells the final layer is pooled to; the GAT's global embedding reads them
 
 
 @dataclass

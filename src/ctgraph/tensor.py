@@ -53,15 +53,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def backward(self, grad=None) -> None:
-        """Accumulate gradients into every reachable leaf that requires them."""
-        if grad is None:
-            if self.data.size != 1:
-                raise ShapeError(
-                    "backward() without an explicit gradient needs a scalar output"
-                )
-            grad = np.ones_like(self.data)
-        pending = {id(self): np.asarray(grad, dtype=self.data.dtype)}
+    def backward(self) -> None:
+        """Accumulate this scalar's gradients into every reachable leaf that requires them."""
+        if self.data.size != 1:
+            raise ShapeError(f"backward() needs a scalar output, got shape {self.data.shape}")
+        pending = {id(self): np.ones_like(self.data)}
         for node in reversed(_topo_order(self)):
             g = pending.pop(id(node), None)
             if g is None:
@@ -170,19 +166,6 @@ def stack(tensors: Iterable[Tensor]) -> Tensor:
 # activations ---------------------------------------------------------------
 
 
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky_relu slope must lie in (0, 1), got {slope}")
-    a = as_tensor(a)
-    positive = a.data > 0
-    out = np.where(positive, a.data, slope * a.data)
-
-    def backward(g):
-        return (g * np.where(positive, 1.0, slope),)
-
-    return from_op(out, (a,), backward)
-
-
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -211,16 +194,6 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
         return gx, g_gamma, g_beta
 
     return from_op(normed * gamma.data + beta.data, (x, gamma, beta), backward)
-
-
-def mlp_forward(x, layers: Sequence[tuple[Tensor, Tensor]], slope: float = 0.2) -> Tensor:
-    """Affine -> LeakyReLU per hidden layer, final layer affine only."""
-    h = as_tensor(x)
-    for i, (w, b) in enumerate(layers):
-        h = linear(h, w, b)
-        if i < len(layers) - 1:
-            h = leaky_relu(h, slope)
-    return h
 
 
 def linear(x, w, b=None) -> Tensor:

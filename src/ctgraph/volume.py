@@ -319,9 +319,10 @@ def load_mask(path) -> LabelMask3D:
     if array.ndim != 3:
         raise FormatError(f"{path}: mask container must be 3-d, got shape {array.shape}")
     meta = header.get("meta") or {}
-    num_labels = meta.get("num_labels", int(array.max()) if array.size else 1)
+    # without a header value: the largest label present, at least 1
+    num_labels = meta["num_labels"] if "num_labels" in meta else int(array.max(initial=1))
     if isinstance(num_labels, bool) or not isinstance(num_labels, Integral):
         raise FormatError(f"{path}: mask num_labels must be an integer, got {num_labels!r}")
-    if num_labels > MAX_LABEL:
-        raise FormatError(f"{path}: mask num_labels must be at most {MAX_LABEL}, got {num_labels}")
-    return LabelMask3D(array, max(num_labels, 1))
+    if not 1 <= num_labels <= MAX_LABEL:
+        raise FormatError(f"{path}: mask num_labels must lie in [1, {MAX_LABEL}], got {num_labels}")
+    return LabelMask3D(array, num_labels)

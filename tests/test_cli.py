@@ -381,6 +381,18 @@ class TestExitCodes:
         assert code == 2
         assert "heads" in capsys.readouterr().err
 
+    def test_train_with_a_non_empty_mlp_hidden_exits_2_naming_the_key(self, workspace, capsys):
+        ws = workspace
+        write_manifest(ws / "data.jsonl", [{"feature_file": "f.bin", "labels": [0, 1]}])
+        (ws / "gat.json").write_text(json.dumps({"d_h": 8, "mlp_hidden": [16]}))
+        code = run_cli(
+            "train", "--mode", "gat", "--manifest", ws / "data.jsonl", "--graph", ws / "g.json",
+            "--gat-config", ws / "gat.json", "--out", ws / "ckpt",
+        )
+        assert code == 2
+        assert "gat config 'mlp_hidden'" in capsys.readouterr().err
+        assert not (ws / "ckpt").exists()
+
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_malformed_json_config_exits_2_naming_path(self, workspace, capsys, command):
         ws = workspace
@@ -1012,6 +1024,42 @@ class TestExitCodes:
         assert "fine features have width 2, config expects 7" in capsys.readouterr().err
         assert not (ws / "tokens.bin").exists()
 
+    def test_run_of_a_hierarchy_beyond_the_demo_layout_exits_2_before_writing(self, workspace, capsys):
+        ws = workspace
+        hierarchy = AnatomyHierarchy(
+            fine=(FineNode(1, "a", 41, 10),), coarse=(CoarseNode(10, "sys"),), global_id=20
+        )
+        save_hierarchy(ws / "big.json", hierarchy)
+        config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2,
+                  "hierarchy": str(ws / "big.json")}
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        err = capsys.readouterr().err
+        assert "at most 40 labels" in err and "phantom_spec" in err
+        assert not (ws / "out").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "encode", "pool", "graph", "train", "infer", "eval", "run"])
+    def test_empty_out_exits_2_at_parse_time_naming_the_flag(self, workspace, capsys, monkeypatch, command):
+        ws = workspace
+        (ws / "run.json").write_text(json.dumps({"out_dir": str(ws / "config_out"), "num_samples": 2}))
+        (ws / "cwd").mkdir()
+        monkeypatch.chdir(ws / "cwd")
+        argv = {
+            "synth": ["--spec", ws / "phantom.json", "--count", 1],
+            "encode": ["--preset", "tiny", "--presets", ws / "presets.json", "--in", ws / "v.bin"],
+            "pool": ["--pyramid", ws / "p", "--mask", ws / "m.bin"],
+            "graph": ["--hierarchy", ws / "anatomy.json"],
+            "train": ["--mode", "probe", "--manifest", ws / "data.jsonl"],
+            "infer": ["--graph", ws / "g.json", "--feats", ws / "f.bin", "--model", ws / "ckpt"],
+            "eval": ["--pred", ws / "p.jsonl", "--ref", ws / "r.jsonl"],
+            "run": ["--config", ws / "run.json"],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, *argv, "--out", "")
+        assert exit_info.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert not any((ws / "cwd").iterdir()) and not (ws / "config_out").exists()
+
 
 class TestRunPipeline:
     def _config(self, ws, n=4):
@@ -1082,3 +1130,35 @@ class TestRunPipeline:
         assert run_cli("run", "--config", ws / "run.json") == 0
         second = json.loads((ws / "run_out" / "summary.json").read_text())["metrics"]
         assert first == second
+
+    @staticmethod
+    def _stage_events(err: str) -> list[dict]:
+        events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        return [e for e in events if e["stage"] != "run"]
+
+    def test_run_logs_start_then_done_with_seconds_for_each_stage_in_order(self, workspace, capsys):
+        ws = workspace
+        (ws / "run.json").write_text(json.dumps(self._config(ws)))
+        capsys.readouterr()
+        assert run_cli("run", "--config", ws / "run.json") == 0
+        events = self._stage_events(capsys.readouterr().err)
+        stages = ["synth", "encode", "pool", "graph", "train", "infer", "eval"]
+        assert [(e["stage"], e["event"]) for e in events] == [
+            (name, event) for name in stages for event in ("start", "done")
+        ]
+        for e in events[1::2]:
+            assert type(e["seconds"]) in (int, float) and e["seconds"] >= 0
+
+    def test_run_failing_in_a_stage_logs_failed_for_that_stage(self, workspace, capsys):
+        ws = workspace
+        (ws / "run.json").write_text(json.dumps(self._config(ws)))
+        (ws / "run_out").mkdir()
+        (ws / "run_out" / "pool").write_text("a file where the pool directory goes")
+        capsys.readouterr()
+        assert run_cli("run", "--config", ws / "run.json") == 1
+        events = self._stage_events(capsys.readouterr().err)
+        assert [(e["stage"], e["event"]) for e in events] == [
+            ("synth", "start"), ("synth", "done"), ("encode", "start"), ("encode", "done"),
+            ("pool", "start"), ("pool", "failed"),
+        ]
+        assert "pool" in events[-1]["cause"]

@@ -25,6 +25,7 @@ from ctgraph.graph import (
     default_hierarchy,
 )
 from ctgraph.heads import init_gat_classifier
+from ctgraph.pipeline import PipelineConfig, check_gat_doc
 from ctgraph.pooling import GlobalFeatureGrid, RegionFeatureSet
 from ctgraph.tensor import Tensor, bce_with_logits, concat
 from test_container import traced_peak
@@ -631,6 +632,13 @@ class TestCheckpoint:
         assert out.tokens.shape == (7, 4) and np.all(np.isfinite(out.tokens.data))
 
 
+    def test_checkpoint_with_a_non_empty_mlp_hidden_fails_naming_the_key(self, tmp_path):
+        ckpt = GatModel.init(tiny_config(), seed=0).save(tmp_path / "ckpt")
+        doc = json.loads((ckpt / "config.json").read_text())
+        (ckpt / "config.json").write_text(json.dumps({**doc, "mlp_hidden": [6]}))
+        with pytest.raises(ConfigError, match="gat config 'mlp_hidden'"):
+            GatModel.load(ckpt)
+
     def test_save_load_round_trip(self, tmp_path):
         cfg = tiny_config()
         model = GatModel.init(cfg, seed=17)
@@ -647,7 +655,7 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match=r"stage1\.head0\.a\.bin"):
             GatModel.load(tmp_path / "ckpt")
 
-    @pytest.mark.parametrize("cfg", [tiny_config(mlp_hidden=(6,)), PAPER_WIDTH], ids=["tiny", "paper"])
+    @pytest.mark.parametrize("cfg", [tiny_config(), PAPER_WIDTH], ids=["tiny", "paper"])
     def test_init_equals_the_glorot_formula(self, cfg):
         model = GatModel.init(cfg, seed=21)
         rng = np.random.default_rng(21)  # draws in param_shapes order, matrices only
@@ -692,13 +700,29 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "field, value",
         [("n_heads", True), ("export_dim", True), ("d_h", 0), ("c_total", 0), ("c_last", -1),
-         ("d_h", 8.0), ("mlp_hidden", (True,)), ("mlp_hidden", (8, 0)), ("mlp_hidden", (2.5,))],
-        ids=["bool-heads", "bool-export", "zero-d_h", "zero-c_total", "negative-c_last",
-             "float-d_h", "bool-hidden", "zero-hidden", "float-hidden"],
+         ("d_h", 8.0)],
+        ids=["bool-heads", "bool-export", "zero-d_h", "zero-c_total", "negative-c_last", "float-d_h"],
     )
     def test_config_sizes_are_integers_of_at_least_one_naming_the_key(self, field, value):
         with pytest.raises(ConfigError, match=f"gat config '{field}'"):
             tiny_config(**{field: value})
+
+    def test_config_reads_the_legacy_empty_mlp_hidden(self):
+        doc = {**dataclasses.asdict(tiny_config()), "mlp_hidden": []}
+        assert GatConfig.from_json(doc) == tiny_config()
+        assert check_gat_doc({"d_h": 8, "mlp_hidden": []}) == {"d_h": 8, "mlp_hidden": []}
+        assert PipelineConfig.from_json({"gat": {"mlp_hidden": []}}).gat == {"mlp_hidden": []}
+
+    @pytest.mark.parametrize(
+        "hidden", [[6], [True], [8, 0], [2.5], None, {}],
+        ids=["hidden", "bool-hidden", "zero-hidden", "float-hidden", "null", "object"],
+    )
+    def test_config_rejects_a_non_empty_mlp_hidden_naming_the_key(self, hidden):
+        doc = {**dataclasses.asdict(tiny_config()), "mlp_hidden": hidden}
+        with pytest.raises(ConfigError, match="gat config 'mlp_hidden'"):
+            GatConfig.from_json(doc)
+        with pytest.raises(ConfigError, match="gat config 'mlp_hidden'"):
+            PipelineConfig.from_json({"gat": {"mlp_hidden": hidden}})
 
     def test_d_h_must_divide_heads(self):
         with pytest.raises(Exception):

@@ -2,13 +2,14 @@
 
 import contextlib
 import math
+import re
 
 import numpy as np
 import pytest
 
 import ctgraph.heads as heads_module
 import ctgraph.tensor as tensor_module
-from ctgraph.container import save_tensors
+from ctgraph.container import save_tensor, save_tensors
 from ctgraph.errors import ConfigError, ValidationError
 from ctgraph.gat import GatConfig, GatModel, forward
 from ctgraph.gradcheck import check_gradients
@@ -407,6 +408,21 @@ class TestTokenExport:
         assert np.array_equal(back.tokens, export.tokens)
         assert back.token_ids == export.token_ids
         assert back.prompt == export.prompt
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [({"token_ids": [1.7, 2, 3]}, "token id must be an integer, got 1.7"),
+         ({"token_ids": [1, True, 3]}, "token id must be an integer, got True"),
+         ({"token_ids": [1, 2, "3"]}, "token id must be an integer, got '3'"),
+         ({"token_ids": [1, 2, 3], "prompt": 5}, "prompt must be a string, got 5"),
+         ({"token_ids": [1, 2]}, "2 token ids for tokens of shape (3, 4)"),
+         ({}, "0 token ids for tokens of shape (3, 4)")],
+        ids=["fraction", "bool", "string", "prompt", "fewer-ids", "no-ids"],
+    )
+    def test_bad_meta_fails_naming_the_file(self, tmp_path, meta, message):
+        save_tensor(tmp_path / "tokens.bin", np.zeros((3, 4)), name="tokens", meta=meta)
+        with pytest.raises(ValidationError, match=f"tokens.bin.*{re.escape(message)}"):
+            load_token_export(tmp_path / "tokens.bin")
 
 
 class TestManifest:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctgraph.errors import ShapeError
-from ctgraph.gradcheck import check_gradients, max_relative_error, numerical_gradient
+from ctgraph.gradcheck import check_gradients, max_relative_error
 from ctgraph.tensor import (
     SOFTMAX_SUM_ATOL,
     AdamW,
@@ -20,9 +20,7 @@ from ctgraph.tensor import (
     concat,
     graph_attention,
     layer_norm,
-    leaky_relu,
     linear,
-    mlp_forward,
     no_grad,
     reshape,
     stack,
@@ -123,25 +121,6 @@ class TestLinear:
             linear(Tensor(np.ones(x)), Tensor(np.ones(w)), b if b is None else Tensor(np.ones(b)))
 
 
-class TestLeakyRelu:
-    def test_zero_is_fixed_point(self):
-        assert leaky_relu(Tensor([0.0]), 0.2).data[0] == 0.0
-
-    def test_negative_definition(self):
-        assert leaky_relu(Tensor([-2.0]), 0.2).data[0] == pytest.approx(-0.4)
-
-    def test_gradient_at_negative_one_equals_slope(self):
-        x = Tensor([-1.0], requires_grad=True)
-        weighted_sum(leaky_relu(x, 0.2), [1.0]).backward()
-        numeric = numerical_gradient(lambda: weighted_sum(leaky_relu(x, 0.2), [1.0]), x, h=1e-6)
-        assert x.grad[0] == pytest.approx(0.2)
-        assert numeric[0] == pytest.approx(0.2, rel=1e-6)
-
-    def test_slope_must_be_in_unit_interval(self):
-        with pytest.raises(ValueError):
-            leaky_relu(Tensor([1.0]), 1.5)
-
-
 class TestLayerNorm:
     def _ones_zeros(self, d):
         return Tensor(np.ones(d)), Tensor(np.zeros(d))
@@ -186,53 +165,6 @@ class TestLayerNorm:
             lambda: weighted_sum(layer_norm(x, gamma, beta), weights), [x, gamma, beta]
         )
         assert err < 1e-4
-
-
-class TestMlpForward:
-    def test_zero_weights_emit_bias(self):
-        layers = [(Tensor(np.zeros((3, 2))), Tensor([1.5, -2.0]))]
-        out = mlp_forward(Tensor([[7.0, 8.0, 9.0]]), layers)
-        assert np.allclose(out.data, [[1.5, -2.0]])
-
-    def test_identity_single_layer(self):
-        layers = [(Tensor(np.eye(4)), Tensor(np.zeros(4)))]
-        x = np.random.default_rng(0).standard_normal((2, 4))
-        out = mlp_forward(Tensor(x), layers)
-        assert np.array_equal(out.data, x)
-
-    def test_two_layer_matches_composition_oracle(self):
-        rng = np.random.default_rng(21)
-        w1, b1 = rng.standard_normal((4, 8)), rng.standard_normal(8)
-        w2, b2 = rng.standard_normal((8, 3)), rng.standard_normal(3)
-        x = rng.standard_normal((5, 4))
-        layers = [(Tensor(w1), Tensor(b1)), (Tensor(w2), Tensor(b2))]
-        out = mlp_forward(Tensor(x), layers, slope=0.2).data
-
-        hidden = x @ w1 + b1
-        hidden = np.where(hidden > 0, hidden, 0.2 * hidden)
-        expected = hidden @ w2 + b2
-        assert np.array_equal(out, expected)
-
-    def test_dimension_chain_break(self):
-        layers = [
-            (Tensor(np.zeros((4, 8))), Tensor(np.zeros(8))),
-            (Tensor(np.zeros((7, 3))), Tensor(np.zeros(3))),
-        ]
-        with pytest.raises(ShapeError, match=r"linear: input \(1, 8\), weight \(7, 3\)"):
-            mlp_forward(Tensor(np.zeros((1, 4))), layers)
-
-    def test_gradients(self):
-        rng = np.random.default_rng(2)
-        layers = [
-            (Tensor(rng.standard_normal((4, 6)), requires_grad=True),
-             Tensor(rng.standard_normal(6), requires_grad=True)),
-            (Tensor(rng.standard_normal((6, 2)), requires_grad=True),
-             Tensor(rng.standard_normal(2), requires_grad=True)),
-        ]
-        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        params = [x] + [t for pair in layers for t in pair]
-        weights = rng.standard_normal((3, 2))
-        assert check_gradients(lambda: weighted_sum(mlp_forward(x, layers), weights), params) < 1e-4
 
 
 class TestAdamW:

@@ -425,6 +425,20 @@ class TestVolumeIO:
         with pytest.raises(FormatError, match="m.bin.*num_labels"):
             load_mask(tmp_path / "m.bin")
 
+    @pytest.mark.parametrize("num_labels", [0, -3])
+    def test_mask_header_num_labels_below_one_fails_naming_the_file(self, tmp_path, num_labels):
+        save_tensor(tmp_path / "m.bin", np.zeros((2, 2, 2), dtype=np.int32), name="mask",
+                    meta={"num_labels": num_labels})
+        with pytest.raises(FormatError, match="m.bin.*num_labels"):
+            load_mask(tmp_path / "m.bin")
+
+    @pytest.mark.parametrize("largest, expected", [(0, 1), (5, 5)])
+    def test_mask_without_a_header_infers_its_largest_label_at_least_one(self, tmp_path, largest, expected):
+        labels = np.zeros((2, 2, 2), dtype=np.int32)
+        labels[1, 1, 1] = largest
+        save_tensor(tmp_path / "m.bin", labels, name="mask")
+        assert load_mask(tmp_path / "m.bin").num_labels == expected
+
     def test_mask_header_num_labels_beyond_the_uint16_range_fails_naming_the_file(self, tmp_path):
         # 2**40 labels would size pooling's label lookup table at 8 TiB
         save_tensor(tmp_path / "m.bin", np.ones((2, 2, 2), dtype=np.int32), name="mask",
