@@ -1,7 +1,8 @@
 """Command-line entry point wiring the pipeline stages.
 
 Subcommands: synth, encode, pool, graph, train, infer, eval, run.
-Exit codes: 0 ok, 1 runtime failure, 2 config/validation error or input of the wrong shape.
+Exit codes: 0 ok, 1 runtime failure, 2 config/validation error, input of the wrong shape
+or an --out that cannot be written.
 BLAS worker threads are fixed when numpy loads, so cap them with
 OMP_NUM_THREADS / OPENBLAS_NUM_THREADS in the environment before launch.
 The synthetic encoder runs one thread per CPU in the affinity mask.
@@ -211,7 +212,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ConfigError, ValidationError, FormatError, ShapeError, FileNotFoundError) as exc:
+    except (ConfigError, ValidationError, FormatError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CtGraphError as exc:

@@ -163,17 +163,30 @@ def read_json(path, what: str, parse=None):
 
 
 @contextlib.contextmanager
+def _unwritable(path):
+    """Raise an OSError of the block as a ConfigError naming the output path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"output {path} cannot be written: {exc.strerror or exc}") from exc
+
+
+@contextlib.contextmanager
 def open_output(path, mode: str = "w"):
     """A temporary file beside path (text as UTF-8), moved over path by os.replace when
     the body returns and removed when it raises, so path is never half written.
+    Failing to open or replace raises a ConfigError naming path.
     No fsync: this guards against a crash of the process, not a power loss, as
     a demo run writes 91 files.
     """
     tmp = Path(f"{path}.{os.getpid()}.tmp")
+    with _unwritable(path):
+        fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        with _unwritable(path):
+            os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -210,6 +223,8 @@ def check_values(config, what: str, rules: dict) -> None:
 
 
 def ensure_dir(path) -> Path:
+    """path, made with its parents if missing; failing that, a ConfigError naming it."""
     p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
+    with _unwritable(p):
+        p.mkdir(parents=True, exist_ok=True)
     return p

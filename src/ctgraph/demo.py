@@ -40,10 +40,10 @@ _PATHOLOGIES = (
 
 def demo_phantom_spec(
     hierarchy: AnatomyHierarchy | None = None,
-    seed: int = 0,
     noise_sigma: float = 0.05,
     intensity_jitter: float = 0.25,
 ) -> PhantomSpec:
+    """The demo layout for hierarchy's labels, of seed 0; `with_seed` gives the others."""
     hierarchy = hierarchy or default_hierarchy()
     n_labels = hierarchy.max_label
     if n_labels > DEMO_MAX_LABEL:
@@ -73,7 +73,6 @@ def demo_phantom_spec(
         shape=DEMO_SHAPE,
         regions=tuple(regions),
         pathologies=pathologies,
-        seed=seed,
         noise_sigma=noise_sigma,
         intensity_jitter=intensity_jitter,
     )

@@ -16,17 +16,22 @@ its self-loop, weights the projected members. Head outputs are concatenated.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .container import check_keys, check_values, ensure_dir, load_tensor, read_json, save_tensor, write_json
-from .errors import ConfigError, ShapeError, ValidationError, malformed, number
+from .errors import ConfigError, ShapeError, ValidationError, malformed
 from .graph import LEVEL_COARSE, LEVEL_FINE, LEVEL_GLOBAL, TOPOLOGY_SINGLE, RegionGraph
 from .pooling import GLOBAL_GRID
-from .tensor import Tensor, add, concat, graph_attention, layer_norm, linear, reshape, stack
+from .tensor import LEAKY_SLOPE, LN_EPS, Tensor, add, concat, graph_attention, layer_norm, linear
+from .tensor import reshape, stack
+
+# Keys that earlier releases wrote into every GAT config, each with the one value they took.
+RETIRED_KEYS = {"mlp_hidden": [], "slope": 0.2, "ln_eps": 1e-6}
 
 
 @dataclass(frozen=True)
@@ -35,18 +40,13 @@ class GatConfig:
     c_last: int
     d_h: int = 256
     n_heads: int = 4
-    slope: float = 0.2
     export_dim: int = 64
-    ln_eps: float = 1e-6
+    slope: ClassVar[float] = LEAKY_SLOPE
+    ln_eps: ClassVar[float] = LN_EPS
 
     def __post_init__(self):
         size = (Integral, "an integer >= 1", lambda v: v >= 1)
-        sizes = ("c_total", "c_last", "d_h", "n_heads", "export_dim")
-        check_values(self, "gat config", dict.fromkeys(sizes, size))
-        if not 0.0 < number(self.slope, "slope") < 1.0:
-            raise ValidationError(f"slope must lie in (0, 1), got {self.slope}")
-        if not 0.0 < number(self.ln_eps, "ln_eps") < math.inf:
-            raise ValidationError(f"ln_eps must be positive and finite, got {self.ln_eps}")
+        check_values(self, "gat config", {f.name: size for f in fields(self)})
         if self.d_h % self.n_heads:
             raise ValidationError(
                 f"d_h ({self.d_h}) must be divisible by n_heads ({self.n_heads})"
@@ -65,15 +65,15 @@ class GatConfig:
         """Config from a JSON object such as a checkpoint's config.json; widths
         (c_total, c_last) come from the data and must not appear in doc.
 
-        Earlier releases wrote "mlp_hidden": [] (no hidden node layers) into every
-        config; that value is read, and any other rejected.
+        A key of RETIRED_KEYS is read with its one value, and any other rejected.
         """
-        known = {*cls.__dataclass_fields__, "mlp_hidden"} - set(widths)
-        fields = dict(check_keys(doc, known, "gat config"))
-        if fields.pop("mlp_hidden", []) != []:
-            raise ConfigError(f"gat config 'mlp_hidden' must be [], got {doc['mlp_hidden']!r}")
+        known = {*(f.name for f in fields(cls)), *RETIRED_KEYS} - set(widths)
+        sizes = dict(check_keys(doc, known, "gat config"))
+        for key, value in RETIRED_KEYS.items():
+            if sizes.pop(key, value) != value:
+                raise ConfigError(f"gat config '{key}' must be {value!r}, got {doc[key]!r}")
         with malformed("gat config"):
-            return cls(**fields, **widths)
+            return cls(**sizes, **widths)
 
 
 class GatModel:
@@ -197,13 +197,12 @@ def _attend(graph, level, h_members, h_centers, valid, model, stage):
     B = 1, the table {center: {"members": ids, "alpha": (n_heads, group)}},
     self-loop last.
     """
-    cfg = model.config
     center_ids, member_ids, group = graph.group(level)
     b, n_centers = h_centers.shape[0], len(center_ids)
     valid = np.concatenate([np.reshape(valid, (b, len(member_ids))), np.ones((b, n_centers), bool)], 1)
     gamma, beta = model.params[f"{stage}.ln.gamma"], model.params[f"{stage}.ln.beta"]
-    rows = layer_norm(concat([h_members, h_centers], axis=1), gamma, beta, cfg.ln_eps)
-    updated, alpha = graph_attention(rows, model.heads(stage), group, valid, cfg.slope, n_centers)
+    rows = layer_norm(concat([h_members, h_centers], axis=1), gamma, beta)
+    updated, alpha = graph_attention(rows, model.heads(stage), group, valid, n_centers)
     alphas, node_ids = {}, member_ids + center_ids
     for i, center in enumerate(center_ids if b == 1 else ()):  # tables for one sample only
         edges = np.flatnonzero((group == i) & valid[0])  # members in order, self-loop last

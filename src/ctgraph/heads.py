@@ -326,10 +326,8 @@ class TokenExport:
     prompt: str = DEFAULT_PROMPT
 
 
-def export_tokens(fwd: GatForward, prompt: str = DEFAULT_PROMPT) -> TokenExport:
-    return TokenExport(
-        tokens=fwd.tokens.data.copy(), token_ids=list(fwd.token_ids), prompt=prompt
-    )
+def export_tokens(fwd: GatForward) -> TokenExport:
+    return TokenExport(fwd.tokens.data.copy(), list(fwd.token_ids))
 
 
 def save_token_export(path, export: TokenExport) -> None:

@@ -4,7 +4,7 @@ macro_prf1 treats every class equally and uses the 0-convention when a
 denominator vanishes. BLEU is corpus-level modified n-gram precision with
 the standard brevity penalty and no smoothing: a zero higher-order count
 zeroes the score (with a warning). ROUGE-L combines LCS precision and
-recall with beta = 1.2 unless configured otherwise.
+recall with beta = 1.2.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import numpy as np
 from .errors import ShapeError
 
 _PUNCT = re.compile(r"([^\w\s])")
+BLEU_MAX_N = 4  # bleu_n scores BLEU-1..BLEU-4
+ROUGE_BETA = 1.2  # rouge_l's recall weight
 
 
 def tokenize(text: str) -> list[str]:
@@ -79,8 +81,8 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu_n(candidates: list[list[str]], references: list[list[str]], n_max: int = 4) -> list[float]:
-    """Corpus BLEU-1..BLEU-k with uniform weights over orders 1..k.
+def bleu_n(candidates: list[list[str]], references: list[list[str]]) -> list[float]:
+    """Corpus BLEU-1..BLEU-4, each with uniform weights over its orders 1..k.
 
     Candidates and references are aligned token sequences, one reference per
     candidate. Empty candidates contribute zero counts rather than failing.
@@ -90,14 +92,14 @@ def bleu_n(candidates: list[list[str]], references: list[list[str]], n_max: int 
             f"need equally many candidates and references, got "
             f"{len(candidates)} and {len(references)}"
         )
-    clipped = np.zeros(n_max, dtype=np.int64)
-    totals = np.zeros(n_max, dtype=np.int64)
+    clipped = np.zeros(BLEU_MAX_N, dtype=np.int64)
+    totals = np.zeros(BLEU_MAX_N, dtype=np.int64)
     cand_len = 0
     ref_len = 0
     for cand, ref in zip(candidates, references):
         cand_len += len(cand)
         ref_len += len(ref)
-        for n in range(1, n_max + 1):
+        for n in range(1, BLEU_MAX_N + 1):
             cand_counts = _ngrams(cand, n)
             ref_counts = _ngrams(ref, n)
             totals[n - 1] += sum(cand_counts.values())
@@ -105,13 +107,13 @@ def bleu_n(candidates: list[list[str]], references: list[list[str]], n_max: int 
                 min(count, ref_counts[gram]) for gram, count in cand_counts.items()
             )
     precisions = [
-        clipped[i] / totals[i] if totals[i] > 0 else 0.0 for i in range(n_max)
+        clipped[i] / totals[i] if totals[i] > 0 else 0.0 for i in range(BLEU_MAX_N)
     ]
     brevity = 1.0 if cand_len > ref_len else (
         math.exp(1.0 - ref_len / cand_len) if cand_len > 0 else 0.0
     )
     scores = []
-    for k in range(1, n_max + 1):
+    for k in range(1, BLEU_MAX_N + 1):
         if any(precisions[i] == 0.0 for i in range(k)):
             if totals[k - 1] > 0:
                 warnings.warn(
@@ -137,14 +139,14 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-def rouge_l(candidates: list[list[str]], references: list[list[str]], beta: float = 1.2) -> float:
+def rouge_l(candidates: list[list[str]], references: list[list[str]]) -> float:
     """Mean per-sample LCS F-measure; a pair of empty sequences scores 0."""
     if not candidates or len(candidates) != len(references):
         raise ShapeError(
             f"need equally many candidates and references, got "
             f"{len(candidates)} and {len(references)}"
         )
-    beta_sq = beta * beta
+    beta_sq = ROUGE_BETA * ROUGE_BETA
     scores = []
     for cand, ref in zip(candidates, references):
         lcs = _lcs_length(cand, ref)

@@ -2,9 +2,9 @@
 
 Each stage is one function here, called both by `run_pipeline` and by the
 matching `ct-graph` subcommand. `stage()` times a stage and logs its `start`
-and `done` events as JSON lines. A run failure aborts with the stage name
-and cause, leaving a STALE marker listing the stages whose outputs may be
-partial. Reruns with the same config and seed reproduce the same summary
+and its `done` or `failed` event as JSON lines. A run failure aborts with
+the stage name and cause, leaving a STALE marker listing the stages whose
+outputs may be partial. Reruns with the same config and seed reproduce the same summary
 metrics.
 """
 
@@ -58,7 +58,8 @@ def log_event(stage: str, event: str, **extra) -> None:
 
 @contextlib.contextmanager
 def stage(name: str, seconds: dict | None = None, **fields):
-    """Log `start` with fields, run the body, then log `done` with its seconds.
+    """Log `start` with fields, run the body, then log `done` with its seconds,
+    or `failed` with the cause when the body raises.
 
     The body may add `done` fields to the yielded dict. A `seconds` dict gets
     the stage's name when it starts and its rounded duration when it ends.
@@ -68,7 +69,11 @@ def stage(name: str, seconds: dict | None = None, **fields):
     if seconds is not None:
         seconds[name] = None
     t0 = time.perf_counter()
-    yield done
+    try:
+        yield done
+    except Exception as exc:
+        log_event(name, "failed", cause=str(exc))
+        raise
     elapsed = round(time.perf_counter() - t0, 3)
     if seconds is not None:
         seconds[name] = elapsed
@@ -210,7 +215,7 @@ def eval_stage(preds: list[dict], refs: list[dict], metrics, path) -> dict:
         golds = [tokenize(r.get("text", "")) for r in refs]
         bleu = bleu_n(cands, golds)
         report["nlg"] = {
-            **{f"bleu_{k}": b for k, b in zip(range(1, 5), bleu)},
+            **{f"bleu_{k}": b for k, b in enumerate(bleu, 1)},
             "rouge_l": rouge_l(cands, golds),
         }
     write_json(path, report)
@@ -302,10 +307,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
             clf, gat_trace, gat_info = train_gat_stage(
                 pooled, targets, graph, cfg.gat, gat_cfg, out / "ckpt"
             )
-        metrics["probe_f1"] = probe_trace[-1]["f1"] if probe_trace else None
-        metrics["gat_f1"] = gat_trace[-1]["f1"] if gat_trace else None
-        metrics["probe_info"] = probe_info
-        metrics["gat_info"] = gat_info
+            metrics["probe_f1"] = probe_trace[-1]["f1"] if probe_trace else None
+            metrics["gat_f1"] = gat_trace[-1]["f1"] if gat_trace else None
+            metrics["probe_info"] = probe_info
+            metrics["gat_info"] = gat_info
         with stage("infer", seconds):
             infer_stage(graph, pooled[0], clf.gat, out / "tokens.bin")
         with stage("eval", seconds):  # the classifier's held-out samples
@@ -316,15 +321,16 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
                 ["ce"],
                 out / "report.json",
             )
-        metrics["eval_ce_f1"] = report["ce"]["f1"]
+            metrics["eval_ce_f1"] = report["ce"]["f1"]
     except Exception as exc:
-        started = list(seconds)
+        started = list(seconds)  # a failed stage has logged its own `failed` event
         failed = started[-1] if started else "setup"
-        if started:  # a failed setup has written nothing
+        if started:
             write_json(
                 stale_path, {"failed_stage": failed, "cause": str(exc), "stages_started": started}
             )
-        log_event(failed, "failed", cause=str(exc))
+        else:  # a failed setup has written nothing
+            log_event(failed, "failed", cause=str(exc))
         if isinstance(exc, CtGraphError):
             raise
         raise CtGraphError(f"stage '{failed}' failed: {exc}") from exc

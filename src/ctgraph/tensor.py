@@ -24,6 +24,11 @@ SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # Accepted deviation of graph_attention's softmax group sums from 1.
 SOFTMAX_SUM_ATOL = {"float64": 1e-9, "float32": 1e-5}
 
+LEAKY_SLOPE = 0.2  # graph_attention's LeakyReLU slope below 0, the GAT rule
+LN_EPS = 1e-6  # layer_norm's variance floor
+ADAM_BETAS = (0.9, 0.999)  # AdamW's moment decay rates
+ADAM_EPS = 1e-8  # AdamW's denominator floor
+
 
 class Tensor:
     """N-dimensional real array with optional gradient tracking."""
@@ -175,12 +180,12 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine by (d,) gamma and beta."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     n = x.data.shape[-1]
     centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
-    inv = (np.add.reduce(centered * centered, axis=-1, keepdims=True) / n + eps) ** -0.5
+    inv = (np.add.reduce(centered * centered, axis=-1, keepdims=True) / n + LN_EPS) ** -0.5
     normed = centered * inv
 
     def backward(g):
@@ -226,7 +231,7 @@ def linear(x, w, b=None) -> Tensor:
     return from_op(out.reshape(x.data.shape[:-1] + (m,)), parents, backward)
 
 
-def graph_attention(rows, heads: Sequence[tuple[Tensor, Tensor]], group, valid, slope: float, n_centers: int):
+def graph_attention(rows, heads: Sequence[tuple[Tensor, Tensor]], group, valid, n_centers: int):
     """Multi-head GAT attention of each center over its group's rows, as one tape node.
 
     rows (B, N, d_h) hold the members, then the centers; heads lists each
@@ -234,9 +239,10 @@ def graph_attention(rows, heads: Sequence[tuple[Tensor, Tensor]], group, valid, 
     a = [a_src; a_dst]. group (N,) gives each row's center; center i's own row,
     N - n_centers + i, is its self-loop. valid (B, N) flags the rows present,
     the self-loops always. Head h weights row j of center i by a softmax over
-    the group's valid rows of LeakyReLU(a_src . w x_j + a_dst . w x_i), then
-    sums w x_j. Returns the (B, n_centers, d_h) head outputs side by side as a
-    Tensor, and the weights alpha (B, N, n_heads), one per edge, as an array.
+    the group's valid rows of LeakyReLU(a_src . w x_j + a_dst . w x_i), of
+    slope LEAKY_SLOPE below 0, then sums w x_j. Returns the (B, n_centers, d_h)
+    head outputs side by side as a Tensor, and the weights alpha
+    (B, N, n_heads), one per edge, as an array.
     Group maxima and sums reduce rows sorted by group; the backward is closed form.
     """
     rows, group, valid = as_tensor(rows), np.asarray(group), np.asarray(valid, dtype=bool)
@@ -257,8 +263,6 @@ def graph_attention(rows, heads: Sequence[tuple[Tensor, Tensor]], group, valid, 
             f"graph_attention: rows {x.shape}, {n_heads} heads of (w, a) shapes {sorted(shapes)}, group "
             f"{group.shape} and valid {valid.shape} do not fit {n_centers} centers with self-loops last"
         )
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"graph_attention slope must lie in (0, 1), got {slope}")
     b, n, d_h = x.shape
     w = np.concatenate([w.data for w, _ in heads], axis=1)
     a = np.stack([a.data.reshape(2, d_head) for _, a in heads], axis=1)  # a_src, a_dst by head
@@ -276,7 +280,7 @@ def graph_attention(rows, heads: Sequence[tuple[Tensor, Tensor]], group, valid, 
 
     scores = np.einsum("bnhd,hd->bnh", proj, a[0]) + at_rows(np.einsum("bchd,hd->bch", centers, a[1]))
     positive = scores > 0
-    scores = np.where(valid[..., None], np.where(positive, scores, slope * scores), -np.inf)
+    scores = np.where(valid[..., None], np.where(positive, scores, LEAKY_SLOPE * scores), -np.inf)
     e = np.exp(scores - at_rows(group_reduce(scores, np.maximum)))
     alpha = e / at_rows(group_reduce(e))
 
@@ -284,7 +288,7 @@ def graph_attention(rows, heads: Sequence[tuple[Tensor, Tensor]], group, valid, 
         g_out = at_rows(g.reshape(b, n_centers, n_heads, d_head))
         g_alpha = np.einsum("bnhd,bnhd->bnh", g_out, proj)
         g_scores = alpha * (g_alpha - at_rows(group_reduce(alpha * g_alpha)))
-        g_scores *= np.where(positive, 1.0, slope)
+        g_scores *= np.where(positive, 1.0, LEAKY_SLOPE)
         g_dst = group_reduce(g_scores)
         g_proj = alpha[..., None] * g_out + g_scores[..., None] * a[0]
         g_proj[:, n - n_centers :] += g_dst[..., None] * a[1]
@@ -321,7 +325,7 @@ def bce_with_logits(logits, targets) -> Tensor:
 
 
 class AdamW:
-    """Adam with decoupled weight decay and bias-corrected moments.
+    """Adam with decoupled weight decay and bias-corrected moments (ADAM_BETAS, ADAM_EPS).
 
     The parameters' data become views into one flat buffer, so a step updates
     them all, with one step count, in a handful of in-place numpy calls; what
@@ -330,18 +334,9 @@ class AdamW:
     parameter values, gradients, and state.
     """
 
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3, weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         dtypes = {p.data.dtype for p in self.params}
         if len(dtypes) != 1:
@@ -364,17 +359,17 @@ class AdamW:
             if p.grad is None:
                 raise ValueError(f"AdamW parameter {i} of shape {p.data.shape} has no gradient")
         self.t += 1
-        g, m, v, p = self._grad, self._m, self._v, self._data
+        (beta1, beta2), g, m, v, p = ADAM_BETAS, self._grad, self._m, self._v, self._data
         np.concatenate([q.grad.ravel() for q in self.params], out=g)
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
         g *= g
-        g *= 1.0 - self.beta2
+        g *= 1.0 - beta2
         v += g
-        denom = np.sqrt(v / (1.0 - self.beta2**self.t))
-        denom += self.eps
-        update = m / (1.0 - self.beta1**self.t)
+        denom = np.sqrt(v / (1.0 - beta2**self.t))
+        denom += ADAM_EPS
+        update = m / (1.0 - beta1**self.t)
         update /= denom
         update += self.weight_decay * p
         update *= self.lr

@@ -350,8 +350,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "gat, key",
         [({"d_h": 0}, "d_h"), ({"n_heads": True}, "n_heads"), ({"export_dim": True}, "export_dim"),
-         ({"mlp_hidden": [True]}, "mlp_hidden"), ({"mlp_hidden": [8, 0]}, "mlp_hidden")],
-        ids=["zero-d_h", "bool-heads", "bool-export", "bool-hidden", "zero-hidden"],
+         ({"mlp_hidden": [True]}, "mlp_hidden"), ({"mlp_hidden": [8, 0]}, "mlp_hidden"),
+         ({"slope": 0.3}, "slope"), ({"ln_eps": 1e-5}, "ln_eps")],
+        ids=["zero-d_h", "bool-heads", "bool-export", "bool-hidden", "zero-hidden", "other-slope", "other-ln_eps"],
     )
     def test_run_bad_gat_size_exits_2_naming_the_key(self, workspace, capsys, gat, key):
         ws = workspace
@@ -381,16 +382,17 @@ class TestExitCodes:
         assert code == 2
         assert "heads" in capsys.readouterr().err
 
-    def test_train_with_a_non_empty_mlp_hidden_exits_2_naming_the_key(self, workspace, capsys):
+    @pytest.mark.parametrize("key, value", [("mlp_hidden", [16]), ("slope", 0.3), ("ln_eps", 1e-5)])
+    def test_train_with_a_retired_key_of_another_value_exits_2_naming_it(self, workspace, capsys, key, value):
         ws = workspace
         write_manifest(ws / "data.jsonl", [{"feature_file": "f.bin", "labels": [0, 1]}])
-        (ws / "gat.json").write_text(json.dumps({"d_h": 8, "mlp_hidden": [16]}))
+        (ws / "gat.json").write_text(json.dumps({"d_h": 8, key: value}))
         code = run_cli(
             "train", "--mode", "gat", "--manifest", ws / "data.jsonl", "--graph", ws / "g.json",
             "--gat-config", ws / "gat.json", "--out", ws / "ckpt",
         )
         assert code == 2
-        assert "gat config 'mlp_hidden'" in capsys.readouterr().err
+        assert f"gat config '{key}'" in capsys.readouterr().err
         assert not (ws / "ckpt").exists()
 
     @pytest.mark.parametrize("command", ["run", "train"])
@@ -628,6 +630,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(extents) in err and "(8, 8, 4)" in err
         assert not (ws / "f.bin").exists()
+
+    def test_pool_failing_in_its_stage_logs_start_then_failed(self, workspace, capsys):
+        ws = workspace
+        self._encode_first_scan(ws)
+        save_mask(ws / "other.bin", LabelMask3D(np.ones((4, 4, 2), dtype=np.int32), 2))
+        capsys.readouterr()
+        code = run_cli(
+            "pool", "--pyramid", ws / "p0", "--mask", ws / "other.bin",
+            "--hierarchy", ws / "anatomy.json", "--out", ws / "f.bin",
+        )
+        assert code == 2
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+        assert [(e["stage"], e["event"]) for e in events] == [("pool", "start"), ("pool", "failed")]
+        assert "(4, 4, 2)" in events[-1]["cause"]
 
     def test_pool_with_a_non_integer_mask_header_exits_2_naming_it(self, workspace, capsys):
         ws = workspace
@@ -1037,6 +1053,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "at most 40 labels" in err and "phantom_spec" in err
         assert not (ws / "out").exists()
+        events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert [(e["stage"], e["event"]) for e in events] == [("setup", "failed")]
 
     @pytest.mark.parametrize("command", ["synth", "encode", "pool", "graph", "train", "infer", "eval", "run"])
     def test_empty_out_exits_2_at_parse_time_naming_the_flag(self, workspace, capsys, monkeypatch, command):
@@ -1059,6 +1077,71 @@ class TestExitCodes:
         assert exit_info.value.code == 2
         assert "--out" in capsys.readouterr().err
         assert not any((ws / "cwd").iterdir()) and not (ws / "config_out").exists()
+
+
+OUT_ARGV = {  # each subcommand's valid inputs, relative to TestUnwritableOut's workspace
+    "synth": ["--spec", "phantom.json", "--count", 1],
+    "encode": ["--preset", "tiny", "--presets", "presets.json", "--in", "d/vol_000.bin"],
+    "pool": ["--pyramid", "p0", "--mask", "d/mask_000.bin", "--hierarchy", "anatomy.json"],
+    "graph": ["--hierarchy", "anatomy.json"],
+    "train": ["--mode", "probe", "--manifest", "data.jsonl", "--config", "train.json"],
+    "infer": ["--graph", "g.json", "--feats", "f0.bin", "--model", "ckpt"],
+    "eval": ["--pred", "pred.jsonl", "--ref", "ref.jsonl"],
+    "run": ["--config", "run.json"],
+}
+WRITES_A_DIRECTORY = ("synth", "encode", "train", "run")
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written exits 2 with one line naming it and leaves no partial file."""
+
+    @pytest.fixture()
+    def ws(self, workspace, monkeypatch):
+        ws = workspace
+        monkeypatch.chdir(ws)
+        assert run_cli("synth", "--spec", "phantom.json", "--count", 2, "--out", "d") == 0
+        for i in range(2):
+            assert run_cli(
+                "encode", "--preset", "tiny", "--presets", "presets.json",
+                "--in", f"d/vol_{i:03d}.bin", "--out", f"p{i}",
+            ) == 0
+            assert run_cli(
+                "pool", "--pyramid", f"p{i}", "--mask", f"d/mask_{i:03d}.bin",
+                "--hierarchy", "anatomy.json", "--out", f"f{i}.bin",
+            ) == 0
+        assert run_cli("graph", "--hierarchy", "anatomy.json", "--out", "g.json") == 0
+        samples = [json.loads(line) for line in (ws / "d" / "samples.jsonl").read_text().splitlines()]
+        write_manifest(
+            ws / "data.jsonl",
+            [{"feature_file": f"f{i}.bin", "labels": s["labels"]} for i, s in enumerate(samples)],
+        )
+        (ws / "train.json").write_text(json.dumps({"epochs": 1}))
+        fine_set, _, grid = load_pooled(ws / "f0.bin")
+        widths = dict(c_total=fine_set.fused.shape[1], c_last=grid.channels)
+        GatModel.init(GatConfig(**widths, d_h=4, n_heads=2, export_dim=4)).save(ws / "ckpt")
+        (ws / "pred.jsonl").write_text('{"id": 0, "labels": [1, 0]}\n')
+        (ws / "ref.jsonl").write_text('{"id": 0, "labels": [1, 0]}\n')
+        (ws / "run.json").write_text(json.dumps({"num_samples": 2, "out_dir": "config_out"}))
+        (ws / "a_file").write_text("not a directory")
+        (ws / "a_dir").mkdir()
+        return ws
+
+    @pytest.mark.parametrize("case", ["blocked", "under-a-file"])
+    @pytest.mark.parametrize("command", list(OUT_ARGV))
+    def test_unwritable_out_exits_2_naming_it(self, ws, capsys, command, case):
+        blocked = "a_file" if command in WRITES_A_DIRECTORY else "a_dir"  # the other kind of entry
+        out = blocked if case == "blocked" else "a_file/sub"
+        capsys.readouterr()
+        assert run_cli(command, *OUT_ARGV[command], "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if not line.startswith("{")]
+        assert line.startswith("error: ") and out in line
+        events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert [e["event"] for e in events] in (["start", "failed"], ["failed"])
+        assert len({e["stage"] for e in events}) == 1
+        assert (ws / "a_file").read_text() == "not a directory" and not any((ws / "a_dir").iterdir())
+        assert not list(ws.rglob("*.tmp")) and not (ws / "config_out").exists()
 
 
 class TestRunPipeline:
@@ -1155,7 +1238,7 @@ class TestRunPipeline:
         (ws / "run_out").mkdir()
         (ws / "run_out" / "pool").write_text("a file where the pool directory goes")
         capsys.readouterr()
-        assert run_cli("run", "--config", ws / "run.json") == 1
+        assert run_cli("run", "--config", ws / "run.json") == 2  # an output that cannot be written
         events = self._stage_events(capsys.readouterr().err)
         assert [(e["stage"], e["event"]) for e in events] == [
             ("synth", "start"), ("synth", "done"), ("encode", "start"), ("encode", "done"),

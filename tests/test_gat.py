@@ -632,12 +632,18 @@ class TestCheckpoint:
         assert out.tokens.shape == (7, 4) and np.all(np.isfinite(out.tokens.data))
 
 
-    def test_checkpoint_with_a_non_empty_mlp_hidden_fails_naming_the_key(self, tmp_path):
+    @pytest.mark.parametrize("key, value", [("mlp_hidden", [6]), ("slope", 0.3), ("ln_eps", 1e-5)])
+    def test_checkpoint_with_a_retired_key_of_another_value_fails_naming_it(self, tmp_path, key, value):
         ckpt = GatModel.init(tiny_config(), seed=0).save(tmp_path / "ckpt")
         doc = json.loads((ckpt / "config.json").read_text())
-        (ckpt / "config.json").write_text(json.dumps({**doc, "mlp_hidden": [6]}))
-        with pytest.raises(ConfigError, match="gat config 'mlp_hidden'"):
+        (ckpt / "config.json").write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(ConfigError, match=f"gat config '{key}'"):
             GatModel.load(ckpt)
+
+    def test_a_written_checkpoint_holds_no_retired_key(self, tmp_path):
+        ckpt = GatModel.init(tiny_config(), seed=0).save(tmp_path / "ckpt")
+        doc = json.loads((ckpt / "config.json").read_text())
+        assert list(doc) == ["c_total", "c_last", "d_h", "n_heads", "export_dim"]  # no retired key
 
     def test_save_load_round_trip(self, tmp_path):
         cfg = tiny_config()
@@ -687,15 +693,14 @@ class TestCheckpoint:
         )
         assert total == expected
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("slope", 1.5), ("slope", 1.0), ("slope", 0.0), ("slope", -0.2), ("slope", float("nan")),
-         ("ln_eps", 0.0), ("ln_eps", -1e-6), ("ln_eps", float("inf")), ("ln_eps", float("nan")),
-         ("ln_eps", True), ("ln_eps", "1e-6"), ("slope", True)],
-    )
-    def test_config_rejects_slope_and_ln_eps_out_of_range(self, field, value):
-        with pytest.raises(ValidationError, match=field):
-            tiny_config(**{field: value})
+    def test_config_fields_are_the_sizes_and_the_constants_stay_readable(self):
+        assert [f.name for f in dataclasses.fields(GatConfig)] == [
+            "c_total", "c_last", "d_h", "n_heads", "export_dim",
+        ]
+        assert GatConfig.slope == tiny_config().slope == 0.2
+        assert GatConfig.ln_eps == tiny_config().ln_eps == 1e-6
+        with pytest.raises(TypeError, match="slope"):
+            tiny_config(slope=0.2)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -707,22 +712,33 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=f"gat config '{field}'"):
             tiny_config(**{field: value})
 
-    def test_config_reads_the_legacy_empty_mlp_hidden(self):
-        doc = {**dataclasses.asdict(tiny_config()), "mlp_hidden": []}
+    LEGACY = {"mlp_hidden": [], "slope": 0.2, "ln_eps": 1e-6}  # as every earlier checkpoint holds them
+
+    @pytest.mark.parametrize("retired", [{k: v} for k, v in LEGACY.items()] + [LEGACY], ids=[*LEGACY, "all"])
+    def test_config_reads_the_retired_keys_with_their_one_value(self, retired):
+        doc = {**dataclasses.asdict(tiny_config()), **retired}
         assert GatConfig.from_json(doc) == tiny_config()
-        assert check_gat_doc({"d_h": 8, "mlp_hidden": []}) == {"d_h": 8, "mlp_hidden": []}
-        assert PipelineConfig.from_json({"gat": {"mlp_hidden": []}}).gat == {"mlp_hidden": []}
+        assert check_gat_doc({"d_h": 8, **retired}) == {"d_h": 8, **retired}
+        assert PipelineConfig.from_json({"gat": retired}).gat == retired
+
+    RETIRED_OTHER_VALUES = [
+        ("mlp_hidden", [6]), ("mlp_hidden", [True]), ("mlp_hidden", [8, 0]), ("mlp_hidden", [2.5]),
+        ("mlp_hidden", None), ("mlp_hidden", {}),
+        ("slope", 0.3), ("slope", 1.5), ("slope", 1.0), ("slope", 0.0), ("slope", -0.2),
+        ("slope", float("nan")), ("slope", True), ("slope", "0.2"),
+        ("ln_eps", 1e-5), ("ln_eps", 0.0), ("ln_eps", -1e-6), ("ln_eps", float("inf")),
+        ("ln_eps", float("nan")), ("ln_eps", True), ("ln_eps", "1e-6"),
+    ]
 
     @pytest.mark.parametrize(
-        "hidden", [[6], [True], [8, 0], [2.5], None, {}],
-        ids=["hidden", "bool-hidden", "zero-hidden", "float-hidden", "null", "object"],
+        "key, value", RETIRED_OTHER_VALUES, ids=[f"{k}={v!r}" for k, v in RETIRED_OTHER_VALUES]
     )
-    def test_config_rejects_a_non_empty_mlp_hidden_naming_the_key(self, hidden):
-        doc = {**dataclasses.asdict(tiny_config()), "mlp_hidden": hidden}
-        with pytest.raises(ConfigError, match="gat config 'mlp_hidden'"):
+    def test_config_rejects_a_retired_key_of_another_value_naming_it(self, key, value):
+        doc = {**dataclasses.asdict(tiny_config()), key: value}
+        with pytest.raises(ConfigError, match=f"gat config '{key}'"):
             GatConfig.from_json(doc)
-        with pytest.raises(ConfigError, match="gat config 'mlp_hidden'"):
-            PipelineConfig.from_json({"gat": {"mlp_hidden": hidden}})
+        with pytest.raises(ConfigError, match=f"gat config '{key}'"):
+            PipelineConfig.from_json({"gat": {key: value}})
 
     def test_d_h_must_divide_heads(self):
         with pytest.raises(Exception):

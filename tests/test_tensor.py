@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from ctgraph.errors import ShapeError
 from ctgraph.gradcheck import check_gradients, max_relative_error
 from ctgraph.tensor import (
+    ADAM_BETAS,
+    ADAM_EPS,
     SOFTMAX_SUM_ATOL,
     AdamW,
     Tensor,
@@ -185,9 +187,10 @@ class TestAdamW:
 
     def test_three_steps_match_hand_trace(self):
         # f(w) = 2 w0^2 + 0.5 w1^2, grad = (4 w0, w1)
-        lr, wd, b1, b2, eps = 0.1, 0.01, 0.9, 0.999, 1e-8
+        assert ADAM_BETAS == (0.9, 0.999) and ADAM_EPS == 1e-8  # the published defaults
+        lr, wd, (b1, b2), eps = 0.1, 0.01, ADAM_BETAS, ADAM_EPS
         w = Tensor([1.0, -3.0], requires_grad=True)
-        opt = AdamW([w], lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+        opt = AdamW([w], lr=lr, weight_decay=wd)
 
         ref = [1.0, -3.0]
         m = [0.0, 0.0]
@@ -218,9 +221,9 @@ class TestAdamW:
 
 class TestAdamWFlatBuffer:
     @staticmethod
-    def loop_reference(params, grads_per_step, lr, betas, eps, weight_decay):
+    def loop_reference(params, grads_per_step, lr, weight_decay):
         """The per-parameter AdamW loop the flat step replaced, as the oracle."""
-        beta1, beta2 = betas
+        (beta1, beta2), eps = ADAM_BETAS, ADAM_EPS
         data = [p.copy() for p in params]
         state = [{"m": np.zeros_like(p), "v": np.zeros_like(p)} for p in params]
         for t, grads in enumerate(grads_per_step, start=1):
@@ -239,7 +242,7 @@ class TestAdamWFlatBuffer:
         steps = [
             [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 2) for s in shapes] for _ in range(12)
         ]
-        settings = dict(lr=3e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-4)
+        settings = dict(lr=3e-3, weight_decay=1e-4)
         params = [Tensor(p.copy(), requires_grad=True) for p in start]
         opt = AdamW(params, **settings)
         for grads in steps:
@@ -342,14 +345,14 @@ class TestFusedOps:
         leaves = [t for pair in heads for t in pair]
 
         def loss():
-            return weighted_sum(graph_attention(rows, heads, group, valid, 0.2, 3)[0], weights)
+            return weighted_sum(graph_attention(rows, heads, group, valid, 3)[0], weights)
 
         assert check_gradients(loss, [rows] + leaves) < 1e-6
         assert all(np.any(t.grad != 0.0) for t in leaves)
 
     def test_graph_attention_matches_a_per_head_loop(self):
         rows, heads, group, valid = self.attention_inputs(2, 3, seed=7)
-        out, alpha = graph_attention(rows, heads, group, valid, 0.2, 3)
+        out, alpha = graph_attention(rows, heads, group, valid, 3)
         assert out.shape == (2, 3, 6) and alpha.shape == (2, 8, 3)
         assert np.all(alpha[~valid] == 0.0)
         assert np.all(alpha[:, 5] == 1.0)  # the childless center attends to itself only
@@ -369,7 +372,7 @@ class TestFusedOps:
     def test_graph_attention_softmax_survives_huge_scores(self):
         rows, heads, group, valid = self.attention_inputs(2, 2, seed=8)
         heads = [(w, Tensor(1e3 * a.data)) for w, a in heads]
-        alpha = graph_attention(rows, heads, group, valid, 0.2, 3)[1]
+        alpha = graph_attention(rows, heads, group, valid, 3)[1]
         assert np.all(np.isfinite(alpha)) and np.all(alpha[~valid] == 0.0)
         sums = self.group_sums(alpha, group)
         assert np.max(np.abs(sums - 1.0)) <= SOFTMAX_SUM_ATOL["float64"]
@@ -379,7 +382,7 @@ class TestFusedOps:
         valid[0, :5] = False
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a NaN from an all -inf group would warn
-            out, alpha = graph_attention(rows, heads, group, valid, 0.2, 3)
+            out, alpha = graph_attention(rows, heads, group, valid, 3)
             weighted_sum(out, np.ones(out.shape)).backward()
         assert np.all(np.isfinite(alpha)) and np.all(np.isfinite(rows.grad))
         assert np.all(alpha[0, 5:] == 1.0) and np.all(alpha[0, :5] == 0.0)
@@ -394,7 +397,7 @@ class TestFusedOps:
             return from_op(data, parents, backward)
 
         monkeypatch.setattr(tensor_module, "from_op", counting_from_op)
-        graph_attention(rows, heads, group, valid, 0.2, 3)
+        graph_attention(rows, heads, group, valid, 3)
         assert recorded == [5]  # rows plus each head's w and a
 
     @pytest.mark.parametrize(
@@ -416,13 +419,7 @@ class TestFusedOps:
         else:
             heads = []
         with pytest.raises(ShapeError, match="graph_attention"):
-            graph_attention(rows, heads, group, valid, 0.2, n_centers)
-
-    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.2, float("nan")])
-    def test_graph_attention_slope_must_be_in_unit_interval(self, slope):
-        rows, heads, group, valid = self.attention_inputs(1, 1, seed=5)
-        with pytest.raises(ValueError, match="slope"):
-            graph_attention(rows, heads, group, valid, slope, 3)
+            graph_attention(rows, heads, group, valid, n_centers)
 
     @pytest.mark.parametrize("scale", [1.0, 60.0], ids=["moderate", "beyond-40"])
     def test_bce_with_logits_matches_composition_and_gradcheck(self, scale):

@@ -373,7 +373,7 @@ class TestPaintCache:
 
     def test_demo_seeds_equal_an_uncached_paint(self):
         for seed in range(4):
-            self._check_against_uncached(demo_phantom_spec(seed=seed))
+            self._check_against_uncached(demo_phantom_spec().with_seed(seed))
 
     def test_overlapping_regions_equal_an_uncached_paint(self):
         spec = _overlapping_spec()
