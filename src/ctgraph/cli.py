@@ -1,8 +1,9 @@
 """Command-line entry point wiring the pipeline stages.
 
 Subcommands: synth, encode, pool, graph, train, infer, eval, run.
-Exit codes: 0 ok, 1 runtime failure, 2 config/validation error, input of the wrong shape
-or an --out that cannot be written.
+Exit codes: 0 ok; 2 a CtGraphError, i.e. the input or the --out is at fault, with
+one `error:` line; any other exception is a package defect and leaves `main`
+with its traceback (exit 1), from `run` as from every other subcommand.
 BLAS worker threads are fixed when numpy loads, so cap them with
 OMP_NUM_THREADS / OPENBLAS_NUM_THREADS in the environment before launch.
 The synthetic encoder runs one thread per CPU in the affinity mask.
@@ -19,7 +20,7 @@ import numpy as np
 
 from .container import read_json
 from .encoder import get_preset, load_pyramid
-from .errors import ConfigError, CtGraphError, FormatError, ShapeError, ValidationError
+from .errors import ConfigError, CtGraphError, ValidationError
 from .gat import GatModel
 from .graph import TOPOLOGIES, TOPOLOGY_HIERARCHICAL, load_graph
 from .heads import TrainConfig, read_manifest
@@ -42,7 +43,6 @@ from .pooling import load_pooled
 from .volume import load_mask, load_phantom_spec, load_volume
 
 EXIT_OK = 0
-EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
@@ -120,8 +120,7 @@ def cmd_eval(args) -> None:
 
 
 def cmd_run(args) -> None:
-    cfg = PipelineConfig.load(args.config)
-    run_pipeline(cfg, out_dir=args.out)
+    run_pipeline(PipelineConfig.load(args.config), out_dir=args.out)
 
 
 def seed_value(text: str) -> int:
@@ -150,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="phantom spec JSON")
     p.add_argument("--count", type=int, default=16)
     p.add_argument("--seed", type=seed_value, default=0)
-    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("encode", help="run the synthetic encoder over a volume")
@@ -158,21 +156,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presets", default=None, help="extra preset registry JSON")
     p.add_argument("--seed", type=seed_value, default=7)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("pool", help="mask-guided pooling over a pyramid")
     p.add_argument("--pyramid", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--hierarchy", default=None)
-    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_pool)
 
     p = sub.add_parser("graph", help="build the region graph")
     p.add_argument("--hierarchy", default=None)
     p.add_argument("--topology", default=TOPOLOGY_HIERARCHICAL, choices=TOPOLOGIES)
     p.add_argument("--seed", type=seed_value, default=0)
-    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("train", help="train the probe or the graph classifier")
@@ -182,28 +177,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None, help="graph JSON (gat mode)")
     p.add_argument("--gat-config", default=None, help="gat dimensions JSON (gat mode)")
     p.add_argument("--granularity", default="fine", help="probe feature granularity")
-    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="export node tokens from pooled features")
     p.add_argument("--graph", required=True)
     p.add_argument("--feats", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score predictions against references")
     p.add_argument("--pred", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--metrics", default="ce")
-    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("run", help="run the full pipeline from a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", type=out_value, default=None)
     p.set_defaults(func=cmd_run)
 
+    for name, p in sub.choices.items():  # run's output directory defaults to its config's
+        p.add_argument("--out", type=out_value, required=name != "run")
     return parser
 
 
@@ -212,12 +205,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ConfigError, ValidationError, FormatError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CtGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_CONFIG
     return EXIT_OK
 
 

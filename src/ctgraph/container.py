@@ -3,8 +3,8 @@
 A container record is one JSON header line (name, dtype, shape, byte_order)
 followed by the raw contiguous little-endian payload. A file may hold several
 records back to back; readers consume records until EOF. Round trips are
-bit-exact. A float record holding NaN or inf fails at load with a
-ValidationError naming the file and the record.
+bit-exact. A float record holding NaN, inf or a magnitude beyond MAX_ABS
+fails at load with a ValidationError naming the file and the record.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import ConfigError, CtGraphError, FormatError, ValidationError
 _TO_NUMPY = {"float64": "<f8", "float32": "<f4", "int64": "<i8", "int32": "<i4"}
 _FROM_KIND = {("f", 8): "float64", ("f", 4): "float32", ("i", 8): "int64", ("i", 4): "int32"}
 _MAX_HEADER_BYTES = 1 << 20
+MAX_ABS = 1e100  # of a float input: squares (layer norm, AdamW) overflow from ~1e154
 
 
 def _dtype_name(arr: np.ndarray) -> str:
@@ -90,12 +91,10 @@ def read_record(fh: BinaryIO):
     return header["name"], array, header
 
 
-def _finite(path, record):
-    """record (name, array, header), unless its array is float and holds NaN or inf."""
-    name, array, _ = record
-    if array.dtype.kind == "f" and not np.isfinite(array).all():
-        raise ValidationError(f"{path}: record '{name}' holds non-finite values")
-    return record
+def check_range(array, what: str) -> None:
+    """Raise a ValidationError naming what unless a float array lies within ±MAX_ABS (no NaN, no inf)."""
+    if array.dtype.kind == "f" and not -MAX_ABS <= float(array.min()) <= float(array.max()) <= MAX_ABS:
+        raise ValidationError(f"{what} holds non-finite values or values beyond ±{MAX_ABS:g}")
 
 
 def save_tensor(path, array: np.ndarray, name: str = "tensor", meta: dict | None = None) -> None:
@@ -103,20 +102,20 @@ def save_tensor(path, array: np.ndarray, name: str = "tensor", meta: dict | None
 
 
 def read_tensor(path):
-    """The record (name, array, header) of a single-record container, not checked for NaN or inf."""
+    """The record (name, array, header) of a single-record container, its values unchecked."""
     with open_input(path, "container", "rb") as fh:
         rec = read_record(fh)
         if rec is None:
-            raise FormatError(f"{path}: empty container")
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError(f"{path}: trailing data after single record")
+            raise FormatError("empty container")
+        if fh.read(1):
+            raise FormatError("trailing data after single record")
     return rec
 
 
 def load_tensor(path):
     """Load a single-record container; returns (array, header)."""
-    _, array, header = _finite(path, read_tensor(path))
+    name, array, header = read_tensor(path)
+    check_range(array, f"{path}: record '{name}'")
     return array, header
 
 
@@ -131,9 +130,10 @@ def load_records(path) -> list[tuple[str, np.ndarray, dict]]:
     records = []
     with open_input(path, "container", "rb") as fh:
         while (rec := read_record(fh)) is not None:
-            records.append(_finite(path, rec))
-    if not records:
-        raise FormatError(f"{path}: empty container")
+            check_range(rec[1], f"{path}: record '{rec[0]}'")
+            records.append(rec)
+        if not records:
+            raise FormatError("empty container")
     return records
 
 
@@ -141,12 +141,18 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     return {name: arr for name, arr, _ in load_records(path)}
 
 
+@contextlib.contextmanager
 def open_input(path, what: str, mode: str = "r"):
-    """path opened for reading (text as UTF-8); failing that, a ConfigError naming it."""
+    """path opened for reading (text as UTF-8); a ConfigError, or a FormatError of the body, names it."""
     try:
-        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+        fh = open(path, mode, encoding=None if "b" in mode else "utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"{what} {path} cannot be read: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def read_json(path, what: str, parse=None):

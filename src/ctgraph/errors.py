@@ -5,7 +5,7 @@ from numbers import Integral, Real
 
 
 class CtGraphError(Exception):
-    """Base class for library errors."""
+    """Base of the errors that blame the input or an output path (exit 2); only subclasses are raised."""
 
 
 class ShapeError(CtGraphError, ValueError):

@@ -2,10 +2,10 @@
 
 Each stage is one function here, called both by `run_pipeline` and by the
 matching `ct-graph` subcommand. `stage()` times a stage and logs its `start`
-and its `done` or `failed` event as JSON lines. A run failure aborts with
-the stage name and cause, leaving a STALE marker listing the stages whose
-outputs may be partial. Reruns with the same config and seed reproduce the same summary
-metrics.
+and its `done` or `failed` event as JSON lines. A failed run re-raises its
+exception unchanged, after leaving a STALE marker that names the failed stage
+and lists the stages whose outputs may be partial. Reruns with the same config
+and seed reproduce the same summary metrics.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import demo as demo_mod
 from .container import check_keys, check_values, ensure_dir, read_json, write_json
 from .encoder import export_pyramid, get_preset, synth_encode
-from .errors import ConfigError, CtGraphError, ShapeError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError
 from .gat import GatConfig, forward as gat_forward
 from .graph import (
     TOPOLOGIES,
@@ -66,17 +66,15 @@ def stage(name: str, seconds: dict | None = None, **fields):
     """
     log_event(name, "start", **fields)
     done: dict = {}
-    if seconds is not None:
-        seconds[name] = None
+    seconds = {} if seconds is None else seconds
+    seconds[name] = None
     t0 = time.perf_counter()
     try:
         yield done
     except Exception as exc:
         log_event(name, "failed", cause=str(exc))
         raise
-    elapsed = round(time.perf_counter() - t0, 3)
-    if seconds is not None:
-        seconds[name] = elapsed
+    seconds[name] = elapsed = round(time.perf_counter() - t0, 3)
     log_event(name, "done", seconds=elapsed, **done)
 
 
@@ -148,15 +146,23 @@ def graph_stage(hierarchy: AnatomyHierarchy, topology: str, seed: int, path):
     return graph
 
 
+def check_pooled_shapes(pooled) -> None:
+    """Raise a ShapeError naming the first pooled sample whose fine, coarse or grid shape
+    differs from sample 0's, as samples from encoders of other widths do."""
+    shapes = [(f.fused.shape, c.fused.shape, g.grid.shape) for f, c, g in pooled]
+    for i, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            raise ShapeError(f"pooled sample {i}: (fine, coarse, grid) shapes {shape}, sample 0's {shapes[0]}")
+
+
 def train_probe_stage(pooled, targets, granularity: str, cfg: TrainConfig, out):
     """Fit the linear probe on pooled samples; writes probe.bin and trace.json."""
-    features = [build_probe_features(*s, granularity=granularity) for s in pooled]
-    n = len(features[0])
-    for i, row in enumerate(features):
-        if len(row) != n:  # the pooled files come from encoders of other widths
-            raise ShapeError(f"pooled sample {i} gives {len(row)} probe features, sample 0 gives {n}")
-    model, trace, info = train_probe(np.stack(features), targets, cfg)
+    check_pooled_shapes(pooled)
+    features = np.stack([build_probe_features(*s, granularity=granularity) for s in pooled])
+    if not features.shape[1]:
+        raise ConfigError(f"probe granularity '{granularity}' gives no features: no {granularity} nodes")
     out = ensure_dir(out)
+    model, trace, info = train_probe(features, targets, cfg)
     model.save(out / "probe.bin")
     write_json(out / "trace.json", {"trace": trace, "info": info})
     return trace, info
@@ -167,8 +173,10 @@ def train_gat_stage(pooled, targets, graph, gat_doc: dict, cfg: TrainConfig, out
 
     gat_doc holds GatConfig fields as JSON; input widths come from the data.
     """
+    check_pooled_shapes(pooled)
     fine_set, _, grid = pooled[0]
     gat_config = GatConfig.from_json(gat_doc, c_total=fine_set.fused.shape[1], c_last=grid.channels)
+    ensure_dir(out)
     clf, trace, info = train_gat_classifier(pooled, targets, graph, gat_config, cfg)
     write_json(clf.save(out) / "trace.json", {"trace": trace, "info": info})
     return clf, trace, info
@@ -324,19 +332,14 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
             metrics["eval_ce_f1"] = report["ce"]["f1"]
     except Exception as exc:
         started = list(seconds)  # a failed stage has logged its own `failed` event
-        failed = started[-1] if started else "setup"
         if started:
-            write_json(
-                stale_path, {"failed_stage": failed, "cause": str(exc), "stages_started": started}
-            )
+            stale = {"failed_stage": started[-1], "cause": str(exc), "stages_started": started}
+            write_json(stale_path, stale)
         else:  # a failed setup has written nothing
-            log_event(failed, "failed", cause=str(exc))
-        if isinstance(exc, CtGraphError):
-            raise
-        raise CtGraphError(f"stage '{failed}' failed: {exc}") from exc
+            log_event("setup", "failed", cause=str(exc))
+        raise
 
-    if stale_path.exists():
-        stale_path.unlink()
+    stale_path.unlink(missing_ok=True)
     summary["total_seconds"] = round(time.perf_counter() - t_total, 3)
     write_json(out / "summary.json", summary)
     log_event("run", "done", total_seconds=summary["total_seconds"])

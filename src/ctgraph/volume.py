@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .container import load_tensor, read_json, read_tensor, save_tensor, write_json
+from .container import MAX_ABS, check_range, load_tensor, read_json, read_tensor, save_tensor, write_json
 from .errors import FormatError, ValidationError, integer, malformed, number, string
 
 # The largest mask label: the uint16 range segmentation formats store labels in.
@@ -38,8 +38,7 @@ class Volume3D:
         arr = np.ascontiguousarray(self.voxels, dtype=np.float64)
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValidationError(f"volume must be 3-d with positive extents, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("volume contains non-finite values")
+        check_range(arr, "volume")
         arr.setflags(write=False)
         object.__setattr__(self, "voxels", arr)
 
@@ -143,25 +142,25 @@ class PhantomSpec:
         if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
             raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
         for name, value in (("noise_sigma", self.noise_sigma), ("intensity_jitter", self.intensity_jitter)):
-            if not 0.0 <= value < np.inf:
-                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+            if not 0.0 <= value <= MAX_ABS:
+                raise ValidationError(f"{name} must lie in [0, {MAX_ABS:g}], got {value}")
         labels = [r.label for r in self.regions]
         if len(set(labels)) != len(labels):
             raise ValidationError("region labels must be unique")
         if any(l < 1 for l in labels):
             raise ValidationError("region labels must be >= 1 (0 is background)")
         for r in self.regions:
-            if not (np.isfinite(r.center).all() and all(0 < x < np.inf for x in r.radii)):
-                raise ValidationError(
-                    f"region label {r.label}: centre must be finite and radii finite and > 0"
-                )
-            if not np.isfinite(r.intensity):
-                raise ValidationError(f"region label {r.label}: intensity must be finite")
+            if len(r.center) != 3 or not np.isfinite(r.center).all():
+                raise ValidationError(f"region label {r.label}: center must be 3 finite numbers")
+            if len(r.radii) != 3 or not all(1 / MAX_ABS <= x <= MAX_ABS for x in r.radii):
+                raise ValidationError(f"region label {r.label}: radii must be 3 numbers in [1e-100, 1e+100]")
+            if not abs(r.intensity) <= MAX_ABS:
+                raise ValidationError(f"region label {r.label}: intensity must lie in ±{MAX_ABS:g}")
         for p in self.pathologies:
-            if not 0 < p.radius < np.inf:
-                raise ValidationError(f"pathology '{p.name}': radius must be finite and > 0")
-            if not np.isfinite(p.delta):
-                raise ValidationError(f"pathology '{p.name}': delta must be finite")
+            if not 1 / MAX_ABS <= p.radius <= MAX_ABS:
+                raise ValidationError(f"pathology '{p.name}': radius must lie in [1e-100, 1e+100]")
+            if not abs(p.delta) <= MAX_ABS:
+                raise ValidationError(f"pathology '{p.name}': delta must lie in ±{MAX_ABS:g}")
             if not 0.0 <= p.prevalence <= 1.0:
                 raise ValidationError(f"pathology '{p.name}': prevalence must lie in [0, 1]")
             if p.host_label not in labels:

@@ -1,5 +1,6 @@
 """CLI chain: every subcommand end to end in a temp workspace, plus exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -245,10 +246,11 @@ class TestExitCodes:
         assert "f2.bin" in capsys.readouterr().err
         assert not (ws / "probe" / "probe.bin").exists()
 
-    def test_infer_on_a_nan_pooled_entry_exits_2_naming_the_file(self, workspace, capsys):
-        ws = workspace
+    @staticmethod
+    def _infer_with_one_pooled_entry(ws, value) -> int:
+        """infer over pooled features of ones but for one fine entry set to value, from bad.bin."""
         rows = np.ones((2, 2))
-        rows[1, 0] = np.nan
+        rows[1, 0] = value
         fine = RegionFeatureSet(
             [1, 2], [Tensor(rows)], Tensor(rows), np.ones((2, 1), np.int64), np.ones(2, bool)
         )
@@ -256,18 +258,32 @@ class TestExitCodes:
             [10], [Tensor(np.ones((1, 2)))], Tensor(np.ones((1, 2))),
             np.ones((1, 1), np.int64), np.ones(1, bool),
         )
-        save_pooled(ws / "nan.bin", fine, coarse, GlobalFeatureGrid(Tensor(np.zeros((4, 4, 2, 2)))))
+        save_pooled(ws / "bad.bin", fine, coarse, GlobalFeatureGrid(Tensor(np.zeros((4, 4, 2, 2)))))
         GatModel.init(GatConfig(c_total=2, c_last=2, d_h=4, n_heads=2, export_dim=4)).save(ws / "ckpt")
         assert run_cli(
             "graph", "--hierarchy", ws / "anatomy.json", "--out", ws / "graph.json"
         ) == 0
-        code = run_cli(
-            "infer", "--graph", ws / "graph.json", "--feats", ws / "nan.bin",
+        return run_cli(
+            "infer", "--graph", ws / "graph.json", "--feats", ws / "bad.bin",
             "--model", ws / "ckpt", "--out", ws / "tokens.bin",
         )
-        assert code == 2
-        assert "nan.bin" in capsys.readouterr().err
+
+    def test_infer_on_a_nan_pooled_entry_exits_2_naming_the_file(self, workspace, capsys):
+        ws = workspace
+        assert self._infer_with_one_pooled_entry(ws, np.nan) == 2
+        assert "bad.bin" in capsys.readouterr().err
         assert not (ws / "tokens.bin").exists()
+
+    @pytest.mark.parametrize("value", [1e300, -1e101])
+    def test_infer_on_a_pooled_entry_beyond_1e100_exits_2_naming_the_file(self, workspace, capsys, value):
+        # its square would overflow in the layer norm, with a RuntimeWarning and a degenerate row
+        ws = workspace
+        assert self._infer_with_one_pooled_entry(ws, value) == 2
+        assert "bad.bin: record 'fine_layer_00' holds non-finite values or values beyond ±1e+100" in (
+            capsys.readouterr().err
+        )
+        assert not (ws / "tokens.bin").exists()
+        assert self._infer_with_one_pooled_entry(ws, 1e100) == 0
 
     def test_train_gat_without_graph_exits_2_naming_flag(self, workspace, capsys):
         ws = workspace
@@ -545,6 +561,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "vol_000.bin" in err and "fine_ids" in err  # the first missing record
 
+    @pytest.mark.parametrize("corrupt", ["header", "payload"])
+    @pytest.mark.parametrize("command", ["infer", "pool"])
+    def test_corrupt_container_exits_2_naming_the_file(self, workspace, capsys, command, corrupt):
+        ws = workspace
+        bad = ws / "bad.bin"
+        if corrupt == "header":
+            bad.write_bytes(b"not json\n")
+        else:
+            header = {"name": "x", "dtype": "float64", "shape": [1], "byte_order": "little"}
+            bad.write_bytes(json.dumps(header).encode() + b"\n\x00\x00")
+        assert run_cli("graph", "--hierarchy", ws / "anatomy.json", "--out", ws / "g.json") == 0
+        argv = ["infer", "--graph", ws / "g.json", "--feats", bad, "--model", ws / "ckpt"]
+        if command == "pool":
+            self._encode_first_scan(ws)
+            argv = ["pool", "--pyramid", ws / "p0", "--mask", bad, "--hierarchy", ws / "anatomy.json"]
+        assert run_cli(*argv, "--out", ws / "out") == 2
+        message = "container header is not valid JSON" if corrupt == "header" else "truncated payload"
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+        assert not (ws / "out").exists()
+
+    @pytest.mark.parametrize("value", ["empty", "object", "four"])
+    @pytest.mark.parametrize("field", ["center", "radii"])
+    def test_run_with_a_region_not_of_3_numbers_exits_2_naming_it(self, workspace, capsys, field, value):
+        ws = workspace
+        doc = json.loads((ws / "phantom.json").read_text())
+        region = doc["regions"][1]
+        region[field] = {"empty": [], "object": {}, "four": region[field] + [1.0]}[value]
+        (ws / "bad_spec.json").write_text(json.dumps(doc))
+        config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2,
+                  "phantom_spec": str(ws / "bad_spec.json")}
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        assert f"region label 2: {field} must be 3" in capsys.readouterr().err
+        assert not (ws / "out").exists()
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -812,11 +863,11 @@ class TestExitCodes:
         assert "empty.json: a hierarchy needs at least one mask label" in capsys.readouterr().err
         assert not (ws / "out").exists()
 
-    def test_probe_train_on_pooled_files_of_mixed_widths_exits_2_naming_the_sample(
-        self, workspace, capsys
+    @pytest.mark.parametrize("mode", ["probe", "gat"])
+    def test_train_on_pooled_files_of_mixed_widths_exits_2_naming_the_sample(
+        self, workspace, capsys, mode
     ):
         ws = workspace
-        grid = GlobalFeatureGrid(Tensor(np.zeros((4, 4, 2, 2))))
         for i, channels in enumerate((2, 2, 3, 2)):  # sample 2 has a wider encoder
             rows = np.ones((2, channels))
             fine = RegionFeatureSet(
@@ -825,15 +876,58 @@ class TestExitCodes:
             coarse = RegionFeatureSet(
                 [10], [Tensor(rows[:1])], Tensor(rows[:1]), np.ones((1, 1), np.int64), np.ones(1, bool)
             )
+            grid = GlobalFeatureGrid(Tensor(np.zeros((4, 4, 2, channels))))
             save_pooled(ws / f"f{i}.bin", fine, coarse, grid)
         records = [{"feature_file": f"f{i}.bin", "labels": [1, 0]} for i in range(4)]
         write_manifest(ws / "data.jsonl", records)
+        assert run_cli("graph", "--hierarchy", ws / "anatomy.json", "--out", ws / "g.json") == 0
         code = run_cli(
-            "train", "--mode", "probe", "--manifest", ws / "data.jsonl", "--out", ws / "probe"
+            "train", "--mode", mode, "--manifest", ws / "data.jsonl", "--graph", ws / "g.json",
+            "--out", ws / "out",
         )
         assert code == 2
-        assert "sample 2 gives 6 probe features, sample 0 gives 4" in capsys.readouterr().err
-        assert not (ws / "probe").exists()
+        assert (
+            "pooled sample 2: (fine, coarse, grid) shapes ((2, 3), (1, 3), (4, 4, 2, 3)), "
+            "sample 0's ((2, 2), (1, 2), (4, 4, 2, 2))"
+        ) in capsys.readouterr().err
+        assert not (ws / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_training_on_samples_without_labels_exits_2(self, workspace, capsys, command):
+        # a phantom spec without pathologies gives every sample an empty label vector
+        ws = workspace
+        spec = dataclasses.replace(demo_phantom_spec(), pathologies=())
+        save_phantom_spec(ws / "no_labels.json", spec)
+        config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2,
+                  "phantom_spec": str(ws / "no_labels.json"), "probe": {"epochs": 1}}
+        (ws / "run.json").write_text(json.dumps(config))
+        code = run_cli("run", "--config", ws / "run.json")
+        if command == "train":
+            manifest = [{"feature_file": f"pool/feats_{i:03d}.bin", "labels": []} for i in range(2)]
+            write_manifest(ws / "out" / "data.jsonl", manifest)
+            code = run_cli("train", "--mode", "probe", "--manifest", ws / "out" / "data.jsonl",
+                           "--out", ws / "probe")
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: the samples carry no labels to train on"
+
+    def test_run_of_a_fine_probe_without_fine_nodes_exits_2_naming_the_granularity(self, workspace, capsys):
+        ws = workspace
+        hierarchy = AnatomyHierarchy(fine=(), coarse=(CoarseNode(10, "a", 1),), global_id=20)
+        save_hierarchy(ws / "coarse_only.json", hierarchy)
+        spec = PhantomSpec((32, 32, 16), (RegionSpec(1, (16.0, 16.0, 8.0), (6.0, 6.0, 4.0), 0.5),),
+                           (PathologySpec("a", 1, 0.9, 0.5),))
+        save_phantom_spec(ws / "one_region.json", spec)
+        config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2,
+                  "hierarchy": str(ws / "coarse_only.json"), "phantom_spec": str(ws / "one_region.json"),
+                  "probe": {"epochs": 1}, "gat_train": {"mode": "gat", "epochs": 1}}
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        err = capsys.readouterr().err
+        assert "error: probe granularity 'fine' gives no features" in err
+        assert not (ws / "out" / "probe").exists()
+        config["probe_granularity"] = "coarse"  # the graph classifier needs no fine node
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 0
 
     def test_unknown_preset_exits_2(self, workspace):
         ws = workspace
@@ -1144,6 +1238,18 @@ class TestUnwritableOut:
         assert not list(ws.rglob("*.tmp")) and not (ws / "config_out").exists()
 
 
+    @pytest.mark.parametrize("mode", ["probe", "gat"])
+    def test_train_into_an_unwritable_out_fits_nothing(self, ws, capsys, monkeypatch, mode):
+        def no_fit(*args, **kwargs):
+            pytest.fail("fitted before making the output directory")
+
+        monkeypatch.setattr("ctgraph.pipeline.train_probe", no_fit)
+        monkeypatch.setattr("ctgraph.pipeline.train_gat_classifier", no_fit)
+        argv = ["--mode", mode, "--manifest", "data.jsonl", "--graph", "g.json", "--out", "a_file"]
+        capsys.readouterr()
+        assert run_cli("train", *argv) == 2
+        assert "error: output a_file cannot be written" in capsys.readouterr().err
+
 class TestRunPipeline:
     def _config(self, ws, n=4):
         return {
@@ -1245,3 +1351,25 @@ class TestRunPipeline:
             ("pool", "start"), ("pool", "failed"),
         ]
         assert "pool" in events[-1]["cause"]
+
+    def test_a_defect_propagates_from_run_as_from_its_subcommand(self, workspace, capsys, monkeypatch):
+        """Only a CtGraphError exits 2; any other exception is a defect and leaves cli.main."""
+
+        class Defect(RuntimeError):
+            pass
+
+        def broken(*args, **kwargs):
+            raise Defect("injected")
+
+        ws = workspace
+        monkeypatch.setattr("ctgraph.pipeline.build_graph", broken)
+        (ws / "run.json").write_text(json.dumps(self._config(ws, n=2)))
+        for argv in (["graph", "--out", ws / "g.json"], ["run", "--config", ws / "run.json"]):
+            capsys.readouterr()
+            with pytest.raises(Defect, match="injected"):
+                run_cli(*argv)
+            events = self._stage_events(capsys.readouterr().err)
+            failed = [(e["stage"], e["cause"]) for e in events if e["event"] == "failed"]
+            assert failed == [("graph", "injected")]
+        stale = json.loads((ws / "run_out" / "STALE").read_text())
+        assert stale["failed_stage"] == "graph" and stale["cause"] == "injected"

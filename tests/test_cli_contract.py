@@ -1,0 +1,124 @@
+"""The exit-code contract of whole commands: `cli.main` returns 0 or 2, and raises nothing.
+
+`cli.main` runs in process on mutated inputs: a valid 2-sample `run` config,
+phantom spec or hierarchy with one node replaced or removed; a truncated or
+byte-flipped pooled container for `infer` or mask container for `pool`; and an
+`--out` blocked by an entry of the other kind. A return of 0 comes with the
+promised output (for `run`, summary.json and no STALE); a return of 2 comes
+with exactly one `error:` line. Any exception is a defect.
+"""
+
+import dataclasses
+import json
+import shutil
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ctgraph.cli import main
+from ctgraph.demo import demo_phantom_spec
+from ctgraph.graph import default_hierarchy, hierarchy_to_json
+
+from test_loaders_fuzz import DELETE, FUZZ, mutated, node_paths
+
+# Counts stay small: a num_samples or epochs of 10**30 passes validation and runs forever.
+VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """The directory of the valid documents and of one `run` over them, and the documents."""
+    base = tmp_path_factory.mktemp("contract")
+    docs = {
+        "phantom.json": json.loads(json.dumps(dataclasses.asdict(demo_phantom_spec()))),
+        "anatomy.json": hierarchy_to_json(default_hierarchy()),
+        "run.json": {
+            "seed": 1, "num_samples": 2, "phantom_spec": str(base / "phantom.json"),
+            "hierarchy": str(base / "anatomy.json"), "probe": {"epochs": 1},
+            "gat_train": {"mode": "gat", "epochs": 1, "batch_size": 2},
+            "gat": {"d_h": 4, "n_heads": 1, "export_dim": 4},
+        },
+    }
+    for name, doc in docs.items():
+        (base / name).write_text(json.dumps(doc))
+    assert main(["run", "--config", str(base / "run.json"), "--out", str(base / "run")]) == 0
+    (base / "a_file").write_text("not a directory")
+    (base / "a_dir").mkdir()
+    return base, docs
+
+
+def argv_of(base, command, changed):
+    """`command` over the valid run's files, with the file named changed read from `changed`."""
+    run = base / "run"
+    return {
+        "run": ["run", "--config", changed.get("run.json", base / "run.json")],
+        "infer": ["infer", "--graph", run / "graph.json", "--model", run / "ckpt",
+                  "--feats", changed.get("feats", run / "pool" / "feats_000.bin")],
+        "pool": ["pool", "--pyramid", run / "encode" / "sample_000", "--hierarchy", base / "anatomy.json",
+                 "--mask", changed.get("mask", run / "synth" / "mask_000.bin")],
+    }[command]
+
+
+@st.composite
+def cases(draw, base, docs):
+    """(argv without --out, files to write before the command, --out), all under base / "example"
+    but for the valid run's files and the blocking entries."""
+    work = base / "example"
+    kind = draw(st.sampled_from(["document", "container", "blocked-out"]))
+    if kind == "document":
+        name = draw(st.sampled_from(sorted(docs)))
+        doc = mutated(docs[name], draw(st.sampled_from(list(node_paths(docs[name])))),
+                      draw(VALUES | st.just(DELETE)))
+        changed = {name: work / name}
+        files = {work / n: json.dumps(doc if n == name else d) for n, d in docs.items()}
+        if name != "run.json":  # the changed config reads the changed document
+            config = dict(docs["run.json"], **{"phantom.json": {"phantom_spec": str(changed[name])},
+                                              "anatomy.json": {"hierarchy": str(changed[name])}}[name])
+            files[work / "run.json"] = json.dumps(config)
+            changed["run.json"] = work / "run.json"
+        return argv_of(base, "run", changed), files, work / "out"
+    if kind == "container":
+        command, source = draw(st.sampled_from([
+            ("infer", base / "run" / "pool" / "feats_000.bin"),
+            ("pool", base / "run" / "synth" / "mask_000.bin"),
+        ]))
+        data = bytearray(source.read_bytes())
+        at = draw(st.integers(0, len(data) - 1))
+        if draw(st.booleans()):
+            del data[at:]
+        else:
+            data[at] ^= draw(st.integers(1, 255))
+        key = "feats" if command == "infer" else "mask"
+        return argv_of(base, command, {key: work / "bad.bin"}), {work / "bad.bin": bytes(data)}, work / "out"
+    command = draw(st.sampled_from(["run", "infer", "pool"]))
+    blocked = base / ("a_file" if command == "run" else "a_dir")  # the other kind of entry
+    return argv_of(base, command, {}), {}, draw(st.sampled_from([blocked, base / "a_file" / "sub"]))
+
+
+@given(data=st.data())
+@FUZZ
+def test_a_command_returns_0_with_its_output_or_2_with_one_error_line(valid, capsys, data):
+    base, docs = valid
+    argv, files, out = data.draw(cases(base, docs))
+    shutil.rmtree(base / "example", ignore_errors=True)  # the last example's inputs and output
+    (base / "example").mkdir()
+    for path, content in files.items():
+        (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+    capsys.readouterr()
+    code = main([str(a) for a in [*argv, "--out", out]])
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if not line.startswith("{")]
+    if code == 0:
+        assert lines == []
+        if argv[0] == "run":
+            assert (out / "summary.json").exists() and not (out / "STALE").exists()
+        else:
+            assert out.exists()
+    else:
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), err
+    assert (base / "a_file").read_text() == "not a directory" and not any((base / "a_dir").iterdir())

@@ -1,6 +1,7 @@
 """Container format: bit-exact round trips and hard failures on bad files."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,26 @@ def test_rejects_garbage_header(tmp_path):
         load_tensor(path)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"not json\n", "container header is not valid JSON"),
+        (b"{}\n", "container header misses required key 'name'"),
+        (json.dumps({"name": "x", "dtype": "float64", "shape": [1], "byte_order": "little"}).encode()
+         + b"\n\x00\x00", "truncated payload for record 'x'"),
+        (b"", "empty container"),
+    ],
+    ids=["header", "keys", "payload", "empty"],
+)
+@pytest.mark.parametrize("read", [container_module.read_tensor, container_module.load_records])
+def test_a_corrupt_container_error_names_the_file_once(tmp_path, data, message, read):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}") as info:
+        read(path)
+    assert str(info.value).count(str(path)) == 1
+
+
 def test_rejects_big_endian(tmp_path):
     path = tmp_path / "t.bin"
     header = {"name": "x", "dtype": "float64", "shape": [1], "byte_order": "big"}
@@ -100,6 +121,17 @@ def test_non_finite_float_record_fails_at_load_naming_file_and_record(tmp_path, 
     for path in (tmp_path / "one.bin", tmp_path / "many.bin"):
         with pytest.raises(ValidationError, match=rf"{path.name}.*'feats'"):
             (load_tensor if path.name == "one.bin" else load_tensors)(path)
+
+
+@pytest.mark.parametrize("bad", [1e101, -1e300], ids=["above", "below"])
+def test_a_float_record_beyond_1e100_fails_at_load_naming_file_and_record(tmp_path, bad):
+    values = np.zeros(3)
+    save_tensors(tmp_path / "edge.bin", {"feats": values + [1e100, -1e100, 0.0]})
+    values[1] = bad
+    save_tensors(tmp_path / "bad.bin", {"feats": values})
+    assert load_tensors(tmp_path / "edge.bin")["feats"][0] == 1e100
+    with pytest.raises(ValidationError, match=r"bad\.bin: record 'feats' holds .* beyond ±1e\+100"):
+        load_tensors(tmp_path / "bad.bin")
 
 
 def test_trailing_bytes_after_single_record(tmp_path):

@@ -2,13 +2,14 @@
 
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctgraph.volume as volume_module
 from ctgraph.container import save_tensor
 from ctgraph.demo import demo_phantom_spec
 from ctgraph.errors import FormatError, ValidationError
@@ -287,6 +288,34 @@ class TestPhantom:
         with pytest.raises(ValidationError, match="pathology 'a': delta"):
             _simple_spec(pathologies=(PathologySpec("a", 1, value, 0.5),))
 
+    @pytest.mark.parametrize("value", [(), (3.0, 3.0), (3.0, 3.0, 3.0, 1.0)], ids=["none", "two", "four"])
+    @pytest.mark.parametrize("field", ["center", "radii"])
+    def test_region_center_and_radii_must_be_3_numbers(self, field, value):
+        region = replace(RegionSpec(2, (8.0, 8.0, 4.0), (2.0, 2.0, 2.0), 0.7), **{field: value})
+        regions = (RegionSpec(1, (3.0, 3.0, 3.0), (2.0, 2.0, 2.0), 0.4), region)
+        with pytest.raises(ValidationError, match=f"region label 2: {field} must be 3"):
+            _simple_spec(regions=regions)
+
+    def test_radii_below_1e_100_are_rejected(self):
+        # the ellipsoid test divides by the radius and squares: a smaller one overflows float64
+        with pytest.raises(ValidationError, match="region label 1: radii must be"):
+            _simple_spec(regions=(RegionSpec(1, (3.0, 3.0, 3.0), (2.0, 1e-101, 2.0), 0.4),), pathologies=())
+        with pytest.raises(ValidationError, match="pathology 'a': radius must"):
+            _simple_spec(pathologies=(PathologySpec("a", 1, 0.5, 0.5, radius=5e-324),))
+        spec = _simple_spec(pathologies=(PathologySpec("a", 1, 0.5, 1.0, radius=1e-100),))
+        assert generate_phantom(spec)[2].tolist() == [1]
+
+    def test_numbers_beyond_1e100_are_rejected(self):
+        # a volume of such values overflows float64 once squared in the layer norm
+        with pytest.raises(ValidationError, match="noise_sigma must lie in"):
+            _simple_spec(noise_sigma=1e101)
+        with pytest.raises(ValidationError, match="region label 1: intensity must lie in"):
+            _simple_spec(regions=(RegionSpec(1, (3.0, 3.0, 3.0), (2.0, 2.0, 2.0), -1e101),), pathologies=())
+        with pytest.raises(ValidationError, match="pathology 'a': delta must lie in"):
+            _simple_spec(pathologies=(PathologySpec("a", 1, 1e101, 0.5),))
+        with pytest.raises(ValidationError, match="beyond"):
+            Volume3D(np.full((2, 2, 2), 1e101))
+
     def test_prevalence_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             _simple_spec(pathologies=(PathologySpec("a", 1, 0.5, 1.5),))
@@ -452,8 +481,8 @@ class TestVolumeIO:
     def test_load_volume_checks_finiteness_once(self, tmp_path, monkeypatch):
         save_volume(tmp_path / "v.bin", Volume3D(np.ones((4, 4, 2))))
         calls = []
-        isfinite = np.isfinite
-        monkeypatch.setattr(np, "isfinite", lambda *a, **kw: calls.append(1) or isfinite(*a, **kw))
+        check = volume_module.check_range  # the finite-and-in-range check on float arrays
+        monkeypatch.setattr(volume_module, "check_range", lambda *a, **kw: calls.append(1) or check(*a, **kw))
         assert np.array_equal(load_volume(tmp_path / "v.bin").voxels, np.ones((4, 4, 2)))
         assert len(calls) == 1
 
