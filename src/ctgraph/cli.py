@@ -120,7 +120,8 @@ def cmd_eval(args) -> None:
 
 
 def cmd_run(args) -> None:
-    run_pipeline(PipelineConfig.load(args.config), out_dir=args.out)
+    cfg = PipelineConfig.load(args.config)
+    run_pipeline(cfg, out_dir=args.out)
 
 
 def seed_value(text: str) -> int:
@@ -149,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="phantom spec JSON")
     p.add_argument("--count", type=int, default=16)
     p.add_argument("--seed", type=seed_value, default=0)
+    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("encode", help="run the synthetic encoder over a volume")
@@ -156,18 +158,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presets", default=None, help="extra preset registry JSON")
     p.add_argument("--seed", type=seed_value, default=7)
     p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("pool", help="mask-guided pooling over a pyramid")
     p.add_argument("--pyramid", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--hierarchy", default=None)
+    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_pool)
 
     p = sub.add_parser("graph", help="build the region graph")
     p.add_argument("--hierarchy", default=None)
     p.add_argument("--topology", default=TOPOLOGY_HIERARCHICAL, choices=TOPOLOGIES)
     p.add_argument("--seed", type=seed_value, default=0)
+    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("train", help="train the probe or the graph classifier")
@@ -177,26 +182,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None, help="graph JSON (gat mode)")
     p.add_argument("--gat-config", default=None, help="gat dimensions JSON (gat mode)")
     p.add_argument("--granularity", default="fine", help="probe feature granularity")
+    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="export node tokens from pooled features")
     p.add_argument("--graph", required=True)
     p.add_argument("--feats", required=True)
     p.add_argument("--model", required=True)
+    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score predictions against references")
     p.add_argument("--pred", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--metrics", default="ce")
+    p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("run", help="run the full pipeline from a config")
     p.add_argument("--config", required=True)
+    p.add_argument("--out", type=out_value, default=None)
     p.set_defaults(func=cmd_run)
 
-    for name, p in sub.choices.items():  # run's output directory defaults to its config's
-        p.add_argument("--out", type=out_value, required=name != "run")
     return parser
 
 

@@ -181,10 +181,8 @@ def fit(parameters: list[Tensor], batch_logits, predict, targets: np.ndarray, cf
     indices are info["scored_indices"]. AdamW steps the parameters the first
     batch's backward reaches (never the GAT's export projection). A non-finite
     batch loss raises ValidationError naming the epoch and batch before that
-    batch's backward; so do targets without a label column, before any step.
+    batch's backward.
     """
-    if not targets.shape[1]:  # a phantom spec without pathologies, or manifest labels []
-        raise ValidationError("the samples carry no labels to train on")
     n = len(targets)
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(n)

@@ -66,15 +66,17 @@ def stage(name: str, seconds: dict | None = None, **fields):
     """
     log_event(name, "start", **fields)
     done: dict = {}
-    seconds = {} if seconds is None else seconds
-    seconds[name] = None
+    if seconds is not None:
+        seconds[name] = None
     t0 = time.perf_counter()
     try:
         yield done
     except Exception as exc:
         log_event(name, "failed", cause=str(exc))
         raise
-    seconds[name] = elapsed = round(time.perf_counter() - t0, 3)
+    elapsed = round(time.perf_counter() - t0, 3)
+    if seconds is not None:
+        seconds[name] = elapsed
     log_event(name, "done", seconds=elapsed, **done)
 
 
@@ -146,9 +148,12 @@ def graph_stage(hierarchy: AnatomyHierarchy, topology: str, seed: int, path):
     return graph
 
 
-def check_pooled_shapes(pooled) -> None:
-    """Raise a ShapeError naming the first pooled sample whose fine, coarse or grid shape
-    differs from sample 0's, as samples from encoders of other widths do."""
+def check_training_data(pooled, targets) -> None:
+    """Raise a ValidationError when targets have no label column, or a ShapeError naming the
+    first pooled sample whose fine, coarse or grid shape differs from sample 0's, as samples
+    from encoders of other widths do."""
+    if not targets.shape[1]:  # a phantom spec without pathologies, or manifest labels []
+        raise ValidationError("the samples carry no labels to train on")
     shapes = [(f.fused.shape, c.fused.shape, g.grid.shape) for f, c, g in pooled]
     for i, shape in enumerate(shapes):
         if shape != shapes[0]:
@@ -157,7 +162,7 @@ def check_pooled_shapes(pooled) -> None:
 
 def train_probe_stage(pooled, targets, granularity: str, cfg: TrainConfig, out):
     """Fit the linear probe on pooled samples; writes probe.bin and trace.json."""
-    check_pooled_shapes(pooled)
+    check_training_data(pooled, targets)
     features = np.stack([build_probe_features(*s, granularity=granularity) for s in pooled])
     if not features.shape[1]:
         raise ConfigError(f"probe granularity '{granularity}' gives no features: no {granularity} nodes")
@@ -173,7 +178,7 @@ def train_gat_stage(pooled, targets, graph, gat_doc: dict, cfg: TrainConfig, out
 
     gat_doc holds GatConfig fields as JSON; input widths come from the data.
     """
-    check_pooled_shapes(pooled)
+    check_training_data(pooled, targets)
     fine_set, _, grid = pooled[0]
     gat_config = GatConfig.from_json(gat_doc, c_total=fine_set.fused.shape[1], c_last=grid.channels)
     ensure_dir(out)
@@ -332,14 +337,17 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
             metrics["eval_ce_f1"] = report["ce"]["f1"]
     except Exception as exc:
         started = list(seconds)  # a failed stage has logged its own `failed` event
+        failed = started[-1] if started else "setup"
         if started:
-            stale = {"failed_stage": started[-1], "cause": str(exc), "stages_started": started}
-            write_json(stale_path, stale)
+            write_json(
+                stale_path, {"failed_stage": failed, "cause": str(exc), "stages_started": started}
+            )
         else:  # a failed setup has written nothing
-            log_event("setup", "failed", cause=str(exc))
+            log_event(failed, "failed", cause=str(exc))
         raise
 
-    stale_path.unlink(missing_ok=True)
+    if stale_path.exists():
+        stale_path.unlink()
     summary["total_seconds"] = round(time.perf_counter() - t_total, 3)
     write_json(out / "summary.json", summary)
     log_event("run", "done", total_seconds=summary["total_seconds"])

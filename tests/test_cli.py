@@ -902,13 +902,16 @@ class TestExitCodes:
                   "phantom_spec": str(ws / "no_labels.json"), "probe": {"epochs": 1}}
         (ws / "run.json").write_text(json.dumps(config))
         code = run_cli("run", "--config", ws / "run.json")
+        probe = ws / "out" / "probe"
         if command == "train":
             manifest = [{"feature_file": f"pool/feats_{i:03d}.bin", "labels": []} for i in range(2)]
             write_manifest(ws / "out" / "data.jsonl", manifest)
+            probe = ws / "probe"
             code = run_cli("train", "--mode", "probe", "--manifest", ws / "out" / "data.jsonl",
-                           "--out", ws / "probe")
+                           "--out", probe)
         assert code == 2
         assert capsys.readouterr().err.splitlines()[-1] == "error: the samples carry no labels to train on"
+        assert not probe.exists()
 
     def test_run_of_a_fine_probe_without_fine_nodes_exits_2_naming_the_granularity(self, workspace, capsys):
         ws = workspace

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctgraph.container as container_module
 import ctgraph.volume as volume_module
 from ctgraph.container import save_tensor
 from ctgraph.demo import demo_phantom_spec
@@ -481,8 +482,10 @@ class TestVolumeIO:
     def test_load_volume_checks_finiteness_once(self, tmp_path, monkeypatch):
         save_volume(tmp_path / "v.bin", Volume3D(np.ones((4, 4, 2))))
         calls = []
-        check = volume_module.check_range  # the finite-and-in-range check on float arrays
-        monkeypatch.setattr(volume_module, "check_range", lambda *a, **kw: calls.append(1) or check(*a, **kw))
+        check = container_module.check_range  # the finite-and-in-range check on float arrays
+        counted = lambda *a, **kw: calls.append(1) or check(*a, **kw)  # noqa: E731
+        monkeypatch.setattr(container_module, "check_range", counted)  # load_tensor, load_records
+        monkeypatch.setattr(volume_module, "check_range", counted)  # Volume3D
         assert np.array_equal(load_volume(tmp_path / "v.bin").voxels, np.ones((4, 4, 2)))
         assert len(calls) == 1
 
