@@ -5,6 +5,11 @@ Three paired comparisons over fixed seeds: probe F1 by pooling granularity
 vs random graph topology for the graph classifier. Probe features are
 standardized per dimension before training so the probe converges within
 its epoch budget at desk scale.
+
+Only the sample count is a setting. Fixed here: phantoms with noise sigma
+0.2 and intensity jitter 0.3, the demo encoder preset, probes at lr 2e-3,
+and graph classifiers (d_h 16, 2 heads, export width 16) trained 40 epochs
+at lr 3e-3 in batches of 16.
 """
 
 from __future__ import annotations
@@ -21,21 +26,14 @@ from .graph import build_hierarchical, build_random, default_hierarchy
 from .heads import TrainConfig, build_probe_features, train_gat_classifier, train_probe
 
 BENCH_SEEDS = (0, 1, 2)
+PRESET = "demo"
 
 
 @dataclass(frozen=True)
 class BenchSettings:
+    """The trend benchmark's one setting; the module docstring lists the fixed ones."""
+
     n_samples: int = 120
-    noise_sigma: float = 0.2
-    intensity_jitter: float = 0.3
-    preset: str = "demo"
-    probe_lr: float = 2e-3
-    gat_epochs: int = 40
-    gat_lr: float = 3e-3
-    gat_d_h: int = 16
-    gat_heads: int = 2
-    gat_batch: int = 16
-    export_dim: int = 16
 
 
 def standardize(features: np.ndarray) -> np.ndarray:
@@ -47,37 +45,21 @@ def standardize(features: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=len(BENCH_SEEDS))  # both trends read each seed's one dataset
 def bench_dataset(settings: BenchSettings, seed: int):
     hierarchy = default_hierarchy()
-    spec = demo_phantom_spec(
-        hierarchy,
-        noise_sigma=settings.noise_sigma,
-        intensity_jitter=settings.intensity_jitter,
-    )
+    spec = demo_phantom_spec(hierarchy, noise_sigma=0.2, intensity_jitter=0.3)
     return build_pooled_dataset(
-        spec,
-        hierarchy,
-        settings.preset,
-        settings.n_samples,
-        base_seed=1000 * seed,
-        encoder_seed=7,
+        spec, hierarchy, PRESET, settings.n_samples, base_seed=1000 * seed, encoder_seed=7
     )
 
 
-def probe_f1(samples, targets, seed: int, granularity: str, layer=None, lr: float = 2e-3) -> float:
-    features = np.stack(
-        [
-            build_probe_features(*s, granularity=granularity, layer=layer)
-            for s in samples
-        ]
-    )
-    _, trace, _ = train_probe(
-        standardize(features), targets, TrainConfig(seed=seed, lr=lr)
-    )
+def probe_f1(samples, targets, seed: int, granularity: str, layer=None) -> float:
+    features = np.stack([build_probe_features(*s, granularity=granularity, layer=layer) for s in samples])
+    _, trace, _ = train_probe(standardize(features), targets, TrainConfig(seed=seed, lr=2e-3))
     return trace[-1]["f1"]
 
 
 def run_probe_trend(settings: BenchSettings = BenchSettings(), seeds=BENCH_SEEDS) -> dict:
     """Granularity and layer-fusion comparisons; means over paired seeds."""
-    n_layers = get_preset(settings.preset).num_layers
+    n_layers = get_preset(PRESET).num_layers
     arms: dict[str, list[float]] = {
         "fine": [], "global": [], "fused": [],
         **{f"layer{l}": [] for l in range(n_layers)},
@@ -85,13 +67,9 @@ def run_probe_trend(settings: BenchSettings = BenchSettings(), seeds=BENCH_SEEDS
     for seed in seeds:
         samples, targets = bench_dataset(settings, seed)
         for arm in ("fine", "global", "fused"):
-            arms[arm].append(
-                probe_f1(samples, targets, seed, arm, lr=settings.probe_lr)
-            )
+            arms[arm].append(probe_f1(samples, targets, seed, arm))
         for l in range(n_layers):
-            arms[f"layer{l}"].append(
-                probe_f1(samples, targets, seed, "fused", layer=l, lr=settings.probe_lr)
-            )
+            arms[f"layer{l}"].append(probe_f1(samples, targets, seed, "fused", layer=l))
     means = {arm: float(np.mean(v)) for arm, v in arms.items()}
     best_single = max(means[f"layer{l}"] for l in range(n_layers))
     return {
@@ -106,23 +84,14 @@ def run_probe_trend(settings: BenchSettings = BenchSettings(), seeds=BENCH_SEEDS
 def run_topology_trend(settings: BenchSettings = BenchSettings(), seeds=BENCH_SEEDS) -> dict:
     """Hierarchical vs random-parent topology for the graph classifier."""
     hierarchy = default_hierarchy()
-    preset = get_preset(settings.preset)
+    preset = get_preset(PRESET)
     gat_config = GatConfig(
-        c_total=preset.c_total,
-        c_last=preset.channels[-1],
-        d_h=settings.gat_d_h,
-        n_heads=settings.gat_heads,
-        export_dim=settings.export_dim,
+        c_total=preset.c_total, c_last=preset.channels[-1], d_h=16, n_heads=2, export_dim=16
     )
     arms: dict[str, list[float]] = {"hierarchical": [], "random": []}
     for seed in seeds:
         samples, targets = bench_dataset(settings, seed)
-        cfg = TrainConfig.for_gat(
-            epochs=settings.gat_epochs,
-            lr=settings.gat_lr,
-            batch_size=settings.gat_batch,
-            seed=seed,
-        )
+        cfg = TrainConfig.for_gat(epochs=40, lr=3e-3, batch_size=16, seed=seed)
         for arm, graph in (
             ("hierarchical", build_hierarchical(hierarchy)),
             ("random", build_random(hierarchy, seed=seed)),

@@ -14,6 +14,7 @@ import json
 import math
 import os
 from pathlib import Path
+from types import MappingProxyType
 from typing import BinaryIO
 
 import numpy as np
@@ -73,16 +74,15 @@ def read_record(fh: BinaryIO):
     if dtype_name not in _TO_NUMPY:
         raise FormatError(f"unknown container dtype: {dtype_name}")
     shape = header["shape"]
-    if not isinstance(shape, list) or any(type(d) is not int or d <= 0 for d in shape):
-        raise FormatError(f"container shape must be a list of positive extents, got {shape}")
+    if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+        raise FormatError(f"record '{header['name']}' of shape {shape}: extents must be integers >= 0")
     np_dtype = np.dtype(_TO_NUMPY[dtype_name])
     nbytes = math.prod(shape) * np_dtype.itemsize
     try:
         array = np.empty(shape, dtype=np_dtype)
-    except (ValueError, MemoryError):  # more bytes than any file holds
-        got = 0
-    else:
-        got = fh.readinto(array)  # the payload lands in the array, copied once
+    except (ValueError, MemoryError) as exc:  # more bytes than any file holds
+        raise FormatError(f"record '{header['name']}' of shape {shape} is too large: {exc}") from exc
+    got = fh.readinto(array)  # the payload lands in the array, copied once
     if got != nbytes:
         raise FormatError(
             f"truncated payload for record '{header['name']}': "
@@ -93,7 +93,9 @@ def read_record(fh: BinaryIO):
 
 def check_range(array, what: str) -> None:
     """Raise a ValidationError naming what unless a float array lies within ±MAX_ABS (no NaN, no inf)."""
-    if array.dtype.kind == "f" and not -MAX_ABS <= float(array.min()) <= float(array.max()) <= MAX_ABS:
+    if array.dtype.kind != "f" or not array.size:
+        return
+    if not -MAX_ABS <= float(array.min()) <= float(array.max()) <= MAX_ABS:
         raise ValidationError(f"{what} holds non-finite values or values beyond ±{MAX_ABS:g}")
 
 
@@ -203,14 +205,20 @@ def write_json(path, doc) -> None:
         json.dump(doc, fh, indent=2)
 
 
-def check_keys(doc, known, what: str) -> dict:
-    """doc, which must be a JSON object whose keys all name entries of known."""
+def check_keys(doc, known, what: str, retired=MappingProxyType({})) -> dict:
+    """doc without its retired keys; doc must be a JSON object whose keys all name entries of
+    known or of retired, which maps each key that earlier releases read to the one value it
+    may still hold. A retired key of another value raises a ConfigError naming it.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - set(known)
+    unknown = set(doc) - set(known) - set(retired)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    return doc
+    for key, value in retired.items():
+        if doc.get(key, value) != value:
+            raise ConfigError(f"{what} '{key}' must be {value!r}, got {doc[key]!r}")
+    return {key: value for key, value in doc.items() if key not in retired}
 
 
 def check_values(config, what: str, rules: dict) -> None:

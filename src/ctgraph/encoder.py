@@ -87,7 +87,7 @@ def _presets_from_json(doc: dict) -> dict[str, EncoderPreset]:
             EncoderPreset(string(p["name"], "preset name"), *(
                 tuple(integer(n, f"preset {key}") for n in p[key]) for key in ("channels", "factors")
             ))
-            for p in doc.get("presets", [])
+            for p in doc["presets"]
         ]
     return {preset.name: preset for preset in presets}
 
@@ -118,9 +118,10 @@ class FeaturePyramid:
         if len(self.layers) < 1:
             raise ValidationError("a feature pyramid needs at least one layer")
         for layer in self.layers:
-            if layer.data.ndim != 4:
+            if layer.data.ndim != 4 or not layer.data.size:
                 raise ValidationError(
-                    f"pyramid layers must be 4-d (H, W, D, C), got shape {layer.data.shape}"
+                    f"pyramid layers must be 4-d (H, W, D, C) with positive extents, "
+                    f"got shape {layer.data.shape}"
                 )
         prev = self.layers[0].extents
         for i, layer in enumerate(self.layers[1:], start=1):

@@ -24,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from .container import check_keys, check_values, ensure_dir, load_tensor, read_json, save_tensor, write_json
-from .errors import ConfigError, ShapeError, ValidationError, malformed
+from .errors import ShapeError, ValidationError, malformed
 from .graph import LEVEL_COARSE, LEVEL_FINE, LEVEL_GLOBAL, TOPOLOGY_SINGLE, RegionGraph
 from .pooling import GLOBAL_GRID
 from .tensor import LEAKY_SLOPE, LN_EPS, Tensor, add, concat, graph_attention, layer_norm, linear
@@ -67,11 +67,7 @@ class GatConfig:
 
         A key of RETIRED_KEYS is read with its one value, and any other rejected.
         """
-        known = {*(f.name for f in fields(cls)), *RETIRED_KEYS} - set(widths)
-        sizes = dict(check_keys(doc, known, "gat config"))
-        for key, value in RETIRED_KEYS.items():
-            if sizes.pop(key, value) != value:
-                raise ConfigError(f"gat config '{key}' must be {value!r}, got {doc[key]!r}")
+        sizes = check_keys(doc, {f.name for f in fields(cls)} - set(widths), "gat config", RETIRED_KEYS)
         with malformed("gat config"):
             return cls(**sizes, **widths)
 

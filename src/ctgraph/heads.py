@@ -3,9 +3,12 @@
 `AffineHead` is the one affine layer. The probe trains it with per-label
 binary cross-entropy on frozen features; the graph classifier puts it on
 the updated global embedding from `gat.propagate` and backpropagates
-through both attention stages, building no export tokens. Token export
-packages the node tokens that `gat.forward` projects together with the
-generation prompt for a downstream language model.
+through both attention stages, building no export tokens. Both heads
+predict a label where its sigmoid reaches THRESHOLD, and every fit holds
+out VAL_FRACTION of its samples and decays its weights at
+`tensor.ADAM_WEIGHT_DECAY`. Token export packages the node tokens that
+`gat.forward` projects together with the generation prompt for a
+downstream language model.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ import numpy as np
 
 from .container import check_keys, check_values, load_records, load_tensor, open_input, open_output
 from .container import save_tensor, save_tensors
-from .errors import ConfigError, ShapeError, ValidationError, integer, malformed, number, string
+from .errors import ConfigError, ShapeError, ValidationError, integer, malformed, string
 from .gat import GatConfig, GatForward, GatModel, propagate
 from .graph import RegionGraph
 from .metrics import MacroScores, macro_prf1
 from .pooling import GlobalFeatureGrid, RegionFeatureSet
-from .tensor import AdamW, Tensor, bce_with_logits, linear, no_grad, reshape, _sigmoid_np
+from .tensor import ADAM_WEIGHT_DECAY, AdamW, Tensor, bce_with_logits, linear, no_grad, reshape, _sigmoid_np
 
 DEFAULT_PROMPT = (
     "Generate a medical report based on the visual information of the given CT image."
@@ -33,16 +36,19 @@ DEFAULT_PROMPT = (
 
 GRANULARITIES = ("global", "coarse", "fine", "fused")
 
+THRESHOLD = 0.5  # a label is predicted where its sigmoid reaches this
+VAL_FRACTION = 0.1  # share of a fit's samples held out for scoring
+
+# Keys that earlier releases read from train configs, each with the one value in use then.
+RETIRED_KEYS = {"threshold": THRESHOLD, "weight_decay": ADAM_WEIGHT_DECAY, "val_fraction": VAL_FRACTION}
+
 
 @dataclass
 class TrainConfig:
     batch_size: int = 32
     epochs: int = 40
     lr: float = 1e-4
-    weight_decay: float = 1e-4
     seed: int = 0
-    threshold: float = 0.5
-    val_fraction: float = 0.1
 
     def __post_init__(self):
         check_values(self, "train config", {
@@ -50,9 +56,6 @@ class TrainConfig:
             "epochs": (Integral, "an integer >= 0", lambda v: v >= 0),
             "seed": (Integral, "an integer >= 0", lambda v: v >= 0),
             "lr": (Real, "a finite number > 0", lambda v: 0 < v < math.inf),
-            "weight_decay": (Real, "a finite number >= 0", lambda v: 0 <= v < math.inf),
-            "threshold": (Real, "a number in [0, 1]", lambda v: 0 <= v <= 1),
-            "val_fraction": (Real, "a number in [0, 1)", lambda v: 0 <= v < 1),
         })
 
     @classmethod
@@ -63,10 +66,10 @@ class TrainConfig:
     @classmethod
     def from_json(cls, doc: dict, head: str = "probe", seed: int = 0) -> "TrainConfig":
         """Config to train the "probe" or "gat" head (lr 5e-5), seeded by seed unless doc
-        sets one; rejects unknown keys and a "mode" key naming the other head.
+        sets one; rejects unknown keys and a "mode" key naming the other head, and reads a
+        key of RETIRED_KEYS with its one value.
         """
-        check_keys(doc, {*cls.__dataclass_fields__, "mode"}, "train config")
-        fields = dict(doc)
+        fields = check_keys(doc, {*cls.__dataclass_fields__, "mode"}, "train config", RETIRED_KEYS)
         if fields.pop("mode", head) != head:
             raise ConfigError(f"train config mode '{doc['mode']}' does not match the {head} head")
         defaults = {"lr": 5e-5} if head == "gat" else {}
@@ -75,14 +78,13 @@ class TrainConfig:
 
 @dataclass
 class AffineHead:
-    """One affine layer with a decision threshold: the probe and the classifier head.
+    """One affine layer: the probe and the classifier head.
 
-    Its file holds "weight" and "bias" records, the threshold in the weight's meta.
+    Its file holds "weight" and "bias" records, THRESHOLD in the weight's meta.
     """
 
     weight: Tensor
     bias: Tensor
-    threshold: float = 0.5
 
     def logits(self, x) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -91,13 +93,13 @@ class AffineHead:
         """0/1 labels of the rows of x; records no tape."""
         with no_grad():
             logits = self.logits(x).data
-        return (_sigmoid_np(logits) >= self.threshold).astype(np.int32)
+        return (_sigmoid_np(logits) >= THRESHOLD).astype(np.int32)
 
     def save(self, path) -> None:
         save_tensors(
             path,
             {"weight": self.weight.data, "bias": self.bias.data},
-            meta={"weight": {"threshold": self.threshold}},
+            meta={"weight": {"threshold": THRESHOLD}},
         )
 
     @classmethod
@@ -106,14 +108,14 @@ class AffineHead:
         with malformed(f"head file {path}"):  # another container misses 'weight' or 'bias'
             arrays = {name: arr for name, arr, _ in records}
             weight, bias = arrays["weight"], arrays["bias"]
-            threshold = number(records[0][2].get("meta", {}).get("threshold", 0.5), f"{path}: threshold")
-        if not 0.0 <= threshold <= 1.0:
-            raise ValidationError(f"{path}: threshold must lie in [0, 1], got {threshold}")
+            threshold = records[0][2].get("meta", {}).get("threshold", THRESHOLD)
+        if threshold != THRESHOLD:
+            raise ValidationError(f"{path}: threshold must be {THRESHOLD}, got {threshold!r}")
         if weight.ndim != 2 or bias.shape != weight.shape[1:]:
             raise ValidationError(
                 f"{path}: head weight {weight.shape} and bias {bias.shape} do not form an affine layer"
             )
-        return cls(Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True), threshold)
+        return cls(Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True))
 
 
 def build_probe_features(
@@ -157,7 +159,7 @@ def train_probe(features: np.ndarray, targets: np.ndarray, cfg: TrainConfig):
         )
     n_classes = targets.shape[1]
     weight = Tensor(np.zeros((features.shape[1], n_classes)), requires_grad=True)
-    model = AffineHead(weight, Tensor(np.zeros(n_classes), requires_grad=True), cfg.threshold)
+    model = AffineHead(weight, Tensor(np.zeros(n_classes), requires_grad=True))
 
     def batch_logits(batch):
         return model.logits(features[batch])
@@ -174,21 +176,19 @@ def fit(parameters: list[Tensor], batch_logits, predict, targets: np.ndarray, cf
 
     batch_logits(indices) gives the logits Tensor of those samples, trained
     with per-label binary cross-entropy; predict(indices) gives their 0/1
-    predictions. The shuffled split (validation takes the trailing fraction)
-    and every epoch's batch order come from one generator seeded with
-    cfg.seed, so a fixed config gives the same trace. F1 is scored on the
-    validation samples, or on every sample when none is held out; their
-    indices are info["scored_indices"]. AdamW steps the parameters the first
-    batch's backward reaches (never the GAT's export projection). A non-finite
-    batch loss raises ValidationError naming the epoch and batch before that
-    batch's backward.
+    predictions. The shuffled split (validation takes the trailing
+    VAL_FRACTION, at least one sample) and every epoch's batch order come
+    from one generator seeded with cfg.seed, so a fixed config gives the
+    same trace. F1 is scored on the validation samples, or on the one sample
+    of a one-sample fit; their indices are info["scored_indices"]. AdamW
+    steps the parameters the first batch's backward reaches (never the GAT's
+    export projection). A non-finite batch loss raises ValidationError
+    naming the epoch and batch before that batch's backward.
     """
     n = len(targets)
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(n)
-    n_val = 0
-    if cfg.val_fraction > 0 and n > 1:
-        n_val = min(n - 1, max(1, int(round(n * cfg.val_fraction))))
+    n_val = min(n - 1, max(1, round(n * VAL_FRACTION))) if n > 1 else 0
     train_idx, val_idx = perm[: n - n_val], perm[n - n_val :]
     scored_idx = val_idx if len(val_idx) else np.arange(n)
     optimizer = None
@@ -216,7 +216,7 @@ def fit(parameters: list[Tensor], batch_logits, predict, targets: np.ndarray, cf
             loss.backward()
             if optimizer is None:
                 reached = [p for p in parameters if p.grad is not None]
-                optimizer = AdamW(reached, lr=cfg.lr, weight_decay=cfg.weight_decay)
+                optimizer = AdamW(reached, lr=cfg.lr)
             optimizer.step()
             epoch_loss += value
             n_batches += 1
@@ -260,7 +260,7 @@ class GatClassifier:
         """0/1 labels: (n_classes,) for one sample, (B, n_classes) for a list of B; no tape."""
         with no_grad():
             logits = self.logits(graph, sample).data
-        labels = (_sigmoid_np(logits) >= self.head.threshold).astype(np.int32)
+        labels = (_sigmoid_np(logits) >= THRESHOLD).astype(np.int32)
         return labels[0] if isinstance(sample[0], RegionFeatureSet) else labels
 
     def save(self, directory) -> Path:
@@ -273,16 +273,14 @@ class GatClassifier:
         return cls(GatModel.load(directory), AffineHead.load(Path(directory) / "head.bin"))
 
 
-def init_gat_classifier(
-    gat_config: GatConfig, n_classes: int, seed: int = 0, threshold: float = 0.5
-) -> GatClassifier:
+def init_gat_classifier(gat_config: GatConfig, n_classes: int, seed: int = 0) -> GatClassifier:
     gat = GatModel.init(gat_config, seed=seed)
     rng = np.random.default_rng([seed, 1])
     head_w = rng.standard_normal((gat_config.d_h, n_classes)) * np.sqrt(
         2.0 / (gat_config.d_h + n_classes)
     )
     bias = Tensor(np.zeros(n_classes), requires_grad=True)
-    return GatClassifier(gat, AffineHead(Tensor(head_w, requires_grad=True), bias, threshold))
+    return GatClassifier(gat, AffineHead(Tensor(head_w, requires_grad=True), bias))
 
 
 def train_gat_classifier(
@@ -300,9 +298,7 @@ def train_gat_classifier(
     targets = np.asarray(targets, dtype=np.float64)
     if len(samples) != len(targets):
         raise ShapeError(f"{len(samples)} samples but {len(targets)} target rows")
-    clf = init_gat_classifier(
-        gat_config, targets.shape[1], seed=cfg.seed, threshold=cfg.threshold
-    )
+    clf = init_gat_classifier(gat_config, targets.shape[1], seed=cfg.seed)
 
     def batch_logits(batch):
         return clf.logits(graph, [samples[i] for i in batch])

@@ -28,6 +28,7 @@ LEAKY_SLOPE = 0.2  # graph_attention's LeakyReLU slope below 0, the GAT rule
 LN_EPS = 1e-6  # layer_norm's variance floor
 ADAM_BETAS = (0.9, 0.999)  # AdamW's moment decay rates
 ADAM_EPS = 1e-8  # AdamW's denominator floor
+ADAM_WEIGHT_DECAY = 1e-4  # AdamW's decoupled decay rate, the one both heads train with
 
 
 class Tensor:
@@ -325,7 +326,7 @@ def bce_with_logits(logits, targets) -> Tensor:
 
 
 class AdamW:
-    """Adam with decoupled weight decay and bias-corrected moments (ADAM_BETAS, ADAM_EPS).
+    """Adam with decoupled weight decay (ADAM_WEIGHT_DECAY) and bias-corrected moments (ADAM_BETAS, ADAM_EPS).
 
     The parameters' data become views into one flat buffer, so a step updates
     them all, with one step count, in a handful of in-place numpy calls; what
@@ -334,10 +335,9 @@ class AdamW:
     parameter values, gradients, and state.
     """
 
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3, weight_decay: float = 0.0):
+    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = float(lr)
-        self.weight_decay = float(weight_decay)
         dtypes = {p.data.dtype for p in self.params}
         if len(dtypes) != 1:
             raise ValueError(f"AdamW needs parameters of one dtype, got {sorted(map(str, dtypes))}")
@@ -371,6 +371,6 @@ class AdamW:
         denom += ADAM_EPS
         update = m / (1.0 - beta1**self.t)
         update /= denom
-        update += self.weight_decay * p
+        update += ADAM_WEIGHT_DECAY * p
         update *= self.lr
         p -= update

@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .container import MAX_ABS, check_range, load_tensor, read_json, read_tensor, save_tensor, write_json
+from .container import MAX_ABS, check_range, read_json, read_tensor, save_tensor, write_json
 from .errors import FormatError, ValidationError, integer, malformed, number, string
 
 # The largest mask label: the uint16 range segmentation formats store labels in.
@@ -314,9 +314,9 @@ def save_mask(path, mask: LabelMask3D) -> None:
 
 
 def load_mask(path) -> LabelMask3D:
-    array, header = load_tensor(path)
-    if array.ndim != 3:
-        raise FormatError(f"{path}: mask container must be 3-d, got shape {array.shape}")
+    _, array, header = read_tensor(path)
+    if array.ndim != 3 or array.dtype.kind != "i":  # a float scan would truncate to labels
+        raise FormatError(f"{path}: mask container must be 3-d integers, got {header['dtype']} {array.shape}")
     meta = header.get("meta") or {}
     # without a header value: the largest label present, at least 1
     num_labels = meta["num_labels"] if "num_labels" in meta else int(array.max(initial=1))

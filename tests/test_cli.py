@@ -149,6 +149,32 @@ class TestSubcommandChain:
         export = load_token_export(ws / "tokens.bin")
         assert export.tokens.shape == (4, 4)  # global + 1 coarse + 2 fine
 
+    def test_chain_of_a_coarse_only_hierarchy_reads_its_pooled_files_back(self, workspace):
+        ws = workspace
+        save_hierarchy(ws / "coarse_only.json", AnatomyHierarchy((), (CoarseNode(10, "a", 1),), 20))
+        spec = PhantomSpec((32, 32, 16), (RegionSpec(1, (16.0, 16.0, 8.0), (6.0, 6.0, 4.0), 0.5),),
+                           (PathologySpec("a", 1, 0.9, 0.5),))
+        save_phantom_spec(ws / "one_region.json", spec)
+        assert run_cli("synth", "--spec", ws / "one_region.json", "--count", 2, "--out", ws / "d") == 0
+        for i in range(2):
+            assert run_cli("encode", "--preset", "tiny", "--presets", ws / "presets.json",
+                           "--in", ws / "d" / f"vol_{i:03d}.bin", "--out", ws / f"p{i}") == 0
+            assert run_cli("pool", "--pyramid", ws / f"p{i}", "--mask", ws / "d" / f"mask_{i:03d}.bin",
+                           "--hierarchy", ws / "coarse_only.json", "--out", ws / f"feats_{i}.bin") == 0
+        fine_set, coarse_set, _ = load_pooled(ws / "feats_0.bin")
+        assert (fine_set.fused.shape, coarse_set.num_regions) == ((0, 4), 1)
+        labels = [json.loads(line)["labels"] for line in (ws / "d" / "samples.jsonl").read_text().splitlines()]
+        write_manifest(ws / "data.jsonl", [{"feature_file": f"feats_{i}.bin", "labels": labels[i]} for i in range(2)])
+        assert run_cli("graph", "--hierarchy", ws / "coarse_only.json", "--out", ws / "graph.json") == 0
+        (ws / "gat.json").write_text(json.dumps({"d_h": 4, "n_heads": 1, "export_dim": 4}))
+        assert run_cli(
+            "train", "--mode", "gat", "--manifest", ws / "data.jsonl", "--graph", ws / "graph.json",
+            "--gat-config", ws / "gat.json", "--out", ws / "ckpt",
+        ) == 0
+        assert run_cli("infer", "--graph", ws / "graph.json", "--feats", ws / "feats_1.bin",
+                       "--model", ws / "ckpt", "--out", ws / "tokens.bin") == 0
+        assert load_token_export(ws / "tokens.bin").tokens.shape == (2, 4)  # global + 1 coarse
+
     def test_synth_idempotent(self, workspace):
         ws = workspace
         for _ in range(2):
@@ -1305,13 +1331,11 @@ class TestRunPipeline:
 
     def test_eval_scores_the_classifiers_held_out_samples(self, workspace):
         ws = workspace
-        config = self._config(ws, n=8)
-        config["gat_train"] = {**config["gat_train"], "val_fraction": 0.25}
-        (ws / "run.json").write_text(json.dumps(config))
+        (ws / "run.json").write_text(json.dumps(self._config(ws, n=15)))
         assert run_cli("run", "--config", ws / "run.json") == 0
         metrics = json.loads((ws / "run_out" / "summary.json").read_text())["metrics"]
         scored = metrics["gat_info"]["scored_indices"]
-        assert len(scored) == metrics["gat_info"]["val_size"] == 2
+        assert len(scored) == metrics["gat_info"]["val_size"] == 2  # a tenth of 15, rounded
         assert metrics["eval_ce_f1"] == metrics["gat_f1"]
 
     def test_rerun_reproduces_metrics(self, workspace):

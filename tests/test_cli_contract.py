@@ -6,6 +6,10 @@ byte-flipped pooled container for `infer` or mask container for `pool`; and an
 `--out` blocked by an entry of the other kind. A return of 0 comes with the
 promised output (for `run`, summary.json and no STALE); a return of 2 comes
 with exactly one `error:` line. Any exception is a defect.
+
+A table replaces each input path of every subcommand with a missing path, a
+directory, or another command's input file; each must return 2 with one
+`error:` line naming the path, and write no output.
 """
 
 import dataclasses
@@ -49,6 +53,16 @@ def valid(tmp_path_factory):
     assert main(["run", "--config", str(base / "run.json"), "--out", str(base / "run")]) == 0
     (base / "a_file").write_text("not a directory")
     (base / "a_dir").mkdir()
+    samples = [json.loads(line) for line in (base / "run" / "synth" / "samples.jsonl").read_text().splitlines()]
+    inputs = {  # the other subcommands' input files, each written as JSON lines
+        "presets.json": [{"presets": [{"name": "tiny", "channels": [2, 2], "factors": [1, 2]}]}],
+        "data.jsonl": [{"feature_file": f"run/pool/feats_{s['id']:03d}.bin", "labels": s["labels"]} for s in samples],
+        "records.jsonl": [{"id": s["id"], "labels": s["labels"]} for s in samples],
+        "train.json": [docs["run.json"]["gat_train"]],
+        "gat.json": [docs["run.json"]["gat"]],
+    }
+    for name, lines in inputs.items():
+        (base / name).write_text("".join(json.dumps(line) + "\n" for line in lines))
     return base, docs
 
 
@@ -98,6 +112,60 @@ def cases(draw, base, docs):
     command = draw(st.sampled_from(["run", "infer", "pool"]))
     blocked = base / ("a_file" if command == "run" else "a_dir")  # the other kind of entry
     return argv_of(base, command, {}), {}, draw(st.sampled_from([blocked, base / "a_file" / "sub"]))
+
+
+# Every subcommand with each input path valid, relative to the `valid` fixture's directory.
+COMMANDS = {
+    "synth": {"--spec": "phantom.json", "--count": "1"},
+    "encode": {"--in": "run/synth/vol_000.bin", "--presets": "presets.json", "--preset": "tiny"},
+    "pool": {"--pyramid": "run/encode/sample_000", "--mask": "run/synth/mask_000.bin",
+             "--hierarchy": "anatomy.json"},
+    "graph": {"--hierarchy": "anatomy.json"},
+    "train": {"--manifest": "data.jsonl", "--config": "train.json", "--graph": "run/graph.json",
+              "--gat-config": "gat.json", "--mode": "gat"},
+    "infer": {"--graph": "run/graph.json", "--feats": "run/pool/feats_000.bin", "--model": "run/ckpt"},
+    "eval": {"--pred": "records.jsonl", "--ref": "records.jsonl"},
+    "run": {"--config": "run.json"},
+}
+
+INPUT_PATHS = [  # (command, input flag, another command's input file)
+    ("synth", "--spec", "anatomy.json"),
+    ("encode", "--in", "run/pool/feats_000.bin"),
+    ("encode", "--presets", "phantom.json"),
+    ("pool", "--pyramid", "run/ckpt"),
+    ("pool", "--mask", "run/synth/vol_000.bin"),
+    ("pool", "--hierarchy", "phantom.json"),
+    ("graph", "--hierarchy", "phantom.json"),
+    ("train", "--manifest", "run/synth/samples.jsonl"),
+    ("train", "--config", "anatomy.json"),
+    ("train", "--graph", "anatomy.json"),
+    ("train", "--gat-config", "phantom.json"),
+    ("infer", "--graph", "anatomy.json"),
+    ("infer", "--feats", "run/synth/vol_000.bin"),
+    ("infer", "--model", "run/encode/sample_000"),
+    ("eval", "--pred", "data.jsonl"),
+    ("eval", "--ref", "data.jsonl"),
+    ("run", "--config", "phantom.json"),
+]
+PATH_FLAGS = {flag for _, flag, _ in INPUT_PATHS}
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "other-input"])
+@pytest.mark.parametrize("command, flag, other", INPUT_PATHS, ids=[f"{c}{f}" for c, f, _ in INPUT_PATHS])
+def test_an_input_path_of_the_wrong_kind_returns_2_naming_it(valid, capsys, command, flag, other, kind):
+    base, _ = valid
+    work = base / "paths"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    bad = {"missing": work / "missing.bin", "directory": base / "a_dir", "other-input": base / other}[kind]
+    argv = [command, "--out", str(work / "out")]
+    for f, value in COMMANDS[command].items():
+        argv += [f, str(bad if f == flag else base / value if f in PATH_FLAGS else value)]
+    capsys.readouterr()
+    code = main(argv)
+    lines = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("{")]
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error: ") and str(bad) in lines[0], lines
+    assert not (work / "out").exists()
 
 
 @given(data=st.data())

@@ -134,6 +134,22 @@ def test_a_float_record_beyond_1e100_fails_at_load_naming_file_and_record(tmp_pa
         load_tensors(tmp_path / "bad.bin")
 
 
+def test_records_of_zero_extent_round_trip(tmp_path):
+    # a pooled file of a hierarchy without fine nodes holds (0, C) fine records
+    named = {"rows": np.zeros((0, 3)), "ids": np.zeros(0, dtype=np.int64), "cube": np.zeros((2, 0, 2), np.float32)}
+    save_tensors(tmp_path / "t.bin", named)
+    back = load_tensors(tmp_path / "t.bin")
+    assert {k: (v.shape, v.dtype) for k, v in back.items()} == {k: (v.shape, v.dtype) for k, v in named.items()}
+
+
+@pytest.mark.parametrize("shape", [[0, 2**62], [2**62, 0], [2**62], [-1, 0], [0.0]])
+def test_a_shape_no_array_holds_is_a_format_error(tmp_path, shape):
+    header = {"name": "x", "dtype": "float64", "shape": shape, "byte_order": "little"}
+    (tmp_path / "t.bin").write_bytes(json.dumps(header).encode() + b"\n")
+    with pytest.raises(FormatError, match=re.escape(f"t.bin: record 'x' of shape {shape}")):
+        load_tensor(tmp_path / "t.bin")
+
+
 def test_trailing_bytes_after_single_record(tmp_path):
     path = tmp_path / "t.bin"
     save_tensor(path, np.zeros(2))

@@ -207,6 +207,14 @@ def test_import_rejects_wrong_rank(tmp_path):
         import_pyramid([tmp_path / "bad.bin"])
 
 
+@pytest.mark.parametrize("shape", [(0, 4, 4, 2), (2, 4, 4, 0)], ids=["no-channel", "zero-depth"])
+def test_import_rejects_a_layer_with_a_zero_extent(tmp_path, shape):
+    # containers may hold zero extents; pooling a layer without voxels or channels cannot work
+    save_tensor(tmp_path / "bad.bin", np.zeros(shape))
+    with pytest.raises(ValidationError, match="positive extents"):
+        import_pyramid([tmp_path / "bad.bin"])
+
+
 def test_pyramid_needs_a_layer():
     with pytest.raises(ValidationError):
         FeaturePyramid([])

@@ -51,7 +51,7 @@ class TestTrainProbe:
 
     def test_first_batch_loss_is_ln2_at_zero_init(self):
         x, y = separable_dataset(n=32)
-        cfg = TrainConfig(epochs=1, batch_size=32, val_fraction=0.1, seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=32, seed=0)
         _, trace, _ = train_probe(x, y, cfg)
         assert trace[0]["loss"] == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -73,7 +73,7 @@ class TestTrainProbe:
     def test_loss_monotone_on_single_sample(self):
         x = np.array([[0.5, -1.0, 2.0]])
         y = np.array([[1.0, 0.0]])
-        cfg = TrainConfig(epochs=30, lr=1e-3, weight_decay=0.0, val_fraction=0.0, seed=0)
+        cfg = TrainConfig(epochs=30, lr=1e-3, seed=0)
         _, trace, _ = train_probe(x, y, cfg)
         losses = [t["loss"] for t in trace]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -114,11 +114,19 @@ class TestTrainProbe:
         with pytest.raises(ValidationError, match="probe.bin.*threshold"):
             AffineHead.load(tmp_path / "probe.bin")
 
-    @pytest.mark.parametrize("threshold", [0, 1, 0.25])
-    def test_load_takes_a_threshold_in_0_1(self, tmp_path, threshold):
+    @pytest.mark.parametrize("threshold", [0, 1, 0.25, "0.5"])
+    def test_load_rejects_a_threshold_other_than_the_one_predictions_use(self, tmp_path, threshold):
         records = {"weight": np.zeros((3, 2)), "bias": np.zeros(2)}
         save_tensors(tmp_path / "probe.bin", records, meta={"weight": {"threshold": threshold}})
-        assert AffineHead.load(tmp_path / "probe.bin").threshold == threshold
+        with pytest.raises(ValidationError, match="probe.bin: threshold must be 0.5"):
+            AffineHead.load(tmp_path / "probe.bin")
+
+    @pytest.mark.parametrize("meta", [{"weight": {"threshold": 0.5}}, None], ids=["0.5", "absent"])
+    def test_load_takes_the_one_threshold_or_none(self, tmp_path, meta):
+        records = {"weight": np.eye(2), "bias": np.zeros(2)}
+        save_tensors(tmp_path / "probe.bin", records, meta=meta)
+        head = AffineHead.load(tmp_path / "probe.bin")
+        assert head.predict(np.array([[0.0, -1.0]])).tolist() == [[1, 0]]  # sigmoid 0.5 is positive
 
     def test_load_rejects_a_nan_weight(self, tmp_path):
         weight = np.zeros((3, 2))
@@ -137,21 +145,24 @@ class TestTrainConfig:
         targets = rng.integers(0, 2, (10, 2)).astype(np.float64)
         steps = []
         monkeypatch.setattr(tensor_module.AdamW, "step", lambda self: steps.append(1))
-        cfg = TrainConfig(epochs=2, batch_size=4, val_fraction=0.0, seed=0)
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=0)
         with pytest.raises(ValidationError, match=r"epoch 0, batch \d"):
             train_probe(features, targets, cfg)
-        rng = np.random.default_rng(0)  # fit's split, then epoch 0's batch order
-        order = rng.permutation(rng.permutation(10))
-        assert len(steps) == list(order).index(7) // 4  # the batches before the bad one only
+        rng = np.random.default_rng(0)  # fit's split (one sample held out), then epoch 0's batch order
+        order = list(rng.permutation(rng.permutation(10)[:9]))
+        assert len(steps) == order.index(7) // 4  # the batches before the bad one only
 
     def test_probe_defaults(self):
         cfg = TrainConfig()
-        assert (cfg.lr, cfg.weight_decay, cfg.batch_size, cfg.epochs) == (
-            1e-4,
-            1e-4,
-            32,
-            40,
+        assert (cfg.lr, cfg.batch_size, cfg.epochs, cfg.seed) == (1e-4, 32, 40, 0)
+        assert (heads_module.THRESHOLD, heads_module.VAL_FRACTION, tensor_module.ADAM_WEIGHT_DECAY) == (
+            0.5, 0.1, 1e-4
         )
+
+    def test_reads_the_retired_keys_with_their_one_value(self):
+        retired = {"threshold": 0.5, "weight_decay": 1e-4, "val_fraction": 0.1}
+        assert TrainConfig.from_json({**retired, "epochs": 3}) == TrainConfig(epochs=3)
+        assert TrainConfig.for_gat(**retired) == TrainConfig.for_gat()
 
     def test_gat_default_lr(self):
         assert TrainConfig.for_gat().lr == 5e-5
@@ -177,6 +188,8 @@ class TestTrainConfig:
             {"lr": math.nan}, {"lr": math.inf}, {"lr": 0.0}, {"lr": -1e-3},
             {"weight_decay": math.nan}, {"weight_decay": math.inf}, {"weight_decay": -0.1},
             {"threshold": math.nan}, {"threshold": 1.5}, {"threshold": -0.1},
+            {"threshold": 0.7}, {"threshold": True}, {"weight_decay": 0.0}, {"weight_decay": "1e-4"},
+            {"val_fraction": 0.0}, {"val_fraction": 0.25},
         ],
     )
     def test_rejects_bad_values_naming_the_key(self, doc):

@@ -14,6 +14,7 @@ from ctgraph.gradcheck import check_gradients, max_relative_error
 from ctgraph.tensor import (
     ADAM_BETAS,
     ADAM_EPS,
+    ADAM_WEIGHT_DECAY,
     SOFTMAX_SUM_ATOL,
     AdamW,
     Tensor,
@@ -170,13 +171,13 @@ class TestLayerNorm:
 
 
 class TestAdamW:
-    def test_zero_gradient_leaves_params_unchanged(self):
+    def test_zero_gradient_only_decays_params(self):
         p = Tensor([1.0, -2.0], requires_grad=True)
         before = p.data.copy()
-        opt = AdamW([p], lr=0.1, weight_decay=0.0)
+        opt = AdamW([p], lr=0.1)
         p.grad = np.zeros(2)
         opt.step()
-        assert np.array_equal(p.data, before)
+        assert np.array_equal(p.data, before - ADAM_WEIGHT_DECAY * before * 0.1)
 
     def test_descends_on_square(self):
         w = Tensor([1.0], requires_grad=True)
@@ -188,9 +189,9 @@ class TestAdamW:
     def test_three_steps_match_hand_trace(self):
         # f(w) = 2 w0^2 + 0.5 w1^2, grad = (4 w0, w1)
         assert ADAM_BETAS == (0.9, 0.999) and ADAM_EPS == 1e-8  # the published defaults
-        lr, wd, (b1, b2), eps = 0.1, 0.01, ADAM_BETAS, ADAM_EPS
+        lr, wd, (b1, b2), eps = 0.1, ADAM_WEIGHT_DECAY, ADAM_BETAS, ADAM_EPS
         w = Tensor([1.0, -3.0], requires_grad=True)
-        opt = AdamW([w], lr=lr, weight_decay=wd)
+        opt = AdamW([w], lr=lr)
 
         ref = [1.0, -3.0]
         m = [0.0, 0.0]
@@ -210,7 +211,7 @@ class TestAdamW:
     def test_deterministic_given_state(self):
         def run():
             p = Tensor([0.5, 0.25], requires_grad=True)
-            opt = AdamW([p], lr=0.01, weight_decay=0.1)
+            opt = AdamW([p], lr=0.01)
             for _ in range(5):
                 p.grad = 2.0 * p.data  # the gradient of the sum of p^2
                 opt.step()
@@ -221,9 +222,9 @@ class TestAdamW:
 
 class TestAdamWFlatBuffer:
     @staticmethod
-    def loop_reference(params, grads_per_step, lr, weight_decay):
+    def loop_reference(params, grads_per_step, lr):
         """The per-parameter AdamW loop the flat step replaced, as the oracle."""
-        (beta1, beta2), eps = ADAM_BETAS, ADAM_EPS
+        (beta1, beta2), eps, weight_decay = ADAM_BETAS, ADAM_EPS, ADAM_WEIGHT_DECAY
         data = [p.copy() for p in params]
         state = [{"m": np.zeros_like(p), "v": np.zeros_like(p)} for p in params]
         for t, grads in enumerate(grads_per_step, start=1):
@@ -242,14 +243,13 @@ class TestAdamWFlatBuffer:
         steps = [
             [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 2) for s in shapes] for _ in range(12)
         ]
-        settings = dict(lr=3e-3, weight_decay=1e-4)
         params = [Tensor(p.copy(), requires_grad=True) for p in start]
-        opt = AdamW(params, **settings)
+        opt = AdamW(params, lr=3e-3)
         for grads in steps:
             for p, g in zip(params, grads):
                 p.grad = g
             opt.step()
-        expected = self.loop_reference(start, steps, **settings)
+        expected = self.loop_reference(start, steps, lr=3e-3)
         for p, e in zip(params, expected):
             assert np.array_equal(p.data, e)
         assert opt.t == 12
@@ -257,7 +257,7 @@ class TestAdamWFlatBuffer:
     def test_parameter_without_grad_raises_before_any_update(self):
         a = Tensor([0.3, -0.7], requires_grad=True)
         b = Tensor([[1.5, 2.5]], requires_grad=True)
-        opt = AdamW([a, b], lr=0.1, weight_decay=0.5)
+        opt = AdamW([a, b], lr=0.1)
         b.grad = np.ones((1, 2))
         with pytest.raises(ValueError, match=r"parameter 0 of shape \(2,\) has no gradient"):
             opt.step()

@@ -469,6 +469,19 @@ class TestVolumeIO:
         save_tensor(tmp_path / "m.bin", labels, name="mask")
         assert load_mask(tmp_path / "m.bin").num_labels == expected
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_a_mask_container_of_floats_fails_naming_the_file_and_the_dtype(self, tmp_path, dtype):
+        # a scan's values (0 to 0.8) would truncate to an all-background mask
+        save_tensor(tmp_path / "m.bin", np.full((2, 2, 2), 0.8, dtype=dtype), name="volume")
+        with pytest.raises(FormatError, match=f"m.bin: .*{dtype}"):
+            load_mask(tmp_path / "m.bin")
+
+    def test_an_int64_mask_container_loads(self, tmp_path):
+        labels = np.arange(8, dtype=np.int64).reshape(2, 2, 2)
+        save_tensor(tmp_path / "m.bin", labels, name="mask")
+        back = load_mask(tmp_path / "m.bin")
+        assert back.num_labels == 7 and np.array_equal(back.labels, labels)
+
     def test_mask_header_num_labels_beyond_the_uint16_range_fails_naming_the_file(self, tmp_path):
         # 2**40 labels would size pooling's label lookup table at 8 TiB
         save_tensor(tmp_path / "m.bin", np.ones((2, 2, 2), dtype=np.int32), name="mask",
