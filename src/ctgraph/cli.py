@@ -20,7 +20,7 @@ import numpy as np
 
 from .container import read_json
 from .encoder import get_preset, load_pyramid
-from .errors import ConfigError, CtGraphError, ValidationError
+from .errors import ConfigError, CtGraphError, ShapeError, ValidationError
 from .gat import GatModel
 from .graph import TOPOLOGIES, TOPOLOGY_HIERARCHICAL, load_graph
 from .heads import TrainConfig, read_manifest
@@ -100,7 +100,10 @@ def cmd_infer(args) -> None:
     sample = load_pooled(args.feats)
     model = GatModel.load(args.model)
     with stage("infer", out=args.out) as done:
-        fwd = infer_stage(graph, sample, model, args.out)
+        try:
+            fwd = infer_stage(graph, sample, model, args.out)
+        except ShapeError as exc:  # a level's width differs from the checkpoint's
+            raise ShapeError(f"--feats {args.feats}: {exc}") from exc
         done["tokens"] = len(fwd.token_ids)
 
 

@@ -53,6 +53,16 @@ class EncoderPreset:
             out.append(acc)
         return tuple(out)
 
+    def check_extents(self, extents) -> None:
+        """Raise a ValidationError naming the first cumulative factor that does not divide
+        every one of the (H, W, D) extents, which the encoder cannot downsample."""
+        for li, factor in enumerate(self.cumulative_factors()):
+            if any(n % factor for n in extents):
+                raise ValidationError(
+                    f"volume extents {tuple(extents)} must be divisible by the cumulative "
+                    f"downsample factor {factor} of preset '{self.name}' layer {li}"
+                )
+
 
 PRESETS: dict[str, EncoderPreset] = {
     p.name: p
@@ -153,7 +163,16 @@ if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:
     _WORKERS = os.cpu_count() or 1
-_POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="ctgraph-encode")
+
+
+def _new_pool() -> None:
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="ctgraph-encode")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none of its threads
+    os.register_at_fork(after_in_child=_new_pool)
 # Smaller volumes encode on the calling thread. On two CPUs, two slabs lost
 # to one under the 8-channel demo preset up to 2^17 voxels (32x32x16: 0.86
 # vs 1.06 ms) and won from 2^18 (64^3: 6.6 vs 7.2 ms); the 48-channel
@@ -184,15 +203,11 @@ def synth_encode(volume: Volume3D, preset: EncoderPreset, seed: int) -> FeatureP
     preallocated layer arrays on a shared thread pool. The output does not
     depend on the slab count.
     """
+    preset.check_extents(volume.shape)
     h, w, d = volume.shape
     slabs = _WORKERS if volume.voxels.size >= _INLINE_BELOW_VOXELS else 1
     layers, tasks = [], []
     for li, (c_l, factor) in enumerate(zip(preset.channels, preset.cumulative_factors())):
-        if h % factor or w % factor or d % factor:
-            raise ValidationError(
-                f"volume extents {volume.shape} must be divisible by the cumulative "
-                f"downsample factor {factor} of preset '{preset.name}' layer {li}"
-            )
         rng = np.random.default_rng([seed, li])
         scale = rng.standard_normal(c_l)
         offset = 0.1 * rng.standard_normal(c_l)

@@ -24,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from .container import check_keys, check_values, ensure_dir, load_tensor, read_json, save_tensor, write_json
-from .errors import ShapeError, ValidationError, malformed
+from .errors import ConfigError, ShapeError, ValidationError, malformed
 from .graph import LEVEL_COARSE, LEVEL_FINE, LEVEL_GLOBAL, TOPOLOGY_SINGLE, RegionGraph
 from .pooling import GLOBAL_GRID
 from .tensor import LEAKY_SLOPE, LN_EPS, Tensor, add, concat, graph_attention, layer_norm, linear
@@ -57,8 +57,10 @@ class GatConfig:
         return self.d_h // self.n_heads
 
     @property
-    def global_in(self) -> int:
-        return math.prod(GLOBAL_GRID) * self.c_last
+    def fan_in(self) -> dict[str, int]:
+        """Each node level's input width: the fused pooled layers, or the flattened global grid."""
+        global_in = math.prod(GLOBAL_GRID) * self.c_last
+        return {LEVEL_FINE: self.c_total, LEVEL_COARSE: self.c_total, LEVEL_GLOBAL: global_in}
 
     @classmethod
     def from_json(cls, doc: dict, **widths) -> "GatConfig":
@@ -86,8 +88,7 @@ class GatModel:
     @classmethod
     def param_shapes(cls, config: GatConfig) -> dict[str, tuple[int, ...]]:
         shapes: dict[str, tuple[int, ...]] = {}
-        fan_in = {"fine": config.c_total, "coarse": config.c_total, "global": config.global_in}
-        for level, k in fan_in.items():
+        for level, k in config.fan_in.items():
             shapes[f"{level}_mlp.0.w"] = (k, config.d_h)
             shapes[f"{level}_mlp.0.b"] = (config.d_h,)
         for stage in ("stage1", "stage2"):
@@ -105,13 +106,19 @@ class GatModel:
         rng = np.random.default_rng(seed)
         params: dict[str, Tensor] = {}
         for name, shape in cls.param_shapes(config).items():
-            if name.endswith(".b") or name.endswith(".beta"):
-                data = np.zeros(shape)
-            elif name.endswith(".gamma"):
-                data = np.ones(shape)
-            else:  # every other parameter is a matrix: Glorot normal, scaled in place
-                data = rng.standard_normal(shape)
-                data *= np.sqrt(2.0 / sum(shape))
+            try:
+                if name.endswith(".b") or name.endswith(".beta"):
+                    data = np.zeros(shape)
+                elif name.endswith(".gamma"):
+                    data = np.ones(shape)
+                else:  # every other parameter is a matrix: Glorot normal, scaled in place
+                    data = rng.standard_normal(shape)
+                    data *= np.sqrt(2.0 / sum(shape))
+            except (ValueError, MemoryError) as exc:  # more bytes than the machine addresses
+                raise ConfigError(
+                    f"gat config d_h {config.d_h}, n_heads {config.n_heads}, export_dim "
+                    f"{config.export_dim}: parameter '{name}' of shape {shape} cannot be allocated: {exc}"
+                ) from exc
             params[name] = Tensor(data, requires_grad=True)
         return cls(config, params)
 
@@ -155,7 +162,7 @@ class GraphActivation:
     h_global: Tensor
     h_coarse_updated: Tensor | None
     h_global_updated: Tensor
-    alphas: dict[int, dict] = field(default_factory=dict)
+    alphas: dict[str, dict] = field(default_factory=dict)  # stage level -> center -> table
 
 
 @dataclass
@@ -165,21 +172,15 @@ class GatForward:
     activation: GraphActivation
 
 
-def embed_nodes(model: GatModel, fine_fused: Tensor, coarse_fused: Tensor | None, grid_flat: Tensor):
-    """Affine embeddings for every node; all rows come out with width d_h."""
-    cfg = model.config
-    if fine_fused.shape[-1] != cfg.c_total:
-        raise ShapeError(
-            f"fine features have width {fine_fused.shape[-1]}, config expects {cfg.c_total}"
-        )
-    if grid_flat.shape[-1] != cfg.global_in:
-        raise ShapeError(
-            f"global grid flattens to {grid_flat.shape[-1]}, config expects {cfg.global_in}"
-        )
-    p = model.params
-    h_f = linear(fine_fused, p["fine_mlp.0.w"], p["fine_mlp.0.b"])
-    h_c = None if coarse_fused is None else linear(coarse_fused, p["coarse_mlp.0.w"], p["coarse_mlp.0.b"])
-    return h_f, h_c, linear(grid_flat, p["global_mlp.0.w"], p["global_mlp.0.b"])
+def embed_nodes(model: GatModel, features: dict[str, Tensor]) -> dict[str, Tensor]:
+    """Affine embedding of each level's input rows, keyed by level; every row comes out
+    with width d_h. A level's width must be its `GatConfig.fan_in`."""
+    embedded, fan_in, p = {}, model.config.fan_in, model.params
+    for level, rows in features.items():
+        if rows.shape[-1] != fan_in[level]:
+            raise ShapeError(f"{level} features have width {rows.shape[-1]}, config expects {fan_in[level]}")
+        embedded[level] = linear(rows, p[f"{level}_mlp.0.w"], p[f"{level}_mlp.0.b"])
+    return embedded
 
 
 def _attend(graph, level, h_members, h_centers, valid, model, stage):
@@ -233,6 +234,7 @@ def propagate(graph: RegionGraph, fine_sets, coarse_sets, grids, model: GatModel
     """
     single_level = graph.topology == TOPOLOGY_SINGLE
     levels = {LEVEL_FINE: fine_sets} if single_level else {LEVEL_FINE: fine_sets, LEVEL_COARSE: coarse_sets}
+    inputs, valid = {}, {}
     for level, sets in levels.items():
         ids = graph.ids_at(level)
         for feature_set in sets:
@@ -242,19 +244,17 @@ def propagate(graph: RegionGraph, fine_sets, coarse_sets, grids, model: GatModel
                     f"pooled {level} region ids {found} do not match the graph's {level} "
                     f"nodes {ids} (missing: {sorted(set(ids) - set(found))})"
                 )
-    h_f, h_c, h_g = embed_nodes(
-        model,
-        stack([s.fused for s in fine_sets]),
-        None if single_level else stack([s.fused for s in coarse_sets]),
-        stack([g.flat() for g in grids]),
-    )
-    fine_valid = np.stack([s.valid for s in fine_sets])
+        inputs[level] = stack([s.fused for s in sets])
+        valid[level] = np.stack([s.valid for s in sets])
+    inputs[LEVEL_GLOBAL] = stack([g.flat() for g in grids])
+    h = embed_nodes(model, inputs)
+    h_f, h_c, h_g = h[LEVEL_FINE], h.get(LEVEL_COARSE), h[LEVEL_GLOBAL]
 
     alphas: dict[str, dict] = {}
-    h_c_prime, children, children_valid = None, h_f, fine_valid  # single-level: fine -> global
+    h_c_prime, children, children_valid = None, h_f, valid[LEVEL_FINE]  # single-level: fine -> global
     if not single_level:
-        h_c_prime, alphas["coarse"] = attend_fine_to_coarse(graph, h_f, h_c, model, fine_valid)
-        children, children_valid = h_c_prime, np.stack([s.valid for s in coarse_sets])
+        h_c_prime, alphas["coarse"] = attend_fine_to_coarse(graph, h_f, h_c, model, valid[LEVEL_FINE])
+        children, children_valid = h_c_prime, valid[LEVEL_COARSE]
     h_g_prime, alphas["global"] = attend_coarse_to_global(graph, children, h_g, model, children_valid)
     return GraphActivation(h_f, h_c, h_g, h_c_prime, h_g_prime, alphas=alphas)
 

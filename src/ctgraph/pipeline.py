@@ -299,6 +299,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
             else load_phantom_spec(cfg.phantom_spec)
         )
         preset = get_preset(cfg.preset)
+        preset.check_extents(spec.shape)
         ensure_dir(out)
 
         with stage("synth", seconds, samples=cfg.num_samples):

@@ -262,4 +262,17 @@ def load_pooled(path):
 
     with malformed(f"pooled-feature file {path}"):  # a missing record raises KeyError
         fine, coarse = build("fine"), build("coarse")
-        return fine, coarse, GlobalFeatureGrid(Tensor(record("global_grid", 4, GLOBAL_GRID)))
+        grid = GlobalFeatureGrid(Tensor(record("global_grid", 4, GLOBAL_GRID)))
+    # both levels pool the same layers, and the grid pools the last one
+    fine_widths, coarse_widths = ([t.shape[1] for t in s.per_layer] for s in (fine, coarse))
+    if fine_widths != coarse_widths:
+        raise ValidationError(
+            f"{path}: records fine_layer_* have widths {fine_widths}, coarse_layer_* {coarse_widths}; "
+            f"the levels must agree"
+        )
+    if grid.channels != fine_widths[-1]:
+        raise ValidationError(
+            f"{path}: record 'global_grid' has {grid.channels} channels, but the last layer has width "
+            f"{fine_widths[-1]}"
+        )
+    return fine, coarse, grid

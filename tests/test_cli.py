@@ -1163,6 +1163,52 @@ class TestExitCodes:
         assert "fine features have width 2, config expects 7" in capsys.readouterr().err
         assert not (ws / "tokens.bin").exists()
 
+    @staticmethod
+    def _save_pooled_of_widths(path, fine_widths, coarse_widths, grid_channels):
+        """A pooled file of the workspace hierarchy (fine 1, 2; coarse 10) with these layer widths."""
+        def level(ids, widths):
+            layers = [Tensor(np.ones((len(ids), w))) for w in widths]
+            return RegionFeatureSet(
+                ids, layers, Tensor(np.ones((len(ids), sum(widths)))),
+                np.ones((len(ids), len(widths)), np.int64), np.ones(len(ids), bool),
+            )
+        grid = GlobalFeatureGrid(Tensor(np.zeros((4, 4, 2, grid_channels))))
+        save_pooled(path, level([1, 2], fine_widths), level([10], coarse_widths), grid)
+
+    def test_infer_on_a_pooled_file_whose_levels_disagree_exits_2_naming_the_file(self, workspace, capsys):
+        ws = workspace
+        self._save_pooled_of_widths(ws / "f.bin", [2, 3], [0, 3], 3)  # coarse_layer_00 emptied
+        GatModel.init(GatConfig(c_total=5, c_last=3, d_h=4, n_heads=2, export_dim=4)).save(ws / "ckpt")
+        assert run_cli("graph", "--hierarchy", ws / "anatomy.json", "--out", ws / "g.json") == 0
+        code = run_cli(
+            "infer", "--graph", ws / "g.json", "--feats", ws / "f.bin",
+            "--model", ws / "ckpt", "--out", ws / "tokens.bin",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {ws / 'f.bin'}: records fine_layer_* have widths [2, 3], coarse_layer_* [0, 3]" in err
+        assert not (ws / "tokens.bin").exists()
+
+    @pytest.mark.parametrize(
+        "widths, message",
+        [(([2], 2), "fine features have width 2, config expects 7"),
+         (([5, 2], 2), "global features have width 64, config expects 96")],
+        ids=["fine", "global"],
+    )
+    def test_infer_width_error_names_feats_at_every_level(self, workspace, capsys, widths, message):
+        ws = workspace
+        layers, grid_channels = widths
+        self._save_pooled_of_widths(ws / "f.bin", layers, layers, grid_channels)
+        GatModel.init(GatConfig(c_total=7, c_last=3, d_h=4, n_heads=2, export_dim=4)).save(ws / "ckpt")
+        assert run_cli("graph", "--hierarchy", ws / "anatomy.json", "--out", ws / "g.json") == 0
+        code = run_cli(
+            "infer", "--graph", ws / "g.json", "--feats", ws / "f.bin",
+            "--model", ws / "ckpt", "--out", ws / "tokens.bin",
+        )
+        assert code == 2
+        assert f"error: --feats {ws / 'f.bin'}: {message}" in capsys.readouterr().err
+        assert not (ws / "tokens.bin").exists()
+
     def test_run_of_a_hierarchy_beyond_the_demo_layout_exits_2_before_writing(self, workspace, capsys):
         ws = workspace
         hierarchy = AnatomyHierarchy(
@@ -1178,6 +1224,40 @@ class TestExitCodes:
         assert not (ws / "out").exists()
         events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
         assert [(e["stage"], e["event"]) for e in events] == [("setup", "failed")]
+
+    @pytest.mark.parametrize("preset", ["swinunetr-style", "vox2vec-style"])
+    def test_run_of_a_preset_that_cannot_encode_the_phantom_exits_2_before_writing(
+        self, workspace, capsys, preset
+    ):
+        ws = workspace
+        config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2, "preset": preset}
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        err = capsys.readouterr().err
+        assert (
+            "error: volume extents (32, 32, 16) must be divisible by the cumulative downsample "
+            f"factor 32 of preset '{preset}' layer 4"
+        ) in err
+        assert not (ws / "out").exists()
+        events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert [(e["stage"], e["event"]) for e in events] == [("setup", "failed")]
+
+    @pytest.mark.parametrize(
+        "gat",
+        [{"d_h": 2**40}, {"export_dim": 2**40}, {"d_h": 2**62, "n_heads": 1}],
+        ids=["d_h", "export_dim", "d_h-beyond-any-array"],
+    )
+    def test_run_of_gat_sizes_numpy_cannot_allocate_exits_2(self, workspace, capsys, gat):
+        ws = workspace
+        config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2, "gat": gat,
+                  "probe": {"epochs": 1}}
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: gat config d_h ") and "cannot be allocated" in last
+        assert all(f"{key} " in last for key in ("d_h", "n_heads", "export_dim"))
+        assert json.loads((ws / "out" / "STALE").read_text())["failed_stage"] == "train"
+        assert not (ws / "out" / "ckpt" / "config.json").exists()
 
     @pytest.mark.parametrize("command", ["synth", "encode", "pool", "graph", "train", "infer", "eval", "run"])
     def test_empty_out_exits_2_at_parse_time_naming_the_flag(self, workspace, capsys, monkeypatch, command):

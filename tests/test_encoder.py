@@ -1,6 +1,8 @@
 """Synthetic encoder behavior, preset registry, and pyramid import/export."""
 
 import json
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -134,6 +136,50 @@ def test_one_cpu_and_small_volumes_encode_inline(monkeypatch):
     large = Volume3D(np.zeros((64, 64, 64)))
     assert large.voxels.size >= encoder._INLINE_BELOW_VOXELS
     synth_encode(large, get_preset("demo"), seed=1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_encodes_on_its_own_pool(monkeypatch):
+    # the parent's first encode starts the pool's threads, which a forked child does not inherit
+    monkeypatch.setattr(encoder, "_WORKERS", 2)
+    volume = Volume3D(np.random.default_rng(3).standard_normal((128, 128, 64)))
+    assert volume.voxels.size >= encoder._INLINE_BELOW_VOXELS
+    parent = synth_encode(volume, get_preset("demo"), seed=5)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: encode again, report whether the layers equal the parent's
+        try:
+            os.close(read_end)
+            signal.alarm(10)  # a child blocked on a pool without threads dies here
+            child = synth_encode(volume, get_preset("demo"), seed=5)
+            same = all(np.array_equal(a.data.data, b.data.data) for a, b in zip(child.layers, parent.layers))
+            os.write(write_end, b"equal" if same else b"differ")
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as fh:
+        report = fh.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, f"child ended with status {status}"
+    assert report == b"equal"
+
+
+@pytest.mark.parametrize(
+    "preset_name, factor, layer",
+    [("demo", None, None), ("transvw-style", None, None), ("swinunetr-style", 32, 4),
+     ("voco-style", 32, 4), ("ct-fm-style", 32, 4), ("vox2vec-style", 32, 4)],
+)
+def test_check_extents_names_the_first_factor_that_does_not_divide(preset_name, factor, layer):
+    preset = PRESETS[preset_name]
+    if factor is None:
+        preset.check_extents((32, 32, 16))
+        return
+    with pytest.raises(ValidationError) as info:
+        preset.check_extents((32, 32, 16))
+    assert str(info.value) == (
+        f"volume extents (32, 32, 16) must be divisible by the cumulative downsample factor "
+        f"{factor} of preset '{preset_name}' layer {layer}"
+    )
 
 
 def test_export_records_the_source_extents(tmp_path):

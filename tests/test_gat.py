@@ -12,7 +12,7 @@ import pytest
 
 import ctgraph.tensor as tensor_module
 from ctgraph.container import save_tensor
-from ctgraph.errors import ConfigError, ValidationError
+from ctgraph.errors import ConfigError, ShapeError, ValidationError
 from ctgraph.gat import GatConfig, GatModel, embed_nodes, forward
 from ctgraph.gradcheck import check_gradients, max_relative_error
 from ctgraph.graph import (
@@ -106,6 +106,10 @@ def tiny_config(**kw):
 PAPER_WIDTH = GatConfig(c_total=1488, c_last=768, d_h=256, n_heads=4, export_dim=64)
 
 
+def level_inputs(fine_set, coarse_set, grid):
+    return {"fine": fine_set.fused, "coarse": coarse_set.fused, "global": grid.flat()}
+
+
 class TestEmbedNodes:
     def test_zero_weight_mlps_emit_bias(self):
         cfg = tiny_config()
@@ -115,10 +119,10 @@ class TestEmbedNodes:
             model.params[f"{prefix}.0.w"].data[:] = 0.0
             model.params[f"{prefix}.0.b"].data[:] = bias
         h = small_hierarchy()
-        fine_set, coarse_set, grid = synth_inputs(h, cfg)
-        h_f, h_c, h_g = embed_nodes(model, fine_set.fused, coarse_set.fused, grid.flat())
-        for embedding in (h_f.data, h_c.data, h_g.data):
-            assert np.allclose(embedding, bias, atol=1e-15)
+        embedded = embed_nodes(model, level_inputs(*synth_inputs(h, cfg)))
+        assert list(embedded) == ["fine", "coarse", "global"]
+        for embedding in embedded.values():
+            assert np.allclose(embedding.data, bias, atol=1e-15)
 
     def test_identity_mlp_passes_features_through(self):
         cfg = tiny_config(c_total=8, d_h=8)
@@ -127,20 +131,29 @@ class TestEmbedNodes:
         model.params["fine_mlp.0.b"].data[:] = 0.0
         h = small_hierarchy()
         fine_set, coarse_set, grid = synth_inputs(h, cfg)
-        h_f, _, _ = embed_nodes(model, fine_set.fused, coarse_set.fused, grid.flat())
+        h_f = embed_nodes(model, level_inputs(fine_set, coarse_set, grid))["fine"]
         assert np.array_equal(h_f.data, fine_set.fused.data)
 
     def test_global_path_consumes_32_times_c_last(self):
         cfg = tiny_config()
-        assert cfg.global_in == 32 * cfg.c_last
+        assert cfg.fan_in == {"fine": cfg.c_total, "coarse": cfg.c_total, "global": 32 * cfg.c_last}
         model = GatModel.init(cfg, seed=0)
         assert model.params["global_mlp.0.w"].shape == (32 * cfg.c_last, cfg.d_h)
         h = small_hierarchy()
         fine_set, coarse_set, grid = synth_inputs(h, cfg)
         assert grid.flat().shape == (1, 32 * cfg.c_last)
-        with pytest.raises(Exception):
-            bad = GlobalFeatureGrid(Tensor(np.zeros((4, 4, 2, cfg.c_last + 1))))
-            embed_nodes(model, fine_set.fused, coarse_set.fused, bad.flat())
+        bad = GlobalFeatureGrid(Tensor(np.zeros((4, 4, 2, cfg.c_last + 1))))
+        with pytest.raises(ShapeError, match="^global features have width 128, config expects 96$"):
+            embed_nodes(model, level_inputs(fine_set, coarse_set, bad))
+
+    @pytest.mark.parametrize("level", ["fine", "coarse"])
+    def test_every_level_is_checked_against_its_fan_in(self, level):
+        cfg = tiny_config()
+        model = GatModel.init(cfg, seed=0)
+        inputs = level_inputs(*synth_inputs(small_hierarchy(), cfg))
+        inputs[level] = concat([inputs[level], inputs[level]], axis=1)
+        with pytest.raises(ShapeError, match=f"^{level} features have width 10, config expects 5$"):
+            embed_nodes(model, inputs)
 
 
 class TestStageOne:
@@ -743,3 +756,20 @@ class TestCheckpoint:
     def test_d_h_must_divide_heads(self):
         with pytest.raises(Exception):
             GatConfig(c_total=4, c_last=2, d_h=10, n_heads=4)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [dict(d_h=2**40, n_heads=4), dict(export_dim=2**40), dict(d_h=2**62, n_heads=1)],
+    ids=["d_h", "export_dim", "d_h-beyond-any-array"],
+)
+def test_init_of_sizes_numpy_cannot_allocate_is_a_config_error_naming_them(sizes):
+    # numpy refuses each size at once, before taking any memory
+    cfg = GatConfig(**{**dict(c_total=56, c_last=32, d_h=16, n_heads=2, export_dim=16), **sizes})
+    with pytest.raises(ConfigError) as info:
+        GatModel.init(cfg)
+    message = str(info.value)
+    assert message.startswith(
+        f"gat config d_h {cfg.d_h}, n_heads {cfg.n_heads}, export_dim {cfg.export_dim}: "
+    )
+    assert "cannot be allocated" in message

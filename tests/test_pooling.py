@@ -693,3 +693,31 @@ def test_load_pooled_rejects_a_container_of_disagreeing_shapes(tmp_path):
     )
     with pytest.raises(ValidationError, match="fine_counts"):
         load_pooled(tmp_path / "f.bin")
+
+
+@pytest.mark.parametrize(
+    "record, replacement, message",
+    [
+        ("coarse_layer_00", np.zeros((2, 0)),
+         "records fine_layer_* have widths [2, 3], coarse_layer_* [0, 3]; the levels must agree"),
+        ("fine_layer_01", np.zeros((3, 4)),
+         "records fine_layer_* have widths [2, 4], coarse_layer_* [2, 3]; the levels must agree"),
+        ("global_grid", np.zeros((4, 4, 2, 2)),
+         "record 'global_grid' has 2 channels, but the last layer has width 3"),
+    ],
+    ids=["coarse-narrower", "fine-wider", "grid-channels"],
+)
+def test_load_pooled_rejects_levels_of_other_widths_naming_the_file_and_record(
+    tmp_path, record, replacement, message
+):
+    rng = np.random.default_rng(15)
+    vol = Volume3D(rng.standard_normal((8, 8, 8)))
+    pyr = synth_encode(vol, EncoderPreset("two", (2, 3), (1, 2)), seed=0)
+    labels = rng.integers(0, 4, (8, 8, 8)).astype(np.int32)
+    save_pooled(tmp_path / "f.bin", *pool_all(pyr, LabelMask3D(labels, 3), two_level_hierarchy()))
+    records = load_tensors(tmp_path / "f.bin")
+    records[record] = replacement
+    save_tensors(tmp_path / "f.bin", records)
+    with pytest.raises(ValidationError) as info:
+        load_pooled(tmp_path / "f.bin")
+    assert str(info.value) == f"{tmp_path / 'f.bin'}: {message}"
