@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import read_json
-from .encoder import get_preset, load_pyramid
+from .encoder import export_pyramid, get_preset, load_pyramid, synth_encode
 from .errors import ConfigError, CtGraphError, ShapeError, ValidationError
 from .gat import GatModel
 from .graph import TOPOLOGIES, TOPOLOGY_HIERARCHICAL, load_graph
@@ -27,7 +27,6 @@ from .heads import TrainConfig, read_manifest
 from .pipeline import (
     PipelineConfig,
     check_gat_doc,
-    encode_stage,
     eval_stage,
     graph_stage,
     hierarchy_from,
@@ -56,7 +55,8 @@ def cmd_encode(args) -> None:
     preset = get_preset(args.preset, registry_path=args.presets)
     volume = load_volume(args.infile)
     with stage("encode", preset=preset.name, out=args.out) as done:
-        (pyramid,) = encode_stage([volume], preset, args.seed, args.out)
+        pyramid = synth_encode(volume, preset, seed=args.seed)
+        export_pyramid(pyramid, args.out)
         done["layers"] = pyramid.num_layers
 
 
@@ -65,7 +65,7 @@ def cmd_pool(args) -> None:
     mask = load_mask(args.mask)
     hierarchy = hierarchy_from(args.hierarchy)
     with stage("pool", out=args.out) as done:
-        ((fine_set, coarse_set, _),) = pool_stage([pyramid], [mask], hierarchy, [args.out])
+        fine_set, coarse_set, _ = pool_stage(pyramid, mask, hierarchy, args.out)
         done.update(fine=fine_set.num_regions, coarse=coarse_set.num_regions)
 
 

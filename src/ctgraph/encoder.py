@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import ensure_dir, load_tensor, read_json, save_tensor, write_json
-from .errors import ValidationError, integer, malformed, string
+from .errors import ValidationError, allocating, integer, malformed, string
 from .tensor import Tensor
 from .volume import Volume3D
 
@@ -209,10 +209,12 @@ def synth_encode(volume: Volume3D, preset: EncoderPreset, seed: int) -> FeatureP
     layers, tasks = [], []
     for li, (c_l, factor) in enumerate(zip(preset.channels, preset.cumulative_factors())):
         rng = np.random.default_rng([seed, li])
-        scale = rng.standard_normal(c_l)
-        offset = 0.1 * rng.standard_normal(c_l)
         rows = h // factor
-        feats = np.empty((rows, w // factor, d // factor, c_l))
+        extents = (rows, w // factor, d // factor)
+        with allocating(f"preset '{preset.name}' layer {li} of {c_l} channels at extents {extents}"):
+            scale = rng.standard_normal(c_l)
+            offset = 0.1 * rng.standard_normal(c_l)
+            feats = np.empty((*extents, c_l))
         bounds = np.linspace(0, rows, min(slabs, rows) + 1).astype(int)
         tasks += [
             (volume.voxels, factor, scale, offset, feats, start, stop)

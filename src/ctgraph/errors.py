@@ -35,6 +35,20 @@ def malformed(what: str):
         raise ValidationError(f"malformed {what}: {exc!r}") from exc
 
 
+@contextlib.contextmanager
+def allocating(what: str):
+    """Raise numpy's refusal to allocate an array (a MemoryError, or a ValueError for a size
+    beyond any array) as a ConfigError naming what was being built."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(
+            ("array is too big", "Maximum allowed dimension exceeded")
+        ):
+            raise
+        raise ConfigError(f"{what} cannot be allocated: {exc}") from exc
+
+
 def integer(value, what: str) -> int:
     """value as an int; a ValidationError naming what unless it is an integer (bool is not)."""
     if isinstance(value, bool) or not isinstance(value, Integral):

@@ -24,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from .container import check_keys, check_values, ensure_dir, load_tensor, read_json, save_tensor, write_json
-from .errors import ConfigError, ShapeError, ValidationError, malformed
+from .errors import ShapeError, ValidationError, allocating, malformed
 from .graph import LEVEL_COARSE, LEVEL_FINE, LEVEL_GLOBAL, TOPOLOGY_SINGLE, RegionGraph
 from .pooling import GLOBAL_GRID
 from .tensor import LEAKY_SLOPE, LN_EPS, Tensor, add, concat, graph_attention, layer_norm, linear
@@ -105,8 +105,9 @@ class GatModel:
     def init(cls, config: GatConfig, seed: int = 0) -> "GatModel":
         rng = np.random.default_rng(seed)
         params: dict[str, Tensor] = {}
+        sizes = f"gat config d_h {config.d_h}, n_heads {config.n_heads}, export_dim {config.export_dim}"
         for name, shape in cls.param_shapes(config).items():
-            try:
+            with allocating(f"{sizes}: parameter '{name}' of shape {shape}"):
                 if name.endswith(".b") or name.endswith(".beta"):
                     data = np.zeros(shape)
                 elif name.endswith(".gamma"):
@@ -114,11 +115,6 @@ class GatModel:
                 else:  # every other parameter is a matrix: Glorot normal, scaled in place
                     data = rng.standard_normal(shape)
                     data *= np.sqrt(2.0 / sum(shape))
-            except (ValueError, MemoryError) as exc:  # more bytes than the machine addresses
-                raise ConfigError(
-                    f"gat config d_h {config.d_h}, n_heads {config.n_heads}, export_dim "
-                    f"{config.export_dim}: parameter '{name}' of shape {shape} cannot be allocated: {exc}"
-                ) from exc
             params[name] = Tensor(data, requires_grad=True)
         return cls(config, params)
 

@@ -1,11 +1,12 @@
 """End-to-end pipeline: synth -> encode -> pool -> graph -> train -> infer -> eval.
 
-Each stage is one function here, called both by `run_pipeline` and by the
-matching `ct-graph` subcommand. `stage()` times a stage and logs its `start`
-and its `done` or `failed` event as JSON lines. A failed run re-raises its
-exception unchanged, after leaving a STALE marker that names the failed stage
-and lists the stages whose outputs may be partial. Reruns with the same config
-and seed reproduce the same summary metrics.
+`run_pipeline` and the `ct-graph` subcommands call the same functions: the stage
+functions here and, for encode, the encoder's `synth_encode` and `export_pyramid`.
+The per-sample ones take one sample, and `run_pipeline` maps them over its samples.
+`stage()` times a stage and logs its `start` and its `done` or `failed` event as
+JSON lines. A failed run re-raises its exception unchanged, after leaving a STALE
+marker that names the failed stage and lists the stages whose outputs may be
+partial. Reruns with the same config and seed reproduce the same summary metrics.
 """
 
 from __future__ import annotations
@@ -125,21 +126,11 @@ def synth_stage(spec, count: int, seed: int, out):
     return volumes, masks, np.stack(targets)
 
 
-def encode_stage(volumes, preset, seed: int, out) -> list:
-    """Encode every volume; the first pyramid is exported to out."""
-    pyramids = [synth_encode(volume, preset, seed=seed) for volume in volumes]
-    export_pyramid(pyramids[0], out)
-    return pyramids
-
-
-def pool_stage(pyramids, masks, hierarchy: AnatomyHierarchy, paths) -> list[tuple]:
-    """Pool each pyramid over its mask and write one container per sample."""
-    pooled = []
-    for pyramid, mask, path in zip(pyramids, masks, paths):
-        sample = pool_all(pyramid, mask, hierarchy)
-        save_pooled(path, *sample)
-        pooled.append(sample)
-    return pooled
+def pool_stage(pyramid, mask, hierarchy: AnatomyHierarchy, path):
+    """Pool one pyramid over its mask and write its container; returns the pooled triple."""
+    sample = pool_all(pyramid, mask, hierarchy)
+    save_pooled(path, *sample)
+    return sample
 
 
 def graph_stage(hierarchy: AnatomyHierarchy, topology: str, seed: int, path):
@@ -304,12 +295,13 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
 
         with stage("synth", seconds, samples=cfg.num_samples):
             volumes, masks, targets = synth_stage(spec, cfg.num_samples, cfg.seed, out / "synth")
-        with stage("encode", seconds, preset=preset.name):
-            pyramids = encode_stage(volumes, preset, cfg.seed, out / "encode" / "sample_000")
+        with stage("encode", seconds, preset=preset.name):  # only sample 0's pyramid is exported
+            pyramids = [synth_encode(volume, preset, seed=cfg.seed) for volume in volumes]
+            export_pyramid(pyramids[0], out / "encode" / "sample_000")
         with stage("pool", seconds):
             pool_dir = ensure_dir(out / "pool")
-            paths = [pool_dir / f"feats_{i:03d}.bin" for i in range(len(pyramids))]
-            pooled = pool_stage(pyramids, masks, hierarchy, paths)
+            pooled = [pool_stage(pyramid, mask, hierarchy, pool_dir / f"feats_{i:03d}.bin")
+                      for i, (pyramid, mask) in enumerate(zip(pyramids, masks))]
         with stage("graph", seconds, topology=cfg.topology):
             graph = graph_stage(hierarchy, cfg.topology, cfg.seed, out / "graph.json")
             save_hierarchy(out / "anatomy.json", hierarchy)

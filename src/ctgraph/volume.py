@@ -15,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .container import MAX_ABS, check_range, read_json, read_tensor, save_tensor, write_json
-from .errors import FormatError, ValidationError, integer, malformed, number, string
+from .errors import FormatError, ValidationError, allocating, integer, malformed, number, string
 
 # The largest mask label: the uint16 range segmentation formats store labels in.
 # Pooling sizes tables by label, so a bound here keeps them small.
@@ -147,9 +147,9 @@ class PhantomSpec:
         labels = [r.label for r in self.regions]
         if len(set(labels)) != len(labels):
             raise ValidationError("region labels must be unique")
-        if any(l < 1 for l in labels):
-            raise ValidationError("region labels must be >= 1 (0 is background)")
         for r in self.regions:
+            if not 1 <= r.label <= MAX_LABEL:
+                raise ValidationError(f"region label {r.label} must lie in [1, {MAX_LABEL}] (0 is background)")
             if len(r.center) != 3 or not np.isfinite(r.center).all():
                 raise ValidationError(f"region label {r.label}: center must be 3 finite numbers")
             if len(r.radii) != 3 or not all(1 / MAX_ABS <= x <= MAX_ABS for x in r.radii):
@@ -194,7 +194,8 @@ def _paint(shape: tuple[int, int, int], regions: tuple[RegionSpec, ...]):
     in seed share one painting. boxes maps each label to a box holding all
     of its voxels.
     """
-    labels = np.zeros(shape, dtype=np.int32)
+    with allocating(f"phantom mask of shape {shape}"):
+        labels = np.zeros(shape, dtype=np.int32)
     boxes = {}
     for region in regions:
         for axis in range(3):

@@ -9,7 +9,8 @@ with exactly one `error:` line. Any exception is a defect.
 
 A table replaces each input path of every subcommand with a missing path, a
 directory, or another command's input file; each must return 2 with one
-`error:` line naming the path, and write no output.
+`error:` line naming the path, and write no output. Another pins document
+mutations with values too large for the fuzzed ones, each of which once raised.
 """
 
 import dataclasses
@@ -190,3 +191,32 @@ def test_a_command_returns_0_with_its_output_or_2_with_one_error_line(valid, cap
     else:
         assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), err
     assert (base / "a_file").read_text() == "not a directory" and not any((base / "a_dir").iterdir())
+
+
+PINNED = [  # (command, input file, node, value, what the error line names)
+    ("synth", "phantom.json", ("regions", 1, "label"), 10**12,
+     "phantom.json: region label 1000000000000 must lie in [1, 65535]"),
+    ("synth", "phantom.json", ("shape",), [10**6] * 3, "phantom mask of shape (1000000, 1000000, 1000000)"),
+    ("encode", "presets.json", ("presets", 0, "channels"), [2**45, 2],
+     "preset 'tiny' layer 0 of 35184372088832 channels"),
+]
+
+
+@pytest.mark.parametrize("command, name, node, value, named", PINNED, ids=["label", "shape", "channels"])
+def test_a_pinned_document_mutation_returns_2_with_one_error_line_naming_it(
+    valid, capsys, command, name, node, value, named
+):
+    # each size is beyond the 47-bit address space, so numpy refuses it at once
+    base, _ = valid
+    work = base / "pinned"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    (work / name).write_text(json.dumps(mutated(json.loads((base / name).read_text()), node, value)))
+    argv = [command, "--out", str(work / "out")]
+    for f, v in COMMANDS[command].items():
+        argv += [f, str(work / name if v == name else base / v if f in PATH_FLAGS else v)]
+    capsys.readouterr()
+    code = main(argv)
+    lines = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("{")]
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], lines
+    assert not any(path.is_file() for path in work.glob("out/**/*"))

@@ -19,7 +19,7 @@ from ctgraph.encoder import (
     synth_encode,
 )
 from ctgraph.container import save_tensor
-from ctgraph.errors import ValidationError
+from ctgraph.errors import ConfigError, ValidationError
 from ctgraph.volume import Volume3D
 
 
@@ -179,6 +179,16 @@ def test_check_extents_names_the_first_factor_that_does_not_divide(preset_name, 
     assert str(info.value) == (
         f"volume extents (32, 32, 16) must be divisible by the cumulative downsample factor "
         f"{factor} of preset '{preset_name}' layer {layer}"
+    )
+
+
+def test_a_layer_numpy_cannot_allocate_is_a_config_error_naming_the_preset_and_layer():
+    # 2**45 channels of float64 is 256 TiB, beyond the 47-bit address space: numpy refuses at once
+    preset = EncoderPreset("huge", (2, 2**45), (1, 2))
+    with pytest.raises(ConfigError) as info:
+        synth_encode(Volume3D(np.zeros((4, 4, 2))), preset, seed=0)
+    assert str(info.value).startswith(
+        "preset 'huge' layer 1 of 35184372088832 channels at extents (2, 2, 1) cannot be allocated: "
     )
 
 

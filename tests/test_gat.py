@@ -12,7 +12,7 @@ import pytest
 
 import ctgraph.tensor as tensor_module
 from ctgraph.container import save_tensor
-from ctgraph.errors import ConfigError, ShapeError, ValidationError
+from ctgraph.errors import ConfigError, ShapeError, ValidationError, allocating
 from ctgraph.gat import GatConfig, GatModel, embed_nodes, forward
 from ctgraph.gradcheck import check_gradients, max_relative_error
 from ctgraph.graph import (
@@ -773,3 +773,13 @@ def test_init_of_sizes_numpy_cannot_allocate_is_a_config_error_naming_them(sizes
         f"gat config d_h {cfg.d_h}, n_heads {cfg.n_heads}, export_dim {cfg.export_dim}: "
     )
     assert "cannot be allocated" in message
+
+
+def test_only_numpy_size_refusals_become_config_errors():
+    with pytest.raises(ConfigError, match="^the thing cannot be allocated: array is too big"):
+        with allocating("the thing"):
+            np.zeros((2**62, 16))
+    with pytest.raises(ValueError, match="^another fault$") as info:  # a defect stays a defect
+        with allocating("the thing"):
+            raise ValueError("another fault")
+    assert type(info.value) is ValueError

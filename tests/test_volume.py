@@ -13,7 +13,7 @@ import ctgraph.container as container_module
 import ctgraph.volume as volume_module
 from ctgraph.container import save_tensor
 from ctgraph.demo import demo_phantom_spec
-from ctgraph.errors import FormatError, ValidationError
+from ctgraph.errors import ConfigError, FormatError, ValidationError
 from ctgraph.volume import (
     LabelMask3D,
     PathologySpec,
@@ -305,6 +305,27 @@ class TestPhantom:
             _simple_spec(pathologies=(PathologySpec("a", 1, 0.5, 0.5, radius=5e-324),))
         spec = _simple_spec(pathologies=(PathologySpec("a", 1, 0.5, 1.0, radius=1e-100),))
         assert generate_phantom(spec)[2].tolist() == [1]
+
+    @pytest.mark.parametrize(
+        "label", [0, -1, 65536, 10**12], ids=["zero", "negative", "beyond-uint16", "beyond-int32"]
+    )
+    def test_region_labels_must_lie_in_the_mask_label_range(self, label):
+        # beyond int32 the painting overflowed; beyond 65535 the mask failed only after painting
+        regions = (
+            RegionSpec(1, (3.0, 3.0, 3.0), (2.0, 2.0, 2.0), 0.4),
+            RegionSpec(label, (8.0, 8.0, 4.0), (2.0, 2.0, 2.0), 0.7),
+        )
+        with pytest.raises(ValidationError, match=re.escape(f"region label {label} must lie in [1, 65535]")):
+            _simple_spec(regions=regions, pathologies=())
+
+    def test_a_mask_numpy_cannot_allocate_is_a_config_error_naming_the_shape(self):
+        # 4 bytes a voxel of 1e18 voxels, beyond the 47-bit address space: numpy refuses at once
+        spec = _simple_spec(shape=(10**6, 10**6, 10**6))
+        with pytest.raises(ConfigError) as info:
+            generate_phantom(spec)
+        assert str(info.value).startswith(
+            "phantom mask of shape (1000000, 1000000, 1000000) cannot be allocated: "
+        )
 
     def test_numbers_beyond_1e100_are_rejected(self):
         # a volume of such values overflows float64 once squared in the layer norm
