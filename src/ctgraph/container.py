@@ -200,6 +200,12 @@ def open_output(path, mode: str = "w"):
         raise
 
 
+def remove_output(path) -> None:
+    """Remove the file at path if there is one; failing that, a ConfigError naming it."""
+    with _unwritable(path):
+        Path(path).unlink(missing_ok=True)
+
+
 def write_json(path, doc) -> None:
     with open_output(path) as fh:
         json.dump(doc, fh, indent=2)

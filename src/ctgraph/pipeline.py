@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import demo as demo_mod
-from .container import check_keys, check_values, ensure_dir, read_json, write_json
+from .container import check_keys, check_values, ensure_dir, read_json, remove_output, write_json
 from .encoder import export_pyramid, get_preset, synth_encode
 from .errors import ConfigError, ShapeError, ValidationError
 from .gat import GatConfig, forward as gat_forward
@@ -47,7 +47,7 @@ from .heads import (
     write_manifest,
 )
 from .metrics import bleu_n, macro_prf1, rouge_l, tokenize
-from .pooling import pool_all, save_pooled
+from .pooling import check_grid_extents, pool_all, save_pooled
 from .volume import generate_phantom, load_phantom_spec, save_mask, save_volume
 
 
@@ -291,7 +291,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
         )
         preset = get_preset(cfg.preset)
         preset.check_extents(spec.shape)
+        last = tuple(n // preset.cumulative_factors()[-1] for n in spec.shape)
+        check_grid_extents(last, f"phantom {tuple(spec.shape)} under preset '{preset.name}': last layer")
         ensure_dir(out)
+        remove_output(out / "summary.json")  # it exists only after a run that completed
 
         with stage("synth", seconds, samples=cfg.num_samples):
             volumes, masks, targets = synth_stage(spec, cfg.num_samples, cfg.seed, out / "synth")
@@ -339,8 +342,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
             log_event(failed, "failed", cause=str(exc))
         raise
 
-    if stale_path.exists():
-        stale_path.unlink()
+    remove_output(stale_path)
     summary["total_seconds"] = round(time.perf_counter() - t_total, 3)
     write_json(out / "summary.json", summary)
     log_event("run", "done", total_seconds=summary["total_seconds"])

@@ -7,16 +7,15 @@ adds in row order, so the sums are bit-identical to one bincount per
 channel, and the cost is independent of how many regions the mask carries.
 A per-region rescan is used only as a test oracle. Accumulation is always
 float64, even for float32 feature maps, because region voxel counts can be
-large. Fixed structure is a constant matrix applied with `linear`: the rows
-of both node levels come from one rule, the hierarchy's (nodes x labels)
-membership matrix weighting the label rows by voxel count, and the global
-grid is a (cells x voxels) averaging matrix times the final layer. A
+large. The global grid is the same op over a mask that labels each voxel of
+the final layer with its grid cell. The rows of both node levels come from
+one rule, a constant matrix applied with `linear`: the hierarchy's (nodes x
+labels) membership matrix weighting the label rows by voxel count. A
 level's layers are fused with `concat` along the channel axis.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,37 +129,28 @@ class GlobalFeatureGrid:
         return self.grid.shape[3]
 
 
-@functools.lru_cache(maxsize=16)
-def _averaging_matrix(h: int, w: int, d: int) -> np.ndarray:
-    """The read-only (cells x voxels) matrix whose rows average each GLOBAL_GRID box."""
-    axis_cells = [
-        np.repeat(np.arange(t), np.diff(np.arange(t + 1) * n // t))
-        for n, t in zip((h, w, d), GLOBAL_GRID)
-    ]
-    cell = np.ravel_multi_index(np.ix_(*axis_cells), GLOBAL_GRID).ravel()
-    boxes = np.equal.outer(np.arange(np.prod(GLOBAL_GRID)), cell)
-    averaging = boxes / boxes.sum(axis=1, keepdims=True)
-    averaging.setflags(write=False)
-    return averaging
+def check_grid_extents(extents, what: str = "input") -> None:
+    """Raise a ShapeError naming what when the (H, W, D) extents leave a GLOBAL_GRID cell empty."""
+    if any(n < t for n, t in zip(extents, GLOBAL_GRID)):
+        raise ShapeError(f"{what} extents {tuple(extents)} are smaller than the target grid {GLOBAL_GRID}")
 
 
 def adaptive_avg_pool_global(layer: Tensor) -> GlobalFeatureGrid:
     """Tile the layer into the GLOBAL_GRID boxes and average each box.
 
-    Along an axis of n voxels, cell a spans [a*n//t, (a+1)*n//t). The box
-    means are one product of a constant (cells x voxels) averaging matrix
-    with the layer's (voxels, C) rows, differentiable like any `linear`.
+    Along an axis of n voxels, cell a spans [a*n//t, (a+1)*n//t). Each voxel
+    is labelled with its cell (1..cells, in C order), and the box means are
+    `mask_pool_layer` over that mask, differentiable like any region's rows.
     """
     if layer.ndim != 4:
         raise ShapeError(f"expected (H, W, D, C) features, got {layer.shape}")
-    h, w, d, c = layer.shape
-    if h < GLOBAL_GRID[0] or w < GLOBAL_GRID[1] or d < GLOBAL_GRID[2]:
-        raise ShapeError(
-            f"input extents {(h, w, d)} are smaller than the target grid {GLOBAL_GRID}"
-        )
-    averaging = _averaging_matrix(h, w, d)
-    means = linear(Tensor(averaging), reshape(layer, (h * w * d, c)))
-    return GlobalFeatureGrid(reshape(means, GLOBAL_GRID + (c,)))
+    check_grid_extents(layer.shape[:3])
+    # voxel i of n lies in the cell a with a*n//t <= i < (a+1)*n//t, that is a = ((i+1)*t - 1)//n
+    axis_cells = [(np.arange(1, n + 1) * t - 1) // n for n, t in zip(layer.shape[:3], GLOBAL_GRID)]
+    cells = np.ravel_multi_index(np.ix_(*axis_cells), GLOBAL_GRID) + 1
+    n_cells = int(np.prod(GLOBAL_GRID))
+    means, _ = mask_pool_layer(layer, LabelMask3D(cells, n_cells), range(1, n_cells + 1))
+    return GlobalFeatureGrid(reshape(means, GLOBAL_GRID + (layer.shape[3],)))
 
 
 def pool_all(pyramid, mask: LabelMask3D, hierarchy: AnatomyHierarchy):

@@ -1242,6 +1242,25 @@ class TestExitCodes:
         events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
         assert [(e["stage"], e["event"]) for e in events] == [("setup", "failed")]
 
+    @pytest.mark.parametrize("shape, last", [((32, 32, 8), (4, 4, 1)), ((16, 16, 16), (2, 2, 2))])
+    def test_run_whose_last_layer_is_smaller_than_the_grid_exits_2_before_writing(
+        self, workspace, capsys, shape, last
+    ):
+        ws = workspace
+        save_phantom_spec(ws / "small.json", dataclasses.replace(demo_phantom_spec(), shape=shape))
+        config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2,
+                  "phantom_spec": str(ws / "small.json")}
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        err = capsys.readouterr().err
+        assert (
+            f"error: phantom {shape} under preset 'demo': last layer extents {last} are smaller "
+            "than the target grid (4, 4, 2)"
+        ) in err
+        assert not (ws / "out").exists()
+        events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert [(e["stage"], e["event"]) for e in events] == [("setup", "failed")]
+
     @pytest.mark.parametrize(
         "gat",
         [{"d_h": 2**40}, {"export_dim": 2**40}, {"d_h": 2**62, "n_heads": 1}],
@@ -1426,6 +1445,28 @@ class TestRunPipeline:
         assert run_cli("run", "--config", ws / "run.json") == 0
         second = json.loads((ws / "run_out" / "summary.json").read_text())["metrics"]
         assert first == second
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_failed_rerun_leaves_no_summary_of_the_earlier_run(self, workspace, capsys):
+        ws = workspace
+        (ws / "run.json").write_text(json.dumps(self._config(ws)))
+        assert run_cli("run", "--config", ws / "run.json") == 0
+        assert (ws / "run_out" / "summary.json").exists()
+        config = self._config(ws)
+        config["gat_train"]["lr"] = 1e300  # the first step overflows, so the next loss is NaN
+        (ws / "run.json").write_text(json.dumps(config))
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        assert "training loss is nan" in capsys.readouterr().err.splitlines()[-1]
+        assert json.loads((ws / "run_out" / "STALE").read_text())["failed_stage"] == "train"
+        assert not (ws / "run_out" / "summary.json").exists()
+
+    def test_a_summary_that_cannot_be_removed_exits_2_before_the_first_stage(self, workspace, capsys):
+        ws = workspace
+        (ws / "run.json").write_text(json.dumps(self._config(ws)))
+        (ws / "run_out" / "summary.json").mkdir(parents=True)
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        assert "summary.json cannot be written" in capsys.readouterr().err.splitlines()[-1]
+        assert sorted(p.name for p in (ws / "run_out").iterdir()) == ["summary.json"]
 
     @staticmethod
     def _stage_events(err: str) -> list[dict]:

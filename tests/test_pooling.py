@@ -40,6 +40,7 @@ from ctgraph.pooling import (
     save_pooled,
 )
 from ctgraph.tensor import Tensor
+from test_container import traced_peak
 from test_tensor import weighted_sum
 from ctgraph.volume import LabelMask3D, Volume3D, generate_phantom, resize_mask_nearest
 
@@ -357,7 +358,7 @@ class TestAdaptivePool:
     def test_exact_size_is_identity(self):
         data = np.random.default_rng(0).standard_normal((4, 4, 2, 3))
         out = adaptive_avg_pool_global(Tensor(data))
-        assert np.allclose(out.grid.data, data, atol=1e-15)
+        assert np.array_equal(out.grid.data, data)
 
     def test_constant_map(self):
         out = adaptive_avg_pool_global(Tensor(np.full((8, 12, 6, 2), 0.75)))
@@ -377,13 +378,13 @@ class TestAdaptivePool:
         with pytest.raises(ShapeError, match="smaller"):
             adaptive_avg_pool_global(Tensor(np.zeros((3, 4, 2, 1))))
 
-    def test_averaging_matrix_is_built_once_and_read_only(self):
-        from ctgraph.pooling import _averaging_matrix
+    def test_pooling_a_large_layer_keeps_no_voxel_sized_matrix(self):
+        layer = Tensor(np.random.default_rng(6).standard_normal((64, 64, 32, 2)))  # 2 MB
+        grids = []
+        extra = traced_peak(lambda: grids.append(adaptive_avg_pool_global(layer)))
+        assert extra < 16 << 20  # a dense (cells x voxels) float64 matrix would take 33.5 MB
 
-        matrix = _averaging_matrix(8, 8, 4)
-        assert _averaging_matrix(8, 8, 4) is matrix
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 1.0
+    def test_repeated_calls_give_equal_grids(self):
         data = np.random.default_rng(6).standard_normal((8, 8, 4, 3))
         first = adaptive_avg_pool_global(Tensor(data)).grid.data
         second = adaptive_avg_pool_global(Tensor(data)).grid.data
@@ -569,10 +570,14 @@ class TestPoolAll:
         import ctgraph.pooling as pooling
 
         calls = {"resize": 0, "pool": 0}
+        pooled = []  # (layer extents, mask extents, region labels) of each mask_pool_layer call
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "pool":
+                    layer, mask, region_labels = args
+                    pooled.append((layer.shape[:3], mask.shape, list(region_labels)))
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -586,7 +591,9 @@ class TestPoolAll:
         pyr = synth_encode(vol, EncoderPreset("three", (2, 3, 2), (1, 2, 2)), seed=0)
         labels = rng.integers(0, 4, (16, 16, 8)).astype(np.int32)
         pool_all(pyr, LabelMask3D(labels, 3), two_level_hierarchy())
-        assert calls == {"resize": 3, "pool": 3}
+        assert calls == {"resize": 3, "pool": 4}  # one per layer, then the global grid's
+        last = pyr.layers[-1].extents
+        assert pooled[-1] == (last, last, list(range(1, 33)))
 
     def test_multi_layer_fusion_order(self):
         h = two_level_hierarchy()
