@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import read_json
+from .container import ensure_dir, read_json
 from .encoder import export_pyramid, get_preset, load_pyramid, synth_encode
 from .errors import ConfigError, CtGraphError, ShapeError, ValidationError
 from .gat import GatModel
 from .graph import TOPOLOGIES, TOPOLOGY_HIERARCHICAL, load_graph
-from .heads import TrainConfig, read_manifest
+from .heads import GRANULARITIES, TrainConfig, read_manifest
 from .pipeline import (
     PipelineConfig,
     check_gat_doc,
@@ -37,6 +37,7 @@ from .pipeline import (
     synth_stage,
     train_gat_stage,
     train_probe_stage,
+    write_samples,
 )
 from .pooling import load_pooled
 from .volume import load_mask, load_phantom_spec, load_volume
@@ -48,7 +49,10 @@ EXIT_CONFIG = 2
 def cmd_synth(args) -> None:
     spec = load_phantom_spec(args.spec)
     with stage("synth", count=args.count, out=args.out):
-        synth_stage(spec, args.count, args.seed, args.out)
+        if args.count < 1:
+            raise ConfigError(f"sample count must be positive, got {args.count}")
+        out = ensure_dir(args.out)
+        write_samples(out, [synth_stage(spec, args.seed, out, i)[2] for i in range(args.count)])
 
 
 def cmd_encode(args) -> None:
@@ -184,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="train config JSON")
     p.add_argument("--graph", default=None, help="graph JSON (gat mode)")
     p.add_argument("--gat-config", default=None, help="gat dimensions JSON (gat mode)")
-    p.add_argument("--granularity", default="fine", help="probe feature granularity")
+    p.add_argument("--granularity", default="fine", choices=GRANULARITIES, help="probe feature granularity")
     p.add_argument("--out", type=out_value, required=True)
     p.set_defaults(func=cmd_train)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import ensure_dir, load_tensor, read_json, save_tensor, write_json
+from .container import check_keys, ensure_dir, load_tensor, read_json, save_tensor, write_json
 from .errors import ValidationError, allocating, integer, malformed, string
 from .tensor import Tensor
 from .volume import Volume3D
@@ -46,22 +46,20 @@ class EncoderPreset:
     def c_total(self) -> int:
         return sum(self.channels)
 
-    def cumulative_factors(self) -> tuple[int, ...]:
-        out, acc = [], 1
-        for f in self.factors:
-            acc *= f
-            out.append(acc)
-        return tuple(out)
-
-    def check_extents(self, extents) -> None:
-        """Raise a ValidationError naming the first cumulative factor that does not divide
-        every one of the (H, W, D) extents, which the encoder cannot downsample."""
-        for li, factor in enumerate(self.cumulative_factors()):
+    def layer_extents(self, extents) -> tuple[tuple[int, int, int], ...]:
+        """Each layer's (H, W, D) for a volume of the given extents; a ValidationError names
+        the first cumulative factor that does not divide every extent, which the encoder
+        cannot downsample."""
+        layers, factor = [], 1
+        for li, f in enumerate(self.factors):
+            factor *= f
             if any(n % factor for n in extents):
                 raise ValidationError(
                     f"volume extents {tuple(extents)} must be divisible by the cumulative "
                     f"downsample factor {factor} of preset '{self.name}' layer {li}"
                 )
+            layers.append(tuple(n // factor for n in extents))
+        return tuple(layers)
 
 
 PRESETS: dict[str, EncoderPreset] = {
@@ -93,11 +91,12 @@ def load_preset_registry(path) -> dict[str, EncoderPreset]:
 
 def _presets_from_json(doc: dict) -> dict[str, EncoderPreset]:
     with malformed("preset registry"):
+        doc = check_keys(doc, ("presets",), "preset registry")
         presets = [
             EncoderPreset(string(p["name"], "preset name"), *(
                 tuple(integer(n, f"preset {key}") for n in p[key]) for key in ("channels", "factors")
             ))
-            for p in doc["presets"]
+            for p in (check_keys(p, EncoderPreset.__dataclass_fields__, "preset") for p in doc["presets"])
         ]
     return {preset.name: preset for preset in presets}
 
@@ -203,19 +202,16 @@ def synth_encode(volume: Volume3D, preset: EncoderPreset, seed: int) -> FeatureP
     preallocated layer arrays on a shared thread pool. The output does not
     depend on the slab count.
     """
-    preset.check_extents(volume.shape)
-    h, w, d = volume.shape
     slabs = _WORKERS if volume.voxels.size >= _INLINE_BELOW_VOXELS else 1
     layers, tasks = [], []
-    for li, (c_l, factor) in enumerate(zip(preset.channels, preset.cumulative_factors())):
+    for li, (c_l, extents) in enumerate(zip(preset.channels, preset.layer_extents(volume.shape))):
+        factor = volume.shape[0] // extents[0]
         rng = np.random.default_rng([seed, li])
-        rows = h // factor
-        extents = (rows, w // factor, d // factor)
         with allocating(f"preset '{preset.name}' layer {li} of {c_l} channels at extents {extents}"):
             scale = rng.standard_normal(c_l)
             offset = 0.1 * rng.standard_normal(c_l)
             feats = np.empty((*extents, c_l))
-        bounds = np.linspace(0, rows, min(slabs, rows) + 1).astype(int)
+        bounds = np.linspace(0, extents[0], min(slabs, extents[0]) + 1).astype(int)
         tasks += [
             (volume.voxels, factor, scale, offset, feats, start, stop)
             for start, stop in zip(bounds[:-1], bounds[1:])
@@ -276,6 +272,7 @@ def load_pyramid(directory) -> FeaturePyramid:
 
 def _from_index(directory: Path, index: dict) -> FeaturePyramid:
     with malformed("pyramid index"):
+        index = check_keys(index, ("layers", "channels", "source_extents"), "pyramid index")
         names = [string(name, "layer file name") for name in index["layers"]]
         channels = [integer(c, "channels") for c in index["channels"]]
         extents = index.get("source_extents")

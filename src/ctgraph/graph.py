@@ -15,7 +15,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .container import read_json, write_json
+from .container import check_keys, read_json, write_json
 from .errors import ValidationError, integer, malformed, string
 from .volume import MAX_LABEL
 
@@ -313,19 +313,20 @@ def hierarchy_to_json(hierarchy: AnatomyHierarchy) -> dict:
 
 def hierarchy_from_json(doc: dict) -> AnatomyHierarchy:
     with malformed("hierarchy document"):
+        doc = check_keys(doc, ("version", "fine", "coarse"), "hierarchy")
         fine = tuple(
             FineNode(
                 integer(f["id"], "fine id"), string(f["name"], "fine name"),
                 integer(f["label"], "fine label"), integer(f["parent"], "fine parent"),
             )
-            for f in doc["fine"]
+            for f in (check_keys(f, FineNode.__dataclass_fields__, "fine node") for f in doc["fine"])
         )
         coarse = tuple(
             CoarseNode(
                 integer(c["id"], "coarse id"), string(c["name"], "coarse name"),
                 None if c.get("label") is None else integer(c["label"], "coarse label"),
             )
-            for c in doc["coarse"]
+            for c in (check_keys(c, CoarseNode.__dataclass_fields__, "coarse node") for c in doc["coarse"])
         )
     global_id = max([f.id for f in fine] + [c.id for c in coarse], default=0) + 1
     return AnatomyHierarchy(fine=fine, coarse=coarse, global_id=global_id)
@@ -349,8 +350,10 @@ def graph_to_json(graph: RegionGraph) -> dict:
 
 def graph_from_json(doc: dict) -> RegionGraph:
     with malformed("graph document"):
+        doc = check_keys(doc, ("topology", "nodes", "edges"), "graph")
         nodes = tuple(
-            GraphNode(integer(n["id"], "node id"), string(n["level"], "node level")) for n in doc["nodes"]
+            GraphNode(integer(n["id"], "node id"), string(n["level"], "node level"))
+            for n in (check_keys(n, GraphNode.__dataclass_fields__, "graph node") for n in doc["nodes"])
         )
         edges = tuple(
             (integer(s, "edge endpoint"), integer(d, "edge endpoint")) for s, d in doc["edges"]

@@ -95,35 +95,20 @@ def hierarchy_from(path) -> AnatomyHierarchy:
 # stages ----------------------------------------------------------------------
 
 
-def synth_stage(spec, count: int, seed: int, out):
-    """Phantoms for seeds seed..seed+count-1, written with samples.jsonl under out.
+def synth_stage(spec, seed: int, out: Path, i: int):
+    """Phantom i, of seed seed+i, written under out; returns (volume, mask, target)."""
+    volume, mask, target = generate_phantom(spec.with_seed(seed + i))
+    save_volume(out / f"vol_{i:03d}.bin", volume)
+    save_mask(out / f"mask_{i:03d}.bin", mask)
+    return volume, mask, target
 
-    Returns (volumes, masks, target matrix).
-    """
-    if count < 1:
-        raise ConfigError(f"sample count must be positive, got {count}")
-    out = ensure_dir(out)
-    volumes, masks, targets = [], [], []
-    for i in range(count):
-        volume, mask, target = generate_phantom(spec.with_seed(seed + i))
-        save_volume(out / f"vol_{i:03d}.bin", volume)
-        save_mask(out / f"mask_{i:03d}.bin", mask)
-        volumes.append(volume)
-        masks.append(mask)
-        targets.append(target)
-    write_manifest(
-        out / "samples.jsonl",
-        [
-            {
-                "id": i,
-                "volume": f"vol_{i:03d}.bin",
-                "mask": f"mask_{i:03d}.bin",
-                "labels": target.tolist(),
-            }
-            for i, target in enumerate(targets)
-        ],
-    )
-    return volumes, masks, np.stack(targets)
+
+def write_samples(out: Path, targets) -> None:
+    """samples.jsonl under out: the files and labels of the phantoms synth_stage wrote."""
+    write_manifest(out / "samples.jsonl", [
+        {"id": i, "volume": f"vol_{i:03d}.bin", "mask": f"mask_{i:03d}.bin", "labels": target.tolist()}
+        for i, target in enumerate(targets)
+    ])
 
 
 def pool_stage(pyramid, mask, hierarchy: AnatomyHierarchy, path):
@@ -290,14 +275,18 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
             else load_phantom_spec(cfg.phantom_spec)
         )
         preset = get_preset(cfg.preset)
-        preset.check_extents(spec.shape)
-        last = tuple(n // preset.cumulative_factors()[-1] for n in spec.shape)
+        last = preset.layer_extents(spec.shape)[-1]
         check_grid_extents(last, f"phantom {tuple(spec.shape)} under preset '{preset.name}': last layer")
         ensure_dir(out)
         remove_output(out / "summary.json")  # it exists only after a run that completed
 
         with stage("synth", seconds, samples=cfg.num_samples):
-            volumes, masks, targets = synth_stage(spec, cfg.num_samples, cfg.seed, out / "synth")
+            synth_dir = ensure_dir(out / "synth")
+            volumes, masks, targets = zip(*(
+                synth_stage(spec, cfg.seed, synth_dir, i) for i in range(cfg.num_samples)
+            ))
+            write_samples(synth_dir, targets)
+            targets = np.stack(targets)
         with stage("encode", seconds, preset=preset.name):  # only sample 0's pyramid is exported
             pyramids = [synth_encode(volume, preset, seed=cfg.seed) for volume in volumes]
             export_pyramid(pyramids[0], out / "encode" / "sample_000")

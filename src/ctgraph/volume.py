@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .container import MAX_ABS, check_range, read_json, read_tensor, save_tensor, write_json
+from .container import MAX_ABS, check_keys, check_range, read_json, read_tensor, save_tensor, write_json
 from .errors import FormatError, ValidationError, allocating, integer, malformed, number, string
 
 # The largest mask label: the uint16 range segmentation formats store labels in.
@@ -259,6 +259,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume3D, LabelMask3D, np.ndarr
 
 def phantom_spec_from_json(doc: dict) -> PhantomSpec:
     with malformed("phantom spec"):
+        doc = check_keys(doc, PhantomSpec.__dataclass_fields__, "phantom spec")
         regions = tuple(
             RegionSpec(
                 label=integer(r["label"], "region label"),
@@ -266,7 +267,7 @@ def phantom_spec_from_json(doc: dict) -> PhantomSpec:
                 radii=tuple(number(x, "region radii") for x in r["radii"]),
                 intensity=number(r["intensity"], "region intensity"),
             )
-            for r in doc["regions"]
+            for r in (check_keys(r, RegionSpec.__dataclass_fields__, "region") for r in doc["regions"])
         )
         pathologies = tuple(
             PathologySpec(
@@ -276,7 +277,8 @@ def phantom_spec_from_json(doc: dict) -> PhantomSpec:
                 prevalence=number(p["prevalence"], f"pathology '{p['name']}' prevalence"),
                 radius=number(p.get("radius", 2.0), f"pathology '{p['name']}' radius"),
             )
-            for p in doc.get("pathologies", ())
+            for p in (check_keys(p, PathologySpec.__dataclass_fields__, "pathology")
+                      for p in doc.get("pathologies", ()))
         )
         return PhantomSpec(
             shape=tuple(integer(x, "shape extent") for x in doc["shape"]),

@@ -967,6 +967,25 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_synth_of_a_count_below_1_exits_2_in_its_stage_before_making_out(self, workspace, capsys, count):
+        ws = workspace
+        assert run_cli("synth", "--spec", ws / "phantom.json", "--count", count, "--out", ws / "d") == 2
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+        assert [(e["stage"], e["event"]) for e in events] == [("synth", "start"), ("synth", "failed")]
+        assert events[-1]["cause"] == f"sample count must be positive, got {count}"
+        assert not (ws / "d").exists()
+
+    @pytest.mark.parametrize("mode", ["probe", "gat"])
+    def test_an_unknown_granularity_exits_2_at_parse_time_under_either_mode(self, workspace, capsys, mode):
+        ws = workspace
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("train", "--mode", mode, "--manifest", ws / "data.jsonl", "--granularity", "voxel",
+                    "--out", ws / "t")
+        assert exit_info.value.code == 2
+        assert "--granularity: invalid choice: 'voxel'" in capsys.readouterr().err
+        assert not (ws / "t").exists()
+
     @pytest.mark.parametrize("command", ["synth", "encode", "graph"])
     def test_negative_seed_exits_2_at_parse_time_naming_the_flag(self, workspace, capsys, command):
         ws = workspace
@@ -1427,6 +1446,10 @@ class TestRunPipeline:
             ) == 0
             chained = (ws / f"feats_{i:03d}.bin").read_bytes()
             assert chained == (ws / "run_out" / "pool" / f"feats_{i:03d}.bin").read_bytes()
+        synth = ["samples.jsonl"] + [f"{kind}_{i:03d}.bin" for kind in ("vol", "mask") for i in range(2)]
+        assert sorted(path.name for path in (ws / "data").iterdir()) == sorted(synth)
+        for name in synth:
+            assert (ws / "data" / name).read_bytes() == (ws / "run_out" / "synth" / name).read_bytes()
 
     def test_eval_scores_the_classifiers_held_out_samples(self, workspace):
         ws = workspace

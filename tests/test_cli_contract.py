@@ -220,3 +220,36 @@ def test_a_pinned_document_mutation_returns_2_with_one_error_line_naming_it(
     lines = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("{")]
     assert code == 2 and len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], lines
     assert not any(path.is_file() for path in work.glob("out/**/*"))
+
+
+UNKNOWN_KEYS = [  # (command, input flag, the JSON file under a directory input, node, an unknown key)
+    ("synth", "--spec", None, (), "noise_sigm"),
+    ("graph", "--hierarchy", None, ("fine", 0), "parnet"),
+    ("infer", "--graph", None, ("nodes", 0), "levle"),
+    ("encode", "--presets", None, ("presets", 0), "chanels"),
+    ("pool", "--pyramid", "pyramid.json", (), "source_extent"),
+]
+
+
+@pytest.mark.parametrize("command, flag, inner, node, key", UNKNOWN_KEYS, ids=[c for c, *_ in UNKNOWN_KEYS])
+def test_a_document_with_an_unknown_key_returns_2_with_one_error_line_naming_it(
+    valid, capsys, command, flag, inner, node, key
+):
+    base, _ = valid
+    work = base / "unknown"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    source = base / COMMANDS[command][flag]
+    changed = work / source.name
+    (shutil.copytree if source.is_dir() else shutil.copy)(source, changed)
+    document = changed / inner if inner else changed
+    document.write_text(json.dumps(mutated(json.loads(document.read_text()), (*node, key), 1)))
+    argv = [command, "--out", str(work / "out")]
+    for f, v in COMMANDS[command].items():
+        argv += [f, str(changed if f == flag else base / v if f in PATH_FLAGS else v)]
+    capsys.readouterr()
+    code = main(argv)
+    lines = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("{")]
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert str(document) in lines[0] and f"keys: ['{key}']" in lines[0], lines
+    assert not (work / "out").exists()

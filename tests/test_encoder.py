@@ -1,6 +1,7 @@
 """Synthetic encoder behavior, preset registry, and pyramid import/export."""
 
 import json
+import math
 import os
 import signal
 
@@ -89,7 +90,8 @@ def serial_reference(volume, preset, seed):
     """The encoder as one whole-layer box mean and lift per layer, on one thread."""
     h, w, d = volume.shape
     layers = []
-    for li, (c_l, factor) in enumerate(zip(preset.channels, preset.cumulative_factors())):
+    for li, c_l in enumerate(preset.channels):
+        factor = math.prod(preset.factors[: li + 1])
         box = volume.voxels.reshape(
             h // factor, factor, w // factor, factor, d // factor, factor
         ).mean(axis=(1, 3, 5))
@@ -110,7 +112,7 @@ def test_slab_parallel_pyramid_equals_serial_reference(monkeypatch, preset_name,
     monkeypatch.setattr(encoder, "_WORKERS", workers)
     monkeypatch.setattr(encoder, "_INLINE_BELOW_VOXELS", 0)
     preset = PRESETS[preset_name]
-    top = preset.cumulative_factors()[-1]
+    top = math.prod(preset.factors)
     rng = np.random.default_rng(workers)
     for shape in [(top, top, top), (3 * top, top, 2 * top)]:
         vol = Volume3D(rng.standard_normal(shape) * 50.0)
@@ -169,13 +171,14 @@ def test_a_forked_child_encodes_on_its_own_pool(monkeypatch):
     [("demo", None, None), ("transvw-style", None, None), ("swinunetr-style", 32, 4),
      ("voco-style", 32, 4), ("ct-fm-style", 32, 4), ("vox2vec-style", 32, 4)],
 )
-def test_check_extents_names_the_first_factor_that_does_not_divide(preset_name, factor, layer):
+def test_layer_extents_names_the_first_factor_that_does_not_divide(preset_name, factor, layer):
     preset = PRESETS[preset_name]
     if factor is None:
-        preset.check_extents((32, 32, 16))
+        halved = ((16, 16, 8), (8, 8, 4), (4, 4, 2), (2, 2, 1))
+        assert preset.layer_extents((32, 32, 16)) == halved[: preset.num_layers]
         return
     with pytest.raises(ValidationError) as info:
-        preset.check_extents((32, 32, 16))
+        preset.layer_extents((32, 32, 16))
     assert str(info.value) == (
         f"volume extents (32, 32, 16) must be divisible by the cumulative downsample factor "
         f"{factor} of preset '{preset_name}' layer {layer}"

@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 from ctgraph.container import load_tensors, read_record, save_tensors
 from ctgraph.demo import demo_phantom_spec, demo_pipeline_config
 from ctgraph.encoder import export_pyramid, get_preset, load_pyramid, synth_encode
-from ctgraph.errors import CtGraphError, ValidationError
+from ctgraph.errors import ConfigError, CtGraphError, ValidationError
 from ctgraph.gat import GatModel
 from ctgraph.graph import (
     build_hierarchical,
@@ -201,6 +201,31 @@ def test_name_fields_take_json_strings_only(documents, loader, path, what, value
     file.write_text(json.dumps(mutated(valid_doc, path, value)))
     expected = f"{file.name}: {what} must be a string, got {value!r}"
     with pytest.raises(ValidationError, match=re.escape(expected)):
+        load()
+
+
+UNKNOWN_KEYS = [  # (loader, the node that gains the key, the key, what the message calls the node)
+    ("phantom-spec", (), "noise_sigm", "phantom spec"),
+    ("phantom-spec", ("regions", 0), "intensty", "region"),
+    ("phantom-spec", ("pathologies", 0), "radus", "pathology"),
+    ("hierarchy", (), "versions", "hierarchy"),
+    ("hierarchy", ("fine", 0), "parnet", "fine node"),
+    ("hierarchy", ("coarse", 0), "lable", "coarse node"),
+    ("graph", (), "edge", "graph"),
+    ("graph", ("nodes", 0), "levle", "graph node"),
+    ("preset-registry", (), "preset", "preset registry"),
+    ("preset-registry", ("presets", 0), "chanels", "preset"),
+    ("pyramid-index", (), "source_extent", "pyramid index"),
+]
+
+
+@pytest.mark.parametrize(
+    "loader, node, key, what", UNKNOWN_KEYS, ids=[f"{loader}-{key}" for loader, _, key, _ in UNKNOWN_KEYS]
+)
+def test_an_unknown_key_at_any_level_is_a_config_error_naming_it(documents, loader, node, key, what):
+    file, load, valid_doc = documents[loader]
+    file.write_text(json.dumps(mutated(valid_doc, (*node, key), 1)))
+    with pytest.raises(ConfigError, match=re.escape(f"{file.name}: unknown {what} keys: ['{key}']")):
         load()
 
 
