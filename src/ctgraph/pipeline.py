@@ -2,10 +2,14 @@
 
 `run_pipeline` and the `ct-graph` subcommands call the same functions: the stage
 functions here and, for encode, the encoder's `synth_encode` and `export_pyramid`.
-The per-sample ones take one sample, and `run_pipeline` maps them over its samples.
-`stage()` times a stage and logs its `start` and its `done` or `failed` event as
-JSON lines. A failed run re-raises its exception unchanged, after leaving a STALE
-marker that names the failed stage and lists the stages whose outputs may be
+The per-sample ones take one sample. `run_pipeline` makes one pass over its
+samples: it synthesizes, encodes and pools sample i, keeps only its pooled triple
+and target, and frees its volume and pyramid before sample i + 1 is made, so a run
+holds one sample's arrays at a time. `stage()` times a stage and logs its `start`
+and its `done` or `failed` event as JSON lines; the per-sample events carry the
+sample index, and `summary.json` sums each stage's seconds over the samples. A
+failed run re-raises its exception unchanged, after leaving a STALE marker that
+names the failed stage and sample and lists the stages whose outputs may be
 partial. Reruns with the same config and seed reproduce the same summary metrics.
 """
 
@@ -58,27 +62,30 @@ def log_event(stage: str, event: str, **extra) -> None:
 
 
 @contextlib.contextmanager
-def stage(name: str, seconds: dict | None = None, **fields):
+def stage(name: str, seconds: dict | None = None, sample: int | None = None, **fields):
     """Log `start` with fields, run the body, then log `done` with its seconds,
-    or `failed` with the cause when the body raises.
+    or `failed` with the cause when the body raises; a sample index goes into
+    all three events.
 
     The body may add `done` fields to the yielded dict. A `seconds` dict gets
-    the stage's name when it starts and its rounded duration when it ends.
+    the stage's name when it starts, and the body's duration is added to that
+    entry when it ends, so a stage run once per sample sums over the samples.
     """
-    log_event(name, "start", **fields)
+    where = {} if sample is None else {"sample": sample}
+    log_event(name, "start", **where, **fields)
     done: dict = {}
     if seconds is not None:
-        seconds[name] = None
+        seconds.setdefault(name, 0.0)
     t0 = time.perf_counter()
     try:
         yield done
     except Exception as exc:
-        log_event(name, "failed", cause=str(exc))
+        log_event(name, "failed", **where, cause=str(exc))
         raise
-    elapsed = round(time.perf_counter() - t0, 3)
+    elapsed = time.perf_counter() - t0
     if seconds is not None:
-        seconds[name] = elapsed
-    log_event(name, "done", seconds=elapsed, **done)
+        seconds[name] += elapsed
+    log_event(name, "done", **where, seconds=round(elapsed, 3), **done)
 
 
 def check_gat_doc(doc: dict) -> dict:
@@ -200,8 +207,10 @@ def eval_stage(preds: list[dict], refs: list[dict], metrics, path) -> dict:
             "f1": scores.f1,
         }
     if "nlg" in metrics:
-        cands = [tokenize(p.get("text", "")) for p in preds]
-        golds = [tokenize(r.get("text", "")) for r in refs]
+        if not all("text" in record for record in preds + refs):
+            raise ValidationError("nlg metrics need 'text' in every shared record")
+        cands = [tokenize(p["text"]) for p in preds]
+        golds = [tokenize(r["text"]) for r in refs]
         bleu = bleu_n(cands, golds)
         report["nlg"] = {
             **{f"bleu_{k}": b for k, b in enumerate(bleu, 1)},
@@ -263,9 +272,15 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
     """Run every stage; returns the summary dict (also written as summary.json)."""
     out = Path(cfg.out_dir if out_dir is None else out_dir)
     summary: dict = {"config": dataclasses.asdict(cfg), "stages": {}, "metrics": {}}
-    seconds = summary["stages"]
+    seconds: dict = {}
     metrics = summary["metrics"]
     stale_path = out / "STALE"
+    running: dict = {}  # the stage that runs, and its sample, for the STALE marker
+
+    def timed(name: str, sample: int | None = None, **fields):
+        running.update(stage=name, sample=sample)
+        return stage(name, seconds, sample, **fields)
+
     t_total = time.perf_counter()
     try:
         hierarchy = hierarchy_from(cfg.hierarchy)
@@ -280,24 +295,27 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
         ensure_dir(out)
         remove_output(out / "summary.json")  # it exists only after a run that completed
 
-        with stage("synth", seconds, samples=cfg.num_samples):
-            synth_dir = ensure_dir(out / "synth")
-            volumes, masks, targets = zip(*(
-                synth_stage(spec, cfg.seed, synth_dir, i) for i in range(cfg.num_samples)
-            ))
+        synth_dir, pool_dir = out / "synth", out / "pool"
+        pooled, targets = [], []
+        for i in range(cfg.num_samples):
+            with timed("synth", i):
+                volume, mask, target = synth_stage(spec, cfg.seed, ensure_dir(synth_dir), i)
+            with timed("encode", i, preset=preset.name):
+                pyramid = synth_encode(volume, preset, seed=cfg.seed)
+                if i == 0:  # only sample 0's pyramid is exported
+                    export_pyramid(pyramid, out / "encode" / "sample_000")
+            with timed("pool", i):
+                path = ensure_dir(pool_dir) / f"feats_{i:03d}.bin"
+                pooled.append(pool_stage(pyramid, mask, hierarchy, path))
+            targets.append(target)
+            del volume, mask, pyramid  # freed before sample i + 1 is made
+        with timed("synth", samples=cfg.num_samples):  # the manifest, once every phantom is written
             write_samples(synth_dir, targets)
             targets = np.stack(targets)
-        with stage("encode", seconds, preset=preset.name):  # only sample 0's pyramid is exported
-            pyramids = [synth_encode(volume, preset, seed=cfg.seed) for volume in volumes]
-            export_pyramid(pyramids[0], out / "encode" / "sample_000")
-        with stage("pool", seconds):
-            pool_dir = ensure_dir(out / "pool")
-            pooled = [pool_stage(pyramid, mask, hierarchy, pool_dir / f"feats_{i:03d}.bin")
-                      for i, (pyramid, mask) in enumerate(zip(pyramids, masks))]
-        with stage("graph", seconds, topology=cfg.topology):
+        with timed("graph", topology=cfg.topology):
             graph = graph_stage(hierarchy, cfg.topology, cfg.seed, out / "graph.json")
             save_hierarchy(out / "anatomy.json", hierarchy)
-        with stage("train", seconds):
+        with timed("train"):
             probe_cfg, gat_cfg = cfg.train_configs
             probe_trace, probe_info = train_probe_stage(
                 pooled, targets, cfg.probe_granularity, probe_cfg, out / "probe"
@@ -309,9 +327,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
             metrics["gat_f1"] = gat_trace[-1]["f1"] if gat_trace else None
             metrics["probe_info"] = probe_info
             metrics["gat_info"] = gat_info
-        with stage("infer", seconds):
+        with timed("infer"):
             infer_stage(graph, pooled[0], clf.gat, out / "tokens.bin")
-        with stage("eval", seconds):  # the classifier's held-out samples
+        with timed("eval"):  # the classifier's held-out samples
             scored = gat_info["scored_indices"]
             report = eval_stage(
                 [{"labels": labels} for labels in clf.predict(graph, [pooled[i] for i in scored])],
@@ -321,17 +339,17 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
             )
             metrics["eval_ce_f1"] = report["ce"]["f1"]
     except Exception as exc:
-        started = list(seconds)  # a failed stage has logged its own `failed` event
-        failed = started[-1] if started else "setup"
-        if started:
-            write_json(
-                stale_path, {"failed_stage": failed, "cause": str(exc), "stages_started": started}
-            )
+        if running:  # the failed stage has logged its own `failed` event
+            write_json(stale_path, {
+                "failed_stage": running["stage"], "sample": running["sample"],
+                "cause": str(exc), "stages_started": list(seconds),
+            })
         else:  # a failed setup has written nothing
-            log_event(failed, "failed", cause=str(exc))
+            log_event("setup", "failed", cause=str(exc))
         raise
 
     remove_output(stale_path)
+    summary["stages"] = {name: round(total, 3) for name, total in seconds.items()}
     summary["total_seconds"] = round(time.perf_counter() - t_total, 3)
     write_json(out / "summary.json", summary)
     log_event("run", "done", total_seconds=summary["total_seconds"])

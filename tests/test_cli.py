@@ -3,13 +3,16 @@
 import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from ctgraph import pipeline
 from ctgraph.cli import main
 from ctgraph.container import save_tensor
 from ctgraph.demo import demo_phantom_spec
+from ctgraph.errors import ValidationError
 from ctgraph.gat import GatConfig, GatModel
 from ctgraph.graph import AnatomyHierarchy, CoarseNode, FineNode, save_hierarchy
 from ctgraph.heads import load_token_export, write_manifest
@@ -347,6 +350,19 @@ class TestExitCodes:
         )
         assert code == 2
         assert "pred.jsonl:1" in capsys.readouterr().err
+        assert not (ws / "r.json").exists()
+
+    @pytest.mark.parametrize("metric, key", [("ce", "labels"), ("nlg", "text")])
+    def test_eval_of_a_record_without_its_metrics_key_exits_2_naming_it(self, workspace, capsys, metric, key):
+        ws = workspace
+        (ws / "ref.jsonl").write_text('{"id": 1, "labels": [1, 0], "text": "left lung nodule"}\n')
+        (ws / "pred.jsonl").write_text('{"id": 1, "lables": [1, 0], "txt": "left lung nodule"}\n')
+        code = run_cli(
+            "eval", "--metrics", metric, "--pred", ws / "pred.jsonl", "--ref", ws / "ref.jsonl",
+            "--out", ws / "r.json",
+        )
+        assert code == 2
+        assert f"{metric} metrics need '{key}' in every shared record" in capsys.readouterr().err
         assert not (ws / "r.json").exists()
 
     @pytest.mark.parametrize("metrics", ["bogus", "ce,bleu", ","])
@@ -1502,12 +1518,20 @@ class TestRunPipeline:
         capsys.readouterr()
         assert run_cli("run", "--config", ws / "run.json") == 0
         events = self._stage_events(capsys.readouterr().err)
-        stages = ["synth", "encode", "pool", "graph", "train", "infer", "eval"]
-        assert [(e["stage"], e["event"]) for e in events] == [
-            (name, event) for name in stages for event in ("start", "done")
+        # one pass over the 4 samples, then samples.jsonl, then the stages that take every sample
+        steps = [(name, i) for i in range(4) for name in ("synth", "encode", "pool")]
+        steps += [(name, None) for name in ("synth", "graph", "train", "infer", "eval")]
+        assert [(e["stage"], e["event"], e.get("sample")) for e in events] == [
+            (name, event, i) for name, i in steps for event in ("start", "done")
         ]
-        for e in events[1::2]:
+        done = events[1::2]
+        for e in done:
             assert type(e["seconds"]) in (int, float) and e["seconds"] >= 0
+        stages = json.loads((ws / "run_out" / "summary.json").read_text())["stages"]
+        assert list(stages) == ["synth", "encode", "pool", "graph", "train", "infer", "eval"]
+        for name, total in stages.items():
+            logged = [e["seconds"] for e in done if e["stage"] == name]
+            assert total == pytest.approx(sum(logged), abs=0.0005 * (len(logged) + 1))
 
     def test_run_failing_in_a_stage_logs_failed_for_that_stage(self, workspace, capsys):
         ws = workspace
@@ -1517,11 +1541,73 @@ class TestRunPipeline:
         capsys.readouterr()
         assert run_cli("run", "--config", ws / "run.json") == 2  # an output that cannot be written
         events = self._stage_events(capsys.readouterr().err)
-        assert [(e["stage"], e["event"]) for e in events] == [
-            ("synth", "start"), ("synth", "done"), ("encode", "start"), ("encode", "done"),
-            ("pool", "start"), ("pool", "failed"),
+        assert [(e["stage"], e["event"], e["sample"]) for e in events] == [
+            ("synth", "start", 0), ("synth", "done", 0), ("encode", "start", 0), ("encode", "done", 0),
+            ("pool", "start", 0), ("pool", "failed", 0),
         ]
         assert "pool" in events[-1]["cause"]
+        stale = json.loads((ws / "run_out" / "STALE").read_text())
+        assert (stale["failed_stage"], stale["sample"]) == ("pool", 0)
+        assert stale["stages_started"] == ["synth", "encode", "pool"]
+
+    def test_run_failing_at_a_later_samples_encode_names_that_stage_and_sample(
+        self, workspace, capsys, monkeypatch
+    ):
+        real_encode = pipeline.synth_encode
+        calls = []
+
+        def encode(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValidationError("injected")
+            return real_encode(*args, **kwargs)
+
+        ws = workspace
+        monkeypatch.setattr(pipeline, "synth_encode", encode)
+        (ws / "run.json").write_text(json.dumps(self._config(ws)))
+        capsys.readouterr()
+        assert run_cli("run", "--config", ws / "run.json") == 2
+        events = self._stage_events(capsys.readouterr().err)
+        failed = [(e["stage"], e["sample"], e["cause"]) for e in events if e["event"] == "failed"]
+        assert failed == [("encode", 1, "injected")]
+        assert events[-1]["event"] == "failed"
+        stale = json.loads((ws / "run_out" / "STALE").read_text())
+        assert stale == {
+            "failed_stage": "encode", "sample": 1, "cause": "injected",
+            "stages_started": ["synth", "encode", "pool"],
+        }
+
+    def test_run_frees_each_samples_volume_and_pyramid_before_the_next_sample(self, workspace, monkeypatch):
+        """While sample i is encoded or pooled, no volume or pyramid of an earlier sample is alive."""
+        real_synth, real_encode, real_pool = pipeline.synth_stage, pipeline.synth_encode, pipeline.pool_stage
+        arrays = []  # per sample, weak references to its volume and pyramid and their arrays
+        alive = []  # per encode and pool call, how many of the earlier samples' arrays are alive
+
+        def count_earlier():
+            alive.append(sum(ref() is not None for refs in arrays[:-1] for ref in refs))
+
+        def synth_stage(*args):
+            volume, mask, target = real_synth(*args)
+            arrays.append([weakref.ref(volume), weakref.ref(volume.voxels)])
+            return volume, mask, target
+
+        def synth_encode(*args, **kwargs):
+            count_earlier()
+            pyramid = real_encode(*args, **kwargs)
+            arrays[-1] += [weakref.ref(pyramid)] + [weakref.ref(layer.data.data) for layer in pyramid.layers]
+            return pyramid
+
+        def pool_stage(*args):
+            count_earlier()
+            return real_pool(*args)
+
+        for name, fake in (("synth_stage", synth_stage), ("synth_encode", synth_encode), ("pool_stage", pool_stage)):
+            monkeypatch.setattr(pipeline, name, fake)
+        ws = workspace
+        (ws / "run.json").write_text(json.dumps(self._config(ws)))
+        assert run_cli("run", "--config", ws / "run.json") == 0
+        assert alive == [0] * 8
+        assert len(arrays) == 4 and all(len(refs) > 4 for refs in arrays)
 
     def test_a_defect_propagates_from_run_as_from_its_subcommand(self, workspace, capsys, monkeypatch):
         """Only a CtGraphError exits 2; any other exception is a defect and leaves cli.main."""
