@@ -208,7 +208,7 @@ def remove_output(path) -> None:
 
 def write_json(path, doc) -> None:
     with open_output(path) as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
 
 
 def check_keys(doc, known, what: str, retired=MappingProxyType({})) -> dict:

@@ -150,28 +150,16 @@ class FeaturePyramid:
     def channels(self) -> tuple[int, ...]:
         return tuple(layer.channels for layer in self.layers)
 
-    @property
-    def c_total(self) -> int:
-        return sum(self.channels)
 
-
-# One slab per CPU this process may run on; the executor starts its threads
-# on first use. numpy releases the GIL in the box-mean reduce loop and in the
-# lift's multiply/add loops, so slabs of one layer run in parallel.
+# One slab per CPU this process may run on; each split call starts its own
+# threads and joins them before it returns. numpy releases the GIL in the
+# box-mean reduce loop and in the lift's multiply/add loops, so slabs of one
+# layer run in parallel.
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:
     _WORKERS = os.cpu_count() or 1
 
-
-def _new_pool() -> None:
-    global _POOL
-    _POOL = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="ctgraph-encode")
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none of its threads
-    os.register_at_fork(after_in_child=_new_pool)
 # Smaller volumes encode on the calling thread. On two CPUs, two slabs lost
 # to one under the 8-channel demo preset up to 2^17 voxels (32x32x16: 0.86
 # vs 1.06 ms) and won from 2^18 (64^3: 6.6 vs 7.2 ms); the 48-channel
@@ -199,8 +187,8 @@ def synth_encode(volume: Volume3D, preset: EncoderPreset, seed: int) -> FeatureP
 
     Every layer is split along axis 0 into one slab per CPU in the process's
     affinity mask (one slab for small volumes); the slabs write into
-    preallocated layer arrays on a shared thread pool. The output does not
-    depend on the slab count.
+    preallocated layer arrays on threads that live for this call only. The
+    output does not depend on the slab count.
     """
     slabs = _WORKERS if volume.voxels.size >= _INLINE_BELOW_VOXELS else 1
     layers, tasks = [], []
@@ -221,8 +209,9 @@ def synth_encode(volume: Volume3D, preset: EncoderPreset, seed: int) -> FeatureP
         for task in tasks:
             _encode_rows(*task)
     else:
-        for future in [_POOL.submit(_encode_rows, *task) for task in tasks]:
-            future.result()
+        with ThreadPoolExecutor(_WORKERS, thread_name_prefix="ctgraph-encode") as pool:
+            for future in [pool.submit(_encode_rows, *task) for task in tasks]:
+                future.result()
     return FeaturePyramid([PyramidLayer(Tensor(feats)) for feats in layers], volume.shape)
 
 

@@ -39,9 +39,6 @@ class MacroScores:
     per_class_f1: list[float]
     degenerate_classes: list[int]
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return self.precision, self.recall, self.f1
-
 
 def macro_prf1(pred: np.ndarray, ref: np.ndarray) -> MacroScores:
     """Unweighted class mean of per-class precision/recall/F1 on binary matrices."""
@@ -49,8 +46,8 @@ def macro_prf1(pred: np.ndarray, ref: np.ndarray) -> MacroScores:
     ref = np.asarray(ref)
     if pred.shape != ref.shape:
         raise ShapeError(f"prediction shape {pred.shape} != reference shape {ref.shape}")
-    if pred.ndim != 2:
-        raise ShapeError(f"label matrices must be 2-d (samples x classes), got {pred.shape}")
+    if pred.ndim != 2 or not pred.shape[1]:
+        raise ShapeError(f"label matrices must be 2-d (samples x classes) with a class, got {pred.shape}")
     pred = pred.astype(bool)
     ref = ref.astype(bool)
     tp = (pred & ref).sum(axis=0).astype(float)

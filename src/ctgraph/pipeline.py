@@ -265,7 +265,13 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        return read_json(path, "pipeline config", cls.from_json)
+        """The config at path, whose relative phantom_spec and hierarchy name files
+        relative to path's directory."""
+        cfg = read_json(path, "pipeline config", cls.from_json)
+        for key in ("phantom_spec", "hierarchy"):
+            if getattr(cfg, key) is not None:
+                setattr(cfg, key, str(Path(path).parent / getattr(cfg, key)))
+        return cfg
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:

@@ -14,7 +14,7 @@ from ctgraph.container import save_tensor
 from ctgraph.demo import demo_phantom_spec
 from ctgraph.errors import ValidationError
 from ctgraph.gat import GatConfig, GatModel
-from ctgraph.graph import AnatomyHierarchy, CoarseNode, FineNode, save_hierarchy
+from ctgraph.graph import AnatomyHierarchy, CoarseNode, FineNode, default_hierarchy, save_hierarchy
 from ctgraph.heads import load_token_export, write_manifest
 from ctgraph.pooling import GlobalFeatureGrid, RegionFeatureSet, load_pooled, save_pooled
 from ctgraph.tensor import Tensor
@@ -363,6 +363,19 @@ class TestExitCodes:
         )
         assert code == 2
         assert f"{metric} metrics need '{key}' in every shared record" in capsys.readouterr().err
+        assert not (ws / "r.json").exists()
+
+    def test_eval_ce_on_empty_label_vectors_exits_2_and_writes_no_report(self, workspace, capsys):
+        ws = workspace
+        for name in ("ref.jsonl", "pred.jsonl"):
+            (ws / name).write_text('{"id": 1, "labels": []}\n{"id": 2, "labels": []}\n')
+        code = run_cli(
+            "eval", "--metrics", "ce", "--pred", ws / "pred.jsonl", "--ref", ws / "ref.jsonl",
+            "--out", ws / "r.json",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "(2, 0)" in err
         assert not (ws / "r.json").exists()
 
     @pytest.mark.parametrize("metrics", ["bogus", "ce,bleu", ","])
@@ -1439,6 +1452,19 @@ class TestRunPipeline:
         assert (out / "report.json").exists()
         assert (out / "graph.json").exists()
         assert not (out / "STALE").exists()
+
+    def test_run_config_paths_resolve_against_the_configs_directory(self, workspace, monkeypatch):
+        ws = workspace
+        (ws / "configs" / "spec").mkdir(parents=True)
+        save_phantom_spec(ws / "configs" / "spec" / "phantom.json", demo_phantom_spec())
+        save_hierarchy(ws / "configs" / "anatomy.json", default_hierarchy())
+        config = {**self._config(ws, n=2), "out_dir": "run_out",
+                  "phantom_spec": "spec/phantom.json", "hierarchy": "anatomy.json"}
+        (ws / "configs" / "run.json").write_text(json.dumps(config))
+        (ws / "cwd").mkdir()
+        monkeypatch.chdir(ws / "cwd")
+        assert run_cli("run", "--config", ws / "configs" / "run.json") == 0
+        assert (ws / "cwd" / "run_out" / "summary.json").exists()  # out_dir stays cwd-relative
 
     def test_stage_chain_writes_the_same_pooled_containers_as_run(self, workspace):
         ws = workspace

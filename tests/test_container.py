@@ -189,6 +189,14 @@ def test_failed_write_json_keeps_the_old_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_non_finite_floats_and_leaves_no_file(tmp_path, value):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"ce": {"f1": value}})
+    assert list(tmp_path.iterdir()) == []
+
+
 def traced_peak(fn):
     """Peak bytes traced while fn runs, beyond what was traced when it started."""
     tracemalloc.start()

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -124,12 +126,12 @@ def test_slab_parallel_pyramid_equals_serial_reference(monkeypatch, preset_name,
 
 
 class _NoPool:
-    def submit(self, *args):
-        raise AssertionError("encoded on the thread pool")
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("started a thread pool")
 
 
 def test_one_cpu_and_small_volumes_encode_inline(monkeypatch):
-    monkeypatch.setattr(encoder, "_POOL", _NoPool())
+    monkeypatch.setattr(encoder, "ThreadPoolExecutor", _NoPool)
     small = Volume3D(np.random.default_rng(1).standard_normal((32, 32, 16)))
     assert small.voxels.size < encoder._INLINE_BELOW_VOXELS
     monkeypatch.setattr(encoder, "_WORKERS", 4)
@@ -138,6 +140,38 @@ def test_one_cpu_and_small_volumes_encode_inline(monkeypatch):
     large = Volume3D(np.zeros((64, 64, 64)))
     assert large.voxels.size >= encoder._INLINE_BELOW_VOXELS
     synth_encode(large, get_preset("demo"), seed=1)
+
+
+def test_a_split_encode_leaves_no_thread_running(monkeypatch):
+    monkeypatch.setattr(encoder, "_WORKERS", 2)
+    volume = Volume3D(np.random.default_rng(4).standard_normal((64, 64, 64)))
+    assert volume.voxels.size >= encoder._INLINE_BELOW_VOXELS
+    before = threading.active_count()
+    synth_encode(volume, get_preset("demo"), seed=5)
+    assert threading.active_count() == before
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("ctgraph-encode")]
+
+
+class _Boom(Exception):
+    pass
+
+
+def test_a_failing_slab_raises_only_after_every_other_slab_has_finished(monkeypatch):
+    # slab 0 of layer 0 raises at once; the call must not return while its other slabs still run
+    monkeypatch.setattr(encoder, "_WORKERS", 2)
+    finished, real = [], encoder._encode_rows
+
+    def encode_rows(voxels, factor, scale, offset, out, start, stop):
+        if factor == 2 and start == 0:
+            raise _Boom
+        time.sleep(0.02)
+        real(voxels, factor, scale, offset, out, start, stop)
+        finished.append((factor, start))
+
+    monkeypatch.setattr(encoder, "_encode_rows", encode_rows)
+    with pytest.raises(_Boom):
+        synth_encode(Volume3D(np.zeros((64, 64, 64))), get_preset("demo"), seed=5)
+    assert len(finished) == 5  # 3 layers of 2 slabs, one of which raised
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -257,7 +291,7 @@ def test_import_accepts_six_layer_vox2vec_style(tmp_path):
         extent = max(extent // 2, 1)
     pyr = import_pyramid(paths)
     assert pyr.channels == channels
-    assert pyr.c_total == sum(channels)
+    assert sum(pyr.channels) == sum(channels)
 
 
 def test_import_rejects_wrong_rank(tmp_path):

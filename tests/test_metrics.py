@@ -30,7 +30,7 @@ class TestMacroPrf1:
     def test_perfect_predictions(self):
         ref = np.array([[1, 0], [0, 1], [1, 1]])
         scores = macro_prf1(ref, ref)
-        assert scores.as_tuple() == (1.0, 1.0, 1.0)
+        assert (scores.precision, scores.recall, scores.f1) == (1.0, 1.0, 1.0)
 
     def test_all_negative_predictions(self):
         ref = np.array([[1, 0], [1, 1]])
@@ -60,6 +60,10 @@ class TestMacroPrf1:
         with pytest.raises(ShapeError):
             macro_prf1(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    def test_no_class_column_names_the_shape(self):
+        with pytest.raises(ShapeError, match=r"\(3, 0\)"):
+            macro_prf1(np.zeros((3, 0)), np.zeros((3, 0)))
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_invariant_under_paired_permutation(self, seed):
@@ -70,7 +74,9 @@ class TestMacroPrf1:
         cols = rng.permutation(4)
         base = macro_prf1(pred, ref)
         permuted = macro_prf1(pred[np.ix_(rows, cols)], ref[np.ix_(rows, cols)])
-        assert permuted.as_tuple() == pytest.approx(base.as_tuple(), abs=1e-12)
+        assert (permuted.precision, permuted.recall, permuted.f1) == pytest.approx(
+            (base.precision, base.recall, base.f1), abs=1e-12
+        )
 
 
 class TestBleu:
