@@ -214,7 +214,7 @@ def write_json(path, doc) -> None:
 def check_keys(doc, known, what: str, retired=MappingProxyType({})) -> dict:
     """doc without its retired keys; doc must be a JSON object whose keys all name entries of
     known or of retired, which maps each key that earlier releases read to the one value it
-    may still hold. A retired key of another value raises a ConfigError naming it.
+    may still hold. A retired key of another value or type raises a ConfigError naming it.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
@@ -222,7 +222,7 @@ def check_keys(doc, known, what: str, retired=MappingProxyType({})) -> dict:
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     for key, value in retired.items():
-        if doc.get(key, value) != value:
+        if (got := doc.get(key, value)) != value or type(got) is not type(value):
             raise ConfigError(f"{what} '{key}' must be {value!r}, got {doc[key]!r}")
     return {key: value for key, value in doc.items() if key not in retired}
 

@@ -313,7 +313,7 @@ def hierarchy_to_json(hierarchy: AnatomyHierarchy) -> dict:
 
 def hierarchy_from_json(doc: dict) -> AnatomyHierarchy:
     with malformed("hierarchy document"):
-        doc = check_keys(doc, ("version", "fine", "coarse"), "hierarchy")
+        doc = check_keys(doc, ("fine", "coarse"), "hierarchy", {"version": 1})
         fine = tuple(
             FineNode(
                 integer(f["id"], "fine id"), string(f["name"], "fine name"),

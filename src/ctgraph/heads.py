@@ -76,6 +76,12 @@ class TrainConfig:
         return cls(**{**defaults, "seed": seed, **fields})
 
 
+def _labels(logits, *args) -> np.ndarray:
+    """0/1 labels where the sigmoid of logits(*args) reaches THRESHOLD; records no tape."""
+    with no_grad():
+        return (_sigmoid_np(logits(*args).data) >= THRESHOLD).astype(np.int32)
+
+
 @dataclass
 class AffineHead:
     """One affine layer: the probe and the classifier head.
@@ -91,9 +97,7 @@ class AffineHead:
 
     def predict(self, x) -> np.ndarray:
         """0/1 labels of the rows of x; records no tape."""
-        with no_grad():
-            logits = self.logits(x).data
-        return (_sigmoid_np(logits) >= THRESHOLD).astype(np.int32)
+        return _labels(self.logits, x)
 
     def save(self, path) -> None:
         save_tensors(
@@ -133,7 +137,7 @@ def build_probe_features(
     """
     if granularity not in GRANULARITIES:
         raise ValidationError(f"unknown granularity '{granularity}' (known: {GRANULARITIES})")
-    if layer is not None and layer >= len(fine_set.per_layer):
+    if layer is not None and not 0 <= layer < len(fine_set.per_layer):
         raise ValidationError(
             f"layer {layer} out of range for {len(fine_set.per_layer)} pyramid layers"
         )
@@ -258,9 +262,7 @@ class GatClassifier:
 
     def predict(self, graph: RegionGraph, sample) -> np.ndarray:
         """0/1 labels: (n_classes,) for one sample, (B, n_classes) for a list of B; no tape."""
-        with no_grad():
-            logits = self.logits(graph, sample).data
-        labels = (_sigmoid_np(logits) >= THRESHOLD).astype(np.int32)
+        labels = _labels(self.logits, graph, sample)
         return labels[0] if isinstance(sample[0], RegionFeatureSet) else labels
 
     def save(self, directory) -> Path:

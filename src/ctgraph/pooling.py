@@ -11,7 +11,7 @@ large. The global grid is the same op over a mask that labels each voxel of
 the final layer with its grid cell. The rows of both node levels come from
 one rule, a constant matrix applied with `linear`: the hierarchy's (nodes x
 labels) membership matrix weighting the label rows by voxel count. A
-level's layers are fused with `concat` along the channel axis.
+level's per-layer rows are column views of its `concat`-fused rows.
 """
 
 from __future__ import annotations
@@ -112,6 +112,14 @@ class RegionFeatureSet:
         return len(self.region_ids)
 
 
+def _level_set(region_ids, layers, counts, valid) -> RegionFeatureSet:
+    """A level's set over one buffer: fused = concat(layers, axis=1), through which gradients
+    flow, and each per_layer entry a writable, tape-free Tensor over its columns of fused.data."""
+    fused, widths = concat(layers, axis=1), [t.shape[1] for t in layers]
+    views = [Tensor(fused.data[:, sum(widths[:k]) : sum(widths[: k + 1])]) for k in range(len(layers))]
+    return RegionFeatureSet(region_ids, views, fused, counts, valid)
+
+
 GLOBAL_GRID = (4, 4, 2)  # cells the final layer is pooled to; the GAT's global embedding reads them
 
 
@@ -194,13 +202,8 @@ def pool_all(pyramid, mask: LabelMask3D, hierarchy: AnatomyHierarchy):
     if not present.all():
         present = np.bincount(mask.labels.ravel(), minlength=max(labels) + 1)[labels] > 0
     fine_set, coarse_set = (
-        RegionFeatureSet(
-            region_ids=[n.id for n in getattr(hierarchy, level)],  # .fine or .coarse
-            per_layer=per_layer[level],
-            fused=concat(per_layer[level], axis=1),
-            counts=members @ label_counts,
-            valid=members @ present > 0,
-        )
+        _level_set([n.id for n in getattr(hierarchy, level)],  # .fine or .coarse
+                   per_layer[level], members @ label_counts, members @ present > 0)
         for level, members in levels.items()
     )
     grid = adaptive_avg_pool_global(pyramid.layers[-1].data)
@@ -242,13 +245,8 @@ def load_pooled(path):
             per_layer.append(Tensor(record(f"{prefix}_layer_{len(per_layer):02d}", 2, (n,))))
         if not per_layer:
             raise ValidationError(f"{path}: no '{prefix}' layers found")
-        return RegionFeatureSet(
-            region_ids=ids.tolist(),
-            per_layer=per_layer,
-            fused=concat(per_layer, axis=1),
-            counts=record(f"{prefix}_counts", 2, (n, len(per_layer))),
-            valid=record(f"{prefix}_valid", 1, (n,)).astype(bool),
-        )
+        counts = record(f"{prefix}_counts", 2, (n, len(per_layer)))
+        return _level_set(ids.tolist(), per_layer, counts, record(f"{prefix}_valid", 1, (n,)).astype(bool))
 
     with malformed(f"pooled-feature file {path}"):  # a missing record raises KeyError
         fine, coarse = build("fine"), build("coarse")

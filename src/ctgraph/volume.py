@@ -259,7 +259,8 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume3D, LabelMask3D, np.ndarr
 
 def phantom_spec_from_json(doc: dict) -> PhantomSpec:
     with malformed("phantom spec"):
-        doc = check_keys(doc, PhantomSpec.__dataclass_fields__, "phantom spec")
+        # each sample's index seeds it, so a spec file holds no seed of its own
+        doc = check_keys(doc, set(PhantomSpec.__dataclass_fields__) - {"seed"}, "phantom spec", {"seed": 0})
         regions = tuple(
             RegionSpec(
                 label=integer(r["label"], "region label"),
@@ -284,7 +285,6 @@ def phantom_spec_from_json(doc: dict) -> PhantomSpec:
             shape=tuple(integer(x, "shape extent") for x in doc["shape"]),
             regions=regions,
             pathologies=pathologies,
-            seed=integer(doc.get("seed", 0), "seed"),
             noise_sigma=number(doc.get("noise_sigma", 0.0), "noise_sigma"),
             intensity_jitter=number(doc.get("intensity_jitter", 0.0), "intensity_jitter"),
         )
@@ -295,7 +295,7 @@ def load_phantom_spec(path) -> PhantomSpec:
 
 
 def save_phantom_spec(path, spec: PhantomSpec) -> None:
-    write_json(path, asdict(spec))
+    write_json(path, {key: value for key, value in asdict(spec).items() if key != "seed"})
 
 
 def save_volume(path, volume: Volume3D) -> None:

@@ -1121,8 +1121,31 @@ class TestExitCodes:
         (ws / "bad_spec.json").write_text(json.dumps(doc))
         assert run_cli("synth", "--spec", ws / "bad_spec.json", "--out", ws / "d") == 2
         err = capsys.readouterr().err
-        assert "bad_spec.json" in err and field in err and "must be an integer" in err
+        # seed is a retired key, whose one value is 0
+        want = f"'seed' must be 0, got {value!r}" if field == "seed" else "must be an integer"
+        assert "bad_spec.json" in err and field in err and want in err
         assert not (ws / "d").exists()
+
+    def test_synth_spec_with_a_seed_other_than_0_exits_2_naming_the_key(self, workspace, capsys):
+        ws = workspace
+        doc = json.loads((ws / "phantom.json").read_text())
+        assert "seed" not in doc
+        (ws / "seeded.json").write_text(json.dumps({**doc, "seed": 5}))
+        assert run_cli("synth", "--spec", ws / "seeded.json", "--out", ws / "d") == 2
+        err = capsys.readouterr().err
+        assert "seeded.json" in err and "phantom spec 'seed' must be 0, got 5" in err
+        assert "Traceback" not in err and not (ws / "d").exists()
+        (ws / "zero.json").write_text(json.dumps({**doc, "seed": 0}))
+        assert run_cli("synth", "--spec", ws / "zero.json", "--count", 1, "--out", ws / "d") == 0
+
+    def test_graph_on_an_anatomy_version_other_than_1_exits_2_naming_the_key(self, workspace, capsys):
+        ws = workspace
+        doc = json.loads((ws / "anatomy.json").read_text())
+        (ws / "v2.json").write_text(json.dumps({**doc, "version": 2}))
+        assert run_cli("graph", "--hierarchy", ws / "v2.json", "--out", ws / "g.json") == 2
+        err = capsys.readouterr().err
+        assert "v2.json" in err and "hierarchy 'version' must be 1, got 2" in err
+        assert "Traceback" not in err and not (ws / "g.json").exists()
 
     def test_run_with_a_fractional_region_label_exits_2_before_synth(self, workspace, capsys):
         ws = workspace

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ctgraph.errors import ValidationError
+from ctgraph.errors import ConfigError, ValidationError
 from ctgraph.graph import (
     LEVEL_COARSE,
     LEVEL_FINE,
@@ -264,6 +264,15 @@ class TestSerialization:
         doc["topology"] = "none"
         with pytest.raises(ValidationError, match="none"):
             graph_from_json(doc)
+
+    @pytest.mark.parametrize("version", [2, 0, "1", None, True, 1.0])
+    def test_hierarchy_json_version_is_retired_with_the_value_1(self, version):
+        doc = hierarchy_to_json(tiny_hierarchy())
+        assert doc["version"] == 1 and hierarchy_from_json(doc) == tiny_hierarchy()
+        del doc["version"]
+        assert hierarchy_from_json(doc) == tiny_hierarchy()
+        with pytest.raises(ConfigError, match=rf"hierarchy 'version' must be 1, got {version!r}"):
+            hierarchy_from_json({**doc, "version": version})
 
     @pytest.mark.parametrize("value", [1.5, 10.0, True, "10"], ids=["fraction", "whole-float", "bool", "string"])
     @pytest.mark.parametrize(

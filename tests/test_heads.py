@@ -382,6 +382,14 @@ class TestProbeFeatures:
             expected = np.concatenate([fine_rows.data.ravel(), coarse_rows.data.ravel()])
             assert np.array_equal(per_layer, expected)
 
+    @pytest.mark.parametrize("layer", [-1, -2, 1, 2])
+    def test_a_layer_outside_0_to_L_is_rejected(self, layer):
+        inputs = synth_inputs(small_hierarchy(), tiny_config())
+        assert len(inputs[0].per_layer) == 1
+        assert build_probe_features(*inputs, "fine", layer=0).size
+        with pytest.raises(ValidationError, match=f"layer {layer} out of range for 1 pyramid layers"):
+            build_probe_features(*inputs, "fine", layer=layer)
+
     def test_unknown_granularity(self):
         h = small_hierarchy()
         cfg = tiny_config()

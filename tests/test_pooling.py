@@ -634,6 +634,66 @@ def test_pooled_container_round_trip(tmp_path):
     assert np.array_equal(fine2.valid, fine_set.valid)
 
 
+def _root(array: np.ndarray) -> np.ndarray:
+    """The array that owns array's memory."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+class TestOneBufferPerLevel:
+    """Each level's per_layer rows are views of its fused rows, from pool_all and load_pooled."""
+
+    def _pooled(self):
+        rng = np.random.default_rng(21)
+        vol = Volume3D(rng.standard_normal((16, 16, 8)))
+        pyr = synth_encode(vol, EncoderPreset("three", (2, 3, 2), (1, 2, 2)), seed=0)
+        mask = LabelMask3D(rng.integers(0, 4, (16, 16, 8)).astype(np.int32), 3)
+        return pyr, mask, pool_all(pyr, mask, two_level_hierarchy())
+
+    def _saved_and_loaded(self, tmp_path):
+        _, _, pooled = self._pooled()
+        save_pooled(tmp_path / "f.bin", *pooled)
+        return pooled, load_pooled(tmp_path / "f.bin")
+
+    def test_per_layer_entries_are_writable_views_of_fused(self, tmp_path):
+        pooled, loaded = self._saved_and_loaded(tmp_path)
+        for rset in pooled[:2] + loaded[:2]:
+            assert len(rset.per_layer) == 3
+            for t in rset.per_layer:
+                assert np.shares_memory(t.data, rset.fused.data) and t.data.flags.writeable
+                assert not t.requires_grad and t._parents == ()
+            assert np.array_equal(np.concatenate([t.data for t in rset.per_layer], axis=1), rset.fused.data)
+
+    def test_per_layer_rows_equal_each_layer_pooled_alone(self, tmp_path):
+        pyr, mask, (fine_set, coarse_set, _) = self._pooled()
+        (fine2, coarse2, _) = self._saved_and_loaded(tmp_path)[1]
+        for k, layer in enumerate(pyr.layers):
+            alone = pool_all(FeaturePyramid([layer]), mask, two_level_hierarchy())
+            for rsets, want in ((fine_set, fine2), alone[0]), ((coarse_set, coarse2), alone[1]):
+                for rset in rsets:
+                    assert rset.per_layer[k].data.tobytes() == want.per_layer[0].data.tobytes()
+
+    def test_an_in_place_edit_of_a_layer_shows_in_fused(self, tmp_path):
+        pooled, loaded = self._saved_and_loaded(tmp_path)
+        for rset in pooled[:2] + loaded[:2]:
+            rset.per_layer[1].data[1, 2] = 123.0
+            assert rset.fused.data[1, 2 + 2] == 123.0  # layer 0 is 2 channels wide
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        _, loaded = self._saved_and_loaded(tmp_path)
+        save_pooled(tmp_path / "again.bin", *loaded)
+        assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "f.bin").read_bytes()
+
+    def test_a_triple_holds_the_two_fused_arrays_and_the_grid_only(self, tmp_path):
+        pooled, loaded = self._saved_and_loaded(tmp_path)
+        for fine_set, coarse_set, grid in (pooled, loaded):
+            arrays = [t.data for rset in (fine_set, coarse_set) for t in rset.per_layer + [rset.fused]]
+            roots = {id(_root(a)): _root(a) for a in arrays + [grid.grid.data]}
+            want = fine_set.fused.data.nbytes + coarse_set.fused.data.nbytes + grid.grid.data.nbytes
+            assert sum(r.nbytes for r in roots.values()) == want
+
+
 def test_nodes_out_of_id_order_give_the_same_rows_graphs_and_anatomy_json(tmp_path):
     ordered = default_hierarchy()
     rng = np.random.default_rng(16)

@@ -1,5 +1,6 @@
 """Mask resizing oracle, phantom generation, and volume/mask round trips."""
 
+import json
 import math
 import re
 from dataclasses import asdict, replace
@@ -24,13 +25,22 @@ from ctgraph.volume import (
     _paint,
     generate_phantom,
     load_mask,
+    load_phantom_spec,
     load_volume,
     phantom_spec_from_json,
     resize_mask_nearest,
     save_mask,
+    save_phantom_spec,
     save_volume,
 )
 from test_container import traced_peak
+
+
+def _spec_doc(spec: PhantomSpec) -> dict:
+    """spec as a phantom-spec document, which holds no seed."""
+    doc = asdict(spec)
+    del doc["seed"]
+    return doc
 
 
 def nearest_resize_oracle(labels: np.ndarray, target):
@@ -345,7 +355,7 @@ class TestPhantom:
     @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"], ids=["fraction", "whole-float", "bool", "string"])
     @pytest.mark.parametrize("field", ["seed", "shape", "label", "host_label"])
     def test_spec_json_integer_fields_take_only_integers(self, field, value):
-        doc = asdict(_simple_spec(pathologies=(PathologySpec("a", 2, 0.5, 0.5),)))
+        doc = _spec_doc(_simple_spec(pathologies=(PathologySpec("a", 2, 0.5, 0.5),)))
         doc["shape"] = list(doc["shape"])
         if field == "shape":
             doc["shape"][1] = value
@@ -353,10 +363,24 @@ class TestPhantom:
             doc["regions"][1]["label"] = value
         elif field == "host_label":
             doc["pathologies"][0]["host_label"] = value
-        else:
+        else:  # a retired key: the one value it may hold is 0
             doc["seed"] = value
+            with pytest.raises(ConfigError, match=rf"phantom spec 'seed' must be 0, got {value!r}"):
+                phantom_spec_from_json(doc)
+            return
         with pytest.raises(ValidationError, match=rf"{field}.* must be an integer, got {value!r}"):
             phantom_spec_from_json(doc)
+
+    def test_spec_json_seed_is_retired(self, tmp_path):
+        spec = _simple_spec()
+        assert spec.seed == 3
+        for seed in (3, 5, -1, False, 0.0):
+            with pytest.raises(ConfigError, match=rf"phantom spec 'seed' must be 0, got {seed!r}"):
+                phantom_spec_from_json({**_spec_doc(spec), "seed": seed})
+        assert phantom_spec_from_json({**_spec_doc(spec), "seed": 0}) == spec.with_seed(0)
+        save_phantom_spec(tmp_path / "spec.json", spec)
+        assert "seed" not in json.loads((tmp_path / "spec.json").read_text())
+        assert load_phantom_spec(tmp_path / "spec.json") == spec.with_seed(0)
 
     @pytest.mark.parametrize("value", ["0.5", True, None, [1.0]], ids=["string", "bool", "null", "list"])
     @pytest.mark.parametrize(
@@ -365,7 +389,7 @@ class TestPhantom:
          "intensity_jitter"],
     )
     def test_spec_json_float_fields_take_only_numbers(self, field, value):
-        doc = asdict(_simple_spec(pathologies=(PathologySpec("a", 2, 0.5, 0.5, 2.0),)))
+        doc = _spec_doc(_simple_spec(pathologies=(PathologySpec("a", 2, 0.5, 0.5, 2.0),)))
         if field in ("center", "radii"):
             doc["regions"][0][field] = [3.0, value, 3.0]
         elif field == "intensity":
@@ -379,7 +403,7 @@ class TestPhantom:
             phantom_spec_from_json(doc)
 
     def test_spec_json_float_fields_take_json_integers(self):
-        doc = asdict(_simple_spec(pathologies=(PathologySpec("a", 2, 1, 0, 2),)))
+        doc = _spec_doc(_simple_spec(pathologies=(PathologySpec("a", 2, 1, 0, 2),)))
         doc["regions"][0]["center"] = [3, 3, 3]
         doc["noise_sigma"] = 0
         spec = phantom_spec_from_json(doc)
@@ -387,8 +411,8 @@ class TestPhantom:
         assert type(spec.pathologies[0].prevalence) is float
 
     def test_spec_json_round_trip(self):
-        spec = _simple_spec()
-        again = phantom_spec_from_json(asdict(spec))
+        spec = _simple_spec(seed=0)
+        again = phantom_spec_from_json(_spec_doc(spec))
         assert again == spec
 
 
