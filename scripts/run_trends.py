@@ -11,9 +11,17 @@ import json
 from ctgraph.bench import BenchSettings, run_probe_trend, run_topology_trend
 
 
+def samples_value(text: str) -> int:
+    """argparse type of --samples: a trend needs at least one sample."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=int, default=120)
+    parser.add_argument("--samples", type=samples_value, default=120)
     parser.add_argument("--out", default=None, help="optional JSON report path")
     args = parser.parse_args()
     settings = BenchSettings(n_samples=args.samples)

@@ -106,8 +106,8 @@ def cmd_infer(args) -> None:
     with stage("infer", out=args.out) as done:
         try:
             fwd = infer_stage(graph, sample, model, args.out)
-        except ShapeError as exc:  # a level's width differs from the checkpoint's
-            raise ShapeError(f"--feats {args.feats}: {exc}") from exc
+        except (ShapeError, ValidationError) as exc:  # a level's width or region ids differ
+            raise type(exc)(f"--feats {args.feats}: {exc}") from exc
         done["tokens"] = len(fwd.token_ids)
 
 

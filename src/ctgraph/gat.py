@@ -238,7 +238,8 @@ def propagate(graph: RegionGraph, fine_sets, coarse_sets, grids, model: GatModel
             if found != ids:
                 raise ValidationError(
                     f"pooled {level} region ids {found} do not match the graph's {level} "
-                    f"nodes {ids} (missing: {sorted(set(ids) - set(found))})"
+                    f"nodes {ids} (missing: {sorted(set(ids) - set(found))}, "
+                    f"not in the graph: {sorted(set(found) - set(ids))})"
                 )
         inputs[level] = stack([s.fused for s in sets])
         valid[level] = np.stack([s.valid for s in sets])

@@ -15,7 +15,7 @@ from ctgraph.demo import demo_phantom_spec
 from ctgraph.errors import ValidationError
 from ctgraph.gat import GatConfig, GatModel
 from ctgraph.graph import AnatomyHierarchy, CoarseNode, FineNode, default_hierarchy, save_hierarchy
-from ctgraph.heads import load_token_export, write_manifest
+from ctgraph.heads import RETIRED_KEYS, load_token_export, write_manifest
 from ctgraph.pooling import GlobalFeatureGrid, RegionFeatureSet, load_pooled, save_pooled
 from ctgraph.tensor import Tensor
 from ctgraph.volume import (
@@ -125,8 +125,14 @@ class TestSubcommandChain:
                 for i in range(4)
             ],
         )
+        # the train configs hold each key an earlier release read, at its one value
+        (ws / "probe.json").write_text(json.dumps({"epochs": 1, **RETIRED_KEYS}))
+        assert run_cli(
+            "train", "--mode", "probe", "--manifest", ws / "data.jsonl",
+            "--config", ws / "probe.json", "--out", ws / "probe",
+        ) == 0
         (ws / "train.json").write_text(
-            json.dumps({"mode": "gat", "epochs": 2, "lr": 0.001, "batch_size": 4})
+            json.dumps({"mode": "gat", "epochs": 2, "lr": 0.001, "batch_size": 4, **RETIRED_KEYS})
         )
         (ws / "gat.json").write_text(
             json.dumps({"d_h": 8, "n_heads": 2, "export_dim": 4})
@@ -453,17 +459,20 @@ class TestExitCodes:
         assert code == 2
         assert "heads" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("mlp_hidden", [16]), ("slope", 0.3), ("ln_eps", 1e-5)])
+    @pytest.mark.parametrize(
+        "key, value", [("mlp_hidden", [16]), ("slope", 0.3), ("ln_eps", 1e-5), ("threshold", 0.7)]
+    )
     def test_train_with_a_retired_key_of_another_value_exits_2_naming_it(self, workspace, capsys, key, value):
         ws = workspace
         write_manifest(ws / "data.jsonl", [{"feature_file": "f.bin", "labels": [0, 1]}])
-        (ws / "gat.json").write_text(json.dumps({"d_h": 8, key: value}))
+        what, flag = ("train", "--config") if key in RETIRED_KEYS else ("gat", "--gat-config")
+        (ws / "config.json").write_text(json.dumps({key: value}))
         code = run_cli(
             "train", "--mode", "gat", "--manifest", ws / "data.jsonl", "--graph", ws / "g.json",
-            "--gat-config", ws / "gat.json", "--out", ws / "ckpt",
+            flag, ws / "config.json", "--out", ws / "ckpt",
         )
         assert code == 2
-        assert f"gat config '{key}'" in capsys.readouterr().err
+        assert f"{what} config '{key}'" in capsys.readouterr().err
         assert not (ws / "ckpt").exists()
 
     @pytest.mark.parametrize("command", ["run", "train"])
@@ -1280,6 +1289,26 @@ class TestExitCodes:
         assert f"error: --feats {ws / 'f.bin'}: {message}" in capsys.readouterr().err
         assert not (ws / "tokens.bin").exists()
 
+    def test_infer_on_a_pooled_file_with_a_region_the_graph_lacks_exits_2_naming_feats_and_the_id(
+        self, workspace, capsys
+    ):
+        ws = workspace
+        self._save_pooled_of_widths(ws / "f.bin", [2, 3], [2, 3], 3)  # fine 1, 2
+        GatModel.init(GatConfig(c_total=5, c_last=3, d_h=4, n_heads=2, export_dim=4)).save(ws / "ckpt")
+        one_fine = AnatomyHierarchy(fine=(FineNode(1, "a", 1, 10),), coarse=(CoarseNode(10, "sys"),), global_id=20)
+        save_hierarchy(ws / "one_fine.json", one_fine)
+        assert run_cli("graph", "--hierarchy", ws / "one_fine.json", "--out", ws / "g.json") == 0
+        code = run_cli(
+            "infer", "--graph", ws / "g.json", "--feats", ws / "f.bin",
+            "--model", ws / "ckpt", "--out", ws / "tokens.bin",
+        )
+        assert code == 2
+        assert (
+            f"error: --feats {ws / 'f.bin'}: pooled fine region ids [1, 2] do not match the graph's "
+            "fine nodes [1] (missing: [], not in the graph: [2])"
+        ) in capsys.readouterr().err
+        assert not (ws / "tokens.bin").exists()
+
     def test_run_of_a_hierarchy_beyond_the_demo_layout_exits_2_before_writing(self, workspace, capsys):
         ws = workspace
         hierarchy = AnatomyHierarchy(
@@ -1333,20 +1362,31 @@ class TestExitCodes:
         assert [(e["stage"], e["event"]) for e in events] == [("setup", "failed")]
 
     @pytest.mark.parametrize(
-        "gat",
-        [{"d_h": 2**40}, {"export_dim": 2**40}, {"d_h": 2**62, "n_heads": 1}],
-        ids=["d_h", "export_dim", "d_h-beyond-any-array"],
+        "command, gat",
+        [("run", {"d_h": 2**40}), ("run", {"export_dim": 2**40}), ("run", {"d_h": 2**62, "n_heads": 1}),
+         ("train", {"d_h": 2**40, "n_heads": 4})],
+        ids=["d_h", "export_dim", "d_h-beyond-any-array", "d_h-through-train"],
     )
-    def test_run_of_gat_sizes_numpy_cannot_allocate_exits_2(self, workspace, capsys, gat):
+    def test_run_of_gat_sizes_numpy_cannot_allocate_exits_2(self, workspace, capsys, command, gat):
         ws = workspace
-        config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2, "gat": gat,
-                  "probe": {"epochs": 1}}
-        (ws / "run.json").write_text(json.dumps(config))
-        assert run_cli("run", "--config", ws / "run.json") == 2
+        if command == "run":
+            config = {"seed": 1, "out_dir": str(ws / "out"), "num_samples": 2, "gat": gat,
+                      "probe": {"epochs": 1}}
+            (ws / "run.json").write_text(json.dumps(config))
+            argv = ["run", "--config", ws / "run.json"]
+        else:
+            self._save_pooled_of_widths(ws / "f.bin", [2, 3], [2, 3], 3)
+            write_manifest(ws / "data.jsonl", [{"feature_file": "f.bin", "labels": [0, 1]}] * 2)
+            assert run_cli("graph", "--hierarchy", ws / "anatomy.json", "--out", ws / "g.json") == 0
+            (ws / "gat.json").write_text(json.dumps(gat))
+            argv = ["train", "--mode", "gat", "--manifest", ws / "data.jsonl", "--graph", ws / "g.json",
+                    "--gat-config", ws / "gat.json", "--out", ws / "out" / "ckpt"]
+        assert run_cli(*argv) == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("error: gat config d_h ") and "cannot be allocated" in last
         assert all(f"{key} " in last for key in ("d_h", "n_heads", "export_dim"))
-        assert json.loads((ws / "out" / "STALE").read_text())["failed_stage"] == "train"
+        if command == "run":
+            assert json.loads((ws / "out" / "STALE").read_text())["failed_stage"] == "train"
         assert not (ws / "out" / "ckpt" / "config.json").exists()
 
     @pytest.mark.parametrize("command", ["synth", "encode", "pool", "graph", "train", "infer", "eval", "run"])

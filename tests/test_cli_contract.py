@@ -11,16 +11,26 @@ A table replaces each input path of every subcommand with a missing path, a
 directory, or another command's input file; each must return 2 with one
 `error:` line naming the path, and write no output. Another pins document
 mutations with values too large for the fuzzed ones, each of which once raised.
+
+Every exit-2 case runs in process. One test checks the process boundary
+once: `python -m ctgraph.cli` exits with `main`'s 2, one `error:` line and no
+traceback. Another runs `scripts/run_trends.py`, whose argparse rejects
+`--samples 0` with exit 2.
 """
 
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ctgraph
 from ctgraph.cli import main
 from ctgraph.demo import demo_phantom_spec
 from ctgraph.graph import default_hierarchy, hierarchy_to_json
@@ -253,3 +263,29 @@ def test_a_document_with_an_unknown_key_returns_2_with_one_error_line_naming_it(
     assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
     assert str(document) in lines[0] and f"keys: ['{key}']" in lines[0], lines
     assert not (work / "out").exists()
+
+
+def run_process(*argv) -> subprocess.CompletedProcess:
+    """argv run by this Python, with PYTHONPATH naming the directory ctgraph was imported from."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ctgraph.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True, env=env)
+
+
+def test_a_process_whose_input_is_bad_exits_2_with_one_error_line_and_no_traceback(valid, tmp_path):
+    base, _ = valid
+    truncated = tmp_path / "truncated.bin"
+    truncated.write_bytes((base / "run" / "pool" / "feats_000.bin").read_bytes()[:-8])
+    out = tmp_path / "tokens.bin"
+    proc = run_process("-m", "ctgraph.cli", *argv_of(base, "infer", {"feats": truncated}), "--out", out)
+    lines = [line for line in proc.stderr.splitlines() if not line.startswith("{")]
+    assert proc.returncode == 2 and len(lines) == 1, proc.stderr
+    assert lines[0].startswith(f"error: {truncated}: truncated payload"), lines
+    assert "Traceback" not in proc.stderr and not out.exists()
+
+
+def test_trends_of_fewer_than_one_sample_exit_2_at_parse_time(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_trends.py"
+    proc = run_process(script, "--samples", "0", "--out", tmp_path / "trends.json")
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert "argument --samples: must be an integer >= 1, got 0" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "trends.json").exists()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctgraph.errors import ShapeError
-from ctgraph.gradcheck import check_gradients, max_relative_error
+from ctgraph.gradcheck import check_gradients, max_relative_error, numerical_gradient
 from ctgraph.tensor import (
     ADAM_BETAS,
     ADAM_EPS,
@@ -535,3 +535,16 @@ class TestNoGrad:
             with no_grad():
                 raise RuntimeError("boom")
         assert add(w, w).requires_grad
+
+    def test_numerical_gradient_takes_loss_values_that_record_no_tape(self):
+        w = Tensor(np.array([[1.0], [2.0]]), requires_grad=True)
+        x = Tensor(np.array([[3.0, 4.0]]))
+        seen = []
+
+        def loss():
+            seen.append(linear(x, w))
+            return seen[-1]
+
+        assert np.allclose(numerical_gradient(loss, w), x.data.T)
+        assert len(seen) == 4 and not any(out.requires_grad for out in seen)
+        assert loss().requires_grad  # the scope ends with the call
