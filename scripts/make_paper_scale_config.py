@@ -39,9 +39,17 @@ def scaled_demo_spec(scale: int):
     )
 
 
+def samples_value(text: str) -> int:
+    """argparse type of --samples: `ct-graph run` needs at least one sample."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--samples", type=int, required=True, help="phantom samples the run makes")
+    parser.add_argument("--samples", type=samples_value, required=True, help="phantom samples the run makes")
     parser.add_argument("--out", default="paper.json", help="run config to write")
     parser.add_argument("--spec", default="paper_phantom.json", help="phantom spec to write")
     parser.add_argument("--out-dir", default="paper_out", help="pipeline output directory")

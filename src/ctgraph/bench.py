@@ -24,6 +24,7 @@ from .encoder import get_preset
 from .gat import GatConfig
 from .graph import build_hierarchical, build_random, default_hierarchy
 from .heads import TrainConfig, build_probe_features, train_gat_classifier, train_probe
+from .pooling import stack_pooled
 
 BENCH_SEEDS = (0, 1, 2)
 PRESET = "demo"
@@ -52,7 +53,7 @@ def bench_dataset(settings: BenchSettings, seed: int):
 
 
 def probe_f1(samples, targets, seed: int, granularity: str, layer=None) -> float:
-    features = np.stack([build_probe_features(*s, granularity=granularity, layer=layer) for s in samples])
+    features = build_probe_features(*stack_pooled(samples), granularity=granularity, layer=layer)
     _, trace, _ = train_probe(standardize(features), targets, TrainConfig(seed=seed, lr=2e-3))
     return trace[-1]["f1"]
 

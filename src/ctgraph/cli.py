@@ -91,11 +91,16 @@ def cmd_train(args) -> None:
     gat_doc = read_json(args.gat_config, "gat config", check_gat_doc) if args.gat_config else {}
     with stage("train", mode=args.mode) as done:
         pooled = [load_pooled(base / record["feature_file"]) for record in manifest]
-        if args.mode == "probe":
-            trace, _ = train_probe_stage(pooled, targets, args.granularity, cfg, args.out)
-        else:
-            graph = load_graph(args.graph)
-            _, trace, _ = train_gat_stage(pooled, targets, graph, gat_doc, cfg, args.out)
+        try:
+            if args.mode == "probe":
+                trace, _ = train_probe_stage(pooled, targets, args.granularity, cfg, args.out)
+            else:
+                graph = load_graph(args.graph)
+                _, trace, _ = train_gat_stage(pooled, targets, graph, gat_doc, cfg, args.out)
+        except CtGraphError as exc:  # stack_pooled names the pooled sample that disagrees
+            if not hasattr(exc, "sample"):
+                raise
+            raise type(exc)(f"{base / manifest[exc.sample]['feature_file']}: {exc}") from exc
         done["f1"] = trace[-1]["f1"] if trace else None
 
 

@@ -27,8 +27,7 @@ from .container import check_keys, check_values, ensure_dir, load_tensor, read_j
 from .errors import ShapeError, ValidationError, allocating, malformed
 from .graph import LEVEL_COARSE, LEVEL_FINE, LEVEL_GLOBAL, TOPOLOGY_SINGLE, RegionGraph
 from .pooling import GLOBAL_GRID
-from .tensor import LEAKY_SLOPE, LN_EPS, Tensor, add, concat, graph_attention, layer_norm, linear
-from .tensor import reshape, stack
+from .tensor import LEAKY_SLOPE, LN_EPS, Tensor, add, concat, graph_attention, layer_norm, linear, reshape
 
 # Keys that earlier releases wrote into every GAT config, each with the one value they took.
 RETIRED_KEYS = {"mlp_hidden": [], "slope": 0.2, "ln_eps": 1e-6}
@@ -223,27 +222,28 @@ def attend_coarse_to_global(
     return add(updated, h_global), alphas
 
 
-def propagate(graph: RegionGraph, fine_sets, coarse_sets, grids, model: GatModel) -> GraphActivation:
-    """Check region ids, embed and attend B samples' pooled sets (equal-length sequences).
+def propagate(graph: RegionGraph, fine_set, coarse_set, grid, model: GatModel) -> GraphActivation:
+    """Check region ids, embed and attend one pooled triple: one sample, or B samples
+    stacked by `pooling.stack_pooled`.
 
-    Every row carries a leading batch axis; alphas tables are filled for B = 1 only.
+    Every row comes out with a leading batch axis (B = 1 for one sample); alphas
+    tables are filled for B = 1 only.
     """
     single_level = graph.topology == TOPOLOGY_SINGLE
-    levels = {LEVEL_FINE: fine_sets} if single_level else {LEVEL_FINE: fine_sets, LEVEL_COARSE: coarse_sets}
-    inputs, valid = {}, {}
-    for level, sets in levels.items():
-        ids = graph.ids_at(level)
-        for feature_set in sets:
-            found = list(feature_set.region_ids)
-            if found != ids:
-                raise ValidationError(
-                    f"pooled {level} region ids {found} do not match the graph's {level} "
-                    f"nodes {ids} (missing: {sorted(set(ids) - set(found))}, "
-                    f"not in the graph: {sorted(set(found) - set(ids))})"
-                )
-        inputs[level] = stack([s.fused for s in sets])
-        valid[level] = np.stack([s.valid for s in sets])
-    inputs[LEVEL_GLOBAL] = stack([g.flat() for g in grids])
+    sets = {LEVEL_FINE: fine_set} if single_level else {LEVEL_FINE: fine_set, LEVEL_COARSE: coarse_set}
+    flat = grid.flat()  # (B, 32 * c_last): one global node per sample
+    b, inputs, valid = flat.shape[0], {}, {}
+    for level, feature_set in sets.items():
+        ids, found = graph.ids_at(level), list(feature_set.region_ids)
+        if found != ids:
+            raise ValidationError(
+                f"pooled {level} region ids {found} do not match the graph's {level} "
+                f"nodes {ids} (missing: {sorted(set(ids) - set(found))}, "
+                f"not in the graph: {sorted(set(found) - set(ids))})"
+            )
+        inputs[level] = reshape(feature_set.fused, (b, len(ids), feature_set.fused.shape[-1]))
+        valid[level] = np.reshape(feature_set.valid, (b, len(ids)))
+    inputs[LEVEL_GLOBAL] = reshape(flat, (b, 1, flat.shape[1]))
     h = embed_nodes(model, inputs)
     h_f, h_c, h_g = h[LEVEL_FINE], h.get(LEVEL_COARSE), h[LEVEL_GLOBAL]
 
@@ -262,7 +262,7 @@ def forward(graph: RegionGraph, fine_set, coarse_set, grid, model: GatModel) -> 
     Tokens are ordered global, then coarse by id, then fine by id; fine
     tokens carry the pre-normalization embeddings.
     """
-    act = propagate(graph, [fine_set], [coarse_set], [grid], model)
+    act = propagate(graph, fine_set, coarse_set, grid, model)
     levels = [LEVEL_FINE] if act.h_coarse is None else [LEVEL_COARSE, LEVEL_FINE]
     token_ids = [graph.global_id] + [i for level in levels for i in graph.ids_at(level)]
     rows = [t for t in (act.h_global_updated, act.h_coarse_updated, act.h_fine) if t is not None]

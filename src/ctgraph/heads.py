@@ -27,7 +27,7 @@ from .errors import ConfigError, ShapeError, ValidationError, integer, malformed
 from .gat import GatConfig, GatForward, GatModel, propagate
 from .graph import RegionGraph
 from .metrics import MacroScores, macro_prf1
-from .pooling import GlobalFeatureGrid, RegionFeatureSet
+from .pooling import GlobalFeatureGrid, RegionFeatureSet, stack_pooled, take_pooled
 from .tensor import ADAM_WEIGHT_DECAY, AdamW, Tensor, bce_with_logits, linear, no_grad, reshape, _sigmoid_np
 
 DEFAULT_PROMPT = (
@@ -129,7 +129,8 @@ def build_probe_features(
     granularity: str = "fine",
     layer: int | None = None,
 ) -> np.ndarray:
-    """Flatten pooled features into one probe input vector.
+    """Flatten one pooled triple, one sample or B stacked by `stack_pooled`, into (B, F)
+    probe input rows; B = 1 for one sample.
 
     granularity names the region sets that feed the probe ("fused": fine then
     coarse); each gives its fused rows, or its rows at encoder layer k when
@@ -141,12 +142,12 @@ def build_probe_features(
         raise ValidationError(
             f"layer {layer} out of range for {len(fine_set.per_layer)} pyramid layers"
         )
+    rows = grid.flat().data
     if granularity == "global":
-        return grid.grid.data.ravel().copy()
+        return rows.copy()
     sets = {"fine": [fine_set], "coarse": [coarse_set], "fused": [fine_set, coarse_set]}
-    return np.concatenate(
-        [(s.fused if layer is None else s.per_layer[layer]).data.ravel() for s in sets[granularity]]
-    )
+    picked = [s.fused if layer is None else s.per_layer[layer] for s in sets[granularity]]
+    return np.concatenate([t.data.reshape(len(rows), -1) for t in picked], axis=1)
 
 
 def train_probe(features: np.ndarray, targets: np.ndarray, cfg: TrainConfig):
@@ -255,15 +256,14 @@ class GatClassifier:
         return self.gat.parameters() + [self.head.weight, self.head.bias]
 
     def logits(self, graph: RegionGraph, sample) -> Tensor:
-        """(B, n_classes) logits of one pooled sample (B = 1) or a list of B, in one forward."""
-        batch = [sample] if isinstance(sample[0], RegionFeatureSet) else sample
-        h = propagate(graph, *zip(*batch), self.gat).h_global_updated  # no export tokens
-        return self.head.logits(reshape(h, (len(batch), self.gat.config.d_h)))
+        """(B, n_classes) logits of one pooled triple, one sample (B = 1) or B stacked by
+        `stack_pooled`, in one forward."""
+        h = propagate(graph, *sample, self.gat).h_global_updated  # no export tokens
+        return self.head.logits(reshape(h, (-1, self.gat.config.d_h)))
 
     def predict(self, graph: RegionGraph, sample) -> np.ndarray:
-        """0/1 labels: (n_classes,) for one sample, (B, n_classes) for a list of B; no tape."""
-        labels = _labels(self.logits, graph, sample)
-        return labels[0] if isinstance(sample[0], RegionFeatureSet) else labels
+        """(B, n_classes) 0/1 labels of one pooled triple, as `logits` takes it; records no tape."""
+        return _labels(self.logits, graph, sample)
 
     def save(self, directory) -> Path:
         out = self.gat.save(directory)
@@ -295,18 +295,21 @@ def train_gat_classifier(
     """Train the graph classifier end to end through both attention stages.
 
     samples: list of (fine_set, coarse_set, grid) pooled triples sharing one
-    topology. Returns (classifier, per-epoch trace, info).
+    topology, all checked and stacked once by `stack_pooled` before the first
+    step; a batch is `take_pooled` of that stack. Returns (classifier,
+    per-epoch trace, info).
     """
     targets = np.asarray(targets, dtype=np.float64)
     if len(samples) != len(targets):
         raise ShapeError(f"{len(samples)} samples but {len(targets)} target rows")
+    stacked = stack_pooled(samples)
     clf = init_gat_classifier(gat_config, targets.shape[1], seed=cfg.seed)
 
     def batch_logits(batch):
-        return clf.logits(graph, [samples[i] for i in batch])
+        return clf.logits(graph, take_pooled(stacked, batch))
 
     def predict(indices):
-        return clf.predict(graph, [samples[i] for i in indices])
+        return clf.predict(graph, take_pooled(stacked, indices))
 
     trace, info = fit(clf.parameters(), batch_logits, predict, targets, cfg)
     return clf, trace, info

@@ -29,7 +29,7 @@ import numpy as np
 from . import demo as demo_mod
 from .container import check_keys, check_values, ensure_dir, read_json, remove_output, write_json
 from .encoder import export_pyramid, get_preset, synth_encode
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ConfigError, ValidationError
 from .gat import GatConfig, forward as gat_forward
 from .graph import (
     TOPOLOGIES,
@@ -51,7 +51,7 @@ from .heads import (
     write_manifest,
 )
 from .metrics import bleu_n, macro_prf1, rouge_l, tokenize
-from .pooling import check_grid_extents, pool_all, save_pooled
+from .pooling import check_grid_extents, pool_all, save_pooled, stack_pooled
 from .volume import generate_phantom, load_phantom_spec, save_mask, save_volume
 
 
@@ -131,22 +131,18 @@ def graph_stage(hierarchy: AnatomyHierarchy, topology: str, seed: int, path):
     return graph
 
 
-def check_training_data(pooled, targets) -> None:
-    """Raise a ValidationError when targets have no label column, or a ShapeError naming the
-    first pooled sample whose fine, coarse or grid shape differs from sample 0's, as samples
-    from encoders of other widths do."""
+def check_training_data(pooled, targets):
+    """The pooled samples stacked by `stack_pooled`, which raises naming the first sample
+    that disagrees with sample 0, as samples from other encoders or hierarchies do; a
+    ValidationError first when targets have no label column."""
     if not targets.shape[1]:  # a phantom spec without pathologies, or manifest labels []
         raise ValidationError("the samples carry no labels to train on")
-    shapes = [(f.fused.shape, c.fused.shape, g.grid.shape) for f, c, g in pooled]
-    for i, shape in enumerate(shapes):
-        if shape != shapes[0]:
-            raise ShapeError(f"pooled sample {i}: (fine, coarse, grid) shapes {shape}, sample 0's {shapes[0]}")
+    return stack_pooled(pooled)
 
 
 def train_probe_stage(pooled, targets, granularity: str, cfg: TrainConfig, out):
     """Fit the linear probe on pooled samples; writes probe.bin and trace.json."""
-    check_training_data(pooled, targets)
-    features = np.stack([build_probe_features(*s, granularity=granularity) for s in pooled])
+    features = build_probe_features(*check_training_data(pooled, targets), granularity=granularity)
     if not features.shape[1]:
         raise ConfigError(f"probe granularity '{granularity}' gives no features: no {granularity} nodes")
     out = ensure_dir(out)
@@ -161,7 +157,7 @@ def train_gat_stage(pooled, targets, graph, gat_doc: dict, cfg: TrainConfig, out
 
     gat_doc holds GatConfig fields as JSON; input widths come from the data.
     """
-    check_training_data(pooled, targets)
+    check_training_data(pooled, targets)  # the fit stacks the samples itself
     fine_set, _, grid = pooled[0]
     gat_config = GatConfig.from_json(gat_doc, c_total=fine_set.fused.shape[1], c_last=grid.channels)
     ensure_dir(out)
@@ -337,8 +333,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
             infer_stage(graph, pooled[0], clf.gat, out / "tokens.bin")
         with timed("eval"):  # the classifier's held-out samples
             scored = gat_info["scored_indices"]
+            predicted = clf.predict(graph, stack_pooled([pooled[i] for i in scored]))
             report = eval_stage(
-                [{"labels": labels} for labels in clf.predict(graph, [pooled[i] for i in scored])],
+                [{"labels": labels} for labels in predicted],
                 [{"labels": targets[i]} for i in scored],
                 ["ce"],
                 out / "report.json",

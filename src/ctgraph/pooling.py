@@ -99,7 +99,8 @@ def mask_pool_layer(layer: Tensor, mask: LabelMask3D, region_labels) -> tuple[Te
 
 @dataclass
 class RegionFeatureSet:
-    """Pooled features for one node level, rows ordered by node id."""
+    """Pooled features for one node level, rows ordered by node id; every array has a
+    leading batch axis (B, ...) when `stack_pooled` stacked B samples."""
 
     region_ids: list[int]
     per_layer: list[Tensor]  # each (n_regions, C_l)
@@ -112,11 +113,10 @@ class RegionFeatureSet:
         return len(self.region_ids)
 
 
-def _level_set(region_ids, layers, counts, valid) -> RegionFeatureSet:
-    """A level's set over one buffer: fused = concat(layers, axis=1), through which gradients
-    flow, and each per_layer entry a writable, tape-free Tensor over its columns of fused.data."""
-    fused, widths = concat(layers, axis=1), [t.shape[1] for t in layers]
-    views = [Tensor(fused.data[:, sum(widths[:k]) : sum(widths[: k + 1])]) for k in range(len(layers))]
+def _level_set(region_ids, fused: Tensor, widths, counts, valid) -> RegionFeatureSet:
+    """A level's set over one buffer, fused, through which gradients flow: each per_layer
+    entry is a writable, tape-free Tensor over its widths[k] columns of fused.data."""
+    views = [Tensor(fused.data[..., sum(widths[:k]) : sum(widths[: k + 1])]) for k in range(len(widths))]
     return RegionFeatureSet(region_ids, views, fused, counts, valid)
 
 
@@ -130,11 +130,13 @@ class GlobalFeatureGrid:
     grid: Tensor  # (gh, gw, gd, C_L)
 
     def flat(self) -> Tensor:
-        return reshape(self.grid, (1, self.grid.size))
+        """The grid as (B, gh * gw * gd * C_L) rows: B = 1 for one sample, or the batch
+        axis of a grid that `stack_pooled` stacked."""
+        return reshape(self.grid, (-1, int(np.prod(self.grid.shape[-4:]))))
 
     @property
     def channels(self) -> int:
-        return self.grid.shape[3]
+        return self.grid.shape[-1]
 
 
 def check_grid_extents(extents, what: str = "input") -> None:
@@ -203,11 +205,57 @@ def pool_all(pyramid, mask: LabelMask3D, hierarchy: AnatomyHierarchy):
         present = np.bincount(mask.labels.ravel(), minlength=max(labels) + 1)[labels] > 0
     fine_set, coarse_set = (
         _level_set([n.id for n in getattr(hierarchy, level)],  # .fine or .coarse
-                   per_layer[level], members @ label_counts, members @ present > 0)
+                   concat(per_layer[level], axis=1), pyramid.channels, members @ label_counts,
+                   members @ present > 0)
         for level, members in levels.items()
     )
     grid = adaptive_avg_pool_global(pyramid.layers[-1].data)
     return fine_set, coarse_set, grid
+
+
+def stack_pooled(samples):
+    """One pooled triple whose arrays stack a list of samples' along a new leading batch
+    axis, as constants: no fit or prediction differentiates through them.
+
+    The one check that pooled samples agree: the error names the first sample whose
+    (fine, coarse, grid) shapes or layer widths (a ShapeError), or fine or coarse region
+    ids (a ValidationError), differ from sample 0's; its `sample` attribute is that index.
+    """
+    def agreed(f, c, g):  # what each sample shares with sample 0, keyed as its error names it
+        return {"(fine, coarse, grid) shapes": (f.fused.shape, c.fused.shape, g.grid.shape),
+                "(fine, coarse) layer widths": tuple([t.shape[-1] for t in s.per_layer] for s in (f, c)),
+                "fine region ids": list(f.region_ids), "coarse region ids": list(c.region_ids)}
+
+    first = agreed(*samples[0])
+    for i, sample in enumerate(samples):
+        if (found := agreed(*sample)) != first:
+            what = next(key for key in first if found[key] != first[key])
+            error = (ValidationError if what.endswith("ids") else ShapeError)(
+                f"pooled sample {i}: {what} {found[what]}, sample 0's {first[what]}"
+            )
+            error.sample = i
+            raise error
+
+    def level(sets):  # one stacked buffer, split into layers as sample 0's is
+        fused = Tensor(np.stack([s.fused.data for s in sets]))
+        counts, valid = np.stack([s.counts for s in sets]), np.stack([s.valid for s in sets])
+        return _level_set(sets[0].region_ids, fused, [t.shape[-1] for t in sets[0].per_layer], counts, valid)
+
+    fine_sets, coarse_sets, grids = zip(*samples)
+    grid = GlobalFeatureGrid(Tensor(np.stack([g.grid.data for g in grids])))
+    return level(fine_sets), level(coarse_sets), grid
+
+
+def take_pooled(stacked, indices):
+    """The samples at indices of a triple that `stack_pooled` stacked, stacked alike by one
+    fancy-index per array; `stack_pooled` checked them, so nothing is checked again."""
+    fine, coarse, grid = stacked
+
+    def level(s):
+        fused, widths = Tensor(s.fused.data[indices]), [t.shape[-1] for t in s.per_layer]
+        return _level_set(s.region_ids, fused, widths, s.counts[indices], s.valid[indices])
+
+    return level(fine), level(coarse), GlobalFeatureGrid(Tensor(grid.grid.data[indices]))
 
 
 # container I/O ---------------------------------------------------------------
@@ -245,8 +293,9 @@ def load_pooled(path):
             per_layer.append(Tensor(record(f"{prefix}_layer_{len(per_layer):02d}", 2, (n,))))
         if not per_layer:
             raise ValidationError(f"{path}: no '{prefix}' layers found")
+        fused, widths = concat(per_layer, axis=1), [t.shape[1] for t in per_layer]
         counts = record(f"{prefix}_counts", 2, (n, len(per_layer)))
-        return _level_set(ids.tolist(), per_layer, counts, record(f"{prefix}_valid", 1, (n,)).astype(bool))
+        return _level_set(ids.tolist(), fused, widths, counts, record(f"{prefix}_valid", 1, (n,)).astype(bool))
 
     with malformed(f"pooled-feature file {path}"):  # a missing record raises KeyError
         fine, coarse = build("fine"), build("coarse")

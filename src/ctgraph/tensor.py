@@ -163,12 +163,6 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return from_op(out, ts, backward)
 
 
-def stack(tensors: Iterable[Tensor]) -> Tensor:
-    """The tensors, one or more of one shape, along a new leading axis; gradients reach each one."""
-    ts = [as_tensor(t) for t in tensors]
-    return from_op(np.stack([t.data for t in ts]), ts, tuple)
-
-
 # activations ---------------------------------------------------------------
 
 

@@ -951,9 +951,37 @@ class TestExitCodes:
         )
         assert code == 2
         assert (
-            "pooled sample 2: (fine, coarse, grid) shapes ((2, 3), (1, 3), (4, 4, 2, 3)), "
-            "sample 0's ((2, 2), (1, 2), (4, 4, 2, 2))"
+            f"error: {ws / 'f2.bin'}: pooled sample 2: (fine, coarse, grid) shapes "
+            "((2, 3), (1, 3), (4, 4, 2, 3)), sample 0's ((2, 2), (1, 2), (4, 4, 2, 2))"
         ) in capsys.readouterr().err
+        assert not (ws / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["probe", "gat"])
+    def test_train_on_pooled_files_of_other_region_ids_exits_2_before_fitting_naming_the_file(
+        self, workspace, capsys, mode
+    ):
+        ws = workspace
+        rows = np.ones((2, 2))
+        for i in range(6):  # odd samples carry the workspace hierarchy's ids shifted by 100
+            shift = 100 * (i % 2)
+            fine = RegionFeatureSet(
+                [1 + shift, 2 + shift], [Tensor(rows)], Tensor(rows), np.ones((2, 1), np.int64), np.ones(2, bool)
+            )
+            coarse = RegionFeatureSet(
+                [10 + shift], [Tensor(rows[:1])], Tensor(rows[:1]), np.ones((1, 1), np.int64), np.ones(1, bool)
+            )
+            save_pooled(ws / f"f{i}.bin", fine, coarse, GlobalFeatureGrid(Tensor(np.zeros((4, 4, 2, 2)))))
+        write_manifest(ws / "data.jsonl", [{"feature_file": f"f{i}.bin", "labels": [i % 2, 1]} for i in range(6)])
+        assert run_cli("graph", "--hierarchy", ws / "anatomy.json", "--out", ws / "g.json") == 0
+        code = run_cli(
+            "train", "--mode", mode, "--manifest", ws / "data.jsonl", "--graph", ws / "g.json",
+            "--out", ws / "out",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"error: {ws / 'f1.bin'}: pooled sample 1: fine region ids [101, 102], sample 0's [1, 2]"
+        )
         assert not (ws / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "train"])

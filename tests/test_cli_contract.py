@@ -14,8 +14,9 @@ mutations with values too large for the fuzzed ones, each of which once raised.
 
 Every exit-2 case runs in process. One test checks the process boundary
 once: `python -m ctgraph.cli` exits with `main`'s 2, one `error:` line and no
-traceback. Another runs `scripts/run_trends.py`, whose argparse rejects
-`--samples 0` with exit 2.
+traceback. Others run `scripts/run_trends.py` and
+`scripts/make_paper_scale_config.py`, whose argparse rejects a `--samples`
+below 1 with exit 2.
 """
 
 import dataclasses
@@ -281,6 +282,16 @@ def test_a_process_whose_input_is_bad_exits_2_with_one_error_line_and_no_traceba
     assert proc.returncode == 2 and len(lines) == 1, proc.stderr
     assert lines[0].startswith(f"error: {truncated}: truncated payload"), lines
     assert "Traceback" not in proc.stderr and not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_a_paper_scale_config_of_fewer_than_one_sample_exits_2_at_parse_time(tmp_path, samples):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_paper_scale_config.py"
+    out, spec = tmp_path / "paper.json", tmp_path / "paper_phantom.json"
+    proc = run_process(script, "--samples", samples, "--out", out, "--spec", spec)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert f"argument --samples: must be an integer >= 1, got {samples}" in proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists() and not spec.exists()
 
 
 def test_trends_of_fewer_than_one_sample_exit_2_at_parse_time(tmp_path):

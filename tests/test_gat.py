@@ -26,7 +26,7 @@ from ctgraph.graph import (
 )
 from ctgraph.heads import init_gat_classifier
 from ctgraph.pipeline import PipelineConfig, check_gat_doc
-from ctgraph.pooling import GlobalFeatureGrid, RegionFeatureSet
+from ctgraph.pooling import GlobalFeatureGrid, RegionFeatureSet, stack_pooled
 from ctgraph.tensor import Tensor, bce_with_logits, concat
 from test_container import traced_peak
 from test_tensor import weighted_sum
@@ -560,14 +560,14 @@ class TestBatch:
             weighted_sum(logits, weights).backward()
             return [np.zeros_like(p.data) if p.grad is None else p.grad for p in clf.parameters()]
 
-        batched = clf.logits(graph, samples)
+        batched = clf.logits(graph, stack_pooled(samples))
         stacked = concat([clf.logits(graph, s) for s in samples], axis=0)
         assert batched.shape == (5, 3)
         assert np.max(np.abs(batched.data - stacked.data)) <= 1e-12
         for a, b in zip(gradients(batched), gradients(stacked)):
             assert max_relative_error(a, b) <= 1e-10
         assert np.array_equal(
-            clf.predict(graph, samples), np.stack([clf.predict(graph, s) for s in samples])
+            clf.predict(graph, stack_pooled(samples)), np.concatenate([clf.predict(graph, s) for s in samples])
         )
 
     def test_training_step_tape_does_not_grow_with_batch(self, monkeypatch):
@@ -588,7 +588,7 @@ class TestBatch:
         nodes = []
         for batch in (samples[:1], samples):
             recorded.clear()
-            loss = bce_with_logits(clf.logits(graph, batch), np.zeros((len(batch), 2)))
+            loss = bce_with_logits(clf.logits(graph, stack_pooled(batch)), np.zeros((len(batch), 2)))
             loss.backward()
             nodes.append(sum(recorded))
         assert nodes[0] == nodes[1] <= 100
@@ -609,7 +609,7 @@ class TestBatch:
             return out
 
         monkeypatch.setattr(tensor_module, "from_op", counting_from_op)
-        bce_with_logits(clf.logits(graph, batch), np.zeros((batch_size, 2))).backward()
+        bce_with_logits(clf.logits(graph, stack_pooled(batch)), np.zeros((batch_size, 2))).backward()
         assert sum(recorded) <= 17
 
 

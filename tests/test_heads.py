@@ -16,6 +16,7 @@ from ctgraph.gradcheck import check_gradients
 from ctgraph.graph import build_graph, build_hierarchical, default_hierarchy
 from ctgraph.heads import (
     DEFAULT_PROMPT,
+    GRANULARITIES,
     AffineHead,
     GatClassifier,
     TrainConfig,
@@ -29,7 +30,8 @@ from ctgraph.heads import (
     train_probe,
     write_manifest,
 )
-from ctgraph.tensor import bce_with_logits, concat
+from ctgraph.pooling import stack_pooled
+from ctgraph.tensor import Tensor, bce_with_logits, concat
 
 from test_gat import small_hierarchy, synth_inputs, tiny_config
 
@@ -256,6 +258,21 @@ class TestGatClassifier:
 
         assert check_gradients(loss, clf.parameters()) < 1e-4
 
+    def test_a_fit_checks_every_sample_before_its_first_step(self, monkeypatch):
+        h = small_hierarchy(n_fine=3, n_coarse=2)
+        cfg = tiny_config()
+        samples = [synth_inputs(h, cfg, seed=s) for s in range(10)]
+        samples[-1][0].region_ids = [2, 3, 4]  # same shapes, other fine regions
+        targets = np.array([[1.0, 0.0], [0.0, 1.0]] * 5)
+        steps = []
+        step = tensor_module.AdamW.step
+        monkeypatch.setattr(tensor_module.AdamW, "step", lambda self: steps.append(1) or step(self))
+        train_cfg = TrainConfig.for_gat(epochs=2, batch_size=3, seed=7)  # seed 7 holds sample 9 out
+        message = r"^pooled sample 9: fine region ids \[2, 3, 4\], sample 0's \[1, 2, 3\]$"
+        with pytest.raises(ValidationError, match=message):
+            train_gat_classifier(samples, targets, build_hierarchical(h), cfg, train_cfg)
+        assert steps == []
+
     def test_same_seed_reproduces_trace(self):
         h = small_hierarchy(n_fine=3, n_coarse=2)
         cfg = tiny_config()
@@ -282,10 +299,10 @@ class TestGatClassifier:
             return out
 
         monkeypatch.setattr(tensor_module, "from_op", counting_from_op)
-        clf.predict(graph, samples)
+        clf.predict(graph, stack_pooled(samples))
         clf.predict(graph, samples[0])
         assert recorded and not any(recorded)
-        clf.logits(graph, samples)  # the training forward still records its tape
+        clf.logits(graph, stack_pooled(samples))  # the training forward still records its tape
         assert any(recorded)
 
     def test_training_forward_builds_no_export_tokens(self, monkeypatch):
@@ -305,7 +322,7 @@ class TestGatClassifier:
             return out
 
         monkeypatch.setattr(tensor_module, "from_op", recording_from_op)
-        clf.logits(graph, samples)
+        clf.logits(graph, stack_pooled(samples))
         assert parents and not export_params & set(parents)
 
     def test_untaped_validation_leaves_fit_unchanged(self, monkeypatch):
@@ -364,23 +381,36 @@ class TestProbeFeatures:
         cfg = tiny_config()
         fine_set, coarse_set, grid = synth_inputs(h, cfg, seed=0)
         fine = build_probe_features(fine_set, coarse_set, grid, "fine")
-        assert fine.shape == (4 * cfg.c_total,)
-        assert np.array_equal(fine, fine_set.fused.data.ravel())
+        assert fine.shape == (1, 4 * cfg.c_total)
+        assert np.array_equal(fine[0], fine_set.fused.data.ravel())
         coarse = build_probe_features(fine_set, coarse_set, grid, "coarse")
-        assert coarse.shape == (2 * cfg.c_total,)
-        assert np.array_equal(coarse, coarse_set.fused.data.ravel())
+        assert coarse.shape == (1, 2 * cfg.c_total)
+        assert np.array_equal(coarse[0], coarse_set.fused.data.ravel())
         global_ = build_probe_features(fine_set, coarse_set, grid, "global")
-        assert global_.shape == (32 * cfg.c_last,)
-        assert np.array_equal(global_, grid.grid.data.ravel())
+        assert global_.shape == (1, 32 * cfg.c_last)
+        assert np.array_equal(global_[0], grid.grid.data.ravel())
         fused = build_probe_features(fine_set, coarse_set, grid, "fused")
-        assert fused.shape == (6 * cfg.c_total,)
-        assert np.array_equal(fused, np.concatenate([fine, coarse]))
+        assert fused.shape == (1, 6 * cfg.c_total)
+        assert np.array_equal(fused, np.concatenate([fine, coarse], axis=1))
         for layer, (fine_rows, coarse_rows) in enumerate(
             zip(fine_set.per_layer, coarse_set.per_layer)
         ):
             per_layer = build_probe_features(fine_set, coarse_set, grid, "fused", layer=layer)
             expected = np.concatenate([fine_rows.data.ravel(), coarse_rows.data.ravel()])
-            assert np.array_equal(per_layer, expected)
+            assert np.array_equal(per_layer[0], expected)
+
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    @pytest.mark.parametrize("layer", [None, 0, 1])
+    def test_a_stack_gives_the_rows_of_its_samples(self, granularity, layer):
+        h = default_hierarchy()
+        cfg = tiny_config(c_total=6, c_last=4)
+        samples = [synth_inputs(h, cfg, seed=s) for s in range(4)]
+        for sample in samples:  # two layers of widths 2 and 4, as pool_all would split them
+            for level_set in sample[:2]:
+                level_set.per_layer = [Tensor(level_set.fused.data[:, :2]), Tensor(level_set.fused.data[:, 2:])]
+        rows = build_probe_features(*stack_pooled(samples), granularity=granularity, layer=layer)
+        one_by_one = [build_probe_features(*s, granularity=granularity, layer=layer) for s in samples]
+        assert np.array_equal(rows, np.concatenate(one_by_one))
 
     @pytest.mark.parametrize("layer", [-1, -2, 1, 2])
     def test_a_layer_outside_0_to_L_is_rejected(self, layer):

@@ -32,12 +32,15 @@ from ctgraph.graph import (
     save_hierarchy,
 )
 from ctgraph.pooling import (
+    GlobalFeatureGrid,
     _segment_sums,
     adaptive_avg_pool_global,
     load_pooled,
     mask_pool_layer,
     pool_all,
     save_pooled,
+    stack_pooled,
+    take_pooled,
 )
 from ctgraph.tensor import Tensor
 from test_container import traced_peak
@@ -692,6 +695,93 @@ class TestOneBufferPerLevel:
             roots = {id(_root(a)): _root(a) for a in arrays + [grid.grid.data]}
             want = fine_set.fused.data.nbytes + coarse_set.fused.data.nbytes + grid.grid.data.nbytes
             assert sum(r.nbytes for r in roots.values()) == want
+
+
+class TestStackPooled:
+    """stack_pooled: the one check that pooled samples agree, and their arrays stacked."""
+
+    def _samples(self, n=3):
+        rng = np.random.default_rng(22)
+        preset = EncoderPreset("three", (2, 3, 2), (1, 2, 2))
+        samples = []
+        for _ in range(n):
+            pyr = synth_encode(Volume3D(rng.standard_normal((16, 16, 8))), preset, seed=0)
+            mask = LabelMask3D(rng.integers(0, 4, (16, 16, 8)).astype(np.int32), 3)
+            samples.append(pool_all(pyr, mask, two_level_hierarchy()))
+        return samples
+
+    def test_every_array_gains_a_leading_batch_axis(self):
+        samples = self._samples()
+        fine, coarse, grid = stack_pooled(samples)
+        for k, stacked in enumerate((fine, coarse)):
+            assert stacked.region_ids == samples[0][k].region_ids
+            for name in ("counts", "valid"):
+                assert np.array_equal(getattr(stacked, name), np.stack([getattr(s[k], name) for s in samples]))
+            assert np.array_equal(stacked.fused.data, np.stack([s[k].fused.data for s in samples]))
+            assert len(stacked.per_layer) == 3
+            for layer, t in enumerate(stacked.per_layer):
+                assert np.shares_memory(t.data, stacked.fused.data)
+                assert np.array_equal(t.data, np.stack([s[k].per_layer[layer].data for s in samples]))
+        assert np.array_equal(grid.grid.data, np.stack([s[2].grid.data for s in samples]))
+        assert grid.channels == samples[0][2].channels
+        assert grid.flat().shape == (3, 32 * grid.channels)
+
+    def test_taking_from_a_stack_equals_stacking_the_samples_taken(self):
+        samples = self._samples(4)
+        indices = np.array([3, 0, 3])
+        taken = take_pooled(stack_pooled(samples), indices)
+        expected = stack_pooled([samples[i] for i in indices])
+        for got, want in zip(taken[:2], expected[:2]):
+            assert got.region_ids == want.region_ids
+            for name in ("counts", "valid"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert np.array_equal(got.fused.data, want.fused.data)
+            for t, u in zip(got.per_layer, want.per_layer, strict=True):
+                assert np.shares_memory(t.data, got.fused.data) and np.array_equal(t.data, u.data)
+        assert np.array_equal(taken[2].grid.data, expected[2].grid.data)
+
+    def test_the_stack_is_constant(self):
+        samples = self._samples(2)
+        for sample in samples:
+            for t in (sample[0].fused, sample[1].fused, sample[2].grid):
+                t.requires_grad = True
+        fine, coarse, grid = stack_pooled(samples)
+        for t in (fine.fused, coarse.fused, grid.grid, *fine.per_layer, *coarse.per_layer):
+            assert not t.requires_grad and t._parents == ()
+
+    def test_a_sample_of_other_shapes_is_named(self):
+        samples = self._samples()
+        fine, coarse, grid = samples[2]
+        samples[2] = (fine, coarse, GlobalFeatureGrid(Tensor(np.zeros((4, 4, 2, 3)))))
+        with pytest.raises(ShapeError) as info:
+            stack_pooled(samples)
+        assert str(info.value) == (
+            "pooled sample 2: (fine, coarse, grid) shapes ((3, 7), (2, 7), (4, 4, 2, 3)), "
+            "sample 0's ((3, 7), (2, 7), (4, 4, 2, 2))"
+        )
+        assert info.value.sample == 2
+
+    def test_a_sample_whose_layers_split_its_rows_otherwise_is_named(self):
+        samples = self._samples()
+        for level_set in samples[1][:2]:  # widths 2, 3, 2 regrouped as 5, 2
+            level_set.per_layer = [Tensor(level_set.fused.data[:, :5]), Tensor(level_set.fused.data[:, 5:])]
+        with pytest.raises(ShapeError) as info:
+            stack_pooled(samples)
+        assert str(info.value) == (
+            "pooled sample 1: (fine, coarse) layer widths ([5, 2], [5, 2]), sample 0's ([2, 3, 2], [2, 3, 2])"
+        )
+        assert info.value.sample == 1
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_a_sample_of_other_region_ids_is_named(self, level):
+        samples = self._samples()
+        samples[1][level].region_ids = [i + 100 for i in samples[1][level].region_ids]
+        name, ids = ("fine", [1, 2, 3]) if level == 0 else ("coarse", [10, 11])
+        with pytest.raises(ValidationError) as info:
+            stack_pooled(samples)
+        shifted = [i + 100 for i in ids]
+        assert str(info.value) == f"pooled sample 1: {name} region ids {shifted}, sample 0's {ids}"
+        assert info.value.sample == 1
 
 
 def test_nodes_out_of_id_order_give_the_same_rows_graphs_and_anatomy_json(tmp_path):

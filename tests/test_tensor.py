@@ -26,7 +26,6 @@ from ctgraph.tensor import (
     linear,
     no_grad,
     reshape,
-    stack,
 )
 import ctgraph.tensor as tensor_module
 
@@ -305,13 +304,6 @@ class TestLeafGradientDtype:
 
 
 class TestFusedOps:
-    def test_stack_gradients_and_values(self):
-        rng = np.random.default_rng(13)
-        parts = [Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(3)]
-        weights = rng.standard_normal((3, 2, 3))
-        assert np.array_equal(stack(parts).data, np.stack([p.data for p in parts]))
-        assert check_gradients(lambda: weighted_sum(stack(parts), weights), parts) < 1e-6
-
     @staticmethod
     def attention_inputs(batch, n_heads, seed, d_head=2):
         """Rows, per-head leaves, group and valid flags: five members, then three centers.
