@@ -10,11 +10,15 @@ checkout, uncommitted changes included. Both run their own perfbench/ and src/.
 
 The JSON report holds, per workload and end-to-end metric of BENCHMARK.json,
 both sides' median and quartiles, the working tree's wins out of the pairs
-(per the metric's `better`), the per-pair ratios and every run's value. It also
-records both commit ids, whether the working tree had uncommitted changes, the
-machine facts of perfbench's `env` line, and whether every run was correct.
+(per the metric's `better`), the per-pair ratios, every run's value and two
+verdicts. `gain`: the working tree wins at least 9 in 10 pairs and its median
+is better than the parent's by more than the parent's interquartile range.
+`regression`: its median is worse than the parent's by more than the metric's
+`bound`, a fraction of the parent's median. It also records both commit ids,
+whether the working tree had uncommitted changes, the machine facts of
+perfbench's `env` line, and whether every run was correct.
 
-Usage: python scripts/bench_pairs.py --parent e65c00d --pairs 5 --seconds 20 --out BENCH_33.json
+Usage: python scripts/bench_pairs.py --parent 96afc31 --pairs 10 --seconds 20 --out BENCH_34.json
 """
 
 import argparse
@@ -54,7 +58,8 @@ def quartiles(values) -> dict:
 
 
 def summarize(runs: list, end_to_end: list) -> dict:
-    """Per workload and metric: both sides' quartiles, the change's wins and ratios, every value.
+    """Per workload and metric: both sides' quartiles, the change's wins and ratios, every value,
+    and the `gain` and `regression` verdicts.
 
     runs holds one record per run: {"pair", "side" ("parent" or "change"),
     "workload", "result"}; end_to_end is BENCHMARK.json's metric list, each with
@@ -71,11 +76,17 @@ def summarize(runs: list, end_to_end: list) -> dict:
         for spec in end_to_end:
             values = {side: [p[side]["metrics"][spec["name"]]["value"] for p in complete] for side in SIDES}
             better = np.greater if spec["better"] == "higher" else np.less
+            parent, change = quartiles(values["parent"]), quartiles(values["change"])
+            wins = int(better(values["change"], values["parent"]).sum())
+            worse_by = (change["median"] - parent["median"]) * (-1 if spec["better"] == "higher" else 1)
             metrics[spec["name"]] = {
                 "better": spec["better"],
                 "bound": spec["bound"],
-                **{side: quartiles(values[side]) for side in SIDES},
-                "change_wins": int(better(values["change"], values["parent"]).sum()),
+                "parent": parent,
+                "change": change,
+                "change_wins": wins,
+                "gain": 10 * wins >= 9 * len(complete) and -worse_by > parent["q3"] - parent["q1"],
+                "regression": worse_by > spec["bound"] * abs(parent["median"]),
                 "ratios": [c / p if p else None for p, c in zip(values["parent"], values["change"])],
                 "values": values,
             }

@@ -97,7 +97,7 @@ def cmd_train(args) -> None:
             else:
                 graph = load_graph(args.graph)
                 _, trace, _ = train_gat_stage(pooled, targets, graph, gat_doc, cfg, args.out)
-        except CtGraphError as exc:  # stack_pooled names the pooled sample that disagrees
+        except CtGraphError as exc:  # stack_pooled and check_region_ids name the sample that disagrees
             if not hasattr(exc, "sample"):
                 raise
             raise type(exc)(f"{base / manifest[exc.sample]['feature_file']}: {exc}") from exc

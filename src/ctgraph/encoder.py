@@ -1,11 +1,11 @@
 """Multi-resolution feature pyramids from files or a synthetic encoder.
 
-The synthetic encoder box-averages the volume down to each layer's
-resolution and lifts the scalar into C_l channels through a fixed seeded
-affine map. It is deterministic, locality preserving, and cheap: a stand-in
-that produces enough signal for probe-ordering experiments. Channel presets
-are named after well-known encoder families but the weights are never
-theirs.
+The synthetic encoder box-averages each layer from the one above it (the
+first from the volume) and lifts the scalar into C_l channels through a
+fixed seeded affine map. It is deterministic, locality preserving, and
+cheap: a stand-in that produces enough signal for probe-ordering
+experiments. Channel presets are named after well-known encoder families
+but the weights are never theirs.
 """
 
 from __future__ import annotations
@@ -152,58 +152,59 @@ class FeaturePyramid:
 
 
 # One slab per CPU this process may run on; each split call starts its own
-# threads and joins them before it returns. numpy releases the GIL in the
-# box-mean reduce loop and in the lift's multiply/add loops, so slabs of one
-# layer run in parallel.
+# threads and joins them before it returns. Box means run on the calling
+# thread; numpy releases the GIL in the lift's multiply/add loops, so slabs of
+# one layer run in parallel.
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:
     _WORKERS = os.cpu_count() or 1
 
-# Smaller volumes encode on the calling thread. On two CPUs, two slabs lost
-# to one under the 8-channel demo preset up to 2^17 voxels (32x32x16: 0.86
-# vs 1.06 ms) and won from 2^18 (64^3: 6.6 vs 7.2 ms); the 48-channel
-# presets already win at 2^16.
-_INLINE_BELOW_VOXELS = 1 << 18
+# Smaller volumes encode on the calling thread. On two CPUs two slabs lost to
+# one under the 8-channel demo preset up to 2^18 voxels (32x32x16: 0.30 vs 0.92
+# ms, 64^3: 1.8 vs 2.3 ms) and tied it at 2^19 (128x64x64: 3.4 vs 3.1-3.8 ms);
+# the 48-channel swinunetr-style preset wins from 2^19 (19.5 vs 11.4 ms).
+_INLINE_BELOW_VOXELS = 1 << 19
 
 
-def _encode_rows(voxels, factor: int, scale, offset, out: np.ndarray, start: int, stop: int):
-    """Box-average input rows [start, stop) * factor and lift them into out[start:stop].
+def _box_mean(x: np.ndarray, factor: int) -> np.ndarray:
+    """x averaged over factor^3 boxes: factor strided slices summed along each axis in turn."""
+    for axis in range(3):
+        strided = [x[(slice(None),) * axis + (slice(k, None, factor),)] for k in range(factor)]
+        x = sum(strided[1:], strided[0])
+    return x / factor**3
 
-    Each output element averages the same voxels in the same order whatever
-    the slab, so slabs of a layer equal the whole layer bit for bit.
-    """
-    _, w, d = voxels.shape
-    box = voxels[start * factor : stop * factor].reshape(
-        stop - start, factor, w // factor, factor, d // factor, factor
-    ).mean(axis=(1, 3, 5))
+
+def _encode_rows(box, scale, offset, out: np.ndarray, start: int, stop: int):
+    """Lift box-mean rows [start, stop) into out[start:stop]; elementwise, so slabs of a
+    layer equal the whole layer bit for bit."""
     rows = out[start:stop]
-    np.multiply(box[..., None], scale, out=rows)
+    np.multiply(box[start:stop, ..., None], scale, out=rows)
     rows += offset
 
 
 def synth_encode(volume: Volume3D, preset: EncoderPreset, seed: int) -> FeaturePyramid:
     """Box-average downsampling plus a seeded per-channel affine lift.
 
-    Every layer is split along axis 0 into one slab per CPU in the process's
-    affinity mask (one slab for small volumes); the slabs write into
-    preallocated layer arrays on threads that live for this call only. The
-    output does not depend on the slab count.
+    Each layer box-averages the one above it (layer 0 the volume) by the preset's
+    factor on the calling thread, as an encoder stage downsamples the stage before
+    it; in exact arithmetic, the volume's box mean at the cumulative factor. Each
+    lift is split along axis 0 into one slab per CPU in the process's affinity mask
+    (one slab for small volumes), written into preallocated layer arrays on threads
+    that live for this call only. The output does not depend on the slab count.
     """
     slabs = _WORKERS if volume.voxels.size >= _INLINE_BELOW_VOXELS else 1
-    layers, tasks = [], []
-    for li, (c_l, extents) in enumerate(zip(preset.channels, preset.layer_extents(volume.shape))):
-        factor = volume.shape[0] // extents[0]
+    layers, tasks, box = [], [], volume.voxels
+    shapes = zip(preset.channels, preset.factors, preset.layer_extents(volume.shape))
+    for li, (c_l, factor, extents) in enumerate(shapes):
         rng = np.random.default_rng([seed, li])
         with allocating(f"preset '{preset.name}' layer {li} of {c_l} channels at extents {extents}"):
             scale = rng.standard_normal(c_l)
             offset = 0.1 * rng.standard_normal(c_l)
             feats = np.empty((*extents, c_l))
+        box = _box_mean(box, factor)
         bounds = np.linspace(0, extents[0], min(slabs, extents[0]) + 1).astype(int)
-        tasks += [
-            (volume.voxels, factor, scale, offset, feats, start, stop)
-            for start, stop in zip(bounds[:-1], bounds[1:])
-        ]
+        tasks += [(box, scale, offset, feats, start, stop) for start, stop in zip(bounds, bounds[1:])]
         layers.append(feats)
     if slabs == 1:
         for task in tasks:

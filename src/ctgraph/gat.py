@@ -222,34 +222,46 @@ def attend_coarse_to_global(
     return add(updated, h_global), alphas
 
 
-def propagate(graph: RegionGraph, fine_set, coarse_set, grid, model: GatModel) -> GraphActivation:
-    """Check region ids, embed and attend one pooled triple: one sample, or B samples
-    stacked by `pooling.stack_pooled`.
-
-    Every row comes out with a leading batch axis (B = 1 for one sample); alphas
-    tables are filled for B = 1 only.
-    """
+def check_region_ids(graph: RegionGraph, fine_set, coarse_set) -> dict:
+    """The pooled sets of the graph's levels (fine, and coarse unless single-level) by level;
+    the one check of pooled region ids against a graph: a ValidationError unless each set's
+    ids are its level's node ids in order, whose `sample` is 0 (stacked samples share ids)."""
     single_level = graph.topology == TOPOLOGY_SINGLE
     sets = {LEVEL_FINE: fine_set} if single_level else {LEVEL_FINE: fine_set, LEVEL_COARSE: coarse_set}
-    flat = grid.flat()  # (B, 32 * c_last): one global node per sample
-    b, inputs, valid = flat.shape[0], {}, {}
     for level, feature_set in sets.items():
         ids, found = graph.ids_at(level), list(feature_set.region_ids)
         if found != ids:
-            raise ValidationError(
+            error = ValidationError(
                 f"pooled {level} region ids {found} do not match the graph's {level} "
                 f"nodes {ids} (missing: {sorted(set(ids) - set(found))}, "
                 f"not in the graph: {sorted(set(found) - set(ids))})"
             )
-        inputs[level] = reshape(feature_set.fused, (b, len(ids), feature_set.fused.shape[-1]))
-        valid[level] = np.reshape(feature_set.valid, (b, len(ids)))
+            error.sample = 0
+            raise error
+    return sets
+
+
+def propagate(graph: RegionGraph, fine_set, coarse_set, grid, model: GatModel) -> GraphActivation:
+    """Check region ids (`check_region_ids`), embed and attend one pooled triple: one sample,
+    or B samples stacked by `pooling.stack_pooled`.
+
+    Every row comes out with a leading batch axis (B = 1 for one sample); alphas
+    tables are filled for B = 1 only.
+    """
+    sets = check_region_ids(graph, fine_set, coarse_set)
+    flat = grid.flat()  # (B, 32 * c_last): one global node per sample
+    b, inputs, valid = flat.shape[0], {}, {}
+    for level, feature_set in sets.items():
+        n = len(feature_set.region_ids)
+        inputs[level] = reshape(feature_set.fused, (b, n, feature_set.fused.shape[-1]))
+        valid[level] = np.reshape(feature_set.valid, (b, n))
     inputs[LEVEL_GLOBAL] = reshape(flat, (b, 1, flat.shape[1]))
     h = embed_nodes(model, inputs)
     h_f, h_c, h_g = h[LEVEL_FINE], h.get(LEVEL_COARSE), h[LEVEL_GLOBAL]
 
     alphas: dict[str, dict] = {}
     h_c_prime, children, children_valid = None, h_f, valid[LEVEL_FINE]  # single-level: fine -> global
-    if not single_level:
+    if LEVEL_COARSE in sets:
         h_c_prime, alphas["coarse"] = attend_fine_to_coarse(graph, h_f, h_c, model, valid[LEVEL_FINE])
         children, children_valid = h_c_prime, valid[LEVEL_COARSE]
     h_g_prime, alphas["global"] = attend_coarse_to_global(graph, children, h_g, model, children_valid)

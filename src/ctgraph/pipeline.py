@@ -30,7 +30,7 @@ from . import demo as demo_mod
 from .container import check_keys, check_values, ensure_dir, read_json, remove_output, write_json
 from .encoder import export_pyramid, get_preset, synth_encode
 from .errors import ConfigError, ValidationError
-from .gat import GatConfig, forward as gat_forward
+from .gat import GatConfig, check_region_ids, forward as gat_forward
 from .graph import (
     TOPOLOGIES,
     AnatomyHierarchy,
@@ -158,7 +158,8 @@ def train_gat_stage(pooled, targets, graph, gat_doc: dict, cfg: TrainConfig, out
     gat_doc holds GatConfig fields as JSON; input widths come from the data.
     """
     check_training_data(pooled, targets)  # the fit stacks the samples itself
-    fine_set, _, grid = pooled[0]
+    fine_set, coarse_set, grid = pooled[0]
+    check_region_ids(graph, fine_set, coarse_set)  # the samples agree: sample 0's ids are theirs
     gat_config = GatConfig.from_json(gat_doc, c_total=fine_set.fused.shape[1], c_last=grid.channels)
     ensure_dir(out)
     clf, trace, info = train_gat_classifier(pooled, targets, graph, gat_config, cfg)

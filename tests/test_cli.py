@@ -984,6 +984,32 @@ class TestExitCodes:
         )
         assert not (ws / "out").exists()
 
+    def test_train_on_pooled_files_of_ids_other_than_the_graphs_exits_2_before_fitting_naming_the_file(
+        self, workspace, capsys
+    ):
+        ws = workspace
+        rows = np.ones((2, 2))
+        for i in range(4):  # every sample carries the workspace hierarchy's ids shifted by 100
+            fine = RegionFeatureSet(
+                [101, 102], [Tensor(rows)], Tensor(rows), np.ones((2, 1), np.int64), np.ones(2, bool)
+            )
+            coarse = RegionFeatureSet(
+                [110], [Tensor(rows[:1])], Tensor(rows[:1]), np.ones((1, 1), np.int64), np.ones(1, bool)
+            )
+            save_pooled(ws / f"f{i}.bin", fine, coarse, GlobalFeatureGrid(Tensor(np.zeros((4, 4, 2, 2)))))
+        write_manifest(ws / "data.jsonl", [{"feature_file": f"f{i}.bin", "labels": [i % 2, 1]} for i in range(4)])
+        assert run_cli("graph", "--hierarchy", ws / "anatomy.json", "--out", ws / "g.json") == 0
+        code = run_cli(
+            "train", "--mode", "gat", "--manifest", ws / "data.jsonl", "--graph", ws / "g.json",
+            "--out", ws / "out",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {ws / 'f0.bin'}: pooled fine region ids [101, 102] do not match the graph's fine "
+            "nodes [1, 2] (missing: [1, 2], not in the graph: [101, 102])"
+        )
+        assert not (ws / "out").exists()
+
     @pytest.mark.parametrize("command", ["run", "train"])
     def test_training_on_samples_without_labels_exits_2(self, workspace, capsys, command):
         # a phantom spec without pathologies gives every sample an empty label vector

@@ -88,22 +88,45 @@ def test_indivisible_extents_error_names_factor():
         synth_encode(vol, get_preset("demo"), seed=0)
 
 
+def lift(box, seed, li, c_l):
+    """A layer's box means lifted into c_l channels as the encoder lifts layer li."""
+    rng = np.random.default_rng([seed, li])
+    scale = rng.standard_normal(c_l)
+    offset = 0.1 * rng.standard_normal(c_l)
+    feats = box[..., None] * scale
+    feats += offset
+    return feats
+
+
 def serial_reference(volume, preset, seed):
-    """The encoder as one whole-layer box mean and lift per layer, on one thread."""
+    """The encoder on one thread: each layer sums the one above it (layer 0 the volume)
+    over its factor along axis 0, then 1, then 2, divides by factor^3 and is lifted whole.
+    A factor-2 sum adds the same two slices as the encoder's strided add."""
+    layers, box = [], volume.voxels
+    for li, (c_l, f) in enumerate(zip(preset.channels, preset.factors)):
+        for axis in range(3):
+            split = box.shape[:axis] + (box.shape[axis] // f, f) + box.shape[axis + 1 :]
+            box = box.reshape(split).sum(axis=axis + 1)
+        box = box / f**3
+        layers.append(lift(box, seed, li, c_l))
+    return layers
+
+
+def direct_reference(volume, preset, seed):
+    """Each layer as the volume's own box mean at the layer's cumulative factor, lifted."""
     h, w, d = volume.shape
     layers = []
     for li, c_l in enumerate(preset.channels):
-        factor = math.prod(preset.factors[: li + 1])
-        box = volume.voxels.reshape(
-            h // factor, factor, w // factor, factor, d // factor, factor
-        ).mean(axis=(1, 3, 5))
-        rng = np.random.default_rng([seed, li])
-        scale = rng.standard_normal(c_l)
-        offset = 0.1 * rng.standard_normal(c_l)
-        feats = box[..., None] * scale
-        feats += offset
-        layers.append(feats)
+        f = math.prod(preset.factors[: li + 1])
+        box = volume.voxels.reshape(h // f, f, w // f, f, d // f, f).mean(axis=(1, 3, 5))
+        layers.append(lift(box, seed, li, c_l))
     return layers
+
+
+def reference_shapes(preset):
+    # the coarsest layer has 1 or 3 rows
+    top = math.prod(preset.factors)
+    return [(top, top, top), (3 * top, top, 2 * top)]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
@@ -114,15 +137,27 @@ def test_slab_parallel_pyramid_equals_serial_reference(monkeypatch, preset_name,
     monkeypatch.setattr(encoder, "_WORKERS", workers)
     monkeypatch.setattr(encoder, "_INLINE_BELOW_VOXELS", 0)
     preset = PRESETS[preset_name]
-    top = math.prod(preset.factors)
     rng = np.random.default_rng(workers)
-    for shape in [(top, top, top), (3 * top, top, 2 * top)]:
+    for shape in reference_shapes(preset):
         vol = Volume3D(rng.standard_normal(shape) * 50.0)
         pyr = synth_encode(vol, preset, seed=11)
         expected = serial_reference(vol, preset, seed=11)
         assert [layer.extents[0] for layer in pyr.layers][-1] in (1, 3)
         for layer, ref in zip(pyr.layers, expected, strict=True):
             assert np.array_equal(layer.data.data, ref)
+
+
+@pytest.mark.parametrize("preset_name", sorted(PRESETS))
+def test_every_layer_is_the_volumes_box_mean_at_its_cumulative_factor(preset_name):
+    # layered sums round differently from one mean over the whole box: a few ulp of the
+    # layer's largest value, far below 1e-12 of it
+    preset = PRESETS[preset_name]
+    rng = np.random.default_rng(13)
+    for shape in reference_shapes(preset):
+        vol = Volume3D(rng.standard_normal(shape) * 50.0)
+        pyr = synth_encode(vol, preset, seed=11)
+        for layer, ref in zip(pyr.layers, direct_reference(vol, preset, seed=11), strict=True):
+            np.testing.assert_allclose(layer.data.data, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 class _NoPool:
@@ -137,14 +172,14 @@ def test_one_cpu_and_small_volumes_encode_inline(monkeypatch):
     monkeypatch.setattr(encoder, "_WORKERS", 4)
     synth_encode(small, get_preset("demo"), seed=1)
     monkeypatch.setattr(encoder, "_WORKERS", 1)
-    large = Volume3D(np.zeros((64, 64, 64)))
+    large = Volume3D(np.zeros((128, 64, 64)))
     assert large.voxels.size >= encoder._INLINE_BELOW_VOXELS
     synth_encode(large, get_preset("demo"), seed=1)
 
 
 def test_a_split_encode_leaves_no_thread_running(monkeypatch):
     monkeypatch.setattr(encoder, "_WORKERS", 2)
-    volume = Volume3D(np.random.default_rng(4).standard_normal((64, 64, 64)))
+    volume = Volume3D(np.random.default_rng(4).standard_normal((128, 64, 64)))
     assert volume.voxels.size >= encoder._INLINE_BELOW_VOXELS
     before = threading.active_count()
     synth_encode(volume, get_preset("demo"), seed=5)
@@ -157,20 +192,21 @@ class _Boom(Exception):
 
 
 def test_a_failing_slab_raises_only_after_every_other_slab_has_finished(monkeypatch):
-    # slab 0 of layer 0 raises at once; the call must not return while its other slabs still run
+    # slab 0 of layer 0 (its 8 channels) raises at once; the call must not return while its
+    # other slabs still run
     monkeypatch.setattr(encoder, "_WORKERS", 2)
     finished, real = [], encoder._encode_rows
 
-    def encode_rows(voxels, factor, scale, offset, out, start, stop):
-        if factor == 2 and start == 0:
+    def encode_rows(box, scale, offset, out, start, stop):
+        if out.shape[-1] == 8 and start == 0:
             raise _Boom
         time.sleep(0.02)
-        real(voxels, factor, scale, offset, out, start, stop)
-        finished.append((factor, start))
+        real(box, scale, offset, out, start, stop)
+        finished.append((out.shape[-1], start))
 
     monkeypatch.setattr(encoder, "_encode_rows", encode_rows)
     with pytest.raises(_Boom):
-        synth_encode(Volume3D(np.zeros((64, 64, 64))), get_preset("demo"), seed=5)
+        synth_encode(Volume3D(np.zeros((128, 64, 64))), get_preset("demo"), seed=5)
     assert len(finished) == 5  # 3 layers of 2 slabs, one of which raised
 
 
