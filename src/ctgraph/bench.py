@@ -24,7 +24,6 @@ from .encoder import get_preset
 from .gat import GatConfig
 from .graph import build_hierarchical, build_random, default_hierarchy
 from .heads import TrainConfig, build_probe_features, train_gat_classifier, train_probe
-from .pooling import stack_pooled
 
 BENCH_SEEDS = (0, 1, 2)
 PRESET = "demo"
@@ -52,8 +51,8 @@ def bench_dataset(settings: BenchSettings, seed: int):
     )
 
 
-def probe_f1(samples, targets, seed: int, granularity: str, layer=None) -> float:
-    features = build_probe_features(*stack_pooled(samples), granularity=granularity, layer=layer)
+def probe_f1(stacked, targets, seed: int, granularity: str, layer=None) -> float:
+    features = build_probe_features(*stacked, granularity=granularity, layer=layer)
     _, trace, _ = train_probe(standardize(features), targets, TrainConfig(seed=seed, lr=2e-3))
     return trace[-1]["f1"]
 
@@ -66,11 +65,11 @@ def run_probe_trend(settings: BenchSettings = BenchSettings(), seeds=BENCH_SEEDS
         **{f"layer{l}": [] for l in range(n_layers)},
     }
     for seed in seeds:
-        samples, targets = bench_dataset(settings, seed)
+        stacked, targets = bench_dataset(settings, seed)
         for arm in ("fine", "global", "fused"):
-            arms[arm].append(probe_f1(samples, targets, seed, arm))
+            arms[arm].append(probe_f1(stacked, targets, seed, arm))
         for l in range(n_layers):
-            arms[f"layer{l}"].append(probe_f1(samples, targets, seed, "fused", layer=l))
+            arms[f"layer{l}"].append(probe_f1(stacked, targets, seed, "fused", layer=l))
     means = {arm: float(np.mean(v)) for arm, v in arms.items()}
     best_single = max(means[f"layer{l}"] for l in range(n_layers))
     return {
@@ -91,13 +90,13 @@ def run_topology_trend(settings: BenchSettings = BenchSettings(), seeds=BENCH_SE
     )
     arms: dict[str, list[float]] = {"hierarchical": [], "random": []}
     for seed in seeds:
-        samples, targets = bench_dataset(settings, seed)
+        stacked, targets = bench_dataset(settings, seed)
         cfg = TrainConfig.for_gat(epochs=40, lr=3e-3, batch_size=16, seed=seed)
         for arm, graph in (
             ("hierarchical", build_hierarchical(hierarchy)),
             ("random", build_random(hierarchy, seed=seed)),
         ):
-            _, trace, _ = train_gat_classifier(samples, targets, graph, gat_config, cfg)
+            _, trace, _ = train_gat_classifier(stacked, targets, graph, gat_config, cfg)
             arms[arm].append(trace[-1]["f1"])
     means = {arm: float(np.mean(v)) for arm, v in arms.items()}
     return {

@@ -27,6 +27,7 @@ from .heads import GRANULARITIES, TrainConfig, read_manifest
 from .pipeline import (
     PipelineConfig,
     check_gat_doc,
+    check_training_data,
     eval_stage,
     graph_stage,
     hierarchy_from,
@@ -90,13 +91,13 @@ def cmd_train(args) -> None:
     cfg = read_json(args.config, "train config", parse_train) if args.config else parse_train({})
     gat_doc = read_json(args.gat_config, "gat config", check_gat_doc) if args.gat_config else {}
     with stage("train", mode=args.mode) as done:
-        pooled = [load_pooled(base / record["feature_file"]) for record in manifest]
         try:
+            stacked = check_training_data([load_pooled(base / r["feature_file"]) for r in manifest], targets)
             if args.mode == "probe":
-                trace, _ = train_probe_stage(pooled, targets, args.granularity, cfg, args.out)
+                trace, _ = train_probe_stage(stacked, targets, args.granularity, cfg, args.out)
             else:
                 graph = load_graph(args.graph)
-                _, trace, _ = train_gat_stage(pooled, targets, graph, gat_doc, cfg, args.out)
+                _, trace, _ = train_gat_stage(stacked, targets, graph, gat_doc, cfg, args.out)
         except CtGraphError as exc:  # stack_pooled and check_region_ids name the sample that disagrees
             if not hasattr(exc, "sample"):
                 raise

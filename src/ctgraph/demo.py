@@ -13,7 +13,7 @@ import numpy as np
 from .encoder import get_preset, synth_encode
 from .errors import ValidationError
 from .graph import AnatomyHierarchy, default_hierarchy
-from .pooling import pool_all
+from .pooling import pool_all, stack_pooled
 from .volume import PathologySpec, PhantomSpec, RegionSpec, generate_phantom
 
 DEMO_SHAPE = (32, 32, 16)
@@ -86,7 +86,7 @@ def build_pooled_dataset(
     base_seed: int = 0,
     encoder_seed: int = 7,
 ):
-    """Generate phantoms, encode, and pool: (pooled triples, target matrix)."""
+    """Generate phantoms, encode, and pool: (the samples stacked once by `stack_pooled`, targets)."""
     preset = get_preset(preset_name)
     samples, targets = [], []
     for i in range(n_samples):
@@ -94,7 +94,7 @@ def build_pooled_dataset(
         pyramid = synth_encode(volume, preset, seed=encoder_seed)
         samples.append(pool_all(pyramid, mask, hierarchy))
         targets.append(target)
-    return samples, np.stack(targets)
+    return stack_pooled(samples), np.stack(targets)
 
 
 def demo_pipeline_config(out_dir: str = "demo_out") -> dict:

@@ -27,7 +27,7 @@ from .errors import ConfigError, ShapeError, ValidationError, integer, malformed
 from .gat import GatConfig, GatForward, GatModel, propagate
 from .graph import RegionGraph
 from .metrics import MacroScores, macro_prf1
-from .pooling import GlobalFeatureGrid, RegionFeatureSet, stack_pooled, take_pooled
+from .pooling import GlobalFeatureGrid, RegionFeatureSet, take_pooled
 from .tensor import ADAM_WEIGHT_DECAY, AdamW, Tensor, bce_with_logits, linear, no_grad, reshape, _sigmoid_np
 
 DEFAULT_PROMPT = (
@@ -286,7 +286,7 @@ def init_gat_classifier(gat_config: GatConfig, n_classes: int, seed: int = 0) ->
 
 
 def train_gat_classifier(
-    samples: list,
+    stacked,
     targets: np.ndarray,
     graph: RegionGraph,
     gat_config: GatConfig,
@@ -294,15 +294,13 @@ def train_gat_classifier(
 ):
     """Train the graph classifier end to end through both attention stages.
 
-    samples: list of (fine_set, coarse_set, grid) pooled triples sharing one
-    topology, all checked and stacked once by `stack_pooled` before the first
-    step; a batch is `take_pooled` of that stack. Returns (classifier,
-    per-epoch trace, info).
+    stacked: the fit's samples, stacked and checked once by the caller's `stack_pooled`;
+    a batch is `take_pooled` of it. Returns (classifier, per-epoch trace, info).
     """
     targets = np.asarray(targets, dtype=np.float64)
-    if len(samples) != len(targets):
-        raise ShapeError(f"{len(samples)} samples but {len(targets)} target rows")
-    stacked = stack_pooled(samples)
+    n_samples = len(stacked[2].grid.data)
+    if n_samples != len(targets):
+        raise ShapeError(f"{n_samples} samples but {len(targets)} target rows")
     clf = init_gat_classifier(gat_config, targets.shape[1], seed=cfg.seed)
 
     def batch_logits(batch):

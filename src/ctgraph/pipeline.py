@@ -4,12 +4,13 @@
 functions here and, for encode, the encoder's `synth_encode` and `export_pyramid`.
 The per-sample ones take one sample. `run_pipeline` makes one pass over its
 samples: it synthesizes, encodes and pools sample i, keeps only its pooled triple
-and target, and frees its volume and pyramid before sample i + 1 is made, so a run
-holds one sample's arrays at a time. `stage()` times a stage and logs its `start`
-and its `done` or `failed` event as JSON lines; the per-sample events carry the
-sample index, and `summary.json` sums each stage's seconds over the samples. A
-failed run re-raises its exception unchanged, after leaving a STALE marker that
-names the failed stage and sample and lists the stages whose outputs may be
+and target, and frees its volume and pyramid before sample i + 1 is made. Its train
+stage stacks the triples once (`check_training_data`, as `ct-graph train` does) and
+drops their list: probe, fit, infer and eval read that stack. `stage()` times a stage
+and logs its `start` and its `done` or `failed` event as JSON lines; the per-sample
+events carry the sample index, and `summary.json` sums each stage's seconds over the
+samples. A failed run re-raises its exception unchanged, after leaving a STALE marker
+that names the failed stage and sample and lists the stages whose outputs may be
 partial. Reruns with the same config and seed reproduce the same summary metrics.
 """
 
@@ -51,7 +52,7 @@ from .heads import (
     write_manifest,
 )
 from .metrics import bleu_n, macro_prf1, rouge_l, tokenize
-from .pooling import check_grid_extents, pool_all, save_pooled, stack_pooled
+from .pooling import check_grid_extents, pool_all, save_pooled, stack_pooled, take_pooled
 from .volume import generate_phantom, load_phantom_spec, save_mask, save_volume
 
 
@@ -132,17 +133,16 @@ def graph_stage(hierarchy: AnatomyHierarchy, topology: str, seed: int, path):
 
 
 def check_training_data(pooled, targets):
-    """The pooled samples stacked by `stack_pooled`, which raises naming the first sample
-    that disagrees with sample 0, as samples from other encoders or hierarchies do; a
-    ValidationError first when targets have no label column."""
+    """The one stack of a run's pooled samples, which both training stages take: a ValidationError
+    when targets have no label column, else `stack_pooled`, naming a sample unlike sample 0."""
     if not targets.shape[1]:  # a phantom spec without pathologies, or manifest labels []
         raise ValidationError("the samples carry no labels to train on")
     return stack_pooled(pooled)
 
 
-def train_probe_stage(pooled, targets, granularity: str, cfg: TrainConfig, out):
-    """Fit the linear probe on pooled samples; writes probe.bin and trace.json."""
-    features = build_probe_features(*check_training_data(pooled, targets), granularity=granularity)
+def train_probe_stage(stacked, targets, granularity: str, cfg: TrainConfig, out):
+    """Fit the linear probe on the stack of `check_training_data`; writes probe.bin and trace.json."""
+    features = build_probe_features(*stacked, granularity=granularity)
     if not features.shape[1]:
         raise ConfigError(f"probe granularity '{granularity}' gives no features: no {granularity} nodes")
     out = ensure_dir(out)
@@ -152,17 +152,16 @@ def train_probe_stage(pooled, targets, granularity: str, cfg: TrainConfig, out):
     return trace, info
 
 
-def train_gat_stage(pooled, targets, graph, gat_doc: dict, cfg: TrainConfig, out):
-    """Fit the graph classifier; writes its checkpoint and trace.json to out.
+def train_gat_stage(stacked, targets, graph, gat_doc: dict, cfg: TrainConfig, out):
+    """Fit the graph classifier on a `check_training_data` stack; writes its checkpoint and trace.json.
 
     gat_doc holds GatConfig fields as JSON; input widths come from the data.
     """
-    check_training_data(pooled, targets)  # the fit stacks the samples itself
-    fine_set, coarse_set, grid = pooled[0]
-    check_region_ids(graph, fine_set, coarse_set)  # the samples agree: sample 0's ids are theirs
-    gat_config = GatConfig.from_json(gat_doc, c_total=fine_set.fused.shape[1], c_last=grid.channels)
+    fine_set, coarse_set, grid = stacked
+    check_region_ids(graph, fine_set, coarse_set)  # before --out exists
+    gat_config = GatConfig.from_json(gat_doc, c_total=fine_set.fused.shape[-1], c_last=grid.channels)
     ensure_dir(out)
-    clf, trace, info = train_gat_classifier(pooled, targets, graph, gat_config, cfg)
+    clf, trace, info = train_gat_classifier(stacked, targets, graph, gat_config, cfg)
     write_json(clf.save(out) / "trace.json", {"trace": trace, "info": info})
     return clf, trace, info
 
@@ -319,22 +318,24 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
             graph = graph_stage(hierarchy, cfg.topology, cfg.seed, out / "graph.json")
             save_hierarchy(out / "anatomy.json", hierarchy)
         with timed("train"):
+            stacked = check_training_data(pooled, targets)
+            del pooled  # the stack holds every sample from here on
             probe_cfg, gat_cfg = cfg.train_configs
             probe_trace, probe_info = train_probe_stage(
-                pooled, targets, cfg.probe_granularity, probe_cfg, out / "probe"
+                stacked, targets, cfg.probe_granularity, probe_cfg, out / "probe"
             )
             clf, gat_trace, gat_info = train_gat_stage(
-                pooled, targets, graph, cfg.gat, gat_cfg, out / "ckpt"
+                stacked, targets, graph, cfg.gat, gat_cfg, out / "ckpt"
             )
             metrics["probe_f1"] = probe_trace[-1]["f1"] if probe_trace else None
             metrics["gat_f1"] = gat_trace[-1]["f1"] if gat_trace else None
             metrics["probe_info"] = probe_info
             metrics["gat_info"] = gat_info
         with timed("infer"):
-            infer_stage(graph, pooled[0], clf.gat, out / "tokens.bin")
+            infer_stage(graph, take_pooled(stacked, [0]), clf.gat, out / "tokens.bin")
         with timed("eval"):  # the classifier's held-out samples
             scored = gat_info["scored_indices"]
-            predicted = clf.predict(graph, stack_pooled([pooled[i] for i in scored]))
+            predicted = clf.predict(graph, take_pooled(stacked, scored))
             report = eval_stage(
                 [{"labels": labels} for labels in predicted],
                 [{"labels": targets[i]} for i in scored],

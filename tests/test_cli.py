@@ -3,12 +3,13 @@
 import dataclasses
 import json
 import math
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
-from ctgraph import pipeline
+from ctgraph import pipeline, pooling
 from ctgraph.cli import main
 from ctgraph.container import save_tensor
 from ctgraph.demo import demo_phantom_spec
@@ -1010,8 +1011,9 @@ class TestExitCodes:
         )
         assert not (ws / "out").exists()
 
-    @pytest.mark.parametrize("command", ["run", "train"])
-    def test_training_on_samples_without_labels_exits_2(self, workspace, capsys, command):
+    @pytest.mark.parametrize("command, mode", [("run", None), ("train", "probe"), ("train", "gat")],
+                             ids=["run", "train", "train-gat"])
+    def test_training_on_samples_without_labels_exits_2(self, workspace, capsys, command, mode):
         # a phantom spec without pathologies gives every sample an empty label vector
         ws = workspace
         spec = dataclasses.replace(demo_phantom_spec(), pathologies=())
@@ -1020,16 +1022,18 @@ class TestExitCodes:
                   "phantom_spec": str(ws / "no_labels.json"), "probe": {"epochs": 1}}
         (ws / "run.json").write_text(json.dumps(config))
         code = run_cli("run", "--config", ws / "run.json")
-        probe = ws / "out" / "probe"
-        if command == "train":
+        trained = ws / "out" / "probe"
+        if command == "run":
+            assert json.loads((ws / "out" / "STALE").read_text())["failed_stage"] == "train"
+        else:
             manifest = [{"feature_file": f"pool/feats_{i:03d}.bin", "labels": []} for i in range(2)]
             write_manifest(ws / "out" / "data.jsonl", manifest)
-            probe = ws / "probe"
-            code = run_cli("train", "--mode", "probe", "--manifest", ws / "out" / "data.jsonl",
-                           "--out", probe)
+            trained = ws / mode
+            code = run_cli("train", "--mode", mode, "--manifest", ws / "out" / "data.jsonl",
+                           "--graph", ws / "out" / "graph.json", "--out", trained)
         assert code == 2
         assert capsys.readouterr().err.splitlines()[-1] == "error: the samples carry no labels to train on"
-        assert not probe.exists()
+        assert not trained.exists()
 
     def test_run_of_a_fine_probe_without_fine_nodes_exits_2_naming_the_granularity(self, workspace, capsys):
         ws = workspace
@@ -1569,6 +1573,29 @@ class TestRunPipeline:
         assert (out / "report.json").exists()
         assert (out / "graph.json").exists()
         assert not (out / "STALE").exists()
+
+    def test_a_run_stacks_its_pooled_samples_once_and_its_fit_not_at_all(self, workspace, monkeypatch):
+        import ctgraph.bench  # noqa: F401  every module that could bind stack_pooled is loaded
+
+        stacks, fit_stacks = [], []
+        stack_pooled, fit = pooling.stack_pooled, pipeline.train_gat_classifier
+
+        def counting_stack(samples):
+            stacks.append(len(samples))
+            return stack_pooled(samples)
+
+        def counting_fit(*args, **kwargs):
+            before = len(stacks)
+            result = fit(*args, **kwargs)
+            fit_stacks.append(len(stacks) - before)
+            return result
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ctgraph") and getattr(module, "stack_pooled", None) is stack_pooled:
+                monkeypatch.setattr(module, "stack_pooled", counting_stack)
+        monkeypatch.setattr(pipeline, "train_gat_classifier", counting_fit)
+        pipeline.run_pipeline(pipeline.PipelineConfig.from_json(self._config(workspace, n=4)))
+        assert stacks == [4] and fit_stacks == [0]
 
     def test_run_config_paths_resolve_against_the_configs_directory(self, workspace, monkeypatch):
         ws = workspace

