@@ -68,6 +68,10 @@ def read_record(fh: BinaryIO):
     for key in ("name", "dtype", "shape", "byte_order"):
         if key not in header:
             raise FormatError(f"container header misses required key '{key}'")
+    if not isinstance(header["name"], str):
+        raise FormatError(f"container record name must be a string, got {header['name']!r}")
+    if not isinstance(header.get("meta", {}), (dict, type(None))):
+        raise FormatError(f"record '{header['name']}' meta must be a JSON object, got {header['meta']!r}")
     if header["byte_order"] != "little":
         raise FormatError(f"unsupported byte order: {header['byte_order']}")
     dtype_name = str(header["dtype"])
@@ -185,7 +189,7 @@ def open_output(path, mode: str = "w"):
     the body returns and removed when it raises, so path is never half written.
     Failing to open or replace raises a ConfigError naming path.
     No fsync: this guards against a crash of the process, not a power loss, as
-    a demo run writes 91 files.
+    a demo run writes 90 files.
     """
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     with _unwritable(path):

@@ -110,9 +110,9 @@ class AffineHead:
     def load(cls, path) -> "AffineHead":
         records = load_records(path)
         with malformed(f"head file {path}"):  # another container misses 'weight' or 'bias'
-            arrays = {name: arr for name, arr, _ in records}
-            weight, bias = arrays["weight"], arrays["bias"]
-            threshold = records[0][2].get("meta", {}).get("threshold", THRESHOLD)
+            arrays = {name: (arr, header) for name, arr, header in records}
+            (weight, header), (bias, _) = arrays["weight"], arrays["bias"]
+            threshold = (header.get("meta") or {}).get("threshold", THRESHOLD)
         if threshold != THRESHOLD:
             raise ValidationError(f"{path}: threshold must be {THRESHOLD}, got {threshold!r}")
         if weight.ndim != 2 or bias.shape != weight.shape[1:]:

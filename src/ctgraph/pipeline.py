@@ -1,4 +1,4 @@
-"""End-to-end pipeline: synth -> encode -> pool -> graph -> train -> infer -> eval.
+"""End-to-end pipeline: synth -> encode -> pool -> graph -> train -> infer.
 
 `run_pipeline` and the `ct-graph` subcommands call the same functions: the stage
 functions here and, for encode, the encoder's `synth_encode` and `export_pyramid`.
@@ -6,12 +6,14 @@ The per-sample ones take one sample. `run_pipeline` makes one pass over its
 samples: it synthesizes, encodes and pools sample i, keeps only its pooled triple
 and target, and frees its volume and pyramid before sample i + 1 is made. Its train
 stage stacks the triples once (`check_training_data`, as `ct-graph train` does) and
-drops their list: probe, fit, infer and eval read that stack. `stage()` times a stage
-and logs its `start` and its `done` or `failed` event as JSON lines; the per-sample
-events carry the sample index, and `summary.json` sums each stage's seconds over the
-samples. A failed run re-raises its exception unchanged, after leaving a STALE marker
-that names the failed stage and sample and lists the stages whose outputs may be
-partial. Reruns with the same config and seed reproduce the same summary metrics.
+drops their list: probe, fit and infer read that stack. The fit scores its held-out
+samples (`gat_f1`); `eval_stage` (`ct-graph eval`) re-scores them from files.
+`stage()` times a stage and logs its `start` and its `done` or `failed` event as JSON
+lines; the per-sample events carry the sample index, and `summary.json` sums each
+stage's seconds over the samples. A failed run re-raises its exception unchanged,
+after leaving a STALE marker that names the failed stage and sample and lists the
+stages whose outputs may be partial. Reruns with the same config and seed, at one
+BLAS thread count, reproduce the same summary metrics.
 """
 
 from __future__ import annotations
@@ -333,16 +335,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir=None) -> dict:
             metrics["gat_info"] = gat_info
         with timed("infer"):
             infer_stage(graph, take_pooled(stacked, [0]), clf.gat, out / "tokens.bin")
-        with timed("eval"):  # the classifier's held-out samples
-            scored = gat_info["scored_indices"]
-            predicted = clf.predict(graph, take_pooled(stacked, scored))
-            report = eval_stage(
-                [{"labels": labels} for labels in predicted],
-                [{"labels": targets[i]} for i in scored],
-                ["ce"],
-                out / "report.json",
-            )
-            metrics["eval_ce_f1"] = report["ce"]["f1"]
     except Exception as exc:
         if running:  # the failed stage has logged its own `failed` event
             write_json(stale_path, {

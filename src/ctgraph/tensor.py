@@ -2,8 +2,9 @@
 
 Every learnable piece of the pipeline runs on these tensors so that any
 gradient can be validated against central finite differences. float64 is
-the default scalar type (verification mode); float32 is accepted for
-throughput runs and carries looser tolerances.
+the default scalar type (verification mode); float32 is accepted and carries
+looser tolerances. Criterion 10's pooling layer uses it; `run`, `train` and
+`infer` run in float64.
 
 Ops record backward closures only when some input requires gradients and
 no `no_grad()` scope is open, so inference-style code pays nothing for the

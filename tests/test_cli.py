@@ -12,11 +12,18 @@ import pytest
 from ctgraph import pipeline, pooling
 from ctgraph.cli import main
 from ctgraph.container import save_tensor
-from ctgraph.demo import demo_phantom_spec
+from ctgraph.demo import demo_phantom_spec, demo_pipeline_config
 from ctgraph.errors import ValidationError
 from ctgraph.gat import GatConfig, GatModel
-from ctgraph.graph import AnatomyHierarchy, CoarseNode, FineNode, default_hierarchy, save_hierarchy
-from ctgraph.heads import RETIRED_KEYS, load_token_export, write_manifest
+from ctgraph.graph import (
+    AnatomyHierarchy,
+    CoarseNode,
+    FineNode,
+    default_hierarchy,
+    load_graph,
+    save_hierarchy,
+)
+from ctgraph.heads import RETIRED_KEYS, GatClassifier, load_token_export, write_manifest
 from ctgraph.pooling import GlobalFeatureGrid, RegionFeatureSet, load_pooled, save_pooled
 from ctgraph.tensor import Tensor
 from ctgraph.volume import (
@@ -1566,11 +1573,8 @@ class TestRunPipeline:
         assert run_cli("run", "--config", ws / "run.json") == 0
         out = ws / "run_out"
         summary = json.loads((out / "summary.json").read_text())
-        assert set(summary["stages"]) == {
-            "synth", "encode", "pool", "graph", "train", "infer", "eval",
-        }
+        assert set(summary["stages"]) == {"synth", "encode", "pool", "graph", "train", "infer"}
         assert (out / "tokens.bin").exists()
-        assert (out / "report.json").exists()
         assert (out / "graph.json").exists()
         assert not (out / "STALE").exists()
 
@@ -1637,14 +1641,26 @@ class TestRunPipeline:
         for name in synth:
             assert (ws / "data" / name).read_bytes() == (ws / "run_out" / "synth" / name).read_bytes()
 
-    def test_eval_scores_the_classifiers_held_out_samples(self, workspace):
+    def test_the_demo_run_scores_each_model_once_and_eval_rescores_gat_f1_from_files(self, workspace):
         ws = workspace
-        (ws / "run.json").write_text(json.dumps(self._config(ws, n=15)))
-        assert run_cli("run", "--config", ws / "run.json") == 0
-        metrics = json.loads((ws / "run_out" / "summary.json").read_text())["metrics"]
+        (ws / "demo.json").write_text(json.dumps(demo_pipeline_config(out_dir=str(ws / "demo_out"))))
+        assert run_cli("run", "--config", ws / "demo.json") == 0
+        out = ws / "demo_out"
+        metrics = json.loads((out / "summary.json").read_text())["metrics"]
+        assert not (out / "report.json").exists() and "eval_ce_f1" not in metrics
         scored = metrics["gat_info"]["scored_indices"]
-        assert len(scored) == metrics["gat_info"]["val_size"] == 2  # a tenth of 15, rounded
-        assert metrics["eval_ce_f1"] == metrics["gat_f1"]
+        samples = [load_pooled(out / "pool" / f"feats_{i:03d}.bin") for i in scored]
+        graph = load_graph(out / "graph.json")
+        predicted = GatClassifier.load(out / "ckpt").predict(graph, pooling.stack_pooled(samples))
+        manifest = (out / "synth" / "samples.jsonl").read_text().splitlines()
+        labels = [json.loads(line)["labels"] for line in manifest]
+        write_manifest(ws / "pred.jsonl", [{"id": i, "labels": p.tolist()} for i, p in zip(scored, predicted)])
+        write_manifest(ws / "ref.jsonl", [{"id": i, "labels": labels[i]} for i in scored])
+        assert run_cli(
+            "eval", "--metrics", "ce", "--pred", ws / "pred.jsonl", "--ref", ws / "ref.jsonl",
+            "--out", ws / "report.json",
+        ) == 0
+        assert json.loads((ws / "report.json").read_text())["ce"]["f1"] == metrics["gat_f1"]
 
     def test_rerun_reproduces_metrics(self, workspace):
         ws = workspace
@@ -1690,7 +1706,7 @@ class TestRunPipeline:
         events = self._stage_events(capsys.readouterr().err)
         # one pass over the 4 samples, then samples.jsonl, then the stages that take every sample
         steps = [(name, i) for i in range(4) for name in ("synth", "encode", "pool")]
-        steps += [(name, None) for name in ("synth", "graph", "train", "infer", "eval")]
+        steps += [(name, None) for name in ("synth", "graph", "train", "infer")]
         assert [(e["stage"], e["event"], e.get("sample")) for e in events] == [
             (name, event, i) for name, i in steps for event in ("start", "done")
         ]
@@ -1698,7 +1714,7 @@ class TestRunPipeline:
         for e in done:
             assert type(e["seconds"]) in (int, float) and e["seconds"] >= 0
         stages = json.loads((ws / "run_out" / "summary.json").read_text())["stages"]
-        assert list(stages) == ["synth", "encode", "pool", "graph", "train", "infer", "eval"]
+        assert list(stages) == ["synth", "encode", "pool", "graph", "train", "infer"]
         for name, total in stages.items():
             logged = [e["seconds"] for e in done if e["stage"] == name]
             assert total == pytest.approx(sum(logged), abs=0.0005 * (len(logged) + 1))

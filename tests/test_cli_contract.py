@@ -2,8 +2,9 @@
 
 `cli.main` runs in process on mutated inputs: a valid 2-sample `run` config,
 phantom spec or hierarchy with one node replaced or removed; a truncated or
-byte-flipped pooled container for `infer` or mask container for `pool`; and an
-`--out` blocked by an entry of the other kind. A return of 0 comes with the
+byte-flipped pooled container for `infer` or mask container for `pool`, or one
+whose header holds a record name or meta of the wrong type; and an `--out`
+blocked by an entry of the other kind. A return of 0 comes with the
 promised output (for `run`, summary.json and no STALE); a return of 2 comes
 with exactly one `error:` line. Any exception is a defect.
 
@@ -231,6 +232,33 @@ def test_a_pinned_document_mutation_returns_2_with_one_error_line_naming_it(
     lines = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("{")]
     assert code == 2 and len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], lines
     assert not any(path.is_file() for path in work.glob("out/**/*"))
+
+
+HEADERS = [  # (command, container, header key, a value of the wrong type)
+    ("pool", "mask", "meta", 5),
+    ("pool", "mask", "meta", "num_labels"),
+    ("pool", "mask", "meta", ["num_labels"]),
+    ("infer", "feats", "name", ["x"]),
+]
+
+
+@pytest.mark.parametrize("command, key, field, value", HEADERS, ids=["meta-5", "meta-str", "meta-list", "name-list"])
+def test_a_container_header_field_of_the_wrong_type_returns_2_with_one_error_line_naming_it(
+    valid, capsys, command, key, field, value
+):
+    base, _ = valid
+    work = base / "header"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    line, payload = (base / COMMANDS[command][f"--{key}"]).read_bytes().split(b"\n", 1)
+    header = {**json.loads(line), field: value}  # the first record's header
+    (work / "bad.bin").write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    capsys.readouterr()
+    code = main([str(a) for a in [*argv_of(base, command, {key: work / "bad.bin"}), "--out", work / "out"]])
+    lines = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("{")]
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert str(work / "bad.bin") in lines[0] and field in lines[0], lines
+    assert not (work / "out").exists()
 
 
 UNKNOWN_KEYS = [  # (command, input flag, the JSON file under a directory input, node, an unknown key)

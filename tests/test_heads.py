@@ -123,6 +123,14 @@ class TestTrainProbe:
         with pytest.raises(ValidationError, match="probe.bin: threshold must be 0.5"):
             AffineHead.load(tmp_path / "probe.bin")
 
+    @pytest.mark.parametrize("order", [("weight", "bias"), ("bias", "weight")], ids=["weight-first", "bias-first"])
+    def test_load_reads_the_threshold_of_the_weight_record_in_either_order(self, tmp_path, order):
+        arrays = {"weight": np.zeros((3, 2)), "bias": np.zeros(2)}
+        save_tensors(tmp_path / "probe.bin", {name: arrays[name] for name in order},
+                     meta={"weight": {"threshold": 0.7}})
+        with pytest.raises(ValidationError, match="probe.bin: threshold must be 0.5, got 0.7"):
+            AffineHead.load(tmp_path / "probe.bin")
+
     @pytest.mark.parametrize("meta", [{"weight": {"threshold": 0.5}}, None], ids=["0.5", "absent"])
     def test_load_takes_the_one_threshold_or_none(self, tmp_path, meta):
         records = {"weight": np.eye(2), "bias": np.zeros(2)}
